@@ -1,7 +1,8 @@
 """qcalg command line: check, analyze, compute, example.
 
 Exit codes: 0 success; 1 a requested check or expectation failed; 2 input
-error (syntax, unknown labels, missing files); 3 internal invariant
+error (syntax, unknown labels, missing, unreadable or non-UTF-8 files, a
+malformed --expect file, a negative bound); 3 internal invariant
 violation (a bug: two independent computation routes disagreed), which
 prints a diagnostic dump.  Set QCALG_COLOR=0 or 1 to force colour off/on.
 """
@@ -105,6 +106,18 @@ def _sniff_kind(text: str) -> str:
     return "quiver-dsl"
 
 
+def _read_text(path: Path, what: str) -> str:
+    """The UTF-8 text of a user-named file; anything unreadable is an input error."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except IsADirectoryError:
+        raise InputError(f"{what} {str(path)!r} is a directory, not a file") from None
+    except UnicodeDecodeError:
+        raise InputError(f"{what} {str(path)!r} is not UTF-8 text") from None
+    except OSError as exc:
+        raise InputError(f"{what} {str(path)!r} cannot be read: {exc.strerror}") from None
+
+
 def _load_input(name: str, field_flag: "str | None", check: bool) -> InputBundle:
     if name in builtin_names():
         text, kind = builtin_text(name), builtin_kind(name)
@@ -113,7 +126,7 @@ def _load_input(name: str, field_flag: "str | None", check: bool) -> InputBundle
         if not path.exists():
             raise InputError(f"no builtin or file named {name!r} "
                              f"(builtins: {', '.join(builtin_names())})")
-        text = path.read_text(encoding="utf-8")
+        text = _read_text(path, "input")
         kind = _sniff_kind(text)
     try:
         override = field_named(field_flag) if field_flag else None
@@ -139,6 +152,21 @@ def _probe_bound(bundle: InputBundle, args) -> int:
         if defaults:
             return max(defaults.values())
     return 1
+
+
+def _load_expect(name: "str | None") -> "dict | None":
+    """The --expect file's {criterion: verdict} object, read before any analysis."""
+    if name is None:
+        return None
+    text = _read_text(Path(name), "--expect file")
+    try:
+        expected = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"--expect file {name!r} is not JSON: {exc}") from None
+    if not isinstance(expected, dict):
+        raise InputError(f"--expect file {name!r} must hold a JSON object of "
+                         f"criterion: verdict pairs, not {type(expected).__name__}")
+    return expected
 
 
 def _parse_sweep(text: "str | None", n: int) -> "list[int]":
@@ -301,6 +329,7 @@ def _finite_dimensional_results(coalgebra: Coalgebra) -> dict:
 
 def cmd_analyze(args) -> int:
     bundle = _load_input(args.input, args.field, check=False)
+    expected = _load_expect(args.expect)
     if bundle.spec is not None:
         n = _probe_bound(bundle, args)
         sweep = _parse_sweep(args.sweep, n)
@@ -325,8 +354,7 @@ def cmd_analyze(args) -> int:
         lines.append(f"  {entry['criterion']:<20} {_verdict_word(entry['verdict']):<10} {reason}")
 
     exit_code = EXIT_OK
-    if args.expect:
-        expected = json.loads(Path(args.expect).read_text(encoding="utf-8"))
+    if expected is not None:
         got = {e["criterion"]: e["verdict"] for e in results["verdicts"]}
         mismatches = {
             crit: (want, got.get(crit)) for crit, want in sorted(expected.items())
@@ -501,6 +529,8 @@ def _bug_dump(exc: Exception) -> None:
 def main(argv: "list[str] | None" = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "depth", None) is not None and args.depth < 0:
+            raise InputError("--depth must be nonnegative")
         return args.func(args)
     except (DslError, FormatError, InputError, RadicalRangeError,
             FileNotFoundError) as exc:

@@ -23,7 +23,6 @@ from .exactlin import (
     Scalar,
     Subspace,
     kernel,
-    preimage,
 )
 
 
@@ -198,33 +197,35 @@ class RadicalRangeError(ValueError):
 class DualAlgebra:
     """Convolution algebra on the dual basis; unit is the counit vector.
 
-    mult maps (i, j) to the structure constants of e_i^* e_j^*: the
-    (i, j) coefficient of Delta(e_k) becomes the e_k^* coefficient of the
-    product (transpose placement of the comultiplication tensor).
+    mult maps i to {j: structure constants of e_i^* e_j^*}, grouped by
+    the left factor: the (i, j) coefficient of Delta(e_k) becomes the e_k^*
+    coefficient of the product (transpose placement of the
+    comultiplication tensor).
     """
 
     field: Field
     dim: int
     labels: "tuple[str, ...]"
-    mult: "dict[tuple[int, int], tuple[tuple[int, Scalar], ...]]"
+    mult: "dict[int, dict[int, tuple[tuple[int, Scalar], ...]]]"
     unit: "tuple[Scalar, ...]"
 
     def multiply(self, u: dict, v: dict) -> dict:
         out: dict = {}
-        for (i, j), terms in self.mult.items():
-            ui = u.get(i)
-            if not ui:
+        for i, ui in u.items():
+            row = self.mult.get(i)
+            if row is None or not ui:
                 continue
-            vj = v.get(j)
-            if not vj:
-                continue
-            w = ui * vj
-            for k, c in terms:
-                nv = out.get(k, self.field.zero) + w * c
-                if nv:
-                    out[k] = nv
-                else:
-                    out.pop(k, None)
+            for j, vj in v.items():
+                terms = row.get(j)
+                if terms is None or not vj:
+                    continue
+                w = ui * vj
+                for k, c in terms:
+                    nv = out.get(k, self.field.zero) + w * c
+                    if nv:
+                        out[k] = nv
+                    else:
+                        out.pop(k, None)
         return out
 
     def unit_dict(self) -> dict:
@@ -233,17 +234,18 @@ class DualAlgebra:
     def left_mult_matrix(self, u: dict) -> Matrix:
         """Matrix of v -> u*v on dual coordinates."""
         entries: dict = {}
-        for (i, j), terms in self.mult.items():
-            ui = u.get(i)
-            if not ui:
+        for i, ui in u.items():
+            row = self.mult.get(i)
+            if row is None or not ui:
                 continue
-            for k, c in terms:
-                key = (k, j)
-                nv = entries.get(key, self.field.zero) + ui * c
-                if nv:
-                    entries[key] = nv
-                else:
-                    entries.pop(key, None)
+            for j, terms in row.items():
+                for k, c in terms:
+                    key = (k, j)
+                    nv = entries.get(key, self.field.zero) + ui * c
+                    if nv:
+                        entries[key] = nv
+                    else:
+                        entries.pop(key, None)
         return Matrix(self.dim, self.dim, entries)
 
 
@@ -251,8 +253,9 @@ def dual_algebra(c: Coalgebra) -> DualAlgebra:
     mult: dict = {}
     for k in range(c.dim):
         for (i, j), coeff in c.delta_dict(k).items():
-            mult.setdefault((i, j), []).append((k, coeff))
-    frozen = {key: tuple(sorted(terms)) for key, terms in mult.items()}
+            mult.setdefault(i, {}).setdefault(j, []).append((k, coeff))
+    frozen = {i: {j: tuple(sorted(terms)) for j, terms in row.items()}
+              for i, row in mult.items()}
     return DualAlgebra(field=c.field, dim=c.dim, labels=c.labels,
                        mult=frozen, unit=c.epsilon)
 
@@ -337,13 +340,37 @@ def _tensor_flank(x: Subspace, dim: int, side: str) -> "list[dict]":
 
 
 def wedge(x: Subspace, y: Subspace, c: Coalgebra) -> Subspace:
-    """The wedge of two subspaces: pull X (x) C + C (x) Y back through Delta."""
+    """The wedge X ^ Y = ker(C -> C/X (x) C/Y), the map being (pi_X (x) pi_Y) Delta.
+
+    pi_X sends e_j to its residual after reduction by X's echelon basis, a
+    linear projection with kernel X; ker(pi_X (x) pi_Y) = X (x) C + C (x) Y,
+    so this is the pullback of X (x) C + C (x) Y through Delta.
+    """
     if x.ambient_dim != c.dim or y.ambient_dim != c.dim:
         raise ValueError("wedge: subspaces must live in the coalgebra's coordinates")
-    target = Subspace.span(c.field, c.dim * c.dim,
-                           _tensor_flank(x, c.dim, "left") +
-                           _tensor_flank(y, c.dim, "right"))
-    return preimage(c.delta_matrix(), target, c.field)
+    n = c.dim
+    one, zero = c.field.one, c.field.zero
+    red_x = [x.reduce_vector({j: one}) for j in range(n)]
+    red_y = [y.reduce_vector({k: one}) for k in range(n)]
+    entries: dict = {}
+    for i in range(n):
+        col: dict = {}
+        for j, k, coeff in c.delta[i]:
+            rx, ry = red_x[j], red_y[k]
+            if not rx or not ry:
+                continue
+            for a, va in rx.items():
+                w = coeff * va
+                for b, vb in ry.items():
+                    key = flatten_index(a, b, n)
+                    nv = col.get(key, zero) + w * vb
+                    if nv:
+                        col[key] = nv
+                    else:
+                        col.pop(key, None)
+        for key, v in col.items():
+            entries[(key, i)] = v
+    return kernel(Matrix(n * n, n, entries), c.field)
 
 
 def _delta_image_contained(x: Subspace, c: Coalgebra, target_rows: "list[dict]") -> bool:

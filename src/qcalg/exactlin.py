@@ -254,9 +254,6 @@ class Matrix:
             out[i][j] = v
         return out
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()})
-
     def apply(self, vec: dict) -> dict:
         """Matrix times column vector (vector as sparse dict)."""
         out: dict = {}
@@ -304,13 +301,6 @@ class Matrix:
                 entries[(i + offset, j)] = v
             offset += m.rows
         return cls(offset, cols, entries)
-
-    def trace_in(self, field: Field) -> Scalar:
-        acc = field.zero
-        for (i, j), v in self.entries.items():
-            if i == j:
-                acc = acc + v
-        return acc
 
 
 @dataclass(frozen=True)
@@ -439,8 +429,15 @@ def echelonize(m: Matrix, field: Field) -> "tuple[int, Subspace]":
 
 
 def kernel(m: Matrix, field: Field) -> Subspace:
-    """Null space {v : m v = 0} as a canonical subspace of the domain."""
-    rows = _rref(m.row_dicts())
+    """Null space {v : m v = 0} as a canonical subspace of the domain.
+
+    Only the nonzero rows reach the elimination, in row order: a wedge or
+    skew-primitive matrix has dim^2 rows, nearly all of them empty.
+    """
+    nonzero: dict[int, dict] = {}
+    for (i, j), v in m.entries.items():
+        nonzero.setdefault(i, {})[j] = v
+    rows = _rref(nonzero[i] for i in sorted(nonzero))
     pivot_cols = [min(r) for r in rows]
     pivot_set = set(pivot_cols)
     free_cols = [j for j in range(m.cols) if j not in pivot_set]

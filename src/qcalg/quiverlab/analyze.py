@@ -394,11 +394,12 @@ def _duality_oracle(coalgebra: Coalgebra) -> dict:
         subspaces[f"span{{{coalgebra.labels[g]}}}"] = Subspace.span(
             coalgebra.field, coalgebra.dim, [{g: coalgebra.field.one}])
     dual = dual_algebra(coalgebra)
+    perps = {name: s.perp() for name, s in subspaces.items()}
     checked = 0
     for uname, u in subspaces.items():
         for wname, w in subspaces.items():
             left = wedge(u, w, coalgebra)
-            right = ideal_product(u.perp(), w.perp(), dual).perp()
+            right = ideal_product(perps[uname], perps[wname], dual).perp()
             if left != right:
                 raise InternalCheckError(
                     f"wedge/ideal-product duality broke on ({uname}, {wname})")

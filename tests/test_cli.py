@@ -190,6 +190,66 @@ class TestExitCodes:
         assert exc.value.code == 2
 
 
+class TestInputFaults:
+    """Faults in what the user passed exit 2 with a message, never 3."""
+
+    @pytest.mark.parametrize("content,phrase", [
+        ("{not json", "is not JSON"),
+        ('["locally_finite", "holds"]', "must hold a JSON object"),
+        ("", "is not JSON"),
+    ])
+    def test_malformed_expect_file_is_read_before_the_analysis(
+            self, tmp_path, capsys, monkeypatch, content, phrase):
+        def no_analysis(*args, **kwargs):
+            raise AssertionError("the analysis ran before --expect was read")
+        monkeypatch.setattr("qcalg.cli.analyze_spec", no_analysis)
+        bad = tmp_path / "verdicts.json"
+        bad.write_text(content)
+        code, out, err = run(capsys, "analyze", "ex2", "--N", "2",
+                             "--expect", str(bad))
+        assert code == 2
+        assert str(bad) in err and phrase in err
+        assert out == ""
+
+    def test_missing_expect_file(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        code, _, err = run(capsys, "analyze", "ex2", "--N", "2",
+                           "--expect", str(missing))
+        assert code == 2
+        assert str(missing) in err
+
+    @pytest.mark.parametrize("command", [["check"], ["analyze"],
+                                         ["compute", "filtration"]])
+    def test_directory_input(self, tmp_path, capsys, command):
+        argv = [command[0], str(tmp_path), *command[1:]]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "is a directory" in err and str(tmp_path) in err
+
+    def test_non_utf8_input(self, tmp_path, capsys):
+        latin = tmp_path / "latin1.quiver"
+        latin.write_bytes("coalgebra caf\xe9\nvertex u\n".encode("latin-1"))
+        code, _, err = run(capsys, "check", str(latin))
+        assert code == 2
+        assert "not UTF-8" in err and str(latin) in err
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "ex1", "--N", "2"],
+        ["analyze", "ex1", "--N", "2"],
+        ["compute", "ex1", "filtration", "--N", "2"],
+    ])
+    def test_negative_depth(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--depth", "-1")
+        assert code == 2
+        assert "--depth must be nonnegative" in err
+        assert out == ""
+
+    def test_zero_depth_is_still_accepted(self, capsys):
+        code, out, _ = run(capsys, "check", "ex1", "--N", "2", "--depth", "0")
+        assert code == 0
+        assert "PASS" in out
+
+
 class TestReportSchema:
     def test_emitted_reports_validate_against_shipped_schema(self, capsys):
         import pathlib

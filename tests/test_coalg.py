@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -19,8 +20,9 @@ from qcalg.coalg import (
     skew_primitives,
     wedge,
 )
-from qcalg.exactlin import GF, QQ, Subspace
+from qcalg.exactlin import GF, QQ, Subspace, preimage
 from qcalg.quiverlab import compile_truncation
+from qcalg.textfmt import dumps_coalgebra, loads
 
 
 def grouplike_coalgebra():
@@ -294,3 +296,151 @@ def test_ideal_product_ambient_mismatch(ex1_n1):
     d = dual_algebra(c)
     with pytest.raises(ValueError):
         ideal_product(Subspace.zero(QQ, 3), Subspace.zero(QQ, 3), d)
+
+
+# -- the wedge and the dual product against their textbook formulas ----------
+
+def wedge_by_pullback(x, y, c):
+    """Reference wedge: preimage(Delta, X (x) C + C (x) Y) in dim^2 coordinates."""
+    n = c.dim
+    rows = []
+    for u in x.basis_dicts():
+        for t in range(n):
+            rows.append({j * n + t: v for j, v in u.items()})
+    for u in y.basis_dicts():
+        for t in range(n):
+            rows.append({t * n + k: v for k, v in u.items()})
+    return preimage(c.delta_matrix(), Subspace.span(c.field, n * n, rows), c.field)
+
+
+def multiply_all_pairs(c, u, v):
+    """Reference product: every (i, j) pair against every Delta(e_k)."""
+    zero = c.field.zero
+    deltas = [c.delta_dict(k) for k in range(c.dim)]
+    out = {}
+    for i in range(c.dim):
+        for j in range(c.dim):
+            w = u.get(i, zero) * v.get(j, zero)
+            for k in range(c.dim):
+                coeff = deltas[k].get((i, j))
+                if w and coeff:
+                    out[k] = out.get(k, zero) + w * coeff
+    return {k: val for k, val in out.items() if val}
+
+
+def random_vector(rng, c):
+    vec = {rng.randrange(c.dim): c.field.from_int(rng.randint(-3, 3))
+           for _ in range(rng.randint(1, 4))}
+    return {j: v for j, v in vec.items() if v}
+
+
+def probe_subspaces(c, rng, count=6):
+    """zero, full, the first filtration terms and random spans."""
+    chain = coradical_filtration(c)
+    spaces = [Subspace.zero(c.field, c.dim), Subspace.full(c.field, c.dim),
+              *chain.terms[:2]]
+    for _ in range(count):
+        spaces.append(Subspace.span(c.field, c.dim,
+                                    [random_vector(rng, c) for _ in range(rng.randint(1, 4))]))
+    return spaces
+
+
+def change_basis(c, seed):
+    """The structure-constants file of c in a unitriangular integer basis.
+
+    f_i = e_i + sum_{a > i} p_ia e_a; the file is written and loaded back
+    with the axioms checked, so its coefficients are no longer 0/1.
+    """
+    rng = random.Random(seed)
+    n = c.dim
+    p = [[F(int(a == i)) if a <= i else F(rng.randint(-2, 2)) for a in range(n)]
+         for i in range(n)]
+    q = [[F(int(a == i)) for a in range(n)] for i in range(n)]  # p^{-1}
+    for i in reversed(range(n)):
+        for a in range(i + 1, n):
+            for b in range(n):
+                q[i][b] -= p[i][a] * q[a][b]
+    delta = []
+    for i in range(n):
+        acc = {}
+        for a in range(n):
+            for j, k, coeff in c.delta[a]:
+                w = p[i][a] * coeff
+                if not w:
+                    continue
+                for b in range(n):
+                    for d in range(n):
+                        v = w * q[j][b] * q[k][d]
+                        if v:
+                            acc[(b, d)] = acc.get((b, d), F(0)) + v
+        delta.append(tuple((b, d, v) for (b, d), v in sorted(acc.items()) if v))
+    epsilon = tuple(sum((p[i][a] * c.epsilon[a] for a in range(n)), F(0))
+                    for i in range(n))
+    changed = Coalgebra(field=QQ, dim=n, labels=c.labels, delta=tuple(delta),
+                        epsilon=epsilon)
+    return loads(dumps_coalgebra(changed), check=True).coalgebra
+
+
+class TestWedgeEquivalence:
+    @pytest.mark.parametrize("name,bound", [("ex1", 1), ("ex1", 3), ("ex2", 2), ("ex2", 4)])
+    @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
+    def test_matches_the_pullback_on_truncations(self, name, bound, field,
+                                                 ex1_spec, ex2_spec):
+        spec = replace(ex1_spec if name == "ex1" else ex2_spec, field=field)
+        c, basis = compile_truncation(spec, bound)
+        rng = random.Random(bound)
+        spaces = probe_subspaces(c, rng)
+        # a span that is not a subcoalgebra
+        mixed = c.span_of_labels(["a", basis.paths[-1].label])
+        assert not is_subcoalgebra(mixed, c)
+        spaces.append(mixed)
+        for x in spaces:
+            for y in spaces:
+                assert wedge(x, y, c) == wedge_by_pullback(x, y, c)
+
+    def test_matches_the_pullback_in_an_integer_basis(self, ex1_n2):
+        c = change_basis(ex1_n2[0], seed=7)
+        assert any(v not in (0, 1) for terms in c.delta for _, _, v in terms)
+        spaces = probe_subspaces(c, random.Random(3))
+        for x in spaces:
+            for y in spaces:
+                assert wedge(x, y, c) == wedge_by_pullback(x, y, c)
+
+    def test_never_builds_the_pullback(self, ex1_n1, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("wedge built the dim^2 Delta matrix")
+        monkeypatch.setattr(Coalgebra, "delta_matrix", forbidden)
+        c, _ = ex1_n1
+        c0 = c.span_of_labels(["a", "b[1]"])
+        assert wedge(c0, c0, c).dim == 4
+
+
+class TestMultiplyEquivalence:
+    @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
+    def test_matches_the_all_pairs_loop(self, field, ex2_spec):
+        c, _ = compile_truncation(replace(ex2_spec, field=field), 3)
+        d = dual_algebra(c)
+        rng = random.Random(11)
+        for _ in range(40):
+            u, v = random_vector(rng, c), random_vector(rng, c)
+            assert d.multiply(u, v) == multiply_all_pairs(c, u, v)
+
+    def test_matches_the_all_pairs_loop_in_an_integer_basis(self, ex1_n2):
+        c = change_basis(ex1_n2[0], seed=7)
+        d = dual_algebra(c)
+        rng = random.Random(13)
+        basis_vectors = [{i: F(1)} for i in range(c.dim)]
+        for u in basis_vectors:
+            for v in basis_vectors:
+                assert d.multiply(u, v) == multiply_all_pairs(c, u, v)
+        for _ in range(40):
+            u, v = random_vector(rng, c), random_vector(rng, c)
+            assert d.multiply(u, v) == multiply_all_pairs(c, u, v)
+
+    def test_left_mult_matrix_agrees_with_multiply(self, ex1_n2):
+        c = change_basis(ex1_n2[0], seed=5)
+        d = dual_algebra(c)
+        rng = random.Random(17)
+        for _ in range(20):
+            u, v = random_vector(rng, c), random_vector(rng, c)
+            assert d.left_mult_matrix(u).apply(v) == multiply_all_pairs(c, u, v)
