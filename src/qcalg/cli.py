@@ -31,7 +31,6 @@ from .comod import (
     Comodule,
     check_comodule,
     hom_space,
-    loewy_series,
     multiplicity,
     multiplicity_table,
     quotient_with_projection,
@@ -41,7 +40,13 @@ from .comod import (
 )
 from .exactlin import Field, PrimeField, QQ, Subspace, field_named
 from .quiverlab import builtin_kind, builtin_names, builtin_text, compile_truncation, parse_spec
-from .quiverlab.analyze import CRITERIA, InternalCheckError, VerdictEntry, analyze_spec
+from .quiverlab.analyze import (
+    CRITERIA,
+    InternalCheckError,
+    VerdictEntry,
+    analyze_spec,
+    filtration_report,
+)
 from .quiverlab.dsl import DslError, QuiverSpec, _split_toplevel_commas
 from .report import ReportDocument
 from .textfmt import FormatError
@@ -304,8 +309,6 @@ def _finite_dimensional_results(coalgebra: Coalgebra) -> dict:
     report = check_axioms(coalgebra)
     if not report.ok:
         raise InputError(f"input is not a coalgebra: {report.first()}")
-    chain = coradical_filtration(coalgebra)
-    loewy = loewy_series(regular_comodule(coalgebra, "right"))
     rule = ("the input coalgebra is finite-dimensional: its dual is a "
             "finite-dimensional algebra, so every ideal is finitely "
             "generated, injective comodules are finite-dimensional, and "
@@ -317,10 +320,7 @@ def _finite_dimensional_results(coalgebra: Coalgebra) -> dict:
         "sweep": None,
         "dim": coalgebra.dim,
         "basis": list(coalgebra.labels),
-        "filtration": {"dims": list(chain.dims()),
-                       "stabilized_at": chain.stabilized_at},
-        "loewy_right": {"dims": list(loewy.dims()),
-                        "stabilized_at": loewy.stabilized_at},
+        **filtration_report(coalgebra, coradical_filtration(coalgebra)),
         "degree_tables": None,
         "fnoetherian_sweep": None,
         "verdicts": verdicts,

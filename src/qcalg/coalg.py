@@ -16,6 +16,7 @@ Conventions fixed here and used bit-exactly everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .exactlin import (
     Field,
@@ -287,6 +288,13 @@ def radical(a: DualAlgebra) -> Subspace:
     return kernel(Matrix(a.dim, a.dim, gram), a.field)
 
 
+@lru_cache(maxsize=None)
+def dual_and_radical(c: Coalgebra) -> "tuple[DualAlgebra, Subspace]":
+    """The convolution dual of c and its radical, computed once per coalgebra."""
+    a = dual_algebra(c)
+    return a, radical(a)
+
+
 def ideal_product(i: Subspace, j: Subspace, a: DualAlgebra) -> Subspace:
     """Span of all pairwise convolution products of basis elements."""
     if i.ambient_dim != a.dim or j.ambient_dim != a.dim:
@@ -310,8 +318,7 @@ class FiltrationChain:
 
 def coradical_filtration(c: Coalgebra) -> FiltrationChain:
     """Terms C_n = perp(J^{n+1}) for J the radical of the convolution dual."""
-    a = dual_algebra(c)
-    j = radical(a)
+    a, j = dual_and_radical(c)
     power = j
     terms: list[Subspace] = []
     for _ in range(c.dim + 1):

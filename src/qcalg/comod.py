@@ -16,16 +16,13 @@ ones, never hand-duplicated formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .coalg import (
     AxiomFailure,
     AxiomReport,
     Coalgebra,
-    DualAlgebra,
     FiltrationChain,
-    dual_algebra,
-    radical,
+    dual_and_radical,
 )
 from .exactlin import Matrix, Scalar, Subspace, kernel, preimage
 
@@ -197,12 +194,6 @@ def dual_action(f: dict, m: Comodule) -> Matrix:
             else:
                 entries.pop(key, None)
     return Matrix(m.dim, m.dim, entries)
-
-
-@lru_cache(maxsize=None)
-def dual_and_radical(c: Coalgebra) -> "tuple[DualAlgebra, Subspace]":
-    a = dual_algebra(c)
-    return a, radical(a)
 
 
 def _radical_action_matrices(m: Comodule) -> "list[Matrix]":

@@ -18,12 +18,15 @@ that produced it; a verdict of fails always carries a concrete witness.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from ..coalg import (
     Coalgebra,
+    FiltrationChain,
+    check_axioms,
     coradical_filtration,
-    dual_algebra,
+    dual_and_radical,
     ideal_product,
     skew_primitives,
     wedge,
@@ -36,7 +39,7 @@ from ..comod import (
 )
 from ..exactlin import Subspace
 from .dsl import QuiverSpec
-from .paths import PathBasis, compile_truncation, enumerate_paths, instantiate
+from .paths import compile_truncation, enumerate_paths, instantiate, reachability
 
 
 class InternalCheckError(RuntimeError):
@@ -107,7 +110,7 @@ def _probe_bounds(n: int) -> "tuple[int, int, int]":
     return (n, n + 1, n + 2)
 
 
-def _grows(counts: "tuple[int, int, int]") -> bool:
+def _grows(counts: "tuple[int, ...] | list[int]") -> bool:
     return counts[0] < counts[1] < counts[2]
 
 
@@ -115,43 +118,49 @@ def degree_tables(spec: QuiverSpec, n: int) -> dict:
     """Arrow in/out counts per vertex at N, N+1, N+2 plus growth flags."""
     probes = _probe_bounds(n)
     instances = [instantiate(spec, b) for b in probes]
-    base = instances[0]
+    counts = [Counter(key for a in inst.arrows
+                      for key in (("in", a.dst), ("out", a.src), (a.src, a.dst)))
+              for inst in instances]
+
+    def at_probes(key) -> "tuple[int, ...]":
+        return tuple(c[key] for c in counts)
+
+    ordered = sorted(instances[0].vertices, key=lambda v: (v.name, v.indices))
     table: dict[str, dict] = {}
-    for v in sorted(base.vertices, key=lambda v: (v.name, v.indices)):
-        ins, outs = [], []
-        for inst in instances:
-            ins.append(sum(1 for a in inst.arrows if a.dst == v))
-            outs.append(sum(1 for a in inst.arrows if a.src == v))
+    for v in ordered:
+        ins, outs = at_probes(("in", v)), at_probes(("out", v))
         table[v.label] = {
             "arrows_in": ins[0],
             "arrows_out": outs[0],
-            "in_growing": _grows(tuple(ins)),
-            "out_growing": _grows(tuple(outs)),
+            "in_growing": _grows(ins),
+            "out_growing": _grows(outs),
         }
     pairs: list[dict] = []
-    ordered = sorted(base.vertices, key=lambda v: (v.name, v.indices))
     for u in ordered:
         for w in ordered:
-            counts = tuple(sum(1 for a in inst.arrows if a.src == u and a.dst == w)
-                           for inst in instances)
-            if counts != (0, 0, 0):
+            pair = at_probes((u, w))
+            if pair != (0, 0, 0):
                 pairs.append({
                     "src": u.label, "dst": w.label,
-                    "count": counts[0], "probe_counts": list(counts),
-                    "growing": _grows(counts),
+                    "count": pair[0], "probe_counts": list(pair),
+                    "growing": _grows(pair),
                 })
     return {"N": n, "probes": list(probes), "vertices": table, "pairs": pairs}
 
 
-def _paths_touching(basis: PathBasis, vertex_label: str, side: str) -> "list[str]":
-    """Labels of basis paths ending at (side='left') or starting at
-    (side='right') the vertex; the injective indecomposable basis."""
-    out = []
-    for p in basis.paths:
-        anchor = p.target if side == "left" else p.source
-        if anchor.label == vertex_label:
-            out.append(p.label)
-    return out
+def _paths_by_vertex(spec: QuiverSpec, side: str, n: int,
+                     depth: "int | None" = None) -> "list[dict[str, list[str]]]":
+    """At each probe bound, the labels of the basis paths ending at
+    (side='left') or starting at (side='right') each vertex: the bases of
+    the injective indecomposables."""
+    groups = []
+    for bound in _probe_bounds(n):
+        by_vertex: dict[str, list[str]] = {}
+        for p in enumerate_paths(spec, bound, depth).paths:
+            anchor = p.target if side == "left" else p.source
+            by_vertex.setdefault(anchor.label, []).append(p.label)
+        groups.append(by_vertex)
+    return groups
 
 
 def injective_indecomposable(spec: QuiverSpec, vertex_label: str, side: str,
@@ -164,21 +173,15 @@ def injective_indecomposable(spec: QuiverSpec, vertex_label: str, side: str,
     known = {v.label for v in instantiate(spec, n).vertices}
     if vertex_label not in known:
         raise KeyError(f"unknown vertex {vertex_label!r} at bound {n}")
-    counts = []
-    labels: list[str] = []
-    for probe in _probe_bounds(n):
-        basis = enumerate_paths(spec, probe, depth)
-        touching = _paths_touching(basis, vertex_label, side)
-        if probe == n:
-            labels = touching
-        counts.append(len(touching))
+    touching = [g.get(vertex_label, []) for g in _paths_by_vertex(spec, side, n, depth)]
+    counts = [len(t) for t in touching]
     return {
         "vertex": vertex_label,
         "side": side,
         "dim": counts[0],
-        "basis": labels,
+        "basis": touching[0],
         "probe_counts": counts,
-        "growing": _grows(tuple(counts)),
+        "growing": _grows(counts),
     }
 
 
@@ -234,30 +237,15 @@ def _cycle_witness(spec: QuiverSpec, n: int, side: str) -> "dict | None":
     """In all-paths mode a cycle makes path families infinite at fixed N."""
     if spec.path_mode != "all":
         return None
-    inst = instantiate(spec, n)
-    adjacency: dict = {}
-    for a in inst.arrows:
-        adjacency.setdefault(a.src.label, set()).add(a.dst.label)
-    # Vertices lying on a cycle: nonempty strongly-reachable self-loops.
-    reach: dict[str, set] = {v.label: set(adjacency.get(v.label, ())) for v in inst.vertices}
-    changed = True
-    while changed:
-        changed = False
-        for v, seen in reach.items():
-            new = set().union(*(reach.get(w, set()) for w in seen)) if seen else set()
-            if not new <= seen:
-                seen |= new
-                changed = True
-    cyclic = {v for v, seen in reach.items() if v in seen}
-    if not cyclic:
-        return None
+    reach = reachability(instantiate(spec, n))
+    cyclic = sorted(v for v, seen in reach.items() if v in seen)
     for v in sorted(reach):
         # side 'right' semiperfect counts paths INTO v: any cycle vertex
         # reaching v gives infinitely many.
         if side == "right":
-            feeders = sorted(w for w in cyclic if v in reach[w] or w == v)
+            feeders = [w for w in cyclic if v in reach[w] or w == v]
         else:
-            feeders = sorted(w for w in cyclic if w in reach[v] or w == v)
+            feeders = [w for w in cyclic if w in reach[v] or w == v]
         if feeders:
             return {"vertex": v, "cycle_through": feeders[0],
                     "note": "a cycle makes the admissible path family infinite "
@@ -274,17 +262,17 @@ def semiperfect_verdict(spec: QuiverSpec, side: str, n: int) -> VerdictEntry:
     cycle = _cycle_witness(spec, n, side)
     if cycle is not None:
         return VerdictEntry(criterion, "fails", witness=cycle, rule_chain=())
-    inst = instantiate(spec, n)
-    for v in sorted(inst.vertices, key=lambda v: (v.name, v.indices)):
-        hull = injective_indecomposable(spec, v.label, hull_side, n)
-        if hull["growing"]:
-            bigger = enumerate_paths(spec, n + 1)
-            fresh = [lab for lab in _paths_touching(bigger, v.label, hull_side)
-                     if lab not in set(hull["basis"])]
+    groups = _paths_by_vertex(spec, hull_side, n)
+    for v in sorted(instantiate(spec, n).vertices, key=lambda v: (v.name, v.indices)):
+        touching = [g.get(v.label, []) for g in groups]
+        counts = [len(t) for t in touching]
+        if _grows(counts):
+            known = set(touching[0])
+            fresh = [lab for lab in touching[1] if lab not in known]
             return VerdictEntry(
                 criterion, "fails",
                 witness={"vertex": v.label,
-                         "path_probe_counts": hull["probe_counts"],
+                         "path_probe_counts": counts,
                          "probes": list(_probe_bounds(n)),
                          "new_paths_at_next_bound": fresh[:4]},
                 rule_chain=())
@@ -298,6 +286,45 @@ def semiperfect_verdict(spec: QuiverSpec, side: str, n: int) -> VerdictEntry:
         ))
 
 
+def _sweep_vertices(spec: QuiverSpec, sweep: "list[int]") -> "list[str]":
+    """Sorted vertex labels at the smallest bound of a nonempty sweep."""
+    if not sweep:
+        raise ValueError("empty sweep")
+    return sorted(v.label for v in instantiate(spec, min(sweep)).vertices)
+
+
+def _multiplicity_columns(spec: QuiverSpec, side: str, sweep: "list[int]",
+                          depth: "int | None",
+                          vertices: "list[str]") -> "dict[str, list[dict]]":
+    """Per vertex, one row per bound of the sweep: the maximal socle
+    multiplicity of the regular comodule modulo the vertex span, and the
+    grouplike simple where it is reached."""
+    columns: dict[str, list] = {v: [] for v in vertices}
+    for bound in sweep:
+        coalgebra, _ = compile_truncation(spec, bound, depth)
+        reg = regular_comodule(coalgebra, side)
+        for vlabel in vertices:
+            quot, _ = quotient_with_projection(reg, coalgebra.span_of_labels([vlabel]))
+            best, best_simple = 0, None
+            for simple, mult in multiplicity_table(quot).items():
+                if mult > best:
+                    best, best_simple = mult, simple
+            columns[vlabel].append(
+                {"N": bound, "max_multiplicity": best, "at_simple": best_simple})
+    return columns
+
+
+def _growth_witness(vlabel: str, rows: "list[dict]") -> "dict | None":
+    """A refutation witness if the multiplicity column grows strictly."""
+    values = [row["max_multiplicity"] for row in rows]
+    if len(values) >= 2 and all(a < b for a, b in zip(values, values[1:])):
+        return {"quotient_by": vlabel, "table": rows,
+                "note": "maximal socle multiplicity grows strictly along "
+                        "the sweep; the simple-to-coalgebra multiplicity "
+                        "ratio is unbounded"}
+    return None
+
+
 def fnoetherian_sweep(spec: QuiverSpec, side: str, sweep: "list[int]",
                       depth: "int | None" = None) -> dict:
     """Socle-multiplicity growth tables for single-vertex quotients.
@@ -308,31 +335,10 @@ def fnoetherian_sweep(spec: QuiverSpec, side: str, sweep: "list[int]",
     weight-space decomposition).  A strictly increasing column is a
     refutation witness; absence of growth never proves the property.
     """
-    if not sweep:
-        raise ValueError("empty sweep")
-    base_vertices = sorted(v.label for v in instantiate(spec, min(sweep)).vertices)
-    columns: dict[str, list] = {v: [] for v in base_vertices}
-    for bound in sweep:
-        coalgebra, basis = compile_truncation(spec, bound, depth)
-        reg = regular_comodule(coalgebra, side)
-        for vlabel in base_vertices:
-            x = coalgebra.span_of_labels([vlabel])
-            quot, _ = quotient_with_projection(reg, x)
-            best, best_simple = 0, None
-            for simple, mult in multiplicity_table(quot).items():
-                if mult > best:
-                    best, best_simple = mult, simple
-            columns[vlabel].append(
-                {"N": bound, "max_multiplicity": best, "at_simple": best_simple})
-    witness = None
-    for vlabel in base_vertices:
-        values = [row["max_multiplicity"] for row in columns[vlabel]]
-        if len(values) >= 2 and all(a < b for a, b in zip(values, values[1:])):
-            witness = {"quotient_by": vlabel, "table": columns[vlabel],
-                       "note": "maximal socle multiplicity grows strictly along "
-                               "the sweep; the simple-to-coalgebra multiplicity "
-                               "ratio is unbounded"}
-            break
+    base_vertices = _sweep_vertices(spec, sweep)
+    columns = _multiplicity_columns(spec, side, sweep, depth, base_vertices)
+    witnesses = (_growth_witness(v, columns[v]) for v in base_vertices)
+    witness = next((w for w in witnesses if w is not None), None)
     return {"side": side, "sweep": list(sweep), "tables": columns, "witness": witness}
 
 
@@ -346,33 +352,13 @@ def fnoetherian_witness(spec: QuiverSpec, x_vertex: str, side: str,
     infinitely many quotients, so the best a sweep can do is refute.  Use
     torsion_rat_verdict for the structural holds rules.
     """
-    if not sweep:
-        raise ValueError("empty sweep")
-    known = {v.label for v in instantiate(spec, min(sweep)).vertices}
-    if x_vertex not in known:
+    if x_vertex not in _sweep_vertices(spec, sweep):
         raise KeyError(f"unknown vertex {x_vertex!r} at bound {min(sweep)}")
-    rows: list[dict] = []
-    for bound in sweep:
-        coalgebra, _ = compile_truncation(spec, bound, depth)
-        reg = regular_comodule(coalgebra, side)
-        quot, _ = quotient_with_projection(
-            reg, coalgebra.span_of_labels([x_vertex]))
-        best, best_simple = 0, None
-        for simple, mult in multiplicity_table(quot).items():
-            if mult > best:
-                best, best_simple = mult, simple
-        rows.append({"N": bound, "max_multiplicity": best,
-                     "at_simple": best_simple})
-    values = [r["max_multiplicity"] for r in rows]
+    rows = _multiplicity_columns(spec, side, sweep, depth, [x_vertex])[x_vertex]
+    witness = _growth_witness(x_vertex, rows)
     criterion = f"{side}_fnoetherian"
-    if len(values) >= 2 and all(a < b for a, b in zip(values, values[1:])):
-        entry = VerdictEntry(
-            criterion, "fails",
-            witness={"quotient_by": x_vertex, "table": rows,
-                     "note": "maximal socle multiplicity grows strictly along "
-                             "the sweep; the simple-to-coalgebra multiplicity "
-                             "ratio is unbounded"},
-            rule_chain=())
+    if witness is not None:
+        entry = VerdictEntry(criterion, "fails", witness=witness, rule_chain=())
     else:
         entry = VerdictEntry(
             criterion, "undecided", witness=None,
@@ -384,16 +370,16 @@ def fnoetherian_witness(spec: QuiverSpec, x_vertex: str, side: str,
 
 # -- the rule chain ---------------------------------------------------------------
 
-def _duality_oracle(coalgebra: Coalgebra) -> dict:
-    """Exact wedge vs perp-of-ideal-product agreement on standard pairs."""
-    chain = coradical_filtration(coalgebra)
+def _duality_oracle(coalgebra: Coalgebra, chain: FiltrationChain) -> dict:
+    """Exact wedge vs perp-of-ideal-product agreement on standard pairs;
+    chain is the coalgebra's coradical filtration."""
     subspaces: dict[str, Subspace] = {"C0": chain.terms[0]}
     if len(chain.terms) > 1:
         subspaces["C1"] = chain.terms[1]
     for g in coalgebra.grouplike_indices():
         subspaces[f"span{{{coalgebra.labels[g]}}}"] = Subspace.span(
             coalgebra.field, coalgebra.dim, [{g: coalgebra.field.one}])
-    dual = dual_algebra(coalgebra)
+    dual, _ = dual_and_radical(coalgebra)
     perps = {name: s.perp() for name, s in subspaces.items()}
     checked = 0
     for uname, u in subspaces.items():
@@ -407,10 +393,13 @@ def _duality_oracle(coalgebra: Coalgebra) -> dict:
     return {"pairs_checked": checked, "subspaces": sorted(subspaces)}
 
 
-def _verdict_bundle(spec: QuiverSpec, n: int,
-                    sweep: "list[int] | None" = None,
-                    depth: "int | None" = None) -> dict:
+def _verdict_bundle(spec: QuiverSpec, n: int, sweep: "list[int] | None",
+                    depth: "int | None", coalgebra: Coalgebra,
+                    filtration: FiltrationChain) -> dict:
     """Shared engine: verdict vector plus the tables that produced it.
+
+    coalgebra is the (n, depth) truncation and filtration its coradical
+    filtration; the duality oracle reads both.
 
     holds conclusions only ever come from the structural rules; growth
     sweeps can only refute.  Conflicts between the two routes raise.
@@ -496,8 +485,7 @@ def _verdict_bundle(spec: QuiverSpec, n: int,
         entries.append(VerdictEntry(
             "coreflexive", "fails", witness=lf.witness, rule_chain=()))
     elif lf.verdict == "holds":
-        coalgebra, _ = compile_truncation(spec, n, depth)
-        oracle = _duality_oracle(coalgebra)
+        oracle = _duality_oracle(coalgebra, filtration)
         entries.append(VerdictEntry(
             "coreflexive", "holds",
             witness={"assumption": CORADICAL_ASSUMPTION, "duality_oracle": oracle},
@@ -525,36 +513,46 @@ def torsion_rat_verdict(spec: QuiverSpec, n: int,
                         sweep: "list[int] | None" = None,
                         depth: "int | None" = None) -> VerdictReport:
     """Verdict vector for the torsion/F-Noetherian/semiperfect battery."""
-    return _verdict_bundle(spec, n, sweep, depth)["report"]
+    coalgebra, _ = compile_truncation(spec, n, depth)
+    bundle = _verdict_bundle(spec, n, sweep, depth, coalgebra,
+                             coradical_filtration(coalgebra))
+    return bundle["report"]
 
 
-def analyze_spec(spec: QuiverSpec, n: int, sweep: "list[int] | None" = None,
-                 depth: "int | None" = None) -> dict:
-    """Everything the analyze command reports, as one JSON-friendly dict."""
-    from ..coalg import check_axioms
-
-    bundle = _verdict_bundle(spec, n, sweep, depth)
-    coalgebra, basis = compile_truncation(spec, n, depth)
-    axioms = check_axioms(coalgebra)
-    if not axioms.ok:
-        raise InternalCheckError(
-            f"compiled truncation violates the coalgebra axioms: {axioms.first()}")
-    chain = coradical_filtration(coalgebra)
+def filtration_report(coalgebra: Coalgebra, chain: FiltrationChain) -> dict:
+    """Report entries for the coradical filtration and the socle (Loewy)
+    series of the regular right comodule.  The two are independent routes
+    to the same dimensions, so a disagreement raises."""
     loewy = loewy_series(regular_comodule(coalgebra, "right"))
     if loewy.dims() != chain.dims():
         raise InternalCheckError(
             f"coradical filtration dims {chain.dims()} disagree with the "
             f"regular right comodule's socle series dims {loewy.dims()}")
     return {
+        "filtration": {"dims": list(chain.dims()),
+                       "stabilized_at": chain.stabilized_at},
+        "loewy_right": {"dims": list(loewy.dims()),
+                        "stabilized_at": loewy.stabilized_at},
+    }
+
+
+def analyze_spec(spec: QuiverSpec, n: int, sweep: "list[int] | None" = None,
+                 depth: "int | None" = None) -> dict:
+    """Everything the analyze command reports, as one JSON-friendly dict."""
+    coalgebra, basis = compile_truncation(spec, n, depth)
+    axioms = check_axioms(coalgebra)
+    if not axioms.ok:
+        raise InternalCheckError(
+            f"compiled truncation violates the coalgebra axioms: {axioms.first()}")
+    chain = coradical_filtration(coalgebra)
+    bundle = _verdict_bundle(spec, n, sweep, depth, coalgebra, chain)
+    return {
         "N": n,
         "depth": depth,
         "sweep": bundle["sweep"],
         "dim": coalgebra.dim,
         "basis": list(basis.labels()),
-        "filtration": {"dims": list(chain.dims()),
-                       "stabilized_at": chain.stabilized_at},
-        "loewy_right": {"dims": list(loewy.dims()),
-                        "stabilized_at": loewy.stabilized_at},
+        **filtration_report(coalgebra, chain),
         "degree_tables": bundle["degree_tables"],
         "fnoetherian_sweep": bundle["sweeps"],
         "verdicts": [e.as_dict() for e in bundle["report"].entries],

@@ -14,7 +14,7 @@ basis elements; the comultiplication of an existing path never changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from ..coalg import Coalgebra
@@ -51,12 +51,14 @@ class Arrow:
 
 @dataclass(frozen=True)
 class Path:
-    """A vertex (length 0) or a composable chain of arrows."""
+    """A vertex (length 0) or a composable chain of arrows; ``line`` is the
+    DSL line of the declaration a declared path came from."""
 
     label: str
     source: Vertex
     target: Vertex
     arrows: "tuple[Arrow, ...]"
+    line: int = field(default=1, compare=False)
 
     @property
     def length(self) -> int:
@@ -202,7 +204,8 @@ def instantiate(spec: QuiverSpec, n_bound: "int | None" = None) -> QuiverInstanc
                         f"path {decl.name}: {first.label} ends at {first.dst.label} "
                         f"but {second.label} starts at {second.src.label}", decl.line)
             label = format_label(decl.name, tuple(env[b] for b in decl.binders))
-            declared.append(Path(label, chain[0].src, chain[-1].dst, tuple(chain)))
+            declared.append(Path(label, chain[0].src, chain[-1].dst, tuple(chain),
+                                 decl.line))
 
     return QuiverInstance(tuple(vertices.values()), tuple(arrows.values()),
                           tuple(declared))
@@ -221,39 +224,26 @@ def _closure_check(paths: "list[Path]") -> None:
                 if sub not in keys:
                     missing = ".".join(a.label for a in p.arrows[i:j])
                     raise ClosureError(
-                        f"subpath {missing} of {p.label} is not declared", 1)
+                        f"subpath {missing} of {p.label} is not declared", p.line)
 
 
-def _has_cycle(inst: QuiverInstance) -> "list[str] | None":
-    """A vertex cycle through the instantiated arrows, or None."""
-    adjacency: dict[Vertex, list[Arrow]] = {}
+def reachability(inst: QuiverInstance) -> "dict[str, set[str]]":
+    """For each vertex label, the labels reachable by a walk of one or more
+    arrows; a vertex lies on a cycle exactly when it reaches itself."""
+    successors: dict[str, set[str]] = {v.label: set() for v in inst.vertices}
     for a in inst.arrows:
-        adjacency.setdefault(a.src, []).append(a)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in inst.vertices}
-    stack_labels: list[str] = []
-
-    def dfs(v: Vertex) -> "list[str] | None":
-        color[v] = GRAY
-        stack_labels.append(v.label)
-        for a in adjacency.get(v, []):
-            w = a.dst
-            if color[w] == GRAY:
-                return stack_labels[stack_labels.index(w.label):] + [w.label]
-            if color[w] == WHITE:
-                found = dfs(w)
-                if found:
-                    return found
-        stack_labels.pop()
-        color[v] = BLACK
-        return None
-
-    for v in inst.vertices:
-        if color[v] == WHITE:
-            found = dfs(v)
-            if found:
-                return found
-    return None
+        successors[a.src.label].add(a.dst.label)
+    reach: dict[str, set[str]] = {}
+    for v, first in successors.items():
+        seen: set[str] = set()
+        stack = list(first)
+        while stack:
+            w = stack.pop()
+            if w not in seen:
+                seen.add(w)
+                stack.extend(successors[w])
+        reach[v] = seen
+    return reach
 
 
 def enumerate_paths(spec: QuiverSpec, n_bound: "int | None" = None,
@@ -274,11 +264,11 @@ def enumerate_paths(spec: QuiverSpec, n_bound: "int | None" = None,
             if depth is None or p.length <= depth:
                 candidates.append(p)
     else:
-        cycle = _has_cycle(inst)
-        if cycle is not None and depth is None:
-            raise DslError(
-                "all-paths mode on a cyclic quiver needs a depth bound "
-                f"(cycle: {' -> '.join(cycle)})", 1)
+        if depth is None:
+            cyclic = sorted(v for v, seen in reachability(inst).items() if v in seen)
+            if cyclic:
+                raise DslError("all-paths mode on a cyclic quiver needs a depth "
+                               f"bound (cycle through {cyclic[0]})", 1)
         adjacency: dict[Vertex, list[Arrow]] = {}
         for a in inst.arrows:
             adjacency.setdefault(a.src, []).append(a)

@@ -107,6 +107,20 @@ class TestAnalyze:
         assert set(verdicts.values()) == {"holds"}
         assert doc["results"]["filtration"]["dims"] == [2, 4, 5]
 
+    def test_structure_constants_loewy_disagreement_exits_3(
+            self, tmp_path, capsys, patch_everywhere, ex1_n1):
+        from qcalg.coalg import FiltrationChain
+        from qcalg.comod import loewy_series
+
+        c, _ = ex1_n1
+        path = tmp_path / "finite.sc"
+        path.write_text(dumps_coalgebra(c, name="finite"))
+        patch_everywhere(loewy_series,
+                         lambda m: FiltrationChain(loewy_series(m).terms[:-1], None))
+        code, _, err = run(capsys, "analyze", str(path), "--json")
+        assert code == 3
+        assert "socle series" in err
+
 
 class TestCompute:
     def test_wedge_named_v1(self, capsys):

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import inspect
+import re
 from fractions import Fraction as F
 
 import pytest
 
+from qcalg import coalg
 from qcalg.coalg import check_axioms, coradical_filtration, wedge
+from qcalg.comod import dual_and_radical
 from qcalg.exactlin import QQ, Matrix, Subspace
 from qcalg.quiverlab import (
     ClosureError,
@@ -14,7 +18,9 @@ from qcalg.quiverlab import (
     instantiate,
     parse_spec,
 )
+from qcalg.quiverlab import paths
 from qcalg.quiverlab.analyze import (
+    analyze_spec,
     degree_tables,
     fnoetherian_sweep,
     injective_indecomposable,
@@ -51,6 +57,35 @@ mode all
 SINGLE = """\
 coalgebra single
 vertex only
+"""
+
+# A two-cycle b <-> c with a tail in (a -> b) and a tail out (c -> d).
+CYCLE_WITH_TAILS = """\
+coalgebra tails
+vertex a
+vertex b
+vertex c
+vertex d
+arrow e1: a -> b
+arrow e2: b -> c
+arrow e3: c -> b
+arrow e4: c -> d
+mode all
+"""
+
+# A two-cycle x <-> y feeding a loop at z; vertices declared out of order.
+CYCLE_INTO_LOOP = """\
+coalgebra loops
+vertex z
+vertex y
+vertex x
+vertex w
+arrow f1: w -> x
+arrow f2: x -> y
+arrow f3: y -> x
+arrow f4: y -> z
+arrow f5: z -> z
+mode all
 """
 
 
@@ -108,6 +143,15 @@ class TestParsing:
         basis = enumerate_paths(ok)
         assert len(basis) == 4 + 3 + 2 + 1
 
+    def test_closure_error_carries_the_path_line(self):
+        text = ("coalgebra bad\nvertex u\nvertex v\nvertex w\n# arrows\n"
+                "arrow x: u -> v\narrow y: v -> w\npath q = x . y . z\n"
+                "arrow z: w -> u\npath yz = y . z\n")
+        with pytest.raises(ClosureError) as err:
+            parse_spec(text)
+        assert err.value.line == 8
+        assert "x.y" in str(err.value)
+
     def test_duplicate_name_rejected(self):
         with pytest.raises(DslError):
             parse_spec("coalgebra bad\nvertex u\narrow u: u -> u\n")
@@ -162,6 +206,19 @@ class TestEnumeration:
         assert len(basis) == 8
         c, _ = compile_truncation(spec, depth=3)
         assert check_axioms(c).ok
+
+    @pytest.mark.parametrize("text, on_cycle", [
+        (LOOP, {"a", "b"}),
+        (CYCLE_WITH_TAILS, {"b", "c"}),
+        (CYCLE_INTO_LOOP, {"x", "y", "z"}),
+    ])
+    def test_cycle_error_names_a_vertex_on_the_cycle(self, text, on_cycle):
+        with pytest.raises(DslError) as err:
+            enumerate_paths(parse_spec(text))
+        message = str(err.value)
+        assert "cycle" in message
+        named = set(re.findall(r"[A-Za-z_]\w*", message.split("(cycle", 1)[1]))
+        assert named & on_cycle
 
 
 class TestCompilation:
@@ -302,6 +359,16 @@ class TestSemiperfect:
         assert entry.verdict == "fails"
         assert "cycle" in entry.witness["note"]
 
+    @pytest.mark.parametrize("text, right, left", [
+        (CYCLE_WITH_TAILS, ("b", "b"), ("a", "b")),
+        (CYCLE_INTO_LOOP, ("x", "x"), ("w", "x")),
+    ])
+    def test_cycle_witness_vertices(self, text, right, left):
+        spec = parse_spec(text)
+        for side, want in (("right", right), ("left", left)):
+            witness = semiperfect_verdict(spec, side, 1).witness
+            assert (witness["vertex"], witness["cycle_through"]) == want
+
 
 class TestFNoetherianSweep:
     def test_ex2_right_refuted_with_growing_table(self, ex2_spec):
@@ -430,3 +497,45 @@ class TestSingleVertexAnalysis:
     def test_everything_holds_trivially(self):
         report = torsion_rat_verdict(parse_spec(SINGLE), 1, [1, 2])
         assert {e.verdict for e in report.entries} == {"holds"}
+
+
+def _record_calls(patch_everywhere, module, name) -> list:
+    """Wrap module.name everywhere it is imported; the returned list
+    collects each call's arguments, defaults filled in, as a tuple."""
+    original = getattr(module, name)
+    signature = inspect.signature(original)
+    calls: list = []
+
+    def recorder(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(tuple(bound.arguments.values()))
+        return original(*args, **kwargs)
+
+    patch_everywhere(original, recorder)
+    return calls
+
+
+class TestEachStepOnce:
+    @pytest.mark.parametrize("text", [EX1, EX2], ids=["ex1", "ex2"])
+    def test_analyze_compiles_and_filters_once(self, text, patch_everywhere):
+        spec = parse_spec(text)
+        dual_and_radical.cache_clear()
+        compiles = _record_calls(patch_everywhere, paths, "compile_truncation")
+        filtrations = _record_calls(patch_everywhere, coalg, "coradical_filtration")
+        radicals = _record_calls(patch_everywhere, coalg, "radical")
+        # The sweep leaves out N: it compiles its own bounds.
+        analyze_spec(spec, 3, [1, 2], None)
+        assert len(filtrations) == 1
+        assert len(radicals) == 1
+        assert compiles.count((spec, 3, None)) == 1
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_semiperfect_enumerates_each_probe_once(self, n, ex2_spec,
+                                                    patch_everywhere):
+        enumerations = _record_calls(patch_everywhere, paths, "enumerate_paths")
+        for spec in (ex2_spec, parse_spec(SINGLE)):
+            for side in ("left", "right"):
+                enumerations.clear()
+                semiperfect_verdict(spec, side, n)
+                assert [call[1] for call in enumerations] == [n, n + 1, n + 2]
