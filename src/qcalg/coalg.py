@@ -296,10 +296,36 @@ def dual_and_radical(c: Coalgebra) -> "tuple[DualAlgebra, Subspace]":
 
 
 def ideal_product(i: Subspace, j: Subspace, a: DualAlgebra) -> Subspace:
-    """Span of all pairwise convolution products of basis elements."""
+    """Span of all pairwise convolution products of basis elements.
+
+    J's basis rows are indexed once by column, as {t: [(b, v_b[t])]}.
+    For each u in I's basis the products u * v_b, for every b, are
+    accumulated together: the walk over a.mult[s] for s in u visits, for
+    each right factor t, only the rows of J with t in their support.  So
+    only structure constants that can contribute are read, and only the
+    nonzero products reach the elimination.
+    """
     if i.ambient_dim != a.dim or j.ambient_dim != a.dim:
         raise ValueError("ideal_product: ambient mismatch with the dual algebra")
-    products = [a.multiply(u, v) for u in i.basis_dicts() for v in j.basis_dicts()]
+    columns: dict[int, list] = {}
+    for b, row in enumerate(j.basis):
+        for t, v in row:
+            columns.setdefault(t, []).append((b, v))
+    products: list[dict] = []
+    for u in i.basis:
+        by_row: dict[int, dict] = {}
+        for s, us in u:
+            for t, terms in a.mult.get(s, {}).items():
+                for b, vt in columns.get(t, ()):
+                    w = us * vt
+                    out = by_row.setdefault(b, {})
+                    for k, c in terms:
+                        prev = out.get(k)
+                        out[k] = w * c if prev is None else prev + w * c
+        for b in sorted(by_row):
+            product = {k: v for k, v in by_row[b].items() if v}
+            if product:
+                products.append(product)
     return Subspace.span(a.field, a.dim, products)
 
 

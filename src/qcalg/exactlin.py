@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Union
 
 
@@ -309,6 +310,7 @@ class Subspace:
 
     ``basis`` rows are sparse (sorted (col, scalar) tuples); uniqueness of
     the reduced echelon form makes subspace equality a tuple comparison.
+    Equality and the hash read ``basis`` only.
     """
 
     field: Field
@@ -339,7 +341,14 @@ class Subspace:
         return len(self.basis)
 
     def basis_dicts(self) -> list[dict]:
+        """Fresh row dicts, owned by the caller."""
         return [_thaw_row(r) for r in self.basis]
+
+    @cached_property
+    def _pivot_rows(self) -> "list[tuple[int, dict]]":
+        """(pivot column, row dict) per basis row, built once and never
+        mutated; a sorted frozen row leads with its pivot."""
+        return [(r[0][0], _thaw_row(r)) for r in self.basis]
 
     def _require_compatible(self, other: "Subspace") -> None:
         if self.field != other.field:
@@ -375,9 +384,8 @@ class Subspace:
     def reduce_vector(self, vec: dict) -> dict:
         """Residual of vec after elimination by the stored basis."""
         vec = {j: v for j, v in vec.items() if v}
-        for frozen in self.basis:
-            row = _thaw_row(frozen)
-            c = vec.get(min(row))
+        for lead, row in self._pivot_rows:
+            c = vec.get(lead)
             if c:
                 vec = row_add(vec, row, -c)
         return vec
@@ -401,15 +409,13 @@ class Subspace:
         return kernel(mat, self.field)
 
     def pivot_columns(self) -> list[int]:
-        return [min(_thaw_row(r)) for r in self.basis]
+        return [lead for lead, _ in self._pivot_rows]
 
     def coordinates_of(self, vec: dict) -> dict:
         """Coefficients of vec in the stored basis; raises if not a member."""
         vec = dict(vec)
         coeffs: dict = {}
-        for idx, frozen in enumerate(self.basis):
-            row = _thaw_row(frozen)
-            lead = min(row)
+        for idx, (lead, row) in enumerate(self._pivot_rows):
             c = vec.get(lead)
             if c:
                 coeffs[idx] = c

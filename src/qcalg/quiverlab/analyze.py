@@ -194,7 +194,11 @@ def locally_finite_verdict(spec: QuiverSpec, n: int) -> VerdictEntry:
     a pair must have dimension (arrow count) + 1 for distinct vertices,
     and stay put when the compile depth changes.
     """
-    tables = degree_tables(spec, n)
+    return _locally_finite(spec, n, degree_tables(spec, n))
+
+
+def _locally_finite(spec: QuiverSpec, n: int, tables: dict) -> VerdictEntry:
+    """locally_finite_verdict on the degree tables of (spec, n)."""
     for info in tables["pairs"]:
         if info["growing"]:
             return VerdictEntry(
@@ -315,9 +319,10 @@ def _multiplicity_columns(spec: QuiverSpec, side: str, sweep: "list[int]",
 
 
 def _growth_witness(vlabel: str, rows: "list[dict]") -> "dict | None":
-    """A refutation witness if the multiplicity column grows strictly."""
+    """A refutation witness if the multiplicity column grows strictly over
+    at least three bounds: two strict increases, as for the probes."""
     values = [row["max_multiplicity"] for row in rows]
-    if len(values) >= 2 and all(a < b for a, b in zip(values, values[1:])):
+    if len(values) >= 3 and all(a < b for a, b in zip(values, values[1:])):
         return {"quotient_by": vlabel, "table": rows,
                 "note": "maximal socle multiplicity grows strictly along "
                         "the sweep; the simple-to-coalgebra multiplicity "
@@ -332,8 +337,9 @@ def fnoetherian_sweep(spec: QuiverSpec, side: str, sweep: "list[int]",
     For each bound in the sweep, compiles the truncation, quotients the
     regular comodule by each vertex span, and records the maximal socle
     multiplicity over the grouplike simples (computed by brute-force
-    weight-space decomposition).  A strictly increasing column is a
-    refutation witness; absence of growth never proves the property.
+    weight-space decomposition).  A column increasing strictly over at
+    least three bounds is a refutation witness; absence of growth never
+    proves the property.
     """
     base_vertices = _sweep_vertices(spec, sweep)
     columns = _multiplicity_columns(spec, side, sweep, depth, base_vertices)
@@ -347,10 +353,11 @@ def fnoetherian_witness(spec: QuiverSpec, x_vertex: str, side: str,
                         depth: "int | None" = None) -> "tuple[list[dict], VerdictEntry]":
     """Growth table for one single-vertex quotient, plus its verdict entry.
 
-    fails on a strictly increasing table (a refutation witness); holds is
-    never concluded here because the underlying property quantifies over
-    infinitely many quotients, so the best a sweep can do is refute.  Use
-    torsion_rat_verdict for the structural holds rules.
+    fails on a table increasing strictly over at least three bounds (a
+    refutation witness); holds is never concluded here because the
+    underlying property quantifies over infinitely many quotients, so the
+    best a sweep can do is refute.  Use torsion_rat_verdict for the
+    structural holds rules.
     """
     if x_vertex not in _sweep_vertices(spec, sweep):
         raise KeyError(f"unknown vertex {x_vertex!r} at bound {min(sweep)}")
@@ -405,10 +412,10 @@ def _verdict_bundle(spec: QuiverSpec, n: int, sweep: "list[int] | None",
     sweeps can only refute.  Conflicts between the two routes raise.
     """
     sweep = sweep or list(range(1, max(2, n) + 1))
-    lf = locally_finite_verdict(spec, n)
+    tables = degree_tables(spec, n)
+    lf = _locally_finite(spec, n, tables)
     right_sp = semiperfect_verdict(spec, "right", n)
     left_sp = semiperfect_verdict(spec, "left", n)
-    tables = degree_tables(spec, n)
     in_bounded = all(not v["in_growing"] for v in tables["vertices"].values())
     out_bounded = all(not v["out_growing"] for v in tables["vertices"].values())
     sweeps = {side: fnoetherian_sweep(spec, side, sweep, depth)

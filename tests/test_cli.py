@@ -346,6 +346,37 @@ class TestCyclicAllPathsAnalysis:
         assert verdicts["right_torsion_rat"] == "holds"
 
 
+# Two parallel arrows per step: v[1]'s socle-multiplicity column reads
+# [1, 3, 3, 3] over the sweep 1..4, which is not growth.
+LADDER = """\
+coalgebra ladder
+param N = 3
+vertex v[k], k=0..N
+arrow x[k,i]: v[k-1] -> v[k], k=1..N, i=1..2
+mode all
+"""
+
+
+class TestShortSweeps:
+    @pytest.mark.parametrize("n", ["1", "2"])
+    def test_ladder_two_bound_sweep_is_not_a_growth_witness(self, n, tmp_path,
+                                                           capsys):
+        f = tmp_path / "ladder.quiver"
+        f.write_text(LADDER)
+        code, out, err = run(capsys, "analyze", str(f), "--N", n, "--json")
+        assert code == 0, err
+        doc = json.loads(out)
+        verdicts = {v["criterion"]: v["verdict"] for v in doc["results"]["verdicts"]}
+        assert verdicts["right_fnoetherian"] == "holds"
+
+    def test_ex2_two_bound_sweep_is_undecided(self, capsys):
+        code, out, _ = run(capsys, "analyze", "ex2", "--sweep", "1..2", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        verdicts = {v["criterion"]: v["verdict"] for v in doc["results"]["verdicts"]}
+        assert verdicts["right_fnoetherian"] == "undecided"
+
+
 class TestInternalErrorHandling:
     def test_internal_check_error_exits_3(self, capsys, monkeypatch):
         from qcalg import cli as climod

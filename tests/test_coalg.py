@@ -313,17 +313,22 @@ def wedge_by_pullback(x, y, c):
     return preimage(c.delta_matrix(), Subspace.span(c.field, n * n, rows), c.field)
 
 
-def multiply_all_pairs(c, u, v):
-    """Reference product: every (i, j) pair against every Delta(e_k)."""
+def multiply_all_pairs(c, u, v, deltas=None):
+    """Reference product: every (i, j) pair against every Delta(e_k).
+
+    deltas, if given, is [c.delta_dict(k) for every k], computed once."""
     zero = c.field.zero
-    deltas = [c.delta_dict(k) for k in range(c.dim)]
+    if deltas is None:
+        deltas = [c.delta_dict(k) for k in range(c.dim)]
     out = {}
     for i in range(c.dim):
         for j in range(c.dim):
             w = u.get(i, zero) * v.get(j, zero)
+            if not w:
+                continue
             for k in range(c.dim):
                 coeff = deltas[k].get((i, j))
-                if w and coeff:
+                if coeff:
                     out[k] = out.get(k, zero) + w * coeff
     return {k: val for k, val in out.items() if val}
 
@@ -444,3 +449,68 @@ class TestMultiplyEquivalence:
         for _ in range(20):
             u, v = random_vector(rng, c), random_vector(rng, c)
             assert d.left_mult_matrix(u).apply(v) == multiply_all_pairs(c, u, v)
+
+
+def ideal_product_by_pairs(x, y, c):
+    """Reference ideal product: the span of u * v over every pair of basis
+    vectors, each product taken against every Delta(e_k)."""
+    deltas = [c.delta_dict(k) for k in range(c.dim)]
+    return Subspace.span(c.field, c.dim, [multiply_all_pairs(c, u, v, deltas)
+                                          for u in x.basis_dicts()
+                                          for v in y.basis_dicts()])
+
+
+def filtration_by_pairs(c):
+    """Reference coradical filtration: perps of the powers of the radical,
+    each power taken with the reference ideal product."""
+    j = radical(dual_algebra(c))
+    power, terms = j, [j.perp()]
+    while terms[-1].dim < c.dim:
+        power = ideal_product_by_pairs(power, j, c)
+        if power.perp() == terms[-1]:
+            break
+        terms.append(power.perp())
+    return tuple(terms)
+
+
+class TestIdealProductEquivalence:
+    @staticmethod
+    def operands(c, rng):
+        """zero, full, C0, C1, two random spans, and the perps of each."""
+        spaces = probe_subspaces(c, rng, count=2)
+        return list(dict.fromkeys(spaces + [s.perp() for s in spaces]))
+
+    @staticmethod
+    def assert_matches(c, spaces):
+        d = dual_algebra(c)
+        full = Subspace.full(c.field, c.dim)
+        # some operands are not one-sided ideals of the dual
+        assert any(not x.contains(ideal_product(full, x, d)) for x in spaces)
+        for x in spaces:
+            for y in spaces:
+                assert ideal_product(x, y, d) == ideal_product_by_pairs(x, y, c)
+
+    @pytest.mark.parametrize("name,bound", [("ex1", 1), ("ex1", 2), ("ex2", 2), ("ex2", 3)])
+    @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
+    def test_matches_the_span_of_all_pairs(self, name, bound, field,
+                                           ex1_spec, ex2_spec):
+        spec = replace(ex1_spec if name == "ex1" else ex2_spec, field=field)
+        c, _ = compile_truncation(spec, bound)
+        self.assert_matches(c, self.operands(c, random.Random(bound)))
+
+    def test_matches_the_span_of_all_pairs_in_an_integer_basis(self, ex1_n2):
+        c = change_basis(ex1_n2[0], seed=7)
+        spaces = self.operands(c, random.Random(5))
+        assert any(len(row) > 1 for s in spaces for row in s.basis)
+        self.assert_matches(c, spaces)
+
+    @pytest.mark.parametrize("name,bound", [("ex1", 3), ("ex2", 3)])
+    @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
+    def test_filtration_terms_unchanged(self, name, bound, field, ex1_spec, ex2_spec):
+        spec = replace(ex1_spec if name == "ex1" else ex2_spec, field=field)
+        c, _ = compile_truncation(spec, bound)
+        assert coradical_filtration(c).terms == filtration_by_pairs(c)
+
+    def test_filtration_terms_unchanged_in_an_integer_basis(self, ex1_n2):
+        c = change_basis(ex1_n2[0], seed=7)
+        assert coradical_filtration(c).terms == filtration_by_pairs(c)

@@ -120,6 +120,17 @@ class TestLatticeOps:
         with pytest.raises(ValueError):
             a.coordinates_of(vec(0, 0, 1))
 
+    def test_pivot_rows_leave_equality_and_the_basis_alone(self):
+        a = span(3, (1, 2, 0), (0, 0, 1))
+        b = span(3, (1, 2, 0), (0, 0, 1))
+        assert a.pivot_columns() == [0, 2]  # builds a's pivot rows, not b's
+        assert a == b and hash(a) == hash(b)
+        rows = a.basis_dicts()
+        rows[0][1] = F(99)  # the caller owns the returned dicts
+        assert a.basis_dicts() == [vec(1, 2, 0), vec(0, 0, 1)]
+        assert a.reduce_vector(vec(1, 2, 5)) == {}
+        assert a.coordinates_of(vec(2, 4, 3)) == {0: F(2), 1: F(3)}
+
 
 class TestPerp:
     def test_zero_and_full(self):

@@ -18,7 +18,7 @@ from qcalg.quiverlab import (
     instantiate,
     parse_spec,
 )
-from qcalg.quiverlab import paths
+from qcalg.quiverlab import analyze, paths
 from qcalg.quiverlab.analyze import (
     analyze_spec,
     degree_tables,
@@ -472,6 +472,15 @@ class TestFNoetherianWitnessOp:
         with pytest.raises(KeyError):
             fnoetherian_witness(ex1_spec, "zz", "left", [1, 2])
 
+    def test_two_bounds_are_not_growth(self, ex2_spec):
+        # Growth needs two strict increases, as for the three probes.
+        from qcalg.quiverlab.analyze import fnoetherian_witness
+        rows, entry = fnoetherian_witness(ex2_spec, "a", "right", [1, 2])
+        assert [r["max_multiplicity"] for r in rows] == [2, 3]
+        assert entry.verdict == "undecided"
+        assert fnoetherian_sweep(ex2_spec, "right", [1, 2])["witness"] is None
+        assert fnoetherian_sweep(ex2_spec, "right", [1, 2, 3])["witness"] is not None
+
 
 class TestPrimeFieldSpecs:
     def test_field_line_in_dsl(self):
@@ -524,11 +533,13 @@ class TestEachStepOnce:
         compiles = _record_calls(patch_everywhere, paths, "compile_truncation")
         filtrations = _record_calls(patch_everywhere, coalg, "coradical_filtration")
         radicals = _record_calls(patch_everywhere, coalg, "radical")
+        tables = _record_calls(patch_everywhere, analyze, "degree_tables")
         # The sweep leaves out N: it compiles its own bounds.
         analyze_spec(spec, 3, [1, 2], None)
         assert len(filtrations) == 1
         assert len(radicals) == 1
         assert compiles.count((spec, 3, None)) == 1
+        assert tables == [(spec, 3)]
 
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_semiperfect_enumerates_each_probe_once(self, n, ex2_spec,
