@@ -372,7 +372,10 @@ def _comodule_for(args, coalgebra: Coalgebra, basis) -> Comodule:
     m = regular_comodule(coalgebra, args.side)
     if getattr(args, "quotient_by", None):
         x = _resolve_subspace(coalgebra, args.quotient_by, basis)
-        m, _ = quotient_with_projection(m, x)
+        try:
+            m, _ = quotient_with_projection(m, x)
+        except ValueError as exc:
+            raise InputError(f"--quotient-by {args.quotient_by!r}: {exc}") from None
     return m
 
 
@@ -417,7 +420,10 @@ def cmd_compute(args) -> int:
             raise InputError("mult needs --s <simple label>")
         m = _comodule_for(args, coalgebra, basis)
         g = _resolve_label(coalgebra, args.s)
-        count = multiplicity(m, coalgebra.labels[g])
+        try:
+            count = multiplicity(m, coalgebra.labels[g])
+        except ValueError as exc:
+            raise InputError(f"--s {args.s!r}: {exc}") from None
         results.update({"simple": coalgebra.labels[g], "count": count,
                         "side": args.side})
         lines.append(f"[M; {coalgebra.labels[g]}] = {count}")

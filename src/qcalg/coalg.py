@@ -4,13 +4,10 @@ A coalgebra is stored as a sparse comultiplication tensor together with a
 counit vector over an exact field.  This module supplies the axiom
 checker, the convolution (dual) algebra with its Jacobson radical, the
 coradical filtration, wedges of subspaces, products of ideals in the
-dual, coideal predicates, and skew-primitive spaces.
+dual, and skew-primitive spaces.
 
-Conventions fixed here and used bit-exactly everywhere else:
-
-* tensor coordinates on C (x) C are flattened as (j, k) -> j*dim + k;
-* ``right coideal``  means  Delta(X) <= X (x) C   (X is then a right
-  subcomodule of C), ``left coideal`` means Delta(X) <= C (x) X.
+Convention fixed here and used bit-exactly everywhere else: tensor
+coordinates on C (x) C are flattened as (j, k) -> j*dim + k.
 """
 
 from __future__ import annotations
@@ -358,19 +355,7 @@ def coradical_filtration(c: Coalgebra) -> FiltrationChain:
     return FiltrationChain(tuple(terms), None)
 
 
-# -- wedge and coideal predicates ---------------------------------------------
-
-def _tensor_flank(x: Subspace, dim: int, side: str) -> "list[dict]":
-    """Basis of X (x) C (side='left') or C (x) X (side='right') flattened."""
-    rows: list[dict] = []
-    for u in x.basis_dicts():
-        for t in range(dim):
-            if side == "left":
-                rows.append({flatten_index(j, t, dim): v for j, v in u.items()})
-            else:
-                rows.append({flatten_index(t, k, dim): v for k, v in u.items()})
-    return rows
-
+# -- wedge and skew primitives ------------------------------------------------
 
 def wedge(x: Subspace, y: Subspace, c: Coalgebra) -> Subspace:
     """The wedge X ^ Y = ker(C -> C/X (x) C/Y), the map being (pi_X (x) pi_Y) Delta.
@@ -404,33 +389,6 @@ def wedge(x: Subspace, y: Subspace, c: Coalgebra) -> Subspace:
         for key, v in col.items():
             entries[(key, i)] = v
     return kernel(Matrix(n * n, n, entries), c.field)
-
-
-def _delta_image_contained(x: Subspace, c: Coalgebra, target_rows: "list[dict]") -> bool:
-    target = Subspace.span(c.field, c.dim * c.dim, target_rows)
-    dmat = c.delta_matrix()
-    return all(target.contains_vector(dmat.apply(u)) for u in x.basis_dicts())
-
-
-def is_right_coideal(x: Subspace, c: Coalgebra) -> bool:
-    """Delta(X) <= X (x) C, i.e. X is a right subcomodule of C."""
-    return _delta_image_contained(x, c, _tensor_flank(x, c.dim, "left"))
-
-
-def is_left_coideal(x: Subspace, c: Coalgebra) -> bool:
-    """Delta(X) <= C (x) X, i.e. X is a left subcomodule of C."""
-    return _delta_image_contained(x, c, _tensor_flank(x, c.dim, "right"))
-
-
-def is_subcoalgebra(x: Subspace, c: Coalgebra) -> bool:
-    """Delta(X) <= X (x) X."""
-    rows: list[dict] = []
-    basis = x.basis_dicts()
-    for u in basis:
-        for v in basis:
-            rows.append({flatten_index(j, k, c.dim): cu * cv
-                         for j, cu in u.items() for k, cv in v.items()})
-    return _delta_image_contained(x, c, rows)
 
 
 def skew_primitives(g: int, h: int, c: Coalgebra) -> Subspace:

@@ -1,4 +1,5 @@
-"""Side-tagged finite-dimensional comodules and their dual-algebra action.
+"""Side-tagged finite-dimensional comodules, their dual-algebra action,
+and the coideal predicates.
 
 Convention table (the single source of truth for sides):
 
@@ -8,6 +9,8 @@ Convention table (the single source of truth for sides):
   right module over the convolution dual via  m.f = f(m_-1) m_0.
 * Either way the dual space M* picks up the transposed action, so the
   radical times M* is the span of the rows of the action matrices.
+* ``right coideal`` means Delta(X) <= X (x) C, i.e. X is a subcomodule of
+  the regular right comodule; ``left coideal`` means Delta(X) <= C (x) X.
 
 The left-side code paths are the tensor transposes of the right-side
 ones, never hand-duplicated formulas.
@@ -210,17 +213,18 @@ def socle(m: Comodule) -> Subspace:
 
 
 def loewy_series(m: Comodule) -> FiltrationChain:
-    """Terms L_n = {v : (radical)^{n+1} v = 0}; exhausts M in finite dimension."""
-    mats = _radical_action_matrices(m)
-    full = Subspace.full(m.field, m.dim)
-    if not mats:
-        return FiltrationChain((full,), 0)
-    term = kernel(Matrix.vstack(mats), m.field)
+    """The socle series: L_0 = soc M and L_{n+1}/L_n = soc(M/L_n).
+
+    Equivalently L_n = {v : (radical)^{n+1} v = 0}; it exhausts M in
+    finite dimension.  It reads neither ideal products nor the coradical,
+    so it stays a route to the filtration dimensions independent of
+    coradical_filtration.
+    """
+    term = socle(m)
     terms = [term]
     while term.dim < m.dim:
-        nxt = full
-        for a in mats:
-            nxt = nxt.intersect(preimage(a, term, m.field))
+        quot, proj = quotient_with_projection(m, term)
+        nxt = preimage(proj, socle(quot), m.field)
         if nxt == term:
             return FiltrationChain(tuple(terms), None)  # cannot happen for comodules
         terms.append(nxt)
@@ -328,29 +332,43 @@ def multiplicity_table(m: Comodule) -> "dict[str, int]":
             for g in m.over.grouplike_indices()}
 
 
+def _coaction_slices(m: Comodule, u: dict) -> "dict[int, dict]":
+    """The coaction of u sliced by coalgebra index: {k: sum_j c_jk m_j}."""
+    zero = m.field.zero
+    slices: dict[int, dict] = {}
+    for i, ui in u.items():
+        for (j, k), c in m.module_coalg_pairs(i).items():
+            piece = slices.setdefault(k, {})
+            piece[j] = piece.get(j, zero) + ui * c
+    return {k: {j: v for j, v in piece.items() if v} for k, piece in slices.items()}
+
+
 def is_stable(m: Comodule, x: Subspace) -> bool:
-    """Is x a subcomodule (coaction-stable subspace) of m?"""
+    """Is x a subcomodule (coaction-stable subspace) of m?
+
+    A tensor sum_{j,k} c_jk m_j (x) e_k lies in X (x) C (resp. C (x) X)
+    exactly when each slice sum_j c_jk m_j, one per coalgebra index k,
+    lies in X; each slice is reduced by X's echelon basis.
+    """
     if x.ambient_dim != m.dim:
         raise ValueError("subspace does not live in the comodule's coordinates")
-    cdim = m.over.dim
-    flank = []
-    for u in x.basis_dicts():
-        for t in range(cdim):
-            flank.append({j * cdim + t: v for j, v in u.items()})
-    target = Subspace.span(m.field, m.dim * cdim, flank)
-    for u in x.basis_dicts():
-        image: dict = {}
-        for i, ui in u.items():
-            for (j, k), c in m.module_coalg_pairs(i).items():
-                key = j * cdim + k
-                v = image.get(key, m.field.zero) + ui * c
-                if v:
-                    image[key] = v
-                else:
-                    image.pop(key, None)
-        if not target.contains_vector(image):
-            return False
-    return True
+    return all(x.contains_vector(piece)
+               for u in x.basis_dicts() for piece in _coaction_slices(m, u).values())
+
+
+def is_right_coideal(x: Subspace, c: Coalgebra) -> bool:
+    """Delta(X) <= X (x) C, i.e. X is a right subcomodule of C."""
+    return is_stable(regular_comodule(c, "right"), x)
+
+
+def is_left_coideal(x: Subspace, c: Coalgebra) -> bool:
+    """Delta(X) <= C (x) X, i.e. X is a left subcomodule of C."""
+    return is_stable(regular_comodule(c, "left"), x)
+
+
+def is_subcoalgebra(x: Subspace, c: Coalgebra) -> bool:
+    """Delta(X) <= X (x) X, which is (X (x) C) meet (C (x) X)."""
+    return is_right_coideal(x, c) and is_left_coideal(x, c)
 
 
 def sub_comodule(m: Comodule, x: Subspace, name: str = "sub") -> Comodule:
@@ -360,22 +378,10 @@ def sub_comodule(m: Comodule, x: Subspace, name: str = "sub") -> Comodule:
     basis = x.basis_dicts()
     coaction: list = []
     for u in basis:
-        tensor: dict = {}
-        for i, ui in u.items():
-            for (j, k), c in m.module_coalg_pairs(i).items():
-                key = (j, k)
-                v = tensor.get(key, m.field.zero) + ui * c
-                if v:
-                    tensor[key] = v
-                else:
-                    tensor.pop(key, None)
-        by_coalg: dict[int, dict] = {}
-        for (j, k), c in tensor.items():
-            by_coalg.setdefault(k, {})[j] = c
+        slices = _coaction_slices(m, u)
         terms = []
-        for k in sorted(by_coalg):
-            coords = x.coordinates_of(by_coalg[k])
-            for r, c in sorted(coords.items()):
+        for k in sorted(slices):
+            for r, c in sorted(x.coordinates_of(slices[k]).items()):
                 terms.append((r, k, c) if m.side == "right" else (k, r, c))
         coaction.append(tuple(terms))
     labels = tuple(f"{name}{t}" for t in range(len(basis)))

@@ -428,12 +428,6 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim}, field={self.field})"
 
 
-def echelonize(m: Matrix, field: Field) -> "tuple[int, Subspace]":
-    """Rank and canonical row-space basis of a matrix."""
-    space = Subspace.span(field, m.cols, m.row_dicts())
-    return space.dim, space
-
-
 def kernel(m: Matrix, field: Field) -> Subspace:
     """Null space {v : m v = 0} as a canonical subspace of the domain.
 
@@ -474,23 +468,3 @@ def preimage(f: Matrix, w: Subspace, field: Field) -> Subspace:
                       {(i, t): v for t, col in enumerate(cols) for i, v in col.items()})
     return kernel(residual, field)
 
-
-def solve(m: Matrix, target: dict, field: Field) -> "dict | None":
-    """One solution x of m x = target (free variables zero), or None."""
-    aug = m.cols  # augmented column sits past every unknown
-    rows = []
-    for i, row in enumerate(m.row_dicts()):
-        row = dict(row)
-        t = target.get(i)
-        if t:
-            row[aug] = t
-        rows.append(row)
-    sol: dict = {}
-    for r in _rref(rows):
-        lead = min(r)
-        if lead == aug:
-            return None
-        c = r.get(aug)
-        if c:
-            sol[lead] = c
-    return sol

@@ -187,18 +187,14 @@ def injective_indecomposable(spec: QuiverSpec, vertex_label: str, side: str,
 
 # -- individual verdicts ---------------------------------------------------------
 
-def locally_finite_verdict(spec: QuiverSpec, n: int) -> VerdictEntry:
+def locally_finite_verdict(spec: QuiverSpec, n: int, tables: dict) -> VerdictEntry:
     """Bounded arrow multiplicity for every ordered vertex pair.
 
-    Cross-validated on compiled truncations: the skew-primitive space of
-    a pair must have dimension (arrow count) + 1 for distinct vertices,
-    and stay put when the compile depth changes.
+    tables is degree_tables(spec, n).  Cross-validated on compiled
+    truncations: the skew-primitive space of a pair must have dimension
+    (arrow count) + 1 for distinct vertices, and stay put when the
+    compile depth changes.
     """
-    return _locally_finite(spec, n, degree_tables(spec, n))
-
-
-def _locally_finite(spec: QuiverSpec, n: int, tables: dict) -> VerdictEntry:
-    """locally_finite_verdict on the degree tables of (spec, n)."""
     for info in tables["pairs"]:
         if info["growing"]:
             return VerdictEntry(
@@ -413,7 +409,7 @@ def _verdict_bundle(spec: QuiverSpec, n: int, sweep: "list[int] | None",
     """
     sweep = sweep or list(range(1, max(2, n) + 1))
     tables = degree_tables(spec, n)
-    lf = _locally_finite(spec, n, tables)
+    lf = locally_finite_verdict(spec, n, tables)
     right_sp = semiperfect_verdict(spec, "right", n)
     left_sp = semiperfect_verdict(spec, "left", n)
     in_bounded = all(not v["in_growing"] for v in tables["vertices"].values())

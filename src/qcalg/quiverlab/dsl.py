@@ -291,11 +291,10 @@ def parse_spec(text: str, overrides: "dict[str, int] | None" = None) -> QuiverSp
             params[key] = int(val)
 
     seen: set[str] = set()
-    for declared in ([v.name for v in vertices] + [a.name for a in arrows]
-                     + [p.name for p in paths]):
-        if declared in seen:
-            raise DslError(f"name {declared!r} is declared twice", 1)
-        seen.add(declared)
+    for decl in sorted([*vertices, *arrows, *paths], key=lambda d: d.line):
+        if decl.name in seen:
+            raise DslError(f"name {decl.name!r} is declared twice", decl.line)
+        seen.add(decl.name)
 
     spec = QuiverSpec(name=name, field=field, params=tuple(sorted(params.items())),
                       vertices=tuple(vertices), arrows=tuple(arrows),

@@ -289,7 +289,8 @@ def enumerate_paths(spec: QuiverSpec, n_bound: "int | None" = None,
     for p in candidates:
         key = p.key()
         if key in unique:
-            raise DslError(f"paths {unique[key].label} and {p.label} coincide", 1)
+            raise DslError(f"paths {unique[key].label} and {p.label} coincide",
+                           max(unique[key].line, p.line))
         unique[key] = p
     ordered = sorted(unique.values(), key=Path.sort_key)
     _closure_check(ordered)

@@ -44,6 +44,20 @@ class LoadedFile:
     comodule: "Comodule | None"
 
 
+def _int(text: str, what: str, line: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise FormatError(f"bad {what} {text!r}", line) from None
+
+
+def _scalar(text: str, field: Field, line: int):
+    try:
+        return field.parse(text)
+    except (ValueError, ZeroDivisionError):
+        raise FormatError(f"bad scalar {text!r}", line) from None
+
+
 def _parse_terms(body: str, field: Field, line: int) -> "tuple[tuple[int, int, object], ...]":
     terms = []
     for chunk in body.split(";"):
@@ -53,11 +67,8 @@ def _parse_terms(body: str, field: Field, line: int) -> "tuple[tuple[int, int, o
         bits = chunk.split()
         if len(bits) != 3:
             raise FormatError(f"expected 'j k coeff', got {chunk!r}", line)
-        try:
-            j, k = int(bits[0]), int(bits[1])
-            c = field.parse(bits[2])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(str(exc), line) from None
+        j, k = _int(bits[0], "tensor index", line), _int(bits[1], "tensor index", line)
+        c = _scalar(bits[2], field, line)
         if c:
             terms.append((j, k, c))
     return tuple(terms)
@@ -83,14 +94,11 @@ def loads(text: str, field: Field = QQ, check: bool = False) -> LoadedFile:
         if keyword == "coalgebra":
             name = rest
         elif keyword == "dim":
-            try:
-                dim = int(rest)
-            except ValueError:
-                raise FormatError(f"bad dimension {rest!r}", lineno) from None
+            dim = _int(rest, "dimension", lineno)
             if dim < 0:
                 raise FormatError("dimension must be nonnegative", lineno)
         elif keyword == "mdim":
-            mdim = int(rest)
+            mdim = _int(rest, "comodule dimension", lineno)
         elif keyword == "side":
             if rest not in ("left", "right"):
                 raise FormatError("side must be left or right", lineno)
@@ -100,23 +108,19 @@ def loads(text: str, field: Field = QQ, check: bool = False) -> LoadedFile:
             if len(bits) != 2:
                 raise FormatError("expected '<index> <name>'", lineno)
             target = labels if keyword == "label" else mlabels
-            target[int(bits[0])] = bits[1].strip()
+            target[_int(bits[0], f"{keyword} index", lineno)] = bits[1].strip()
         elif keyword in ("delta", "rho"):
             head, sep, body = rest.partition(":")
             if not sep:
                 raise FormatError(f"expected '{keyword} <i>: ...'", lineno)
-            i = int(head)
+            i = _int(head.strip(), f"{keyword} index", lineno)
             target = delta if keyword == "delta" else rho
             if i in target:
                 raise FormatError(f"{keyword} {i} given twice", lineno)
             target[i] = _parse_terms(body, field, lineno)
-        elif keyword == "epsilon":
-            body = rest
-            if body.startswith(":"):
-                body = body[1:]
-            epsilon = tuple(field.parse(tok) for tok in body.split())
-        elif keyword == "epsilon:":
-            epsilon = tuple(field.parse(tok) for tok in rest.split())
+        elif keyword in ("epsilon", "epsilon:"):
+            body = rest.removeprefix(":") if keyword == "epsilon" else rest
+            epsilon = tuple(_scalar(tok, field, lineno) for tok in body.split())
         else:
             raise FormatError(f"unknown keyword {keyword!r}", lineno)
 

@@ -258,6 +258,35 @@ class TestInputFaults:
         assert "--depth must be nonnegative" in err
         assert out == ""
 
+    @pytest.mark.parametrize("text,argv,phrase", [
+        ("dim 1\ndelta x: 0 0 1\nepsilon: 1\n", ["check"],
+         "line 2: bad delta index 'x'"),
+        ("dim 1\ndelta 0: 0 0 1\nepsilon: 1\nrho x: 0 0 1\n", ["check"],
+         "line 4: bad rho index 'x'"),
+        ("dim 1\nlabel z a\ndelta 0: 0 0 1\nepsilon: 1\n", ["check"],
+         "line 2: bad label index 'z'"),
+        ("dim 1\nmdim q\ndelta 0: 0 0 1\nepsilon: 1\n", ["check"],
+         "line 2: bad comodule dimension 'q'"),
+        ("dim 1\ndelta 0: 0 0 1\nepsilon: abc\n", ["check"],
+         "line 3: bad scalar 'abc'"),
+        ("dim 1\ndelta 0: 0 0 1\nepsilon: 1/0\n", ["compute", "filtration"],
+         "line 3: bad scalar '1/0'"),
+        (None, ["compute", "ex1", "socle", "--quotient-by", "x1", "--N", "1"],
+         "--quotient-by 'x1'"),
+        (None, ["compute", "ex1", "mult", "--s", "x1", "--N", "1"],
+         "--s 'x1': 'x[1]' is not grouplike"),
+    ], ids=["delta-index", "rho-index", "label-index", "mdim", "scalar",
+            "zero-denominator", "quotient-by", "mult-simple"])
+    def test_fault_names_the_line_or_flag(self, tmp_path, capsys, text, argv, phrase):
+        if text is not None:
+            path = tmp_path / "bad.sc"
+            path.write_text(text)
+            argv = [argv[0], str(path), *argv[1:]]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert phrase in err
+        assert out == ""
+
     def test_zero_depth_is_still_accepted(self, capsys):
         code, out, _ = run(capsys, "check", "ex1", "--N", "2", "--depth", "0")
         assert code == 0

@@ -13,13 +13,11 @@ from qcalg.coalg import (
     coradical_filtration,
     dual_algebra,
     ideal_product,
-    is_left_coideal,
-    is_right_coideal,
-    is_subcoalgebra,
     radical,
     skew_primitives,
     wedge,
 )
+from qcalg.comod import is_left_coideal, is_right_coideal, is_subcoalgebra
 from qcalg.exactlin import GF, QQ, Subspace, preimage
 from qcalg.quiverlab import compile_truncation
 from qcalg.textfmt import dumps_coalgebra, loads

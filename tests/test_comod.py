@@ -1,11 +1,21 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from test_coalg import change_basis, probe_subspaces
 
-from qcalg.coalg import coradical_filtration, dual_algebra, is_subcoalgebra, radical, wedge
+from qcalg.coalg import (
+    FiltrationChain,
+    coradical_filtration,
+    dual_algebra,
+    dual_and_radical,
+    ideal_product,
+    radical,
+    wedge,
+)
 from qcalg.comod import (
     Comodule,
     check_comodule,
@@ -14,7 +24,10 @@ from qcalg.comod import (
     dual_action,
     hom_image_sum,
     hom_space,
+    is_left_coideal,
+    is_right_coideal,
     is_stable,
+    is_subcoalgebra,
     loewy_series,
     multiplicity,
     quotient,
@@ -26,7 +39,8 @@ from qcalg.comod import (
     sub_comodule,
     weight_space,
 )
-from qcalg.exactlin import QQ, Subspace
+from qcalg.exactlin import GF, QQ, Subspace, preimage
+from qcalg.quiverlab import compile_truncation
 
 
 def random_subcomodule(rng, ambient, max_seed=2):
@@ -414,3 +428,96 @@ class TestMultiplicityTable:
         m = regular_comodule(c, "left")
         for label, count in multiplicity_table(m).items():
             assert count == multiplicity(m, label)
+
+
+# -- the socle series and coaction stability against their textbook forms ------
+
+def loewy_by_preimages(m):
+    """Reference socle series: L_{-1} = 0 and L_{n+1} is the meet, over a
+    basis of the radical J, of the preimages a^{-1}(L_n)."""
+    _, j = dual_and_radical(m.over)
+    mats = [dual_action(f, m) for f in j.basis_dicts()]
+    full = Subspace.full(m.field, m.dim)
+    term, terms = Subspace.zero(m.field, m.dim), []
+    while term.dim < m.dim:
+        nxt = full
+        for a in mats:
+            nxt = nxt.intersect(preimage(a, term, m.field))
+        if nxt == term:
+            return FiltrationChain(tuple(terms), None)
+        terms.append(nxt)
+        term = nxt
+    return FiltrationChain(tuple(terms), len(terms) - 1)
+
+
+def is_stable_by_flank(m, x):
+    """Reference stability test: rho(u) in the span of X (x) C (resp.
+    C (x) X), flattened to dim * cdim coordinates, for each u in X's basis."""
+    cdim = m.over.dim
+    flank = [{j * cdim + t: v for j, v in u.items()}
+             for u in x.basis_dicts() for t in range(cdim)]
+    target = Subspace.span(m.field, m.dim * cdim, flank)
+    for u in x.basis_dicts():
+        image: dict = {}
+        for i, ui in u.items():
+            for (j, k), c in m.module_coalg_pairs(i).items():
+                key = j * cdim + k
+                image[key] = image.get(key, m.field.zero) + ui * c
+        if not target.contains_vector(image):
+            return False
+    return True
+
+
+class TestSocleSeriesEquivalence:
+    @pytest.mark.parametrize("side", ["right", "left"])
+    @pytest.mark.parametrize("case", ["ex1-3", "ex2-4", "ex2-3-gf101",
+                                      "ex1-2-integer-basis", "ex2-3-quotient"])
+    def test_matches_the_meet_of_preimages(self, case, side, ex1_spec, ex2_spec):
+        if case == "ex1-3":
+            m = regular_comodule(compile_truncation(ex1_spec, 3)[0], side)
+        elif case == "ex2-4":
+            m = regular_comodule(compile_truncation(ex2_spec, 4)[0], side)
+        elif case == "ex2-3-gf101":
+            c, _ = compile_truncation(replace(ex2_spec, field=GF(101)), 3)
+            m = regular_comodule(c, side)
+        elif case == "ex1-2-integer-basis":
+            c = change_basis(compile_truncation(ex1_spec, 2)[0], seed=7)
+            assert any(v not in (0, 1) for terms in c.delta for _, _, v in terms)
+            m = regular_comodule(c, side)
+        else:
+            c, _ = compile_truncation(ex2_spec, 3)
+            m = quotient(regular_comodule(c, side), c.span_of_labels(["a"]))
+        chain = loewy_series(m)
+        assert chain == loewy_by_preimages(m)
+        assert chain.stabilized_at == len(chain.terms) - 1
+        assert chain.terms[0] == socle(m)
+
+    def test_reads_no_ideal_product_and_no_coradical(self, ex1_n3, patch_everywhere):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the socle series read the filtration route")
+        patch_everywhere(ideal_product, forbidden)
+        patch_everywhere(coradical_filtration, forbidden)
+        c, _ = ex1_n3
+        assert loewy_series(regular_comodule(c, "right")).dims() == (4, 10, 13)
+
+
+class TestStabilityEquivalence:
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_matches_the_tensor_flank_in_an_integer_basis(self, side, ex1_n2):
+        c = change_basis(ex1_n2[0], seed=7)
+        m = regular_comodule(c, side)
+        rng = random.Random(5)
+        spaces = probe_subspaces(c, rng, count=12)
+        spaces += [random_subcomodule(rng, m) for _ in range(4)]
+        verdicts = [is_stable(m, x) for x in spaces]
+        assert verdicts == [is_stable_by_flank(m, x) for x in spaces]
+        assert set(verdicts) == {True, False}
+
+    def test_coideal_predicates_match_the_flank(self, ex1_n2):
+        c = change_basis(ex1_n2[0], seed=7)
+        right, left = regular_comodule(c, "right"), regular_comodule(c, "left")
+        for x in probe_subspaces(c, random.Random(6), count=12):
+            assert is_right_coideal(x, c) == is_stable_by_flank(right, x)
+            assert is_left_coideal(x, c) == is_stable_by_flank(left, x)
+            assert is_subcoalgebra(x, c) == (is_stable_by_flank(right, x)
+                                             and is_stable_by_flank(left, x))

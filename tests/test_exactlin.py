@@ -11,11 +11,9 @@ from qcalg.exactlin import (
     GFElement,
     Matrix,
     Subspace,
-    echelonize,
     field_named,
     kernel,
     preimage,
-    solve,
 )
 
 
@@ -61,22 +59,7 @@ class TestFields:
 
 
 class TestEchelonize:
-    def test_identity(self):
-        m = Matrix.from_rows(3, [vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1)])
-        rank, basis = echelonize(m, QQ)
-        assert rank == 3
-        assert basis == Subspace.full(QQ, 3)
-
-    def test_zero_matrix(self):
-        rank, basis = echelonize(Matrix(2, 2, {}), QQ)
-        assert rank == 0
-        assert basis == Subspace.zero(QQ, 2)
-
-    def test_dependent_rows(self):
-        m = Matrix.from_rows(2, [vec(1, 2), vec(2, 4)])
-        rank, basis = echelonize(m, QQ)
-        assert rank == 1
-        assert basis.basis == (((0, F(1)), (1, F(2))),)
+    """Subspace.span stores the reduced echelon form, which is canonical."""
 
     def test_canonical_uniqueness(self):
         a = span(3, (1, 2, 3), (0, 1, 1))
@@ -166,21 +149,6 @@ class TestPreimage:
         f = Matrix(2, 2, {(0, 0): F(1)})
         with pytest.raises(ValueError):
             preimage(f, Subspace.full(QQ, 3), QQ)
-
-
-class TestSolve:
-    def test_unique_solution(self):
-        m = Matrix(2, 2, {(0, 0): F(1), (0, 1): F(1), (1, 1): F(2)})
-        assert solve(m, {0: F(3), 1: F(4)}, QQ) == {0: F(1), 1: F(2)}
-
-    def test_inconsistent(self):
-        assert solve(Matrix(1, 1, {}), {0: F(1)}, QQ) is None
-
-    def test_underdetermined_picks_particular(self):
-        m = Matrix(1, 2, {(0, 0): F(1), (0, 1): F(1)})
-        s = solve(m, {0: F(5)}, QQ)
-        assert s is not None
-        assert m.apply(s) == {0: F(5)}
 
 
 class TestMatrix:

@@ -16,11 +16,15 @@ from qcalg.coalg import (
     coradical_filtration,
     dual_algebra,
     ideal_product,
-    is_subcoalgebra,
     radical,
     wedge,
 )
-from qcalg.comod import loewy_series, regular_comodule, socle_annihilator_check
+from qcalg.comod import (
+    is_subcoalgebra,
+    loewy_series,
+    regular_comodule,
+    socle_annihilator_check,
+)
 from qcalg.exactlin import QQ, Matrix, Subspace
 from qcalg.quiverlab import compile_truncation, parse_spec
 

@@ -156,6 +156,24 @@ class TestParsing:
         with pytest.raises(DslError):
             parse_spec("coalgebra bad\nvertex u\narrow u: u -> u\n")
 
+    @pytest.mark.parametrize("text", [
+        "coalgebra bad\nvertex a\nvertex b\nvertex a\n",
+        "coalgebra bad\nvertex u\narrow a: u -> u\nvertex a\n",
+    ], ids=["vertex-vertex", "arrow-vertex"])
+    def test_duplicate_name_carries_the_later_line(self, text):
+        with pytest.raises(DslError) as err:
+            parse_spec(text)
+        assert err.value.line == 4
+        assert "'a' is declared twice" in str(err.value)
+
+    def test_coinciding_paths_carry_the_later_line(self):
+        text = ("coalgebra twice\nvertex u\nvertex v\nvertex w\n"
+                "arrow x: u -> v\narrow y: v -> w\npath p = x . y\npath q = x . y\n")
+        with pytest.raises(DslError) as err:
+            enumerate_paths(parse_spec(text))
+        assert err.value.line == 8
+        assert "paths p and q coincide" in str(err.value)
+
     def test_mode_validation(self):
         with pytest.raises(DslError):
             parse_spec("coalgebra bad\nvertex u\nmode sometimes\n")
@@ -323,13 +341,16 @@ class TestInjectives:
 
 class TestLocallyFinite:
     def test_ex1_holds(self, ex1_spec):
-        assert locally_finite_verdict(ex1_spec, 3).verdict == "holds"
+        entry = locally_finite_verdict(ex1_spec, 3, degree_tables(ex1_spec, 3))
+        assert entry.verdict == "holds"
 
     def test_ex2_holds(self, ex2_spec):
-        assert locally_finite_verdict(ex2_spec, 3).verdict == "holds"
+        entry = locally_finite_verdict(ex2_spec, 3, degree_tables(ex2_spec, 3))
+        assert entry.verdict == "holds"
 
     def test_unbounded_pair_fails_with_witness(self):
-        entry = locally_finite_verdict(parse_spec(UNBOUNDED), 2)
+        spec = parse_spec(UNBOUNDED)
+        entry = locally_finite_verdict(spec, 2, degree_tables(spec, 2))
         assert entry.verdict == "fails"
         assert entry.witness["pair"] == ["a", "b"]
         assert entry.witness["arrow_probe_counts"] == [2, 3, 4]
@@ -534,12 +555,15 @@ class TestEachStepOnce:
         filtrations = _record_calls(patch_everywhere, coalg, "coradical_filtration")
         radicals = _record_calls(patch_everywhere, coalg, "radical")
         tables = _record_calls(patch_everywhere, analyze, "degree_tables")
+        verdicts = _record_calls(patch_everywhere, analyze, "locally_finite_verdict")
         # The sweep leaves out N: it compiles its own bounds.
         analyze_spec(spec, 3, [1, 2], None)
         assert len(filtrations) == 1
         assert len(radicals) == 1
         assert compiles.count((spec, 3, None)) == 1
         assert tables == [(spec, 3)]
+        # The bundle calls the public verdict, on the one set of tables.
+        assert verdicts == [(spec, 3, degree_tables(spec, 3))]
 
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_semiperfect_enumerates_each_probe_once(self, n, ex2_spec,
