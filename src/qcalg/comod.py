@@ -325,11 +325,48 @@ def multiplicity(m: Comodule, s_label: str) -> int:
 
 
 def multiplicity_table(m: Comodule) -> "dict[str, int]":
-    """Socle multiplicities of all grouplike simples, by brute-force
-    weight-space decomposition.  For pointed bases the counts sum to the
-    socle dimension."""
-    return {m.over.labels[g]: weight_space(m, g).dim
-            for g in m.over.grouplike_indices()}
+    """Socle multiplicities of all grouplike simples, as weight-space
+    dimensions.  For pointed bases the counts sum to the socle dimension.
+
+    Every system weight_space(m, g) shares the rows at non-grouplike
+    coalgebra indices, so those are solved once: K = {v : rho(v) lies in
+    M (x) kG}.  Each W_g is then the kernel, on the coordinates of K's
+    basis b_r, of the rows (h, j) for grouplike h with entries
+    rho_h(b_r)_j - delta_hg (b_r)_j; this is weight_space's own system
+    restricted to K, so no comodule axiom is assumed.  Reads neither the
+    socle nor the radical.
+    """
+    grouplikes = m.over.grouplike_indices()
+    if not grouplikes:
+        return {}
+    n, cdim = m.dim, m.over.dim
+    grouplike_set = set(grouplikes)
+    shared = {(j * cdim + k, i): c
+              for i in range(n)
+              for (j, k), c in m.module_coalg_pairs(i).items()
+              if k not in grouplike_set}
+    k_basis = kernel(Matrix(n * cdim, n, shared), m.field).basis_dicts()
+    # (h, j) -> row h_pos * n + j; the entries common to every g.
+    common: dict = {}
+    for r, b in enumerate(k_basis):
+        slices = _coaction_slices(m, b)
+        for h_pos, h in enumerate(grouplikes):
+            for j, c in slices.get(h, {}).items():
+                common[(h_pos * n + j, r)] = c
+    table: dict[str, int] = {}
+    for g_pos, g in enumerate(grouplikes):
+        entries = dict(common)
+        for r, b in enumerate(k_basis):
+            for j, c in b.items():
+                key = (g_pos * n + j, r)
+                v = entries.get(key, m.field.zero) - c
+                if v:
+                    entries[key] = v
+                else:
+                    entries.pop(key, None)
+        system = Matrix(len(grouplikes) * n, len(k_basis), entries)
+        table[m.over.labels[g]] = kernel(system, m.field).dim
+    return table
 
 
 def _coaction_slices(m: Comodule, u: dict) -> "dict[int, dict]":

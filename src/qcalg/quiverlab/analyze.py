@@ -332,10 +332,12 @@ def fnoetherian_sweep(spec: QuiverSpec, side: str, sweep: "list[int]",
 
     For each bound in the sweep, compiles the truncation, quotients the
     regular comodule by each vertex span, and records the maximal socle
-    multiplicity over the grouplike simples (computed by brute-force
-    weight-space decomposition).  A column increasing strictly over at
-    least three bounds is a refutation witness; absence of growth never
-    proves the property.
+    multiplicity over the grouplike simples.  The multiplicities are the
+    weight-space dimensions of ``multiplicity_table``: one shared kernel
+    for the coaction rows at non-grouplike indices, then one small system
+    per grouplike on that kernel's coordinates.  A column increasing
+    strictly over at least three bounds is a refutation witness; absence
+    of growth never proves the property.
     """
     base_vertices = _sweep_vertices(spec, sweep)
     columns = _multiplicity_columns(spec, side, sweep, depth, base_vertices)

@@ -39,10 +39,13 @@ class Vertex:
 
 @dataclass(frozen=True)
 class Arrow:
+    """An instantiated arrow; ``line`` is the DSL line of its declaration."""
+
     name: str
     indices: "tuple[int, ...]"
     src: Vertex
     dst: Vertex
+    line: int = field(default=1, compare=False)
 
     @property
     def label(self) -> str:
@@ -180,7 +183,8 @@ def instantiate(spec: QuiverSpec, n_bound: "int | None" = None) -> QuiverInstanc
         for env in _iter_envs(decl.ranges, params):
             full_env = {**params, **env}
             a = Arrow(decl.name, tuple(env[b] for b in decl.binders),
-                      vertex_ref(decl.src, full_env), vertex_ref(decl.dst, full_env))
+                      vertex_ref(decl.src, full_env), vertex_ref(decl.dst, full_env),
+                      decl.line)
             key = (a.name, a.indices)
             if key in arrows:
                 raise DslError(f"arrow {a.label} instantiated twice", decl.line)
@@ -265,10 +269,15 @@ def enumerate_paths(spec: QuiverSpec, n_bound: "int | None" = None,
                 candidates.append(p)
     else:
         if depth is None:
-            cyclic = sorted(v for v, seen in reachability(inst).items() if v in seen)
+            reach = reachability(inst)
+            cyclic = sorted(v for v, seen in reach.items() if v in seen)
             if cyclic:
+                v = cyclic[0]
+                # The first declared arrow out of v whose target leads back to v.
+                on_cycle = next(a for a in inst.arrows if a.src.label == v
+                                and (a.dst.label == v or v in reach[a.dst.label]))
                 raise DslError("all-paths mode on a cyclic quiver needs a depth "
-                               f"bound (cycle through {cyclic[0]})", 1)
+                               f"bound (cycle through {v})", on_cycle.line)
         adjacency: dict[Vertex, list[Arrow]] = {}
         for a in inst.arrows:
             adjacency.setdefault(a.src, []).append(a)

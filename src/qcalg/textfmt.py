@@ -79,10 +79,12 @@ def loads(text: str, field: Field = QQ, check: bool = False) -> LoadedFile:
     dim = None
     mdim = None
     side = "right"
-    labels: dict[int, str] = {}
-    mlabels: dict[int, str] = {}
-    delta: dict[int, tuple] = {}
-    rho: dict[int, tuple] = {}
+    # Every parsed entry keeps the line it came from, so a range fault
+    # found after the whole file is read still names its own line.
+    labels: dict[int, tuple[str, int]] = {}
+    mlabels: dict[int, tuple[str, int]] = {}
+    delta: dict[int, tuple[tuple, int]] = {}
+    rho: dict[int, tuple[tuple, int]] = {}
     epsilon = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -99,6 +101,8 @@ def loads(text: str, field: Field = QQ, check: bool = False) -> LoadedFile:
                 raise FormatError("dimension must be nonnegative", lineno)
         elif keyword == "mdim":
             mdim = _int(rest, "comodule dimension", lineno)
+            if mdim < 0:
+                raise FormatError("comodule dimension must be nonnegative", lineno)
         elif keyword == "side":
             if rest not in ("left", "right"):
                 raise FormatError("side must be left or right", lineno)
@@ -108,7 +112,7 @@ def loads(text: str, field: Field = QQ, check: bool = False) -> LoadedFile:
             if len(bits) != 2:
                 raise FormatError("expected '<index> <name>'", lineno)
             target = labels if keyword == "label" else mlabels
-            target[_int(bits[0], f"{keyword} index", lineno)] = bits[1].strip()
+            target[_int(bits[0], f"{keyword} index", lineno)] = (bits[1].strip(), lineno)
         elif keyword in ("delta", "rho"):
             head, sep, body = rest.partition(":")
             if not sep:
@@ -117,10 +121,11 @@ def loads(text: str, field: Field = QQ, check: bool = False) -> LoadedFile:
             target = delta if keyword == "delta" else rho
             if i in target:
                 raise FormatError(f"{keyword} {i} given twice", lineno)
-            target[i] = _parse_terms(body, field, lineno)
+            target[i] = (_parse_terms(body, field, lineno), lineno)
         elif keyword in ("epsilon", "epsilon:"):
             body = rest.removeprefix(":") if keyword == "epsilon" else rest
             epsilon = tuple(_scalar(tok, field, lineno) for tok in body.split())
+            epsilon_line = lineno
         else:
             raise FormatError(f"unknown keyword {keyword!r}", lineno)
 
@@ -129,34 +134,45 @@ def loads(text: str, field: Field = QQ, check: bool = False) -> LoadedFile:
     if epsilon is None:
         raise FormatError("missing 'epsilon' line", 1)
     if len(epsilon) != dim:
-        raise FormatError(f"epsilon has {len(epsilon)} entries, expected {dim}", 1)
-    for i, terms in delta.items():
-        if i < 0 or i >= dim:
-            raise FormatError(f"delta index {i} out of range", 1)
+        raise FormatError(f"epsilon has {len(epsilon)} entries, expected {dim}",
+                          epsilon_line)
+    m = mdim if mdim is not None else dim
+    for keyword, target, bound in (("label", labels, dim), ("mlabel", mlabels, m)):
+        for i, (_, line) in target.items():
+            if not 0 <= i < bound:
+                raise FormatError(f"{keyword} index {i} out of range", line)
+    for i, (terms, line) in delta.items():
+        if not 0 <= i < dim:
+            raise FormatError(f"delta index {i} out of range", line)
         for j, k, _ in terms:
             if not (0 <= j < dim and 0 <= k < dim):
-                raise FormatError(f"delta {i}: tensor index out of range", 1)
+                raise FormatError(f"delta {i}: tensor index out of range", line)
 
-    final_labels = tuple(labels.get(i, f"e{i}") for i in range(dim))
-    if len(set(final_labels)) != dim:
-        raise FormatError("duplicate labels", 1)
+    final_labels = tuple(labels[i][0] if i in labels else f"e{i}" for i in range(dim))
+    first_index: dict[str, int] = {}
+    for i, lab in enumerate(final_labels):
+        if lab in first_index:
+            # Default labels are distinct, so one of the pair was declared.
+            line = max(labels[t][1] for t in (first_index[lab], i) if t in labels)
+            raise FormatError(f"duplicate label {lab!r}", line)
+        first_index[lab] = i
     coalgebra = Coalgebra(field=field, dim=dim, labels=final_labels,
-                          delta=tuple(delta.get(i, ()) for i in range(dim)),
+                          delta=tuple(delta[i][0] if i in delta else () for i in range(dim)),
                           epsilon=epsilon)
 
     comodule = None
     if rho:
-        m = mdim if mdim is not None else dim
-        for i, terms in rho.items():
-            if i < 0 or i >= m:
-                raise FormatError(f"rho index {i} out of range", 1)
+        for i, (terms, line) in rho.items():
+            if not 0 <= i < m:
+                raise FormatError(f"rho index {i} out of range", line)
             for j, k, _ in terms:
                 mod, coalg = (j, k) if side == "right" else (k, j)
                 if not (0 <= mod < m and 0 <= coalg < dim):
-                    raise FormatError(f"rho {i}: tensor index out of range", 1)
+                    raise FormatError(f"rho {i}: tensor index out of range", line)
         comodule = Comodule(side=side, dim=m, over=coalgebra,
-                            coaction=tuple(rho.get(i, ()) for i in range(m)),
-                            labels=tuple(mlabels.get(i, f"m{i}") for i in range(m)))
+                            coaction=tuple(rho[i][0] if i in rho else () for i in range(m)),
+                            labels=tuple(mlabels[i][0] if i in mlabels else f"m{i}"
+                                         for i in range(m)))
 
     if check:
         report = check_axioms(coalgebra)

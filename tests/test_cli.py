@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from test_coalg import change_basis
 
 from qcalg.cli import main
 from qcalg.report import ReportDocument
@@ -271,12 +275,35 @@ class TestInputFaults:
          "line 3: bad scalar 'abc'"),
         ("dim 1\ndelta 0: 0 0 1\nepsilon: 1/0\n", ["compute", "filtration"],
          "line 3: bad scalar '1/0'"),
+        ("dim 1\ndelta 0: 0 0 1\nmdim -1\nepsilon: 1\n", ["check"],
+         "line 3: comodule dimension must be nonnegative"),
+        ("dim 1\ndelta 0: 0 0 1\nepsilon: 1\nmdim -1\nrho 0: 0 0 1\n", ["check"],
+         "line 4: comodule dimension must be nonnegative"),
+        ("dim 1\nlabel 7 zz\ndelta 0: 0 0 1\nepsilon: 1\n", ["check"],
+         "line 2: label index 7 out of range"),
+        ("dim 1\ndelta 0: 0 0 1\nepsilon: 1\nmlabel 3 w\nrho 0: 0 0 1\n", ["check"],
+         "line 4: mlabel index 3 out of range"),
+        ("dim 1\ndelta 0: 0 0 1\ndelta 5: 0 0 1\nepsilon: 1\n", ["check"],
+         "line 3: delta index 5 out of range"),
+        ("dim 1\ndelta 0: 0 3 1\nepsilon: 1\n", ["check"],
+         "line 2: delta 0: tensor index out of range"),
+        ("dim 1\ndelta 0: 0 0 1\nepsilon: 1\nrho 2: 0 0 1\n", ["check"],
+         "line 4: rho index 2 out of range"),
+        ("dim 1\ndelta 0: 0 0 1\nepsilon: 1\nside left\nrho 0: 4 0 1\n", ["check"],
+         "line 5: rho 0: tensor index out of range"),
+        ("dim 2\ndelta 0: 0 0 1\ndelta 1: 1 1 1\nepsilon: 1\n", ["check"],
+         "line 4: epsilon has 1 entries, expected 2"),
+        ("dim 2\nlabel 1 e0\ndelta 0: 0 0 1\ndelta 1: 1 1 1\nepsilon: 1 1\n", ["check"],
+         "line 2: duplicate label 'e0'"),
         (None, ["compute", "ex1", "socle", "--quotient-by", "x1", "--N", "1"],
          "--quotient-by 'x1'"),
         (None, ["compute", "ex1", "mult", "--s", "x1", "--N", "1"],
          "--s 'x1': 'x[1]' is not grouplike"),
     ], ids=["delta-index", "rho-index", "label-index", "mdim", "scalar",
-            "zero-denominator", "quotient-by", "mult-simple"])
+            "zero-denominator", "negative-mdim", "negative-mdim-with-rho",
+            "label-out-of-range", "mlabel-out-of-range", "delta-out-of-range",
+            "delta-tensor-index", "rho-out-of-range", "rho-tensor-index",
+            "epsilon-length", "duplicate-label", "quotient-by", "mult-simple"])
     def test_fault_names_the_line_or_flag(self, tmp_path, capsys, text, argv, phrase):
         if text is not None:
             path = tmp_path / "bad.sc"
@@ -291,6 +318,55 @@ class TestInputFaults:
         code, out, _ = run(capsys, "check", "ex1", "--N", "2", "--depth", "0")
         assert code == 0
         assert "PASS" in out
+
+
+# What the structure-constants fuzz splices in: small integers (two draws
+# in three, so that many mutants still parse and reach the algebra), a
+# fraction, a bad scalar, the separators and every keyword of the format.
+_SMALL_INTEGER = st.integers(-2, 9).map(str)
+FUZZ_TOKENS = st.one_of(
+    _SMALL_INTEGER, _SMALL_INTEGER,
+    st.sampled_from(["1/2", "x", ":", ";", "\n", "coalgebra", "dim", "label", "delta",
+                     "epsilon", "epsilon:", "side", "left", "right", "mdim", "mlabel",
+                     "rho"]))
+FUZZ_EDITS = st.lists(st.tuples(st.sampled_from(["replace", "replace", "insert"]),
+                                st.integers(0, 10**6), FUZZ_TOKENS),
+                      min_size=1, max_size=3)
+FUZZ_TOKEN = re.compile(r"\n|[ \t]+|[:;]|[^\s:;]+")
+
+
+def mutate(text: str, edits) -> str:
+    """Replace a word or insert a token, once per edit; positions wrap."""
+    tokens = FUZZ_TOKEN.findall(text)
+    for kind, position, token in edits:
+        if kind == "insert":
+            tokens.insert(position % (len(tokens) + 1), f" {token} ")
+        else:
+            words = [i for i, t in enumerate(tokens) if not t.isspace()]
+            tokens[words[position % len(words)]] = token
+    return "".join(tokens)
+
+
+class TestStructureConstantsFuzz:
+    """Mutated structure-constants files exit 0, 1 or 2, never 3.
+
+    The examples are derandomized, so the test replays the same bounded
+    set of inputs on every run.
+    """
+
+    @pytest.fixture(scope="class")
+    def base(self, ex1_n1):
+        return dumps_coalgebra(change_basis(ex1_n1[0], seed=3), name="fuzzed")
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=FUZZ_EDITS)
+    def test_exit_code_contract(self, base, tmp_path, capsys, edits):
+        path = tmp_path / "fuzzed.sc"
+        path.write_text(mutate(base, edits))
+        for argv in (["check"], ["analyze"], ["compute", "socle"]):
+            code, _, _ = run(capsys, argv[0], str(path), *argv[1:])
+            assert code in (0, 1, 2), (argv, path.read_text())
 
 
 class TestReportSchema:
@@ -354,6 +430,19 @@ class TestCyclicAllPathsAnalysis:
         code, _, err = run(capsys, "analyze", str(f), "--N", "1")
         assert code == 2
         assert "depth" in err
+
+    @pytest.mark.parametrize("arrows,line", [
+        ("arrow f: a -> b\narrow g: b -> a\n", 4),
+        ("arrow g: b -> a\narrow f: a -> b\n", 5),
+    ], ids=["closing-arrow-first", "closing-arrow-second"])
+    def test_names_the_line_of_an_arrow_on_the_cycle(self, tmp_path, capsys,
+                                                     arrows, line):
+        f = tmp_path / "loop.quiver"
+        f.write_text("coalgebra loop\nvertex a\nvertex b\n" + arrows + "mode all\n")
+        code, out, err = run(capsys, "analyze", str(f))
+        assert code == 2
+        assert out == ""
+        assert f"line {line}, col 1: " in err and "(cycle through a)" in err
 
     def test_bounded_depth_analyzes(self, tmp_path, capsys):
         f = tmp_path / "loop.quiver"

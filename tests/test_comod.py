@@ -8,7 +8,9 @@ import pytest
 from test_coalg import change_basis, probe_subspaces
 
 from qcalg.coalg import (
+    Coalgebra,
     FiltrationChain,
+    check_axioms,
     coradical_filtration,
     dual_algebra,
     dual_and_radical,
@@ -17,6 +19,7 @@ from qcalg.coalg import (
     wedge,
 )
 from qcalg.comod import (
+    SIDES,
     Comodule,
     check_comodule,
     coefficient_coalgebra,
@@ -30,6 +33,7 @@ from qcalg.comod import (
     is_subcoalgebra,
     loewy_series,
     multiplicity,
+    multiplicity_table,
     quotient,
     quotient_with_projection,
     regular_comodule,
@@ -414,7 +418,6 @@ def test_dual_action_rejects_foreign_vectors(ex1_n1):
 
 class TestMultiplicityTable:
     def test_counts_sum_to_socle_dimension(self, ex2_n3):
-        from qcalg.comod import multiplicity_table
         c, _ = ex2_n3
         m = regular_comodule(c, "right")
         q = quotient(m, c.span_of_labels(["a"]))
@@ -423,7 +426,6 @@ class TestMultiplicityTable:
         assert sum(table.values()) == socle(q).dim
 
     def test_agrees_with_hom_route(self, ex1_n2):
-        from qcalg.comod import multiplicity_table
         c, _ = ex1_n2
         m = regular_comodule(c, "left")
         for label, count in multiplicity_table(m).items():
@@ -521,3 +523,132 @@ class TestStabilityEquivalence:
             assert is_left_coideal(x, c) == is_stable_by_flank(left, x)
             assert is_subcoalgebra(x, c) == (is_stable_by_flank(right, x)
                                              and is_stable_by_flank(left, x))
+
+
+# -- the weight table against one weight_space solve per grouplike -------------
+
+def weight_space_table(m):
+    return {m.over.labels[g]: weight_space(m, g).dim for g in m.over.grouplike_indices()}
+
+
+def regular_and_vertex_quotients(c, side):
+    reg = regular_comodule(c, side)
+    return [reg] + [quotient(reg, c.span_of_labels([c.labels[g]]))
+                    for g in c.grouplike_indices()]
+
+
+def change_module_basis(m, rng):
+    """m in the basis f_i = m_i + sum_{a > i} p_ia m_a, p random integers."""
+    n = m.dim
+    p = [[F(int(a == i)) if a <= i else F(rng.randint(-2, 2)) for a in range(n)]
+         for i in range(n)]
+    q = [[F(int(a == i)) for a in range(n)] for i in range(n)]  # p^{-1}
+    for i in reversed(range(n)):
+        for a in range(i + 1, n):
+            for b in range(n):
+                q[i][b] -= p[i][a] * q[a][b]
+    coaction = []
+    for i in range(n):
+        acc = {}
+        for a in range(n):
+            if not p[i][a]:
+                continue
+            for (j, k), c in m.module_coalg_pairs(a).items():
+                for b in range(n):
+                    v = p[i][a] * c * q[j][b]
+                    if v:
+                        acc[(b, k)] = acc.get((b, k), F(0)) + v
+        coaction.append(tuple((b, k, v) if m.side == "right" else (k, b, v)
+                              for (b, k), v in sorted(acc.items()) if v))
+    return Comodule(side=m.side, dim=n, over=m.over, coaction=tuple(coaction),
+                    labels=tuple(f"f{i}" for i in range(n)))
+
+
+def trigonometric_coalgebra():
+    """span{c, s} with Delta c = c c - s s, Delta s = s c + c s: simple over
+    QQ, and no basis vector is grouplike."""
+    return Coalgebra(field=QQ, dim=2, labels=("c", "s"),
+                     delta=(((0, 0, F(1)), (1, 1, F(-1))), ((0, 1, F(1)), (1, 0, F(1)))),
+                     epsilon=(F(1), F(0)))
+
+
+class TestWeightTableEquivalence:
+    @pytest.mark.parametrize("side", ["right", "left"])
+    @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
+    @pytest.mark.parametrize("which,n", [("ex1", 1), ("ex1", 3), ("ex2", 2), ("ex2", 4)])
+    def test_regular_and_vertex_quotients(self, which, n, field, side, ex1_spec, ex2_spec):
+        spec = ex1_spec if which == "ex1" else ex2_spec
+        c, _ = compile_truncation(replace(spec, field=field), n)
+        for m in regular_and_vertex_quotients(c, side):
+            table = multiplicity_table(m)
+            assert table == weight_space_table(m)
+            assert set(table) == {c.labels[g] for g in c.grouplike_indices()}
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_integer_basis(self, side, ex1_n2):
+        c = change_basis(ex1_n2[0], seed=7)
+        for m in regular_and_vertex_quotients(c, side):
+            assert multiplicity_table(m) == weight_space_table(m)
+        # The same comodules over the path basis, whose grouplikes survive,
+        # in a unitriangular integer basis of the module.
+        for seed, m in enumerate(regular_and_vertex_quotients(ex1_n2[0], side)):
+            changed = change_module_basis(m, random.Random(seed))
+            assert any(v not in (0, 1) for terms in changed.coaction for _, _, v in terms)
+            assert multiplicity_table(changed) == weight_space_table(changed)
+            assert multiplicity_table(changed) == multiplicity_table(m)
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_direct_sum_of_two_quotients(self, side, ex2_n3):
+        c, _ = ex2_n3
+        reg = regular_comodule(c, side)
+        m = direct_sum([quotient(reg, c.span_of_labels(["a"])),
+                        quotient(reg, c.span_of_labels(["b[2]"]))])
+        table = multiplicity_table(m)
+        assert table == weight_space_table(m)
+        assert sum(table.values()) == socle(m).dim
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_structure_constants_off_the_comodule_axioms(self, seed, ex1_n1):
+        """Equal on any coaction constants: a mostly grouplike coaction with
+        stray terms, which breaks coassociativity."""
+        c, _ = ex1_n1
+        grouplikes = c.grouplike_indices()
+        rng = random.Random(seed)
+        n = 5
+        coaction = []
+        for i in range(n):
+            terms = [(i, rng.choice(grouplikes), F(1))]
+            for _ in range(rng.randint(1, 3)):
+                k = rng.choice(grouplikes) if rng.random() < 0.8 else rng.randrange(c.dim)
+                terms.append((rng.randrange(n), k, F(rng.randint(-2, 2))))
+            coaction.append(tuple(terms))
+        m = Comodule(side="right", dim=n, over=c, coaction=tuple(coaction),
+                     labels=tuple(f"m{i}" for i in range(n)))
+        assert not check_comodule(m).ok
+        assert multiplicity_table(m) == weight_space_table(m)
+
+    def test_a_vector_fixed_by_one_grouplike_but_moved_by_another(self, ex1_n1):
+        c, _ = ex1_n1
+        g, h = c.grouplike_indices()[:2]
+        # rho(m0) = m0 (x) g + m1 (x) h: rho_g(m0) = m0, yet m0 is no weight vector.
+        m = Comodule(side="right", dim=2, over=c,
+                     coaction=(((0, g, F(1)), (1, h, F(1))), ((1, g, F(1)),)),
+                     labels=("m0", "m1"))
+        table = multiplicity_table(m)
+        assert table == weight_space_table(m)
+        assert table[c.labels[g]] == 1
+
+    def test_no_grouplike_basis_vector(self):
+        c = trigonometric_coalgebra()
+        assert check_axioms(c).ok and c.grouplike_indices() == ()
+        for side in SIDES:
+            assert multiplicity_table(regular_comodule(c, side)) == {}
+
+    def test_reads_neither_socle_nor_radical(self, ex2_n3, patch_everywhere):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the weight table read the socle or the radical")
+        for original in (socle, radical, dual_and_radical):
+            patch_everywhere(original, forbidden)
+        c, _ = ex2_n3
+        q = quotient(regular_comodule(c, "right"), c.span_of_labels(["a"]))
+        assert multiplicity_table(q) == {"a": 0, "b[1]": 2, "b[2]": 3, "b[3]": 4}

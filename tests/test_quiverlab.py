@@ -237,6 +237,10 @@ class TestEnumeration:
         assert "cycle" in message
         named = set(re.findall(r"[A-Za-z_]\w*", message.split("(cycle", 1)[1]))
         assert named & on_cycle
+        # The reported line declares an arrow whose ends both lie on the cycle.
+        declaration = text.splitlines()[err.value.line - 1]
+        assert declaration.startswith("arrow ")
+        assert set(re.findall(r"[A-Za-z_]\w*", declaration.split(":", 1)[1])) <= on_cycle
 
 
 class TestCompilation:
