@@ -13,7 +13,7 @@ coordinates on C (x) C are flattened as (j, k) -> j*dim + k.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .exactlin import (
     Field,
@@ -84,6 +84,22 @@ class Coalgebra:
     def grouplike_indices(self) -> "tuple[int, ...]":
         return tuple(i for i in range(self.dim) if self.is_grouplike(i))
 
+    @cached_property
+    def grouplike_wedges(self) -> "dict[tuple[int, int], Subspace]":
+        """The wedge kg ^ kh for every ordered pair (g, h) of grouplike
+        indices, g = h included, computed once per coalgebra.
+
+        By Taft-Wilson, kg ^ kh = kg + kh + P_{g,h}, where P_{g,h} is the
+        space of (g, h)-skew-primitives (Montgomery 1993, 5.4), and g is not
+        in P_{g,h}; so dim P_{g,h} = dim(kg ^ kh) - 1 whether or not g = h.
+        The local-finiteness cross-check reads those dimensions here, and
+        the duality oracle checks these same wedges for its span pairs.
+        """
+        lines = {g: Subspace.span(self.field, self.dim, [{g: self.field.one}])
+                 for g in self.grouplike_indices()}
+        return {(g, h): wedge(x, y, self)
+                for g, x in lines.items() for h, y in lines.items()}
+
     def span_of_labels(self, names: "list[str]") -> Subspace:
         vecs = [{self.label_index(n): self.field.one} for n in names]
         return Subspace.span(self.field, self.dim, vecs)
@@ -144,7 +160,12 @@ def _tensor_cube_sides(c: Coalgebra, i: int) -> "tuple[dict, dict]":
             {k: v for k, v in rhs.items() if v})
 
 
-def check_axioms(c: Coalgebra, max_failures: int = 16) -> AxiomReport:
+# The axiom checkers (this one and comod.check_comodule) report at most
+# this many failures.
+MAX_FAILURES = 16
+
+
+def check_axioms(c: Coalgebra) -> AxiomReport:
     """Exact coassociativity and counit test; failures are reported, not raised."""
     failures: list[AxiomFailure] = []
     fmt = c.field.format
@@ -160,7 +181,7 @@ def check_axioms(c: Coalgebra, max_failures: int = 16) -> AxiomReport:
                     lhs=fmt(lhs.get(key, c.field.zero)),
                     rhs=fmt(rhs.get(key, c.field.zero)),
                 ))
-                if len(failures) >= max_failures:
+                if len(failures) >= MAX_FAILURES:
                     return AxiomReport(False, tuple(failures))
     for i in range(c.dim):
         left: dict = {}
@@ -180,7 +201,7 @@ def check_axioms(c: Coalgebra, max_failures: int = 16) -> AxiomReport:
                     lhs=fmt(got.get(bad, c.field.zero)),
                     rhs=fmt(expected.get(bad, c.field.zero)),
                 ))
-                if len(failures) >= max_failures:
+                if len(failures) >= MAX_FAILURES:
                     return AxiomReport(False, tuple(failures))
     return AxiomReport(not failures, tuple(failures))
 

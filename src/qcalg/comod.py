@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coalg import (
+    MAX_FAILURES,
     AxiomFailure,
     AxiomReport,
     Coalgebra,
@@ -116,7 +117,7 @@ def direct_sum(parts: "list[Comodule]") -> Comodule:
 
 # -- axioms --------------------------------------------------------------------
 
-def check_comodule(m: Comodule, max_failures: int = 16) -> AxiomReport:
+def check_comodule(m: Comodule) -> AxiomReport:
     """Exact coaction coassociativity and counit test."""
     c = m.over
     field = c.field
@@ -151,7 +152,7 @@ def check_comodule(m: Comodule, max_failures: int = 16) -> AxiomReport:
                     pos = (c.labels[key[0]], c.labels[key[1]], mlabel(key[2]))
                 failures.append(AxiomFailure("coaction-coassociativity",
                                              mlabel(i), pos, fmt(a), fmt(b)))
-                if len(failures) >= max_failures:
+                if len(failures) >= MAX_FAILURES:
                     return AxiomReport(False, tuple(failures))
     for i in range(m.dim):
         got: dict = {}
@@ -167,7 +168,7 @@ def check_comodule(m: Comodule, max_failures: int = 16) -> AxiomReport:
                 "coaction-counit", mlabel(i), (mlabel(bad),),
                 fmt(got.get(bad, field.zero)),
                 fmt(field.one if bad == i else field.zero)))
-            if len(failures) >= max_failures:
+            if len(failures) >= MAX_FAILURES:
                 return AxiomReport(False, tuple(failures))
     return AxiomReport(not failures, tuple(failures))
 
@@ -438,16 +439,17 @@ def quotient_with_projection(m: Comodule, x: Subspace) -> "tuple[Comodule, Matri
     pivots = set(x.pivot_columns())
     free = [t for t in range(m.dim) if t not in pivots]
     pos = {t: idx for idx, t in enumerate(free)}
+    reduced = [x.reduce_vector({j: m.field.one}) for j in range(m.dim)]
     proj_entries: dict = {}
-    for j in range(m.dim):
-        for t, v in x.reduce_vector({j: m.field.one}).items():
+    for j, red in enumerate(reduced):
+        for t, v in red.items():
             proj_entries[(pos[t], j)] = v
     proj = Matrix(len(free), m.dim, proj_entries)
     coaction: list = []
     for t in free:
         acc: dict = {}
         for (j, k), c in m.module_coalg_pairs(t).items():
-            for r, v in x.reduce_vector({j: m.field.one}).items():
+            for r, v in reduced[j].items():
                 key = (pos[r], k)
                 w = acc.get(key, m.field.zero) + c * v
                 if w:

@@ -28,7 +28,6 @@ from ..coalg import (
     coradical_filtration,
     dual_and_radical,
     ideal_product,
-    skew_primitives,
     wedge,
 )
 from ..comod import (
@@ -187,13 +186,18 @@ def injective_indecomposable(spec: QuiverSpec, vertex_label: str, side: str,
 
 # -- individual verdicts ---------------------------------------------------------
 
-def locally_finite_verdict(spec: QuiverSpec, n: int, tables: dict) -> VerdictEntry:
+def locally_finite_verdict(spec: QuiverSpec, n: int, tables: dict,
+                           truncation: Coalgebra) -> VerdictEntry:
     """Bounded arrow multiplicity for every ordered vertex pair.
 
-    tables is degree_tables(spec, n).  Cross-validated on compiled
-    truncations: the skew-primitive space of a pair must have dimension
-    (arrow count) + 1 for distinct vertices, and stay put when the
-    compile depth changes.
+    tables is degree_tables(spec, n) and truncation the analyzed
+    truncation at n.  Cross-validated on compiled truncations at two
+    depths: the (g, h)-skew-primitive space of a vertex pair must have
+    dimension (arrow count) + 1 for distinct vertices and (loop count)
+    for g = h.  Its dimension is read as dim(kg ^ kh) - 1 from the
+    coalgebra's table of grouplike-pair wedges (Taft-Wilson: kg ^ kh =
+    kg + kh + P_{g,h}).  A probed depth that compiles to the truncation
+    uses that object, so the duality oracle reads the same table.
     """
     for info in tables["pairs"]:
         if info["growing"]:
@@ -212,12 +216,15 @@ def locally_finite_verdict(spec: QuiverSpec, n: int, tables: dict) -> VerdictEnt
         max_declared = max(max_declared, 2)
     for depth in sorted({1, max_declared}):
         coalgebra, basis = compile_truncation(spec, n, depth)
+        if coalgebra == truncation:
+            coalgebra = truncation
+        wedges = coalgebra.grouplike_wedges
         verts = [(v, basis.index_of_label(v.label)) for v in basis.vertices()]
         for u, gi in verts:
             for w, hi in verts:
                 expected = pair_counts.get((u.label, w.label), 0)
                 expected += 1 if u != w else 0
-                got = skew_primitives(gi, hi, coalgebra).dim
+                got = wedges[(gi, hi)].dim - 1
                 if got != expected:
                     raise InternalCheckError(
                         f"skew-primitive dimension {got} for ({u.label}, {w.label}) "
@@ -377,19 +384,25 @@ def fnoetherian_witness(spec: QuiverSpec, x_vertex: str, side: str,
 
 def _duality_oracle(coalgebra: Coalgebra, chain: FiltrationChain) -> dict:
     """Exact wedge vs perp-of-ideal-product agreement on standard pairs;
-    chain is the coalgebra's coradical filtration."""
+    chain is the coalgebra's coradical filtration.  The wedges of two
+    grouplike spans come from the coalgebra's grouplike_wedges table,
+    the one the local-finiteness cross-check read."""
     subspaces: dict[str, Subspace] = {"C0": chain.terms[0]}
     if len(chain.terms) > 1:
         subspaces["C1"] = chain.terms[1]
-    for g in coalgebra.grouplike_indices():
-        subspaces[f"span{{{coalgebra.labels[g]}}}"] = Subspace.span(
+    lines = {f"span{{{coalgebra.labels[g]}}}": g for g in coalgebra.grouplike_indices()}
+    for name, g in lines.items():
+        subspaces[name] = Subspace.span(
             coalgebra.field, coalgebra.dim, [{g: coalgebra.field.one}])
     dual, _ = dual_and_radical(coalgebra)
     perps = {name: s.perp() for name, s in subspaces.items()}
     checked = 0
     for uname, u in subspaces.items():
         for wname, w in subspaces.items():
-            left = wedge(u, w, coalgebra)
+            if uname in lines and wname in lines:
+                left = coalgebra.grouplike_wedges[(lines[uname], lines[wname])]
+            else:
+                left = wedge(u, w, coalgebra)
             right = ideal_product(perps[uname], perps[wname], dual).perp()
             if left != right:
                 raise InternalCheckError(
@@ -411,7 +424,7 @@ def _verdict_bundle(spec: QuiverSpec, n: int, sweep: "list[int] | None",
     """
     sweep = sweep or list(range(1, max(2, n) + 1))
     tables = degree_tables(spec, n)
-    lf = locally_finite_verdict(spec, n, tables)
+    lf = locally_finite_verdict(spec, n, tables, coalgebra)
     right_sp = semiperfect_verdict(spec, "right", n)
     left_sp = semiperfect_verdict(spec, "left", n)
     in_bounded = all(not v["in_growing"] for v in tables["vertices"].values())

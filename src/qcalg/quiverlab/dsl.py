@@ -203,7 +203,7 @@ def _parse_ref(text: str, line: int) -> Ref:
     return Ref(name, exprs, line)
 
 
-def parse_spec(text: str, overrides: "dict[str, int] | None" = None) -> QuiverSpec:
+def parse_spec(text: str) -> QuiverSpec:
     """Parse a DSL text and validate it (including a closure dry run)."""
     name = None
     field: Field = QQ
@@ -284,11 +284,6 @@ def parse_spec(text: str, overrides: "dict[str, int] | None" = None) -> QuiverSp
 
     if name is None:
         raise DslError("missing 'coalgebra <name>' declaration", 1)
-    if overrides:
-        for key, val in overrides.items():
-            if key not in params:
-                raise DslError(f"override for unknown parameter {key!r}", 1)
-            params[key] = int(val)
 
     seen: set[str] = set()
     for decl in sorted([*vertices, *arrows, *paths], key=lambda d: d.line):

@@ -134,6 +134,13 @@ class QuiverInstance:
     declared_paths: "tuple[Path, ...]"
 
 
+# The most values one index range, the most vertices, arrows and declared
+# paths one instantiation, and the most candidate paths one all-mode
+# enumeration may hold.  An input past it is refused as an input error at
+# the line that would pass it, before the loops that would build it run.
+SIZE_BUDGET = 100_000
+
+
 def _iter_envs(ranges, params: "dict[str, int]"):
     """All assignments of the range variables, nested left to right."""
     def rec(idx: int, env: "dict[str, int]"):
@@ -143,6 +150,9 @@ def _iter_envs(ranges, params: "dict[str, int]"):
         r = ranges[idx]
         lo = _eval_expr(r.lo, {**params, **env}, r.line)
         hi = _eval_expr(r.hi, {**params, **env}, r.line)
+        if hi - lo + 1 > SIZE_BUDGET:
+            raise DslError(f"range {r.var}={lo}..{hi} has {hi - lo + 1} values, "
+                           f"more than the size budget of {SIZE_BUDGET}", r.line)
         for val in range(lo, hi + 1):
             env[r.var] = val
             yield from rec(idx + 1, env)
@@ -162,9 +172,21 @@ def instantiate(spec: QuiverSpec, n_bound: "int | None" = None) -> QuiverInstanc
             raise ValueError("family bound must be nonnegative")
         params = {k: n_bound for k in params}
 
+    size = 0
+
+    def envs(decl):
+        """The assignments of decl's ranges, each counted against the budget."""
+        nonlocal size
+        for env in _iter_envs(decl.ranges, params):
+            size += 1
+            if size > SIZE_BUDGET:
+                raise DslError(f"more than {SIZE_BUDGET} vertices, arrows and "
+                               "declared paths: past the size budget", decl.line)
+            yield env
+
     vertices: dict[tuple, Vertex] = {}
     for decl in spec.vertices:
-        for env in _iter_envs(decl.ranges, params):
+        for env in envs(decl):
             v = Vertex(decl.name, tuple(env[b] for b in decl.binders))
             key = (v.name, v.indices)
             if key in vertices:
@@ -180,7 +202,7 @@ def instantiate(spec: QuiverSpec, n_bound: "int | None" = None) -> QuiverInstanc
 
     arrows: dict[tuple, Arrow] = {}
     for decl in spec.arrows:
-        for env in _iter_envs(decl.ranges, params):
+        for env in envs(decl):
             full_env = {**params, **env}
             a = Arrow(decl.name, tuple(env[b] for b in decl.binders),
                       vertex_ref(decl.src, full_env), vertex_ref(decl.dst, full_env),
@@ -192,7 +214,7 @@ def instantiate(spec: QuiverSpec, n_bound: "int | None" = None) -> QuiverInstanc
 
     declared: list[Path] = []
     for decl in spec.extra_paths:
-        for env in _iter_envs(decl.ranges, params):
+        for env in envs(decl):
             full_env = {**params, **env}
             chain: list[Arrow] = []
             for seg in decl.segments:
@@ -288,6 +310,9 @@ def enumerate_paths(spec: QuiverSpec, n_bound: "int | None" = None,
                 if depth is not None and p.length + 1 > depth:
                     continue
                 for a in adjacency.get(p.target, []):
+                    if len(candidates) + len(longer) >= SIZE_BUDGET:
+                        raise DslError(f"more than {SIZE_BUDGET} paths in all-paths "
+                                       "mode: past the size budget", a.line)
                     chain = p.arrows + (a,)
                     label = ".".join(x.label for x in chain)
                     longer.append(Path(label, p.source, a.dst, chain))

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import json
 import re
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_coalg import LADDER_ALL as LADDER
 from test_coalg import change_basis
 
 from qcalg.cli import main
@@ -464,15 +466,8 @@ class TestCyclicAllPathsAnalysis:
         assert verdicts["right_torsion_rat"] == "holds"
 
 
-# Two parallel arrows per step: v[1]'s socle-multiplicity column reads
-# [1, 3, 3, 3] over the sweep 1..4, which is not growth.
-LADDER = """\
-coalgebra ladder
-param N = 3
-vertex v[k], k=0..N
-arrow x[k,i]: v[k-1] -> v[k], k=1..N, i=1..2
-mode all
-"""
+# LADDER has two parallel arrows per step: v[1]'s socle-multiplicity
+# column reads [1, 3, 3, 3] over the sweep 1..4, which is not growth.
 
 
 class TestShortSweeps:
@@ -495,6 +490,56 @@ class TestShortSweeps:
         assert verdicts["right_fnoetherian"] == "undecided"
 
 
+# Eight factors of N: 10**8 vertices at --N 10, 4**8 = 65536 at --N 4.
+HUGE_FAMILY = """\
+coalgebra huge
+param N = 2
+vertex v[k], k=1..N*N*N*N*N*N*N*N
+arrow e[k]: v[k] -> v[k], k=1..N*N*N*N*N*N*N*N
+"""
+
+
+class TestSizeBudget:
+    """Oversized instances exit 2 at the line that passes the budget,
+    before the loops that would build them run."""
+
+    def test_a_range_past_the_budget_is_refused_before_the_loop(self, tmp_path,
+                                                                capsys):
+        f = tmp_path / "huge.quiver"
+        f.write_text(HUGE_FAMILY)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check", str(f), "--N", "10")
+        assert time.perf_counter() - start < 2
+        assert code == 2
+        assert out == ""
+        assert "line 3, col 1: range k=1..100000000 has 100000000 values" in err
+
+    def test_the_running_count_is_refused_at_the_line_that_passes_it(
+            self, tmp_path, capsys):
+        # Each range is within the budget, but 400 * 400 vertices are not.
+        f = tmp_path / "square.quiver"
+        f.write_text("coalgebra square\nvertex u\n"
+                     "vertex v[k,i], k=1..400, i=1..400\n")
+        code, out, err = run(capsys, "check", str(f))
+        assert code == 2
+        assert out == ""
+        assert "line 3, col 1: more than 100000 vertices" in err
+
+    def test_all_paths_growth_names_the_appended_arrow(self, tmp_path, capsys):
+        f = tmp_path / "ladder.quiver"
+        f.write_text(LADDER)
+        code, out, err = run(capsys, "check", str(f), "--N", "40")
+        assert code == 2
+        assert out == ""
+        assert "line 4, col 1: more than 100000 paths in all-paths mode" in err
+
+    @pytest.mark.parametrize("name", ["ex1", "ex2"])
+    def test_builtins_at_thirty_are_within_it(self, capsys, name):
+        code, out, _ = run(capsys, "check", name, "--N", "30")
+        assert code == 0
+        assert "PASS" in out
+
+
 class TestInternalErrorHandling:
     def test_internal_check_error_exits_3(self, capsys, monkeypatch):
         from qcalg import cli as climod
@@ -507,6 +552,26 @@ class TestInternalErrorHandling:
         code, _, err = run(capsys, "analyze", "ex1", "--N", "1")
         assert code == 3
         assert "bug" in err
+
+    def test_skew_primitive_mismatch_exits_3(self, capsys, monkeypatch, ex1_spec):
+        # One arrow count off by one: the cross-check against the compiled
+        # truncation's skew primitives is the route that disagrees.
+        from qcalg.quiverlab import analyze
+        from qcalg.quiverlab.analyze import InternalCheckError
+        original = analyze.degree_tables
+
+        def bumped(spec, n):
+            tables = original(spec, n)
+            tables["pairs"][0]["count"] += 1
+            return tables
+
+        monkeypatch.setattr(analyze, "degree_tables", bumped)
+        with pytest.raises(InternalCheckError, match="skew-primitive dimension"):
+            analyze.analyze_spec(ex1_spec, 1)
+        code, out, err = run(capsys, "analyze", "ex1", "--N", "1")
+        assert code == 3
+        assert out == ""
+        assert "skew-primitive dimension" in err
 
     def test_unexpected_exception_exits_3(self, capsys, monkeypatch):
         from qcalg import cli as climod

@@ -19,7 +19,8 @@ from qcalg.coalg import (
 )
 from qcalg.comod import is_left_coideal, is_right_coideal, is_subcoalgebra
 from qcalg.exactlin import GF, QQ, Subspace, preimage
-from qcalg.quiverlab import compile_truncation
+from qcalg.quiverlab import compile_truncation, parse_spec
+from qcalg.quiverlab.registry import EX1, EX2
 from qcalg.textfmt import dumps_coalgebra, loads
 
 
@@ -287,6 +288,51 @@ class TestSkewPrimitives:
         with pytest.raises(ValueError):
             skew_primitives(basis.index_of_label("x[1]"),
                             basis.index_of_label("a"), c)
+
+
+LADDER_ALL = """\
+coalgebra ladder
+param N = 3
+vertex v[k], k=0..N
+arrow x[k,i]: v[k-1] -> v[k], k=1..N, i=1..2
+mode all
+"""
+
+# Loops at every vertex, k of them at b[k], so P_{g,g} is not zero.
+LOOPS_ALL = """\
+coalgebra loops
+param N = 3
+vertex a
+vertex b[k], k=1..N
+arrow s: a -> a
+arrow x[k]: a -> b[k], k=1..N
+arrow t[k,i]: b[k] -> b[k], k=1..N, i=1..k
+mode all
+"""
+
+
+class TestGrouplikeWedges:
+    """Taft-Wilson: kg ^ kh = kg + kh + P_{g,h} with g not in P_{g,h}."""
+
+    @pytest.mark.parametrize("text", [EX1, EX2, LADDER_ALL, LOOPS_ALL],
+                             ids=["ex1", "ex2", "ladder", "loops"])
+    @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
+    def test_wedge_dim_is_one_more_than_the_skew_primitives(self, text, field):
+        spec = replace(parse_spec(text), field=field)
+        # A cyclic all-mode quiver has no unbounded truncation.
+        depths = [1, 2, 3] if text == LOOPS_ALL else [1, 2, 3, None]
+        for bound in range(1, 5):
+            for depth in depths:
+                c, _ = compile_truncation(spec, bound, depth)
+                grouplikes = c.grouplike_indices()
+                assert set(c.grouplike_wedges) == {
+                    (g, h) for g in grouplikes for h in grouplikes}
+                for (g, h), space in c.grouplike_wedges.items():
+                    assert space.dim - 1 == skew_primitives(g, h, c).dim
+
+    def test_the_table_is_built_once(self, ex1_n1):
+        c, _ = ex1_n1
+        assert c.grouplike_wedges is c.grouplike_wedges
 
 
 def test_ideal_product_ambient_mismatch(ex1_n1):

@@ -103,12 +103,6 @@ class TestParsing:
         inst = instantiate(spec, 3)
         assert len(inst.arrows) == 6  # 1 + 2 + 3
 
-    def test_overrides(self):
-        spec = parse_spec(EX1, overrides={"N": 5})
-        assert spec.param_map() == {"N": 5}
-        with pytest.raises(DslError):
-            parse_spec(EX1, overrides={"M": 2})
-
     def test_missing_arrow_is_a_closure_error(self):
         text = "coalgebra bad\nvertex u\nvertex v\narrow x: u -> v\npath q = x . y\n"
         with pytest.raises(ClosureError) as err:
@@ -344,17 +338,20 @@ class TestInjectives:
 
 
 class TestLocallyFinite:
-    def test_ex1_holds(self, ex1_spec):
-        entry = locally_finite_verdict(ex1_spec, 3, degree_tables(ex1_spec, 3))
+    def test_ex1_holds(self, ex1_spec, ex1_n3):
+        entry = locally_finite_verdict(ex1_spec, 3, degree_tables(ex1_spec, 3),
+                                       ex1_n3[0])
         assert entry.verdict == "holds"
 
-    def test_ex2_holds(self, ex2_spec):
-        entry = locally_finite_verdict(ex2_spec, 3, degree_tables(ex2_spec, 3))
+    def test_ex2_holds(self, ex2_spec, ex2_n3):
+        entry = locally_finite_verdict(ex2_spec, 3, degree_tables(ex2_spec, 3),
+                                       ex2_n3[0])
         assert entry.verdict == "holds"
 
     def test_unbounded_pair_fails_with_witness(self):
         spec = parse_spec(UNBOUNDED)
-        entry = locally_finite_verdict(spec, 2, degree_tables(spec, 2))
+        entry = locally_finite_verdict(spec, 2, degree_tables(spec, 2),
+                                       compile_truncation(spec, 2)[0])
         assert entry.verdict == "fails"
         assert entry.witness["pair"] == ["a", "b"]
         assert entry.witness["arrow_probe_counts"] == [2, 3, 4]
@@ -566,8 +563,24 @@ class TestEachStepOnce:
         assert len(radicals) == 1
         assert compiles.count((spec, 3, None)) == 1
         assert tables == [(spec, 3)]
-        # The bundle calls the public verdict, on the one set of tables.
-        assert verdicts == [(spec, 3, degree_tables(spec, 3))]
+        # The bundle calls the public verdict, on the one set of tables and
+        # the analyzed truncation.
+        truncation, _ = compile_truncation(spec, 3)
+        assert verdicts == [(spec, 3, degree_tables(spec, 3), truncation)]
+
+    @pytest.mark.parametrize("text,wedges", [(EX1, 52), (EX2, 36)], ids=["ex1", "ex2"])
+    def test_grouplike_pair_spaces_come_from_one_table(self, text, wedges,
+                                                       patch_everywhere):
+        # Six oracle subspaces (C0, C1 and four vertex spans) give 36 wedges,
+        # 16 of them from the grouplike-pair table the cross-check read.
+        # ex1's cross-check also probes depth 1, a distinct truncation
+        # without the paths p[n], which builds its own 16-pair table.
+        spec = parse_spec(text)
+        wedge_calls = _record_calls(patch_everywhere, coalg, "wedge")
+        skew_calls = _record_calls(patch_everywhere, coalg, "skew_primitives")
+        analyze_spec(spec, 3, [1, 2], None)
+        assert skew_calls == []
+        assert len(wedge_calls) == wedges
 
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_semiperfect_enumerates_each_probe_once(self, n, ex2_spec,
