@@ -174,9 +174,11 @@ def _load_expect(name: "str | None") -> "dict | None":
     return expected
 
 
-def _parse_sweep(text: "str | None", n: int) -> "list[int]":
+def _parse_sweep(text: "str | None") -> "list[int] | None":
+    """The --sweep bounds a..b; None when the flag is absent, so the
+    analyzer's default sweep applies."""
     if text is None:
-        return list(range(1, max(2, n) + 1))
+        return None
     m = re.fullmatch(r"(\d+)\s*\.\.\s*(\d+)", text.strip())
     if not m:
         raise InputError(f"--sweep wants 'a..b', got {text!r}")
@@ -332,13 +334,13 @@ def cmd_analyze(args) -> int:
     expected = _load_expect(args.expect)
     if bundle.spec is not None:
         n = _probe_bound(bundle, args)
-        sweep = _parse_sweep(args.sweep, n)
-        results = analyze_spec(bundle.spec, n, sweep, args.depth)
+        results = analyze_spec(bundle.spec, n, _parse_sweep(args.sweep), args.depth)
     else:
-        n, sweep = None, None
+        n = None
         results = _finite_dimensional_results(bundle.coalgebra)
     doc = ReportDocument.build(bundle.name, bundle.kind, bundle.text,
-                               _base_options(bundle, args, "analyze", n=n, sweep=sweep),
+                               _base_options(bundle, args, "analyze", n=n,
+                                             sweep=results["sweep"]),
                                results)
 
     lines = [f"analyze {bundle.name} "
@@ -475,9 +477,6 @@ def _add_common(p: argparse.ArgumentParser, sweep: bool = False,
                    help="rational (default) or gf:p / gf(p)")
     p.add_argument("--json", action="store_true",
                    help="emit the canonical JSON report")
-    p.add_argument("--check", action="store_true",
-                   help="validate coalgebra axioms when loading "
-                        "structure-constants input")
     if sweep:
         p.add_argument("--sweep", default=None,
                        help="bounds a..b for the multiplicity growth sweep")
@@ -509,6 +508,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("operation",
                    choices=["wedge", "filtration", "socle", "mult", "skew", "hom"])
     _add_common(p)
+    p.add_argument("--check", action="store_true",
+                   help="validate coalgebra axioms when loading "
+                        "structure-constants input")
     p.add_argument("--x", default=None, help="subspace (labels, C<k>, V<k>, full)")
     p.add_argument("--y", default=None, help="subspace for the second wedge slot")
     p.add_argument("--g", default=None, help="grouplike label")

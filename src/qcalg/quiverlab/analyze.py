@@ -14,6 +14,12 @@ Family growth is always decided by three probes (N, N+1, N+2) requiring
 two strict increases, and is reported as witnessed growth, never as a
 proof of infinitude.  A verdict of holds always cites the rule chain
 that produced it; a verdict of fails always carries a concrete witness.
+
+``analyze_spec`` is the one route through the analyzer.  It calls each
+stage once: ``degree_tables``, ``locally_finite_verdict``, then the
+two-sided stages ``semiperfect_verdict`` and ``fnoetherian_sweep``, which
+answer both sides from one enumeration of each probe bound and one
+compiled truncation per sweep bound, and last the duality oracle.
 """
 
 from __future__ import annotations
@@ -89,20 +95,6 @@ class VerdictEntry:
         }
 
 
-@dataclass(frozen=True)
-class VerdictReport:
-    entries: "tuple[VerdictEntry, ...]"
-
-    def entry(self, criterion: str) -> VerdictEntry:
-        for e in self.entries:
-            if e.criterion == criterion:
-                return e
-        raise KeyError(criterion)
-
-    def as_dict(self) -> dict:
-        return {"verdicts": [e.as_dict() for e in self.entries]}
-
-
 # -- counting ------------------------------------------------------------------
 
 def _probe_bounds(n: int) -> "tuple[int, int, int]":
@@ -147,41 +139,22 @@ def degree_tables(spec: QuiverSpec, n: int) -> dict:
     return {"N": n, "probes": list(probes), "vertices": table, "pairs": pairs}
 
 
-def _paths_by_vertex(spec: QuiverSpec, side: str, n: int,
-                     depth: "int | None" = None) -> "list[dict[str, list[str]]]":
-    """At each probe bound, the labels of the basis paths ending at
-    (side='left') or starting at (side='right') each vertex: the bases of
-    the injective indecomposables."""
-    groups = []
+def _paths_by_vertex(spec: QuiverSpec,
+                     n: int) -> "dict[str, list[dict[str, list[str]]]]":
+    """For each side, at each probe bound, the labels of the basis paths
+    ending at (left) or starting at (right) each vertex: the bases of the
+    injective indecomposables on that side.  Each probe bound is
+    enumerated once for both sides."""
+    groups: dict[str, list] = {"left": [], "right": []}
     for bound in _probe_bounds(n):
-        by_vertex: dict[str, list[str]] = {}
-        for p in enumerate_paths(spec, bound, depth).paths:
-            anchor = p.target if side == "left" else p.source
-            by_vertex.setdefault(anchor.label, []).append(p.label)
-        groups.append(by_vertex)
+        into: dict[str, list[str]] = {}
+        out_of: dict[str, list[str]] = {}
+        for p in enumerate_paths(spec, bound).paths:
+            into.setdefault(p.target.label, []).append(p.label)
+            out_of.setdefault(p.source.label, []).append(p.label)
+        groups["left"].append(into)
+        groups["right"].append(out_of)
     return groups
-
-
-def injective_indecomposable(spec: QuiverSpec, vertex_label: str, side: str,
-                             n: int, depth: "int | None" = None) -> dict:
-    """Path basis of the injective hull of the simple at a vertex.
-
-    Right comodule: admissible paths out of the vertex; left comodule:
-    admissible paths into it.  ``growing`` is the three-probe flag.
-    """
-    known = {v.label for v in instantiate(spec, n).vertices}
-    if vertex_label not in known:
-        raise KeyError(f"unknown vertex {vertex_label!r} at bound {n}")
-    touching = [g.get(vertex_label, []) for g in _paths_by_vertex(spec, side, n, depth)]
-    counts = [len(t) for t in touching]
-    return {
-        "vertex": vertex_label,
-        "side": side,
-        "dim": counts[0],
-        "basis": touching[0],
-        "probe_counts": counts,
-        "growing": _grows(counts),
-    }
 
 
 # -- individual verdicts ---------------------------------------------------------
@@ -240,11 +213,9 @@ def locally_finite_verdict(spec: QuiverSpec, n: int, tables: dict,
         ))
 
 
-def _cycle_witness(spec: QuiverSpec, n: int, side: str) -> "dict | None":
-    """In all-paths mode a cycle makes path families infinite at fixed N."""
-    if spec.path_mode != "all":
-        return None
-    reach = reachability(instantiate(spec, n))
+def _cycle_witness(reach: "dict[str, set[str]]", side: str) -> "dict | None":
+    """In all-paths mode a cycle makes path families infinite at fixed N;
+    reach is the instance's reachability map, empty in declared mode."""
     cyclic = sorted(v for v, seen in reach.items() if v in seen)
     for v in sorted(reach):
         # side 'right' semiperfect counts paths INTO v: any cycle vertex
@@ -260,124 +231,105 @@ def _cycle_witness(spec: QuiverSpec, n: int, side: str) -> "dict | None":
     return None
 
 
-def semiperfect_verdict(spec: QuiverSpec, side: str, n: int) -> VerdictEntry:
-    """Right semiperfect: bounded path families into every vertex (left
-    injective indecomposables finite-dimensional); left mirrors with
-    paths out of every vertex."""
-    criterion = f"{side}_semiperfect"
-    hull_side = "left" if side == "right" else "right"
-    cycle = _cycle_witness(spec, n, side)
-    if cycle is not None:
-        return VerdictEntry(criterion, "fails", witness=cycle, rule_chain=())
-    groups = _paths_by_vertex(spec, hull_side, n)
-    for v in sorted(instantiate(spec, n).vertices, key=lambda v: (v.name, v.indices)):
+def _path_growth(groups: "list[dict[str, list[str]]]", vertices: list,
+                 n: int) -> "dict | None":
+    """A witness at the first vertex whose path family grows over the probes."""
+    for v in vertices:
         touching = [g.get(v.label, []) for g in groups]
         counts = [len(t) for t in touching]
         if _grows(counts):
             known = set(touching[0])
             fresh = [lab for lab in touching[1] if lab not in known]
-            return VerdictEntry(
-                criterion, "fails",
-                witness={"vertex": v.label,
-                         "path_probe_counts": counts,
-                         "probes": list(_probe_bounds(n)),
-                         "new_paths_at_next_bound": fresh[:4]},
-                rule_chain=())
-    direction = "into" if hull_side == "left" else "out of"
-    return VerdictEntry(
-        criterion, "holds", witness=None,
-        rule_chain=(
-            f"every vertex admits a bounded family of admissible paths {direction} it",
-            f"so the {hull_side} injective indecomposable comodules stay "
-            f"finite-dimensional, which is {side} semiperfectness",
-        ))
-
-
-def _sweep_vertices(spec: QuiverSpec, sweep: "list[int]") -> "list[str]":
-    """Sorted vertex labels at the smallest bound of a nonempty sweep."""
-    if not sweep:
-        raise ValueError("empty sweep")
-    return sorted(v.label for v in instantiate(spec, min(sweep)).vertices)
-
-
-def _multiplicity_columns(spec: QuiverSpec, side: str, sweep: "list[int]",
-                          depth: "int | None",
-                          vertices: "list[str]") -> "dict[str, list[dict]]":
-    """Per vertex, one row per bound of the sweep: the maximal socle
-    multiplicity of the regular comodule modulo the vertex span, and the
-    grouplike simple where it is reached."""
-    columns: dict[str, list] = {v: [] for v in vertices}
-    for bound in sweep:
-        coalgebra, _ = compile_truncation(spec, bound, depth)
-        reg = regular_comodule(coalgebra, side)
-        for vlabel in vertices:
-            quot, _ = quotient_with_projection(reg, coalgebra.span_of_labels([vlabel]))
-            best, best_simple = 0, None
-            for simple, mult in multiplicity_table(quot).items():
-                if mult > best:
-                    best, best_simple = mult, simple
-            columns[vlabel].append(
-                {"N": bound, "max_multiplicity": best, "at_simple": best_simple})
-    return columns
-
-
-def _growth_witness(vlabel: str, rows: "list[dict]") -> "dict | None":
-    """A refutation witness if the multiplicity column grows strictly over
-    at least three bounds: two strict increases, as for the probes."""
-    values = [row["max_multiplicity"] for row in rows]
-    if len(values) >= 3 and all(a < b for a, b in zip(values, values[1:])):
-        return {"quotient_by": vlabel, "table": rows,
-                "note": "maximal socle multiplicity grows strictly along "
-                        "the sweep; the simple-to-coalgebra multiplicity "
-                        "ratio is unbounded"}
+            return {"vertex": v.label,
+                    "path_probe_counts": counts,
+                    "probes": list(_probe_bounds(n)),
+                    "new_paths_at_next_bound": fresh[:4]}
     return None
 
 
-def fnoetherian_sweep(spec: QuiverSpec, side: str, sweep: "list[int]",
-                      depth: "int | None" = None) -> dict:
-    """Socle-multiplicity growth tables for single-vertex quotients.
+def semiperfect_verdict(spec: QuiverSpec, n: int) -> "dict[str, VerdictEntry]":
+    """Right semiperfect: bounded path families into every vertex (left
+    injective indecomposables finite-dimensional); left mirrors with
+    paths out of every vertex.
 
-    For each bound in the sweep, compiles the truncation, quotients the
-    regular comodule by each vertex span, and records the maximal socle
-    multiplicity over the grouplike simples.  The multiplicities are the
-    weight-space dimensions of ``multiplicity_table``: one shared kernel
-    for the coaction rows at non-grouplike indices, then one small system
-    per grouplike on that kernel's coordinates.  A column increasing
-    strictly over at least three bounds is a refutation witness; absence
-    of growth never proves the property.
+    Both sides read one instance at n, one reachability map and one
+    enumeration per probe bound.  A cycle fails both sides, so the probes
+    are enumerated only when some side has no cycle witness (an all-paths
+    cyclic quiver has no unbounded enumeration).
     """
-    base_vertices = _sweep_vertices(spec, sweep)
-    columns = _multiplicity_columns(spec, side, sweep, depth, base_vertices)
-    witnesses = (_growth_witness(v, columns[v]) for v in base_vertices)
-    witness = next((w for w in witnesses if w is not None), None)
-    return {"side": side, "sweep": list(sweep), "tables": columns, "witness": witness}
+    instance = instantiate(spec, n)
+    reach = reachability(instance) if spec.path_mode == "all" else {}
+    cycles = {side: _cycle_witness(reach, side) for side in ("right", "left")}
+    groups = _paths_by_vertex(spec, n) if None in cycles.values() else None
+    ordered = sorted(instance.vertices, key=lambda v: (v.name, v.indices))
+    verdicts: dict[str, VerdictEntry] = {}
+    for side, cycle in cycles.items():
+        criterion = f"{side}_semiperfect"
+        hull_side = "left" if side == "right" else "right"
+        witness = cycle or _path_growth(groups[hull_side], ordered, n)
+        if witness is not None:
+            verdicts[side] = VerdictEntry(criterion, "fails", witness=witness,
+                                          rule_chain=())
+            continue
+        direction = "into" if hull_side == "left" else "out of"
+        verdicts[side] = VerdictEntry(
+            criterion, "holds", witness=None,
+            rule_chain=(
+                f"every vertex admits a bounded family of admissible paths {direction} it",
+                f"so the {hull_side} injective indecomposable comodules stay "
+                f"finite-dimensional, which is {side} semiperfectness",
+            ))
+    return verdicts
 
 
-def fnoetherian_witness(spec: QuiverSpec, x_vertex: str, side: str,
-                        sweep: "list[int]",
-                        depth: "int | None" = None) -> "tuple[list[dict], VerdictEntry]":
-    """Growth table for one single-vertex quotient, plus its verdict entry.
+def _growth_witness(columns: "dict[str, list[dict]]") -> "dict | None":
+    """A refutation witness at the first vertex whose multiplicity column
+    grows strictly over at least three bounds: two strict increases, as
+    for the probes."""
+    for vlabel, rows in columns.items():
+        values = [row["max_multiplicity"] for row in rows]
+        if len(values) >= 3 and all(a < b for a, b in zip(values, values[1:])):
+            return {"quotient_by": vlabel, "table": rows,
+                    "note": "maximal socle multiplicity grows strictly along "
+                            "the sweep; the simple-to-coalgebra multiplicity "
+                            "ratio is unbounded"}
+    return None
 
-    fails on a table increasing strictly over at least three bounds (a
-    refutation witness); holds is never concluded here because the
-    underlying property quantifies over infinitely many quotients, so the
-    best a sweep can do is refute.  Use torsion_rat_verdict for the
-    structural holds rules.
+
+def fnoetherian_sweep(spec: QuiverSpec, sweep: "list[int]",
+                      depth: "int | None") -> dict:
+    """Socle-multiplicity growth tables for single-vertex quotients, per side.
+
+    Each bound in the sweep is compiled once; for both sides, the regular
+    comodule is quotiented by each vertex span and the maximal socle
+    multiplicity over the grouplike simples recorded, with the simple
+    where it is reached.  The multiplicities are the weight-space
+    dimensions of ``multiplicity_table``: one shared kernel for the
+    coaction rows at non-grouplike indices, then one small system per
+    grouplike on that kernel's coordinates.  The vertices are those at the
+    smallest bound.  A column increasing strictly over at least three
+    bounds is a refutation witness; absence of growth never proves the
+    property.
     """
-    if x_vertex not in _sweep_vertices(spec, sweep):
-        raise KeyError(f"unknown vertex {x_vertex!r} at bound {min(sweep)}")
-    rows = _multiplicity_columns(spec, side, sweep, depth, [x_vertex])[x_vertex]
-    witness = _growth_witness(x_vertex, rows)
-    criterion = f"{side}_fnoetherian"
-    if witness is not None:
-        entry = VerdictEntry(criterion, "fails", witness=witness, rule_chain=())
-    else:
-        entry = VerdictEntry(
-            criterion, "undecided", witness=None,
-            rule_chain=("no growth witness at this vertex; only the "
-                        "structural rules can conclude that the property "
-                        "holds",))
-    return rows, entry
+    if not sweep:
+        raise ValueError("empty sweep")
+    vertices = sorted(v.label for v in instantiate(spec, min(sweep)).vertices)
+    tables = {side: {v: [] for v in vertices} for side in ("left", "right")}
+    for bound in sweep:
+        coalgebra, _ = compile_truncation(spec, bound, depth)
+        for side, columns in tables.items():
+            reg = regular_comodule(coalgebra, side)
+            for vlabel in vertices:
+                quot, _ = quotient_with_projection(reg, coalgebra.span_of_labels([vlabel]))
+                best, best_simple = 0, None
+                for simple, mult in multiplicity_table(quot).items():
+                    if mult > best:
+                        best, best_simple = mult, simple
+                columns[vlabel].append(
+                    {"N": bound, "max_multiplicity": best, "at_simple": best_simple})
+    return {side: {"side": side, "sweep": list(sweep), "tables": columns,
+                   "witness": _growth_witness(columns)}
+            for side, columns in tables.items()}
 
 
 # -- the rule chain ---------------------------------------------------------------
@@ -411,26 +363,49 @@ def _duality_oracle(coalgebra: Coalgebra, chain: FiltrationChain) -> dict:
     return {"pairs_checked": checked, "subspaces": sorted(subspaces)}
 
 
-def _verdict_bundle(spec: QuiverSpec, n: int, sweep: "list[int] | None",
-                    depth: "int | None", coalgebra: Coalgebra,
-                    filtration: FiltrationChain) -> dict:
-    """Shared engine: verdict vector plus the tables that produced it.
+def filtration_report(coalgebra: Coalgebra, chain: FiltrationChain) -> dict:
+    """Report entries for the coradical filtration and the socle (Loewy)
+    series of the regular right comodule.  The two are independent routes
+    to the same dimensions, so a disagreement raises."""
+    loewy = loewy_series(regular_comodule(coalgebra, "right"))
+    if loewy.dims() != chain.dims():
+        raise InternalCheckError(
+            f"coradical filtration dims {chain.dims()} disagree with the "
+            f"regular right comodule's socle series dims {loewy.dims()}")
+    return {
+        "filtration": {"dims": list(chain.dims()),
+                       "stabilized_at": chain.stabilized_at},
+        "loewy_right": {"dims": list(loewy.dims()),
+                        "stabilized_at": loewy.stabilized_at},
+    }
 
-    coalgebra is the (n, depth) truncation and filtration its coradical
-    filtration; the duality oracle reads both.
+
+def analyze_spec(spec: QuiverSpec, n: int, sweep: "list[int] | None" = None,
+                 depth: "int | None" = None) -> dict:
+    """Everything the analyze command reports, as one JSON-friendly dict.
+
+    The analyzer's one route: it compiles the (n, depth) truncation once,
+    runs each verdict stage once (the two-sided stages answer both sides)
+    and passes the truncation and its coradical filtration to the stages
+    that read them.  sweep None means the bounds 1..max(2, n).
 
     holds conclusions only ever come from the structural rules; growth
     sweeps can only refute.  Conflicts between the two routes raise.
     """
+    coalgebra, basis = compile_truncation(spec, n, depth)
+    axioms = check_axioms(coalgebra)
+    if not axioms.ok:
+        raise InternalCheckError(
+            f"compiled truncation violates the coalgebra axioms: {axioms.first()}")
+    filtration = coradical_filtration(coalgebra)
     sweep = sweep or list(range(1, max(2, n) + 1))
     tables = degree_tables(spec, n)
     lf = locally_finite_verdict(spec, n, tables, coalgebra)
-    right_sp = semiperfect_verdict(spec, "right", n)
-    left_sp = semiperfect_verdict(spec, "left", n)
+    semiperfect = semiperfect_verdict(spec, n)
+    right_sp, left_sp = semiperfect["right"], semiperfect["left"]
     in_bounded = all(not v["in_growing"] for v in tables["vertices"].values())
     out_bounded = all(not v["out_growing"] for v in tables["vertices"].values())
-    sweeps = {side: fnoetherian_sweep(spec, side, sweep, depth)
-              for side in ("left", "right")}
+    sweeps = fnoetherian_sweep(spec, sweep, depth)
 
     entries = [lf, right_sp, left_sp]
 
@@ -455,12 +430,10 @@ def _verdict_bundle(spec: QuiverSpec, n: int, sweep: "list[int] | None",
         if refuted and structural:
             raise InternalCheckError(
                 f"{criterion}: a structural rule and a growth witness disagree")
-        if refuted:
-            fn_entries[side] = VerdictEntry(criterion, "fails", witness=refuted,
-                                            rule_chain=())
-        elif structural:
-            fn_entries[side] = VerdictEntry(criterion, "holds", witness=None,
-                                            rule_chain=structural)
+        if refuted or structural:
+            fn_entries[side] = VerdictEntry(
+                criterion, "fails" if refuted else "holds", witness=refuted,
+                rule_chain=structural)
         else:
             fn_entries[side] = VerdictEntry(
                 criterion, "undecided", witness=None,
@@ -473,10 +446,8 @@ def _verdict_bundle(spec: QuiverSpec, n: int, sweep: "list[int] | None",
     for side in ("left", "right"):
         criterion = f"{side}_torsion_rat"
         if lf.verdict == "fails":
-            entries.append(VerdictEntry(
-                criterion, "fails",
-                witness=lf.witness,
-                rule_chain=()))
+            entries.append(VerdictEntry(criterion, "fails", witness=lf.witness,
+                                        rule_chain=()))
             continue
         chain: list[str] = []
         if right_sp.verdict == "holds":
@@ -520,58 +491,16 @@ def _verdict_bundle(spec: QuiverSpec, n: int, sweep: "list[int] | None",
             rule_chain=("local finiteness is undecided, so the product-closure "
                         "test has no basis",)))
 
-    report = VerdictReport(tuple(entries))
-    if tuple(e.criterion for e in report.entries) != CRITERIA:
+    if tuple(e.criterion for e in entries) != CRITERIA:
         raise InternalCheckError("verdict entries out of order")
-    return {"report": report, "degree_tables": tables, "sweeps": sweeps,
-            "sweep": sweep}
-
-
-def torsion_rat_verdict(spec: QuiverSpec, n: int,
-                        sweep: "list[int] | None" = None,
-                        depth: "int | None" = None) -> VerdictReport:
-    """Verdict vector for the torsion/F-Noetherian/semiperfect battery."""
-    coalgebra, _ = compile_truncation(spec, n, depth)
-    bundle = _verdict_bundle(spec, n, sweep, depth, coalgebra,
-                             coradical_filtration(coalgebra))
-    return bundle["report"]
-
-
-def filtration_report(coalgebra: Coalgebra, chain: FiltrationChain) -> dict:
-    """Report entries for the coradical filtration and the socle (Loewy)
-    series of the regular right comodule.  The two are independent routes
-    to the same dimensions, so a disagreement raises."""
-    loewy = loewy_series(regular_comodule(coalgebra, "right"))
-    if loewy.dims() != chain.dims():
-        raise InternalCheckError(
-            f"coradical filtration dims {chain.dims()} disagree with the "
-            f"regular right comodule's socle series dims {loewy.dims()}")
-    return {
-        "filtration": {"dims": list(chain.dims()),
-                       "stabilized_at": chain.stabilized_at},
-        "loewy_right": {"dims": list(loewy.dims()),
-                        "stabilized_at": loewy.stabilized_at},
-    }
-
-
-def analyze_spec(spec: QuiverSpec, n: int, sweep: "list[int] | None" = None,
-                 depth: "int | None" = None) -> dict:
-    """Everything the analyze command reports, as one JSON-friendly dict."""
-    coalgebra, basis = compile_truncation(spec, n, depth)
-    axioms = check_axioms(coalgebra)
-    if not axioms.ok:
-        raise InternalCheckError(
-            f"compiled truncation violates the coalgebra axioms: {axioms.first()}")
-    chain = coradical_filtration(coalgebra)
-    bundle = _verdict_bundle(spec, n, sweep, depth, coalgebra, chain)
     return {
         "N": n,
         "depth": depth,
-        "sweep": bundle["sweep"],
+        "sweep": sweep,
         "dim": coalgebra.dim,
         "basis": list(basis.labels()),
-        **filtration_report(coalgebra, chain),
-        "degree_tables": bundle["degree_tables"],
-        "fnoetherian_sweep": bundle["sweeps"],
-        "verdicts": [e.as_dict() for e in bundle["report"].entries],
+        **filtration_report(coalgebra, filtration),
+        "degree_tables": tables,
+        "fnoetherian_sweep": sweeps,
+        "verdicts": [e.as_dict() for e in entries],
     }

@@ -142,8 +142,15 @@ SIZE_BUDGET = 100_000
 
 
 def _iter_envs(ranges, params: "dict[str, int]"):
-    """All assignments of the range variables, nested left to right."""
+    """All assignments of the range variables, nested left to right.
+
+    Every value given to a range other than the innermost counts against
+    the size budget, so nested ranges that yield few or no assignments
+    still cannot walk without bound."""
+    walked = 0
+
     def rec(idx: int, env: "dict[str, int]"):
+        nonlocal walked
         if idx == len(ranges):
             yield dict(env)
             return
@@ -154,6 +161,12 @@ def _iter_envs(ranges, params: "dict[str, int]"):
             raise DslError(f"range {r.var}={lo}..{hi} has {hi - lo + 1} values, "
                            f"more than the size budget of {SIZE_BUDGET}", r.line)
         for val in range(lo, hi + 1):
+            if idx < len(ranges) - 1:
+                walked += 1
+                if walked > SIZE_BUDGET:
+                    raise DslError(f"the ranges enclosing {ranges[-1].var} take "
+                                   f"more than {SIZE_BUDGET} values: past the size budget",
+                                   r.line)
             env[r.var] = val
             yield from rec(idx + 1, env)
         env.pop(r.var, None)

@@ -210,6 +210,28 @@ class TestExitCodes:
         assert exc.value.code == 2
 
 
+class TestCheckFlag:
+    """--check validates structure-constants input as it loads; only
+    compute reads it (check and analyze always check the axioms)."""
+
+    @pytest.mark.parametrize("command", ["check", "analyze"])
+    def test_check_and_analyze_refuse_it(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "ex1", "--check"])
+        assert exc.value.code == 2
+        assert "--check" in capsys.readouterr().err
+
+    def test_compute_validates_on_load(self, capsys):
+        code, out, err = run(capsys, "compute", "mutant-ex1", "filtration", "--check")
+        assert code == 2 and out == ""
+        assert "coalgebra axioms fail: coassociativity fails on p[1]" in err
+        code, _, _ = run(capsys, "compute", "mutant-ex1", "filtration")
+        assert code == 0
+        code, out, _ = run(capsys, "compute", "ex1", "filtration", "--check", "--json")
+        assert code == 0
+        assert json.loads(out)["results"]["operation"] == "filtration"
+
+
 class TestInputFaults:
     """Faults in what the user passed exit 2 with a message, never 3."""
 
@@ -532,6 +554,20 @@ class TestSizeBudget:
         assert code == 2
         assert out == ""
         assert "line 4, col 1: more than 100000 paths in all-paths mode" in err
+
+    def test_nested_ranges_that_yield_nothing_are_refused(self, tmp_path, capsys):
+        # The innermost range is empty, so no vertex is ever counted; the
+        # values the outer ranges take are.
+        f = tmp_path / "escape.quiver"
+        f.write_text("coalgebra esc\n"
+                     "vertex v[k,j,i], k=1..90000, j=1..90000, i=1..0\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check", str(f))
+        assert time.perf_counter() - start < 5
+        assert code == 2
+        assert out == ""
+        assert ("line 2, col 1: the ranges enclosing i take more than 100000 "
+                "values") in err
 
     @pytest.mark.parametrize("name", ["ex1", "ex2"])
     def test_builtins_at_thirty_are_within_it(self, capsys, name):

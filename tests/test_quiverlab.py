@@ -20,13 +20,12 @@ from qcalg.quiverlab import (
 )
 from qcalg.quiverlab import analyze, paths
 from qcalg.quiverlab.analyze import (
+    _paths_by_vertex,
     analyze_spec,
     degree_tables,
     fnoetherian_sweep,
-    injective_indecomposable,
     locally_finite_verdict,
     semiperfect_verdict,
-    torsion_rat_verdict,
 )
 from qcalg.quiverlab.registry import EX1, EX2, builtin_names, builtin_text
 
@@ -317,24 +316,25 @@ class TestDegreeTables:
         assert not pair[("a", "b[3]")]["growing"]
 
 
+def hull_bases(spec, side: str, vertex: str, n: int) -> "list[list[str]]":
+    """The basis of the side's injective indecomposable at a vertex, at
+    each probe bound, from the path groups the semiperfect verdict reads."""
+    return [g.get(vertex, []) for g in _paths_by_vertex(spec, n)[side]]
+
+
 class TestInjectives:
     def test_ex2_sink_hull_is_finite(self, ex2_spec):
-        hull = injective_indecomposable(ex2_spec, "b[2]", "left", 3)
-        assert hull["dim"] == 3
-        assert hull["basis"] == ["b[2]", "x[2,1]", "x[2,2]"]
-        assert not hull["growing"]
+        bases = hull_bases(ex2_spec, "left", "b[2]", 3)
+        assert bases[0] == ["b[2]", "x[2,1]", "x[2,2]"]
+        assert [len(b) for b in bases] == [3, 3, 3]
 
     def test_ex2_source_hull_grows(self, ex2_spec):
-        hull = injective_indecomposable(ex2_spec, "a", "right", 3)
-        assert hull["growing"]
+        bases = hull_bases(ex2_spec, "right", "a", 3)
+        assert [len(b) for b in bases] == [7, 11, 16]
 
     def test_isolated_vertex(self):
-        hull = injective_indecomposable(parse_spec(SINGLE), "only", "left", 1)
-        assert hull["dim"] == 1 and not hull["growing"]
-
-    def test_unknown_vertex(self, ex1_spec):
-        with pytest.raises(KeyError):
-            injective_indecomposable(ex1_spec, "zz", "left", 2)
+        bases = hull_bases(parse_spec(SINGLE), "left", "only", 1)
+        assert bases == [["only"], ["only"], ["only"]]
 
 
 class TestLocallyFinite:
@@ -359,25 +359,26 @@ class TestLocallyFinite:
 
 class TestSemiperfect:
     def test_ex2_sides(self, ex2_spec):
-        assert semiperfect_verdict(ex2_spec, "right", 3).verdict == "holds"
-        left = semiperfect_verdict(ex2_spec, "left", 3)
+        verdicts = semiperfect_verdict(ex2_spec, 3)
+        assert verdicts["right"].verdict == "holds"
+        left = verdicts["left"]
         assert left.verdict == "fails"
         assert left.witness["vertex"] == "a"
 
     def test_ex1_fails_both_sides_at_the_hub(self, ex1_spec):
-        for side in ("left", "right"):
-            entry = semiperfect_verdict(ex1_spec, side, 3)
+        for side, entry in semiperfect_verdict(ex1_spec, 3).items():
+            assert entry.criterion == f"{side}_semiperfect"
             assert entry.verdict == "fails"
             assert entry.witness["vertex"] == "a"
 
     def test_single_vertex_holds(self):
-        spec = parse_spec(SINGLE)
-        for side in ("left", "right"):
-            assert semiperfect_verdict(spec, side, 1).verdict == "holds"
+        verdicts = semiperfect_verdict(parse_spec(SINGLE), 1)
+        assert list(verdicts) == ["right", "left"]
+        assert all(entry.verdict == "holds" for entry in verdicts.values())
 
     def test_cycle_makes_path_families_infinite(self):
         spec = parse_spec(LOOP)
-        entry = semiperfect_verdict(spec, "right", 1)
+        entry = semiperfect_verdict(spec, 1)["right"]
         assert entry.verdict == "fails"
         assert "cycle" in entry.witness["note"]
 
@@ -386,36 +387,54 @@ class TestSemiperfect:
         (CYCLE_INTO_LOOP, ("x", "x"), ("w", "x")),
     ])
     def test_cycle_witness_vertices(self, text, right, left):
-        spec = parse_spec(text)
+        verdicts = semiperfect_verdict(parse_spec(text), 1)
         for side, want in (("right", right), ("left", left)):
-            witness = semiperfect_verdict(spec, side, 1).witness
+            witness = verdicts[side].witness
             assert (witness["vertex"], witness["cycle_through"]) == want
 
 
 class TestFNoetherianSweep:
     def test_ex2_right_refuted_with_growing_table(self, ex2_spec):
-        sweep = fnoetherian_sweep(ex2_spec, "right", [1, 2, 3, 4, 5])
+        sweep = fnoetherian_sweep(ex2_spec, [1, 2, 3, 4, 5], None)["right"]
+        assert (sweep["side"], sweep["sweep"]) == ("right", [1, 2, 3, 4, 5])
         witness = sweep["witness"]
         assert witness is not None and witness["quotient_by"] == "a"
         assert [row["max_multiplicity"] for row in witness["table"]] == [2, 3, 4, 5, 6]
 
     def test_ex2_left_finds_no_growth(self, ex2_spec):
-        assert fnoetherian_sweep(ex2_spec, "left", [1, 2, 3, 4])["witness"] is None
+        assert fnoetherian_sweep(ex2_spec, [1, 2, 3, 4], None)["left"]["witness"] is None
 
     def test_ex1_finds_no_growth_either_side(self, ex1_spec):
-        for side in ("left", "right"):
-            assert fnoetherian_sweep(ex1_spec, side, [1, 2, 3])["witness"] is None
+        sweeps = fnoetherian_sweep(ex1_spec, [1, 2, 3], None)
+        assert [sweep["side"] for sweep in sweeps.values()] == ["left", "right"]
+        assert all(sweep["witness"] is None for sweep in sweeps.values())
 
     def test_single_vertex_constant_table(self):
-        sweep = fnoetherian_sweep(parse_spec(SINGLE), "right", [1, 2, 3])
+        sweep = fnoetherian_sweep(parse_spec(SINGLE), [1, 2, 3], None)["right"]
         assert sweep["witness"] is None
         assert [r["max_multiplicity"] for r in sweep["tables"]["only"]] == [0, 0, 0]
+
+    def test_two_bounds_are_not_growth(self, ex2_spec):
+        # Growth needs two strict increases, as for the three probes.
+        sweep = fnoetherian_sweep(ex2_spec, [1, 2], None)["right"]
+        assert [r["max_multiplicity"] for r in sweep["tables"]["a"]] == [2, 3]
+        assert sweep["witness"] is None
+        assert fnoetherian_sweep(ex2_spec, [1, 2, 3], None)["right"]["witness"] is not None
+
+    def test_an_empty_sweep_is_refused(self, ex2_spec):
+        with pytest.raises(ValueError, match="empty sweep"):
+            fnoetherian_sweep(ex2_spec, [], None)
+
+
+def verdict_entries(spec, n: int, sweep: "list[int]") -> "dict[str, dict]":
+    """The verdict entries of one analysis, by criterion."""
+    return {e["criterion"]: e for e in analyze_spec(spec, n, sweep)["verdicts"]}
 
 
 class TestTorsionRatChain:
     def test_ex2_vector(self, ex2_spec):
-        report = torsion_rat_verdict(ex2_spec, 3, [1, 2, 3, 4, 5])
-        got = {e.criterion: e.verdict for e in report.entries}
+        entries = verdict_entries(ex2_spec, 3, [1, 2, 3, 4, 5])
+        got = {c: e["verdict"] for c, e in entries.items()}
         assert got == {
             "locally_finite": "holds",
             "right_semiperfect": "holds",
@@ -426,34 +445,33 @@ class TestTorsionRatChain:
             "right_torsion_rat": "holds",
             "coreflexive": "holds",
         }
-        assert "assumption" in report.entry("coreflexive").witness
+        assert "assumption" in entries["coreflexive"]["witness"]
 
     def test_ex1_reports_undecided_sides(self, ex1_spec):
-        report = torsion_rat_verdict(ex1_spec, 3, [1, 2, 3])
-        got = {e.criterion: e.verdict for e in report.entries}
+        entries = verdict_entries(ex1_spec, 3, [1, 2, 3])
+        got = {c: e["verdict"] for c, e in entries.items()}
         assert got["locally_finite"] == "holds"
         assert got["left_fnoetherian"] == "undecided"
         assert got["right_fnoetherian"] == "undecided"
         assert got["left_torsion_rat"] == "undecided"
         assert got["right_torsion_rat"] == "undecided"
         for side in ("left", "right"):
-            entry = report.entry(f"{side}_torsion_rat")
-            assert entry.rule_chain  # undecided still explains itself
+            entry = entries[f"{side}_torsion_rat"]
+            assert entry["rule_chain"]  # undecided still explains itself
 
     def test_unbounded_family_fails_torsion_via_local_finiteness(self):
-        report = torsion_rat_verdict(parse_spec(UNBOUNDED), 2, [1, 2, 3])
-        assert report.entry("locally_finite").verdict == "fails"
-        assert report.entry("left_torsion_rat").verdict == "fails"
-        assert report.entry("right_torsion_rat").verdict == "fails"
-        assert report.entry("coreflexive").verdict == "fails"
+        entries = verdict_entries(parse_spec(UNBOUNDED), 2, [1, 2, 3])
+        assert entries["locally_finite"]["verdict"] == "fails"
+        assert entries["left_torsion_rat"]["verdict"] == "fails"
+        assert entries["right_torsion_rat"]["verdict"] == "fails"
+        assert entries["coreflexive"]["verdict"] == "fails"
 
     def test_holds_entries_carry_rule_chains(self, ex2_spec):
-        report = torsion_rat_verdict(ex2_spec, 2, [1, 2])
-        for entry in report.entries:
-            if entry.verdict == "holds":
-                assert entry.rule_chain
-            if entry.verdict == "fails":
-                assert entry.witness is not None
+        for entry in verdict_entries(ex2_spec, 2, [1, 2]).values():
+            if entry["verdict"] == "holds":
+                assert entry["rule_chain"]
+            if entry["verdict"] == "fails":
+                assert entry["witness"] is not None
 
 
 class TestRegistry:
@@ -466,42 +484,6 @@ class TestRegistry:
         from qcalg.textfmt import loads
         loaded = loads(text1)
         assert not check_axioms(loaded.coalgebra).ok
-
-
-class TestFNoetherianWitnessOp:
-    def test_ex2_right_at_a_refutes(self, ex2_spec):
-        from qcalg.quiverlab.analyze import fnoetherian_witness
-        rows, entry = fnoetherian_witness(ex2_spec, "a", "right", [1, 2, 3, 4, 5])
-        assert [r["max_multiplicity"] for r in rows] == [2, 3, 4, 5, 6]
-        assert entry.verdict == "fails"
-        assert entry.witness["quotient_by"] == "a"
-
-    def test_ex2_left_at_a_undecided(self, ex2_spec):
-        from qcalg.quiverlab.analyze import fnoetherian_witness
-        rows, entry = fnoetherian_witness(ex2_spec, "a", "left", [1, 2, 3])
-        assert entry.verdict == "undecided"
-        assert entry.rule_chain
-
-    def test_single_vertex_constant_table(self):
-        from qcalg.quiverlab.analyze import fnoetherian_witness
-        rows, entry = fnoetherian_witness(parse_spec(SINGLE), "only", "right",
-                                          [1, 2, 3])
-        assert [r["max_multiplicity"] for r in rows] == [0, 0, 0]
-        assert entry.verdict == "undecided"
-
-    def test_unknown_vertex(self, ex1_spec):
-        from qcalg.quiverlab.analyze import fnoetherian_witness
-        with pytest.raises(KeyError):
-            fnoetherian_witness(ex1_spec, "zz", "left", [1, 2])
-
-    def test_two_bounds_are_not_growth(self, ex2_spec):
-        # Growth needs two strict increases, as for the three probes.
-        from qcalg.quiverlab.analyze import fnoetherian_witness
-        rows, entry = fnoetherian_witness(ex2_spec, "a", "right", [1, 2])
-        assert [r["max_multiplicity"] for r in rows] == [2, 3]
-        assert entry.verdict == "undecided"
-        assert fnoetherian_sweep(ex2_spec, "right", [1, 2])["witness"] is None
-        assert fnoetherian_sweep(ex2_spec, "right", [1, 2, 3])["witness"] is not None
 
 
 class TestPrimeFieldSpecs:
@@ -526,8 +508,8 @@ class TestPrimeFieldSpecs:
 
 class TestSingleVertexAnalysis:
     def test_everything_holds_trivially(self):
-        report = torsion_rat_verdict(parse_spec(SINGLE), 1, [1, 2])
-        assert {e.verdict for e in report.entries} == {"holds"}
+        entries = verdict_entries(parse_spec(SINGLE), 1, [1, 2])
+        assert {e["verdict"] for e in entries.values()} == {"holds"}
 
 
 def _record_calls(patch_everywhere, module, name) -> list:
@@ -568,6 +550,21 @@ class TestEachStepOnce:
         truncation, _ = compile_truncation(spec, 3)
         assert verdicts == [(spec, 3, degree_tables(spec, 3), truncation)]
 
+    @pytest.mark.parametrize("text,count", [(EX1, 5), (EX2, 4)], ids=["ex1", "ex2"])
+    def test_analyze_compiles_each_truncation_once(self, text, count,
+                                                   patch_everywhere):
+        # The analyzed truncation, one per cross-check depth (ex1 probes
+        # depths 1 and 2, ex2 depth 1) and one per sweep bound, which
+        # serves both sides.
+        spec = parse_spec(text)
+        compiles = _record_calls(patch_everywhere, paths, "compile_truncation")
+        stages = [_record_calls(patch_everywhere, analyze, name)
+                  for name in ("semiperfect_verdict", "fnoetherian_sweep")]
+        analyze_spec(spec, 3, [1, 2], None)
+        assert len(compiles) == count
+        assert all(compiles.count(call) == 1 for call in compiles)
+        assert stages == [[(spec, 3)], [(spec, [1, 2], None)]]
+
     @pytest.mark.parametrize("text,wedges", [(EX1, 52), (EX2, 36)], ids=["ex1", "ex2"])
     def test_grouplike_pair_spaces_come_from_one_table(self, text, wedges,
                                                        patch_everywhere):
@@ -587,7 +584,7 @@ class TestEachStepOnce:
                                                     patch_everywhere):
         enumerations = _record_calls(patch_everywhere, paths, "enumerate_paths")
         for spec in (ex2_spec, parse_spec(SINGLE)):
-            for side in ("left", "right"):
-                enumerations.clear()
-                semiperfect_verdict(spec, side, n)
-                assert [call[1] for call in enumerations] == [n, n + 1, n + 2]
+            enumerations.clear()
+            semiperfect_verdict(spec, n)
+            assert [call[1:] for call in enumerations] == [
+                (n, None), (n + 1, None), (n + 2, None)]

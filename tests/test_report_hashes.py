@@ -1,0 +1,114 @@
+"""Report bytes pinned by hash.
+
+Each case runs ``main()`` in process and compares the SHA-256 of its
+stdout, and its exit code, with values recorded before the analyzer was
+restructured.  A refactor that changes no output keeps every hash; a
+change that is meant to alter a report must re-record the hash of that
+case and say why.  Input files are written under fixed relative names,
+since the report names its input.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+from test_coalg import LADDER_ALL, change_basis
+
+from qcalg.cli import main
+from qcalg.textfmt import dumps_coalgebra
+
+LOOP_ALL = """\
+coalgebra loop
+vertex a
+vertex b
+arrow f: a -> b
+arrow g: b -> a
+mode all
+"""
+
+# n*n parallel arrows a -> b[n] and n arrows back from b[1]: every
+# F-Noetherian sweep finds growth and local finiteness fails.
+GROWING = """\
+coalgebra growing
+field rational
+param N = 3
+vertex a
+vertex b[n], n=1..N
+arrow x[n,i]: a -> b[n], n=1..N, i=1..N
+arrow y[i]: b[1] -> a, i=1..N
+mode declared
+"""
+
+# The fan a -> b[n] (n parallel arrows) with every arrow reversed.
+FLIPPED_FAN = """\
+coalgebra fan
+field rational
+param N = 3
+vertex a
+vertex b[n], n=1..N
+arrow x[n,i]: b[n] -> a, n=1..N, i=1..n
+mode declared
+"""
+
+FILES = {"ladder.quiver": LADDER_ALL, "loop.quiver": LOOP_ALL,
+         "growing.quiver": GROWING, "fan.quiver": FLIPPED_FAN}
+
+# (argv, exit code, sha256 of stdout); "ex1-n2.sc" is ex1 at N=2 in a
+# changed basis with integer coefficients.
+CASES = [
+    (("analyze", "ex1", "--N", "5", "--json"), 0,
+     "34b430f3cc6940b26bf1f191959083fb2bf3b032ba6d84efd1f52fc38928bc7a"),
+    (("analyze", "ex2", "--N", "5", "--json"), 0,
+     "2ab36704a04e6f8ca5cc97ea4c79db9d62239554c78233f169f1d1b6af458cf3"),
+    (("analyze", "ex1", "--N", "5", "--json", "--field", "gf(101)"), 0,
+     "f1bcd1cd6e27f44da09e67c94dfb381d4302b541551e383492cda36b24173340"),
+    (("analyze", "ex2", "--N", "5", "--json", "--field", "gf(101)"), 0,
+     "1d63f0d6f7116bf3d8b6b6d8d4982e5f7e4f0269bbd35188ddd61c34b354f1b6"),
+    (("analyze", "ex2", "--sweep", "1..5", "--json"), 0,
+     "0f63d312832451e02ed344a6fe81de8a076796c1314745bc26fdec6d53eb2dbc"),
+    (("analyze", "ex2", "--N", "1", "--json"), 0,
+     "182797df98660e941b051a527cbc96bb7580f1ea47ae763798258dc53fe4a479"),
+    (("analyze", "ex1", "--N", "3", "--depth", "1", "--json"), 0,
+     "626d8d52e202c097ae5bcd28574b48fde87c9ba0de0de72378246d8e4ae131e3"),
+    (("analyze", "ex1", "--N", "3"), 0,
+     "13ce621e0226a526d7b9dc001d782a4c04bf84b027f47876715a899bbaa6e521"),
+    (("analyze", "ladder.quiver", "--N", "3", "--json"), 0,
+     "3d8100c45c9164014ec50c95f84396a93320a9787a46f163e66a1824ade4171e"),
+    (("analyze", "loop.quiver", "--N", "1", "--depth", "2", "--json"), 0,
+     "f7030f87cb0919b7b1a5ea8fd52928b3cc6ea5db24c62fc20a934e353ef1a553"),
+    (("analyze", "loop.quiver", "--N", "2", "--depth", "3"), 0,
+     "a2fd514027baf038549099070c7a4c75452ba5eefbbbaa09b1482c5690e63dad"),
+    (("analyze", "loop.quiver", "--N", "1"), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("analyze", "growing.quiver", "--N", "4", "--json"), 0,
+     "9e87b1f480b8f9a50ce55d359a0f857387343fe25ddb89461c7c5e4130b8d802"),
+    (("analyze", "fan.quiver", "--N", "3", "--json", "--field", "gf:101",
+      "--sweep", "1..4"), 0,
+     "d377635e9f4f3f3629b1aecf07c72b6ab8fa055a2f6dc7af66e0faf638e2c770"),
+    (("analyze", "ex1-n2.sc", "--json"), 0,
+     "7804d7c3965833dc366c8f0d17697b06ac7f8b297f849174fc4ca5f324492bf5"),
+    (("compute", "ex1-n2.sc", "socle", "--side", "left", "--json"), 0,
+     "1f21e53c10c7850208a2e35ff797a2687a040aceb90d26fb594a2cf5c572fa98"),
+    (("check", "ex2", "--N", "3", "--json"), 0,
+     "db8501c1ecd3c685ef01241dc75518d97c97d4036407294f5549f660d62bb57f"),
+]
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory, ex1_n2):
+    root = tmp_path_factory.mktemp("inputs")
+    for name, text in FILES.items():
+        (root / name).write_text(text)
+    (root / "ex1-n2.sc").write_text(
+        dumps_coalgebra(change_basis(ex1_n2[0], seed=5), name="ex1-n2"))
+    return root
+
+
+@pytest.mark.parametrize("argv, code, digest", CASES,
+                         ids=[" ".join(argv) for argv, _, _ in CASES])
+def test_report_bytes_are_pinned(argv, code, digest, inputs, monkeypatch, capsys):
+    monkeypatch.chdir(inputs)
+    got = main(list(argv))
+    out = capsys.readouterr().out
+    assert (got, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (code, digest)
