@@ -6,6 +6,13 @@ checker, the convolution (dual) algebra with its Jacobson radical, the
 coradical filtration, wedges of subspaces, products of ideals in the
 dual, and skew-primitive spaces.
 
+The axiom checkers (``check_axioms`` here, ``comod.check_comodule``) sum
+coassociativity on integer images of the structure constants
+(``coassociativity_failures``): over QQ each constant times a common
+denominator D, over GF(p) its residue.  Both sides are bilinear in the
+constants, so over QQ each is D^2 times its value and the test stays
+exact.
+
 Convention fixed here and used bit-exactly everywhere else: tensor
 coordinates on C (x) C are flattened as (j, k) -> j*dim + k.
 """
@@ -13,7 +20,10 @@ coordinates on C (x) C are flattened as (j, k) -> j*dim + k.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
+from typing import Iterable, Iterator
 
 from .exactlin import (
     Field,
@@ -145,19 +155,97 @@ class AxiomReport:
         return self.failures[0] if self.failures else None
 
 
-def _tensor_cube_sides(c: Coalgebra, i: int) -> "tuple[dict, dict]":
-    """(Delta (x) id)Delta(e_i) and (id (x) Delta)Delta(e_i) as sparse dicts."""
-    lhs: dict = {}
-    rhs: dict = {}
-    for j, k, coeff in c.delta[i]:
-        for r, s, coeff2 in c.delta[j]:
-            key = (r, s, k)
-            lhs[key] = lhs.get(key, c.field.zero) + coeff * coeff2
-        for r, s, coeff2 in c.delta[k]:
-            key = (j, r, s)
-            rhs[key] = rhs.get(key, c.field.zero) + coeff * coeff2
-    return ({k: v for k, v in lhs.items() if v},
-            {k: v for k, v in rhs.items() if v})
+@dataclass(frozen=True)
+class _IntegerImages:
+    """Structure constants lifted to Python ints, for exact sums of products.
+
+    Over QQ each constant x becomes x * D, where D is the lcm of the
+    denominators of every constant lifted together; over GF(p) it becomes
+    its residue.  A sum of products of two constants then lifts to D^2
+    times its value over QQ, and to an integer congruent to it mod p over
+    GF(p).  Constants that meet in one sum must be lifted with one D.
+    """
+
+    field: Field
+    scale: int
+
+    @classmethod
+    def of(cls, field: Field, constants: "Iterable[Scalar]") -> "_IntegerImages":
+        if field.char:
+            return cls(field, 1)
+        return cls(field, lcm(*{x.denominator for x in constants}))
+
+    def lift(self, x: Scalar) -> int:
+        if self.field.char:
+            return x.val
+        return x.numerator * (self.scale // x.denominator)
+
+    def nonzero(self, sums: dict) -> list:
+        """The keys of the lifted sums whose value in the field is not zero."""
+        p = self.field.char
+        if p:
+            return [key for key, v in sums.items() if v % p]
+        return [key for key, v in sums.items() if v]
+
+    def scalar(self, x: int) -> Scalar:
+        """The field value of a lifted sum of products of two constants."""
+        if self.field.char:
+            return self.field.from_int(x)
+        return Fraction(x, self.scale * self.scale)
+
+
+def _coassociator(rho: list, delta: list, n: int, i: int, left: int, right: int) -> dict:
+    """left * (rho (x) id)rho(m_i) + right * (id (x) Delta)rho(m_i).
+
+    rho holds the coaction on integer images as (j, k, j*n + k, image)
+    terms and delta holds Delta as (r*n + s, image) terms; the result is
+    keyed by the flattened (j, r, s) -> (j*n + r)*n + s.
+    """
+    out: dict = {}
+    get = out.get
+    nn = n * n
+    for j, k, _, a in rho[i]:
+        if left:
+            w = left * a
+            for _, _, ls, b in rho[j]:
+                key = ls * n + k
+                out[key] = get(key, 0) + w * b
+        if right:
+            w = right * a
+            base = j * nn
+            for rs, b in delta[k]:
+                key = base + rs
+                out[key] = get(key, 0) + w * b
+    return out
+
+
+def coassociativity_failures(field: Field, coaction, delta,
+                             n: int) -> "Iterator[tuple[int, list]]":
+    """Where (rho (x) id)rho and (id (x) Delta)rho differ, element by element.
+
+    coaction[i] holds rho(m_i) of a right comodule over a coalgebra of
+    dimension n as (module j, coalg k, c) terms, and delta[k] holds
+    Delta(e_k) as (r, s, c) terms; coaction = delta tests the coalgebra
+    itself.  Yields i and its failing positions (j, r, s) in increasing
+    order, each with the two sides as field scalars.  The sums run on
+    integer images of all the constants, lifted with one scale; only a
+    failing element has its two sides rebuilt.
+    """
+    images = _IntegerImages.of(field, [x for table in (coaction, delta)
+                                       for terms in table for _, _, x in terms])
+    rho = [[(j, k, flatten_index(j, k, n), images.lift(x)) for j, k, x in terms]
+           for terms in coaction]
+    lifted = [[(flatten_index(r, s, n), images.lift(x)) for r, s, x in terms]
+              for terms in delta]
+    nn = n * n
+    for i in range(len(rho)):
+        bad = images.nonzero(_coassociator(rho, lifted, n, i, 1, -1))
+        if bad:
+            lhs = _coassociator(rho, lifted, n, i, 1, 0)
+            rhs = _coassociator(rho, lifted, n, i, 0, 1)
+            yield i, [((key // nn, key // n % n, key % n),
+                       images.scalar(lhs.get(key, 0)), images.scalar(rhs.get(key, 0)))
+                      for key in sorted(bad)]
 
 
 # The axiom checkers (this one and comod.check_comodule) report at most
@@ -169,20 +257,17 @@ def check_axioms(c: Coalgebra) -> AxiomReport:
     """Exact coassociativity and counit test; failures are reported, not raised."""
     failures: list[AxiomFailure] = []
     fmt = c.field.format
-    zero_s = fmt(c.field.zero)
-    for i in range(c.dim):
-        lhs, rhs = _tensor_cube_sides(c, i)
-        for key in sorted(set(lhs) | set(rhs)):
-            if lhs.get(key, c.field.zero) != rhs.get(key, c.field.zero):
-                failures.append(AxiomFailure(
-                    law="coassociativity",
-                    element=c.labels[i],
-                    position=tuple(c.labels[t] for t in key),
-                    lhs=fmt(lhs.get(key, c.field.zero)),
-                    rhs=fmt(rhs.get(key, c.field.zero)),
-                ))
-                if len(failures) >= MAX_FAILURES:
-                    return AxiomReport(False, tuple(failures))
+    for i, bad in coassociativity_failures(c.field, c.delta, c.delta, c.dim):
+        for key, lhs, rhs in bad:
+            failures.append(AxiomFailure(
+                law="coassociativity",
+                element=c.labels[i],
+                position=tuple(c.labels[t] for t in key),
+                lhs=fmt(lhs),
+                rhs=fmt(rhs),
+            ))
+            if len(failures) >= MAX_FAILURES:
+                return AxiomReport(False, tuple(failures))
     for i in range(c.dim):
         left: dict = {}
         right: dict = {}

@@ -26,6 +26,7 @@ from .coalg import (
     AxiomReport,
     Coalgebra,
     FiltrationChain,
+    coassociativity_failures,
     dual_and_radical,
 )
 from .exactlin import Matrix, Scalar, Subspace, kernel, preimage
@@ -128,32 +129,26 @@ def check_comodule(m: Comodule) -> AxiomReport:
         return m.labels[i]
 
     right = m.side == "right"
-    for i in range(m.dim):
-        # Keys are literal tensor slots: (module, coalg, coalg) for right
-        # comodules, (coalg, coalg, module) for left ones.
-        lhs: dict = {}
-        rhs: dict = {}
-        for (j, k), coeff in m.module_coalg_pairs(i).items():
-            # Coact again on the module leg...
-            for (l, s), coeff2 in m.module_coalg_pairs(j).items():
-                key = (l, s, k) if right else (k, s, l)
-                lhs[key] = lhs.get(key, field.zero) + coeff * coeff2
-            # ...or split the coalgebra leg.
-            for (r, s), coeff2 in c.delta_dict(k).items():
-                key = (j, r, s) if right else (r, s, j)
-                rhs[key] = rhs.get(key, field.zero) + coeff * coeff2
-        for key in sorted(set(lhs) | set(rhs)):
-            a = lhs.get(key, field.zero)
-            b = rhs.get(key, field.zero)
-            if a != b:
-                if right:
-                    pos = (mlabel(key[0]), c.labels[key[1]], c.labels[key[2]])
-                else:
-                    pos = (c.labels[key[0]], c.labels[key[1]], mlabel(key[2]))
-                failures.append(AxiomFailure("coaction-coassociativity",
-                                             mlabel(i), pos, fmt(a), fmt(b)))
-                if len(failures) >= MAX_FAILURES:
-                    return AxiomReport(False, tuple(failures))
+    # A left comodule is a right comodule over the co-opposite coalgebra
+    # with its tensor slots reversed.
+    coaction = m.coaction if right else [[(k, j, v) for j, k, v in terms]
+                                         for terms in m.coaction]
+    delta = c.delta if right else [[(s, r, v) for r, s, v in terms] for terms in c.delta]
+    for i, bad in coassociativity_failures(field, coaction, delta, c.dim):
+        # Literal tensor slots: (module, coalg, coalg) for right comodules,
+        # (coalg, coalg, module) for left ones.
+        if not right:
+            bad = sorted((((s, r, j), lhs, rhs) for (j, r, s), lhs, rhs in bad),
+                         key=lambda failure: failure[0])
+        for key, lhs, rhs in bad:
+            if right:
+                pos = (mlabel(key[0]), c.labels[key[1]], c.labels[key[2]])
+            else:
+                pos = (c.labels[key[0]], c.labels[key[1]], mlabel(key[2]))
+            failures.append(AxiomFailure("coaction-coassociativity",
+                                         mlabel(i), pos, fmt(lhs), fmt(rhs)))
+            if len(failures) >= MAX_FAILURES:
+                return AxiomReport(False, tuple(failures))
     for i in range(m.dim):
         got: dict = {}
         for (j, k), coeff in m.module_coalg_pairs(i).items():

@@ -19,7 +19,8 @@ that produced it; a verdict of fails always carries a concrete witness.
 stage once: ``degree_tables``, ``locally_finite_verdict``, then the
 two-sided stages ``semiperfect_verdict`` and ``fnoetherian_sweep``, which
 answer both sides from one enumeration of each probe bound and one
-compiled truncation per sweep bound, and last the duality oracle.
+compiled truncation per sweep bound (the analyzed one at N), and last the
+duality oracle.
 """
 
 from __future__ import annotations
@@ -296,14 +297,15 @@ def _growth_witness(columns: "dict[str, list[dict]]") -> "dict | None":
     return None
 
 
-def fnoetherian_sweep(spec: QuiverSpec, sweep: "list[int]",
-                      depth: "int | None") -> dict:
+def fnoetherian_sweep(spec: QuiverSpec, sweep: "list[int]", depth: "int | None",
+                      n: int, truncation: Coalgebra) -> dict:
     """Socle-multiplicity growth tables for single-vertex quotients, per side.
 
-    Each bound in the sweep is compiled once; for both sides, the regular
-    comodule is quotiented by each vertex span and the maximal socle
-    multiplicity over the grouplike simples recorded, with the simple
-    where it is reached.  The multiplicities are the weight-space
+    truncation is the analyzed truncation at (n, depth), read at bound n;
+    each other bound in the sweep is compiled once.  For both sides, the
+    regular comodule is quotiented by each vertex span and the maximal
+    socle multiplicity over the grouplike simples recorded, with the
+    simple where it is reached.  The multiplicities are the weight-space
     dimensions of ``multiplicity_table``: one shared kernel for the
     coaction rows at non-grouplike indices, then one small system per
     grouplike on that kernel's coordinates.  The vertices are those at the
@@ -316,7 +318,10 @@ def fnoetherian_sweep(spec: QuiverSpec, sweep: "list[int]",
     vertices = sorted(v.label for v in instantiate(spec, min(sweep)).vertices)
     tables = {side: {v: [] for v in vertices} for side in ("left", "right")}
     for bound in sweep:
-        coalgebra, _ = compile_truncation(spec, bound, depth)
+        if bound == n:
+            coalgebra = truncation
+        else:
+            coalgebra, _ = compile_truncation(spec, bound, depth)
         for side, columns in tables.items():
             reg = regular_comodule(coalgebra, side)
             for vlabel in vertices:
@@ -405,7 +410,7 @@ def analyze_spec(spec: QuiverSpec, n: int, sweep: "list[int] | None" = None,
     right_sp, left_sp = semiperfect["right"], semiperfect["left"]
     in_bounded = all(not v["in_growing"] for v in tables["vertices"].values())
     out_bounded = all(not v["out_growing"] for v in tables["vertices"].values())
-    sweeps = fnoetherian_sweep(spec, sweep, depth)
+    sweeps = fnoetherian_sweep(spec, sweep, depth, n, coalgebra)
 
     entries = [lf, right_sp, left_sp]
 

@@ -11,6 +11,7 @@ from test_coalg import LADDER_ALL as LADDER
 from test_coalg import change_basis
 
 from qcalg.cli import main
+from qcalg.quiverlab.registry import EX1, EX2
 from qcalg.report import ReportDocument
 from qcalg.textfmt import dumps_coalgebra
 
@@ -359,15 +360,20 @@ FUZZ_EDITS = st.lists(st.tuples(st.sampled_from(["replace", "replace", "insert"]
 FUZZ_TOKEN = re.compile(r"\n|[ \t]+|[:;]|[^\s:;]+")
 
 
-def mutate(text: str, edits) -> str:
-    """Replace a word or insert a token, once per edit; positions wrap."""
-    tokens = FUZZ_TOKEN.findall(text)
+def mutate(text: str, edits, pattern=FUZZ_TOKEN) -> str:
+    """Replace a word or insert a token, once per edit; positions wrap.
+
+    A respell edit replaces only a number.
+    """
+    tokens = pattern.findall(text)
     for kind, position, token in edits:
         if kind == "insert":
             tokens.insert(position % (len(tokens) + 1), f" {token} ")
-        else:
-            words = [i for i, t in enumerate(tokens) if not t.isspace()]
-            tokens[words[position % len(words)]] = token
+            continue
+        words = [i for i, t in enumerate(tokens) if not t.isspace()]
+        if kind == "respell":
+            words = [i for i in words if tokens[i].isdigit()]
+        tokens[words[position % len(words)]] = token
     return "".join(tokens)
 
 
@@ -391,6 +397,47 @@ class TestStructureConstantsFuzz:
         for argv in (["check"], ["analyze"], ["compute", "socle"]):
             code, _, _ = run(capsys, argv[0], str(path), *argv[1:])
             assert code in (0, 1, 2), (argv, path.read_text())
+
+
+# What the DSL fuzz splices in.  Two edits in three respell a number, as
+# 0..3 or N, so that many mutants still parse and reach the algebra;
+# numbers stop at 3, since larger ones let a mutant of the all-mode ladder
+# run for seconds.  The other edits replace any word, or insert a token:
+# such a number, a name the built-ins bind, the punctuation of heads,
+# ranges and paths, or a keyword of the DSL.
+_DSL_NUMBER = st.sampled_from(["0", "1", "2", "3", "N"])
+DSL_FUZZ_TOKENS = st.one_of(
+    _DSL_NUMBER,
+    st.sampled_from(["n", "i", "k", "a", "b", "v", "x", "->", ".", "..", ",", "=", ":",
+                     "[", "]", "-", "+", "\n", "#", "coalgebra", "field", "rational",
+                     "gf(2)", "gf(101)", "param", "vertex", "arrow", "path", "mode",
+                     "all", "declared"]))
+_RESPELL = st.tuples(st.just("respell"), st.integers(0, 10**6), _DSL_NUMBER)
+DSL_FUZZ_EDITS = st.lists(
+    st.one_of(_RESPELL, _RESPELL,
+              st.tuples(st.sampled_from(["replace", "insert"]), st.integers(0, 10**6),
+                        DSL_FUZZ_TOKENS)),
+    min_size=1, max_size=3)
+DSL_FUZZ_TOKEN = re.compile(r"\n|[ \t]+|->|\.\.|[-:,=\[\].+*()]|[^\s:,=\[\].+*()-]+")
+
+
+class TestQuiverDslFuzz:
+    """Mutated quiver presentations exit 0, 1 or 2, never 3, at N <= 3.
+
+    The examples are derandomized, so the test replays the same bounded
+    set of inputs on every run.
+    """
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(base=st.sampled_from([EX1, EX2, LADDER]), edits=DSL_FUZZ_EDITS,
+           n=st.integers(1, 3))
+    def test_exit_code_contract(self, tmp_path, capsys, base, edits, n):
+        path = tmp_path / "fuzzed.quiver"
+        path.write_text(mutate(base, edits, DSL_FUZZ_TOKEN))
+        for argv in (["check"], ["analyze"], ["compute", "socle"]):
+            code, _, _ = run(capsys, argv[0], str(path), *argv[1:], "--N", str(n))
+            assert code in (0, 1, 2), (argv, n, path.read_text())
 
 
 class TestReportSchema:

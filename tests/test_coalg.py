@@ -3,10 +3,14 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
 from qcalg.coalg import (
+    MAX_FAILURES,
+    AxiomFailure,
+    AxiomReport,
     Coalgebra,
     RadicalRangeError,
     check_axioms,
@@ -394,15 +398,21 @@ def probe_subspaces(c, rng, count=6):
     return spaces
 
 
-def change_basis(c, seed):
-    """The structure-constants file of c in a unitriangular integer basis.
+def change_basis(c, seed, max_den=1):
+    """The structure-constants file of c in a unitriangular basis.
 
-    f_i = e_i + sum_{a > i} p_ia e_a; the file is written and loaded back
+    f_i = e_i + sum_{a > i} p_ia e_a, each p_ia an integer in [-2, 2]
+    divided by one in [1, max_den]; the file is written and loaded back
     with the axioms checked, so its coefficients are no longer 0/1.
     """
     rng = random.Random(seed)
     n = c.dim
-    p = [[F(int(a == i)) if a <= i else F(rng.randint(-2, 2)) for a in range(n)]
+
+    def entry():
+        num = rng.randint(-2, 2)
+        return F(num, rng.randint(1, max_den)) if max_den > 1 else F(num)
+
+    p = [[F(int(a == i)) if a <= i else entry() for a in range(n)]
          for i in range(n)]
     q = [[F(int(a == i)) for a in range(n)] for i in range(n)]  # p^{-1}
     for i in reversed(range(n)):
@@ -558,3 +568,143 @@ class TestIdealProductEquivalence:
     def test_filtration_terms_unchanged_in_an_integer_basis(self, ex1_n2):
         c = change_basis(ex1_n2[0], seed=7)
         assert coradical_filtration(c).terms == filtration_by_pairs(c)
+
+
+# -- the axiom check against sums of field scalars -----------------------------
+
+def check_axioms_in_field_scalars(c):
+    """Reference axiom check: both sides of coassociativity accumulate
+    field scalars term by term, then the counit laws as check_axioms."""
+    zero, fmt = c.field.zero, c.field.format
+    failures = []
+    for i in range(c.dim):
+        lhs, rhs = {}, {}
+        for j, k, coeff in c.delta[i]:
+            for r, s, coeff2 in c.delta[j]:
+                lhs[(r, s, k)] = lhs.get((r, s, k), zero) + coeff * coeff2
+            for r, s, coeff2 in c.delta[k]:
+                rhs[(j, r, s)] = rhs.get((j, r, s), zero) + coeff * coeff2
+        for key in sorted(set(lhs) | set(rhs)):
+            a, b = lhs.get(key, zero), rhs.get(key, zero)
+            if a != b:
+                failures.append(AxiomFailure(
+                    "coassociativity", c.labels[i],
+                    tuple(c.labels[t] for t in key), fmt(a), fmt(b)))
+                if len(failures) >= MAX_FAILURES:
+                    return AxiomReport(False, tuple(failures))
+    for i in range(c.dim):
+        left, right = {}, {}
+        for j, k, coeff in c.delta[i]:
+            left[k] = left.get(k, zero) + coeff * c.epsilon[j]
+            right[j] = right.get(j, zero) + coeff * c.epsilon[k]
+        expected = {i: c.field.one}
+        for law, got in (("counit-left", left), ("counit-right", right)):
+            got = {k: v for k, v in got.items() if v}
+            if got != expected:
+                bad = sorted(set(got) | set(expected))[0]
+                failures.append(AxiomFailure(
+                    law, c.labels[i], (c.labels[bad],),
+                    fmt(got.get(bad, zero)), fmt(expected.get(bad, zero))))
+                if len(failures) >= MAX_FAILURES:
+                    return AxiomReport(False, tuple(failures))
+    return AxiomReport(not failures, tuple(failures))
+
+
+def trigonometric_coalgebra(field=QQ):
+    """span{c, s} with Delta c = c c - s s, Delta s = s c + c s: simple over
+    QQ, and no basis vector is grouplike."""
+    one = field.one
+    return Coalgebra(field=field, dim=2, labels=("c", "s"),
+                     delta=(((0, 0, one), (1, 1, -one)), ((0, 1, one), (1, 0, one))),
+                     epsilon=(one, field.zero))
+
+
+def off_by(terms, by):
+    """terms with by added to the constant of its first entry."""
+    (j, k, v), *rest = terms
+    return ((j, k, v + by), *rest)
+
+
+def with_delta_off(c, label, by):
+    """c with the first constant of Delta(label) off by by."""
+    delta = list(c.delta)
+    i = c.label_index(label)
+    delta[i] = off_by(delta[i], by)
+    return Coalgebra(field=c.field, dim=c.dim, labels=c.labels,
+                     delta=tuple(delta), epsilon=c.epsilon)
+
+
+def common_denominator(constants):
+    return lcm(*(x.denominator for x in constants))
+
+
+def residue_sums_vanish(c):
+    """Whether the coassociativity sums of GF(p) residues, taken as plain
+    integers without reduction, are all zero."""
+    for i in range(c.dim):
+        diff = {}
+        for j, k, a in c.delta[i]:
+            for r, s, b in c.delta[j]:
+                diff[(r, s, k)] = diff.get((r, s, k), 0) + a.val * b.val
+            for r, s, b in c.delta[k]:
+                diff[(j, r, s)] = diff.get((j, r, s), 0) - a.val * b.val
+        if any(diff.values()):
+            return False
+    return True
+
+
+class TestAxiomCheckEquivalence:
+    """check_axioms sums integer images; the reference sums field scalars."""
+
+    @staticmethod
+    def report(c):
+        report = check_axioms(c)
+        assert report == check_axioms_in_field_scalars(c)
+        return report
+
+    @pytest.mark.parametrize("name,bound", [("ex1", 1), ("ex1", 3), ("ex2", 2), ("ex2", 3)])
+    @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
+    def test_truncations(self, name, bound, field, ex1_spec, ex2_spec):
+        spec = replace(ex1_spec if name == "ex1" else ex2_spec, field=field)
+        assert self.report(compile_truncation(spec, bound)[0]).ok
+
+    @pytest.mark.parametrize("seed", [5, 7])
+    def test_integer_basis(self, seed, ex1_n2):
+        assert self.report(change_basis(ex1_n2[0], seed)).ok
+
+    def test_rational_basis(self, ex1_n2):
+        c = change_basis(ex1_n2[0], seed=3, max_den=3)
+        assert common_denominator(x for terms in c.delta for _, _, x in terms) > 1
+        assert self.report(c).ok
+
+    @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
+    def test_trigonometric(self, field):
+        assert self.report(trigonometric_coalgebra(field)).ok
+
+    @pytest.mark.parametrize("field", [GF(5), GF(7)], ids=["GF5", "GF7"])
+    def test_sums_that_vanish_only_mod_p(self, field, ex1_n2):
+        # A rational basis read over GF(p): the residues of its fractions
+        # satisfy coassociativity mod p only.
+        text = dumps_coalgebra(change_basis(ex1_n2[0], seed=3, max_den=3))
+        c = loads(text, field).coalgebra
+        assert not residue_sums_vanish(c)
+        assert self.report(c).ok
+
+    def test_mutant_off_by_a_third(self, ex1_n2):
+        c = with_delta_off(change_basis(ex1_n2[0], seed=5), "x[1]", F(1, 3))
+        report = self.report(c)
+        assert not report.ok
+        assert any("/" in f.lhs + f.rhs for f in report.failures)
+
+    def test_mutant_off_by_two_over_gf(self, ex2_spec):
+        c, _ = compile_truncation(replace(ex2_spec, field=GF(101)), 2)
+        report = self.report(with_delta_off(c, "x[1,1]", GF(101).from_int(2)))
+        assert not report.ok
+
+    def test_printed_mutant(self, ex1_n1):
+        report = self.report(mutant_ex1(ex1_n1))
+        assert [f.law for f in report.failures] == ["coassociativity"] * 2
+
+    def test_failures_stop_at_the_cap(self, ex2_n3):
+        c = with_delta_off(change_basis(ex2_n3[0], seed=5), "a", F(1, 3))
+        assert len(self.report(c).failures) == MAX_FAILURES

@@ -5,9 +5,19 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from test_coalg import change_basis, probe_subspaces
+from test_coalg import (
+    change_basis,
+    common_denominator,
+    off_by,
+    probe_subspaces,
+    residue_sums_vanish,
+    trigonometric_coalgebra,
+)
 
 from qcalg.coalg import (
+    MAX_FAILURES,
+    AxiomFailure,
+    AxiomReport,
     Coalgebra,
     FiltrationChain,
     check_axioms,
@@ -45,6 +55,7 @@ from qcalg.comod import (
 )
 from qcalg.exactlin import GF, QQ, Subspace, preimage
 from qcalg.quiverlab import compile_truncation
+from qcalg.textfmt import dumps_coalgebra, loads
 
 
 def random_subcomodule(rng, ambient, max_seed=2):
@@ -537,10 +548,16 @@ def regular_and_vertex_quotients(c, side):
                     for g in c.grouplike_indices()]
 
 
-def change_module_basis(m, rng):
-    """m in the basis f_i = m_i + sum_{a > i} p_ia m_a, p random integers."""
+def change_module_basis(m, rng, max_den=1):
+    """m in the basis f_i = m_i + sum_{a > i} p_ia m_a, each p_ia a random
+    integer in [-2, 2] divided by one in [1, max_den]."""
     n = m.dim
-    p = [[F(int(a == i)) if a <= i else F(rng.randint(-2, 2)) for a in range(n)]
+
+    def entry():
+        num = rng.randint(-2, 2)
+        return F(num, rng.randint(1, max_den)) if max_den > 1 else F(num)
+
+    p = [[F(int(a == i)) if a <= i else entry() for a in range(n)]
          for i in range(n)]
     q = [[F(int(a == i)) for a in range(n)] for i in range(n)]  # p^{-1}
     for i in reversed(range(n)):
@@ -562,14 +579,6 @@ def change_module_basis(m, rng):
                               for (b, k), v in sorted(acc.items()) if v))
     return Comodule(side=m.side, dim=n, over=m.over, coaction=tuple(coaction),
                     labels=tuple(f"f{i}" for i in range(n)))
-
-
-def trigonometric_coalgebra():
-    """span{c, s} with Delta c = c c - s s, Delta s = s c + c s: simple over
-    QQ, and no basis vector is grouplike."""
-    return Coalgebra(field=QQ, dim=2, labels=("c", "s"),
-                     delta=(((0, 0, F(1)), (1, 1, F(-1))), ((0, 1, F(1)), (1, 0, F(1)))),
-                     epsilon=(F(1), F(0)))
 
 
 class TestWeightTableEquivalence:
@@ -652,3 +661,142 @@ class TestWeightTableEquivalence:
         c, _ = ex2_n3
         q = quotient(regular_comodule(c, "right"), c.span_of_labels(["a"]))
         assert multiplicity_table(q) == {"a": 0, "b[1]": 2, "b[2]": 3, "b[3]": 4}
+
+
+# -- the axiom check against sums of field scalars -----------------------------
+
+def check_comodule_in_field_scalars(m):
+    """Reference comodule check: both sides of coaction coassociativity
+    accumulate field scalars term by term, then the counit law as
+    check_comodule."""
+    c = m.over
+    zero, fmt = c.field.zero, c.field.format
+    failures = []
+    right = m.side == "right"
+    for i in range(m.dim):
+        lhs, rhs = {}, {}
+        for (j, k), coeff in m.module_coalg_pairs(i).items():
+            for (l, s), coeff2 in m.module_coalg_pairs(j).items():
+                key = (l, s, k) if right else (k, s, l)
+                lhs[key] = lhs.get(key, zero) + coeff * coeff2
+            for (r, s), coeff2 in c.delta_dict(k).items():
+                key = (j, r, s) if right else (r, s, j)
+                rhs[key] = rhs.get(key, zero) + coeff * coeff2
+        for key in sorted(set(lhs) | set(rhs)):
+            a, b = lhs.get(key, zero), rhs.get(key, zero)
+            if a != b:
+                if right:
+                    pos = (m.labels[key[0]], c.labels[key[1]], c.labels[key[2]])
+                else:
+                    pos = (c.labels[key[0]], c.labels[key[1]], m.labels[key[2]])
+                failures.append(AxiomFailure("coaction-coassociativity",
+                                             m.labels[i], pos, fmt(a), fmt(b)))
+                if len(failures) >= MAX_FAILURES:
+                    return AxiomReport(False, tuple(failures))
+    for i in range(m.dim):
+        got = {}
+        for (j, k), coeff in m.module_coalg_pairs(i).items():
+            v = got.get(j, zero) + coeff * c.epsilon[k]
+            if v:
+                got[j] = v
+            else:
+                got.pop(j, None)
+        if got != {i: c.field.one}:
+            bad = sorted(set(got) | {i})[0]
+            failures.append(AxiomFailure(
+                "coaction-counit", m.labels[i], (m.labels[bad],),
+                fmt(got.get(bad, zero)), fmt(c.field.one if bad == i else zero)))
+            if len(failures) >= MAX_FAILURES:
+                return AxiomReport(False, tuple(failures))
+    return AxiomReport(not failures, tuple(failures))
+
+
+def with_coaction_off(m, label, by):
+    """m with the first constant of the coaction of label off by by."""
+    coaction = list(m.coaction)
+    i = m.label_index(label)
+    coaction[i] = off_by(coaction[i], by)
+    return Comodule(side=m.side, dim=m.dim, over=m.over, coaction=tuple(coaction),
+                    labels=m.labels)
+
+
+class TestAxiomCheckEquivalence:
+    """check_comodule sums integer images; the reference sums field scalars."""
+
+    @staticmethod
+    def report(m):
+        report = check_comodule(m)
+        assert report == check_comodule_in_field_scalars(m)
+        return report
+
+    @pytest.mark.parametrize("side", SIDES)
+    @pytest.mark.parametrize("name,bound", [("ex1", 2), ("ex2", 3)])
+    @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
+    def test_regular_and_vertex_quotients(self, side, name, bound, field,
+                                          ex1_spec, ex2_spec):
+        spec = replace(ex1_spec if name == "ex1" else ex2_spec, field=field)
+        c, _ = compile_truncation(spec, bound)
+        for m in regular_and_vertex_quotients(c, side):
+            assert self.report(m).ok
+
+    @pytest.mark.parametrize("side", SIDES)
+    def test_integer_bases(self, side, ex1_n2):
+        m = change_module_basis(regular_comodule(change_basis(ex1_n2[0], seed=5), side),
+                                random.Random(3))
+        assert self.report(m).ok
+
+    @pytest.mark.parametrize("side", SIDES)
+    def test_coaction_and_delta_denominators_differ(self, side, ex1_n2):
+        # An integer coalgebra basis and a rational module basis: one
+        # common scale serves both sums.
+        c = change_basis(ex1_n2[0], seed=5)
+        m = change_module_basis(regular_comodule(c, side), random.Random(4), max_den=3)
+        coaction = [x for terms in m.coaction for _, _, x in terms]
+        delta = [x for terms in c.delta for _, _, x in terms]
+        assert common_denominator(coaction) > common_denominator(delta) == 1
+        assert self.report(m).ok
+
+    @pytest.mark.parametrize("side", SIDES)
+    @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
+    def test_trigonometric(self, side, field):
+        assert self.report(regular_comodule(trigonometric_coalgebra(field), side)).ok
+
+    @pytest.mark.parametrize("side", SIDES)
+    def test_sums_that_vanish_only_mod_p(self, side, ex1_n2):
+        text = dumps_coalgebra(change_basis(ex1_n2[0], seed=3, max_den=3))
+        c = loads(text, GF(7)).coalgebra
+        assert not residue_sums_vanish(c)
+        assert self.report(regular_comodule(c, side)).ok
+
+    @pytest.mark.parametrize("side", SIDES)
+    def test_mutant_off_by_a_third(self, side, ex1_n2):
+        m = regular_comodule(change_basis(ex1_n2[0], seed=5), side)
+        report = self.report(with_coaction_off(m, "x[1]", F(1, 3)))
+        assert not report.ok
+        assert any("/" in f.lhs + f.rhs for f in report.failures)
+
+    @pytest.mark.parametrize("side", SIDES)
+    def test_mutant_off_by_two_over_gf(self, side, ex2_spec):
+        c, _ = compile_truncation(replace(ex2_spec, field=GF(101)), 2)
+        m = with_coaction_off(regular_comodule(c, side), "b[1]", GF(101).from_int(2))
+        assert not self.report(m).ok
+
+    @pytest.mark.parametrize("side", SIDES)
+    def test_failures_stop_at_the_cap(self, side, ex2_n3):
+        m = regular_comodule(change_basis(ex2_n3[0], seed=5), side)
+        assert len(self.report(with_coaction_off(m, "a", F(1, 3))).failures) == MAX_FAILURES
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_coactions(self, seed, ex1_n1):
+        c, _ = ex1_n1
+        rng = random.Random(seed)
+        for side in SIDES:
+            coaction = tuple(
+                tuple((rng.randrange(3), rng.randrange(c.dim), F(rng.randint(-2, 2), 2))
+                      if side == "right" else
+                      (rng.randrange(c.dim), rng.randrange(3), F(rng.randint(-2, 2), 2))
+                      for _ in range(rng.randint(1, 4)))
+                for _ in range(3))
+            m = Comodule(side=side, dim=3, over=c, coaction=coaction,
+                         labels=("m0", "m1", "m2"))
+            assert not self.report(m).ok

@@ -1,4 +1,5 @@
-"""The package imports nothing outside the standard library and itself."""
+"""The package imports nothing outside the standard library and itself,
+and its scalars stay exact: no float literal and no float() or round()."""
 
 from __future__ import annotations
 
@@ -37,3 +38,29 @@ def test_the_scan_sees_a_third_party_import(tmp_path):
     names = [name for _, name in absolute_imports(module)]
     assert names == ["json", "numpy"]
     assert [n for n in names if n not in sys.stdlib_module_names] == ["numpy"]
+
+
+def inexact_scalars(path: Path) -> "list[tuple[int, str]]":
+    """(line, what) of every float literal and float() or round() call."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append((node.lineno, repr(node.value)))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("float", "round")):
+            found.append((node.lineno, f"{node.func.id}()"))
+    return sorted(found)
+
+
+def test_no_module_computes_with_floats():
+    modules = sorted(PACKAGE_DIR.rglob("*.py"))
+    inexact = [f"{path.relative_to(PACKAGE_DIR)}:{line}: {what}"
+               for path in modules for line, what in inexact_scalars(path)]
+    assert inexact == []
+
+
+def test_the_scan_sees_floats(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text("x = 0.5\ny = float(x)\nz = round(y, 2)\nw = Fraction(1, 2)\n"
+                      "ok = 'float(3)'\n")
+    assert inexact_scalars(module) == [(1, "0.5"), (2, "float()"), (3, "round()")]

@@ -393,37 +393,51 @@ class TestSemiperfect:
             assert (witness["vertex"], witness["cycle_through"]) == want
 
 
+def sweep_tables(spec, sweep):
+    """The sweep as analyze_spec runs it, analyzed at the last bound."""
+    n = sweep[-1]
+    return fnoetherian_sweep(spec, sweep, None, n, compile_truncation(spec, n)[0])
+
+
 class TestFNoetherianSweep:
     def test_ex2_right_refuted_with_growing_table(self, ex2_spec):
-        sweep = fnoetherian_sweep(ex2_spec, [1, 2, 3, 4, 5], None)["right"]
+        sweep = sweep_tables(ex2_spec, [1, 2, 3, 4, 5])["right"]
         assert (sweep["side"], sweep["sweep"]) == ("right", [1, 2, 3, 4, 5])
         witness = sweep["witness"]
         assert witness is not None and witness["quotient_by"] == "a"
         assert [row["max_multiplicity"] for row in witness["table"]] == [2, 3, 4, 5, 6]
 
     def test_ex2_left_finds_no_growth(self, ex2_spec):
-        assert fnoetherian_sweep(ex2_spec, [1, 2, 3, 4], None)["left"]["witness"] is None
+        assert sweep_tables(ex2_spec, [1, 2, 3, 4])["left"]["witness"] is None
 
     def test_ex1_finds_no_growth_either_side(self, ex1_spec):
-        sweeps = fnoetherian_sweep(ex1_spec, [1, 2, 3], None)
+        sweeps = sweep_tables(ex1_spec, [1, 2, 3])
         assert [sweep["side"] for sweep in sweeps.values()] == ["left", "right"]
         assert all(sweep["witness"] is None for sweep in sweeps.values())
 
     def test_single_vertex_constant_table(self):
-        sweep = fnoetherian_sweep(parse_spec(SINGLE), [1, 2, 3], None)["right"]
+        sweep = sweep_tables(parse_spec(SINGLE), [1, 2, 3])["right"]
         assert sweep["witness"] is None
         assert [r["max_multiplicity"] for r in sweep["tables"]["only"]] == [0, 0, 0]
 
     def test_two_bounds_are_not_growth(self, ex2_spec):
         # Growth needs two strict increases, as for the three probes.
-        sweep = fnoetherian_sweep(ex2_spec, [1, 2], None)["right"]
+        sweep = sweep_tables(ex2_spec, [1, 2])["right"]
         assert [r["max_multiplicity"] for r in sweep["tables"]["a"]] == [2, 3]
         assert sweep["witness"] is None
-        assert fnoetherian_sweep(ex2_spec, [1, 2, 3], None)["right"]["witness"] is not None
+        assert sweep_tables(ex2_spec, [1, 2, 3])["right"]["witness"] is not None
 
     def test_an_empty_sweep_is_refused(self, ex2_spec):
         with pytest.raises(ValueError, match="empty sweep"):
-            fnoetherian_sweep(ex2_spec, [], None)
+            fnoetherian_sweep(ex2_spec, [], None, 1, compile_truncation(ex2_spec, 1)[0])
+
+    def test_reads_the_analyzed_truncation_at_its_bound(self, ex2_spec,
+                                                         patch_everywhere):
+        truncation, _ = compile_truncation(ex2_spec, 2)
+        compiles = _record_calls(patch_everywhere, paths, "compile_truncation")
+        sweeps = fnoetherian_sweep(ex2_spec, [1, 2, 3], None, 2, truncation)
+        assert [call[1:] for call in compiles] == [(1, None), (3, None)]
+        assert sweeps == sweep_tables(ex2_spec, [1, 2, 3])
 
 
 def verdict_entries(spec, n: int, sweep: "list[int]") -> "dict[str, dict]":
@@ -563,7 +577,19 @@ class TestEachStepOnce:
         analyze_spec(spec, 3, [1, 2], None)
         assert len(compiles) == count
         assert all(compiles.count(call) == 1 for call in compiles)
-        assert stages == [[(spec, 3)], [(spec, [1, 2], None)]]
+        truncation, _ = compile_truncation(spec, 3)
+        assert stages == [[(spec, 3)], [(spec, [1, 2], None, 3, truncation)]]
+
+    @pytest.mark.parametrize("text,count", [(EX1, 5), (EX2, 4)], ids=["ex1", "ex2"])
+    def test_the_default_sweep_compiles_each_truncation_once(self, text, count,
+                                                             patch_everywhere):
+        # The default sweep 1..N reads the analyzed truncation at N, so its
+        # bounds 1 and 2 are the only compiles it adds.
+        spec = parse_spec(text)
+        compiles = _record_calls(patch_everywhere, paths, "compile_truncation")
+        analyze_spec(spec, 3)
+        assert len(compiles) == count
+        assert all(compiles.count(call) == 1 for call in compiles)
 
     @pytest.mark.parametrize("text,wedges", [(EX1, 52), (EX2, 36)], ids=["ex1", "ex2"])
     def test_grouplike_pair_spaces_come_from_one_table(self, text, wedges,

@@ -2,21 +2,25 @@
 
 Each case runs ``main()`` in process and compares the SHA-256 of its
 stdout, and its exit code, with values recorded before the analyzer was
-restructured.  A refactor that changes no output keeps every hash; a
-change that is meant to alter a report must re-record the hash of that
-case and say why.  Input files are written under fixed relative names,
+restructured; the failing ``check`` cases were recorded before the axiom
+sums moved to integer images.  A refactor that changes no output keeps
+every hash; a change that is meant to alter a report must re-record the
+hash of that case and say why.  Input files are written under fixed relative names,
 since the report names its input.
 """
 
 from __future__ import annotations
 
 import hashlib
+from fractions import Fraction as F
 
 import pytest
-from test_coalg import LADDER_ALL, change_basis
+from test_coalg import LADDER_ALL, change_basis, with_delta_off
+from test_comod import with_coaction_off
 
 from qcalg.cli import main
-from qcalg.textfmt import dumps_coalgebra
+from qcalg.comod import regular_comodule
+from qcalg.textfmt import dumps_coalgebra, dumps_comodule
 
 LOOP_ALL = """\
 coalgebra loop
@@ -55,7 +59,10 @@ FILES = {"ladder.quiver": LADDER_ALL, "loop.quiver": LOOP_ALL,
          "growing.quiver": GROWING, "fan.quiver": FLIPPED_FAN}
 
 # (argv, exit code, sha256 of stdout); "ex1-n2.sc" is ex1 at N=2 in a
-# changed basis with integer coefficients.
+# changed basis with integer coefficients.  "off-third.sc" is that file
+# with the first constant of Delta(x[1]) off by 1/3, and "bad-rho.sc" is
+# its regular right comodule with the first constant of rho(x[1]) off by
+# 1/5; both fail coassociativity with fractional sides.
 CASES = [
     (("analyze", "ex1", "--N", "5", "--json"), 0,
      "34b430f3cc6940b26bf1f191959083fb2bf3b032ba6d84efd1f52fc38928bc7a"),
@@ -92,6 +99,18 @@ CASES = [
      "1f21e53c10c7850208a2e35ff797a2687a040aceb90d26fb594a2cf5c572fa98"),
     (("check", "ex2", "--N", "3", "--json"), 0,
      "db8501c1ecd3c685ef01241dc75518d97c97d4036407294f5549f660d62bb57f"),
+    (("check", "mutant-ex1", "--json"), 1,
+     "0adc70492b8e4e9e9aa04538eb184c4277057652d115106ce7d9b9c9a2db2225"),
+    (("check", "off-third.sc", "--json"), 1,
+     "526394d17e5f64779c2aff94fd376ad09a0e06f933763890c8c6d4a1dfb801fe"),
+    (("check", "off-third.sc"), 1,
+     "3410ba6614e131d1581840c0ddebe75b128e5bec3288394b88bead61b90cd779"),
+    (("check", "off-third.sc", "--json", "--field", "gf:7"), 1,
+     "619f6d95be5d70cca4f601f7e3164b4ad843320f5ef00efe4d4855776bbf9b39"),
+    (("check", "bad-rho.sc", "--json"), 1,
+     "8b8377f4296afe4dbf50abe8d9c89c7135161daec7794d6b2faaf4b85650669d"),
+    (("check", "bad-rho.sc", "--json", "--field", "gf:7"), 1,
+     "814f23a40139cec35713024cc247713a6a61164dec583319f3d0793c4f7ee32f"),
 ]
 
 
@@ -100,8 +119,12 @@ def inputs(tmp_path_factory, ex1_n2):
     root = tmp_path_factory.mktemp("inputs")
     for name, text in FILES.items():
         (root / name).write_text(text)
-    (root / "ex1-n2.sc").write_text(
-        dumps_coalgebra(change_basis(ex1_n2[0], seed=5), name="ex1-n2"))
+    c = change_basis(ex1_n2[0], seed=5)
+    (root / "ex1-n2.sc").write_text(dumps_coalgebra(c, name="ex1-n2"))
+    off = with_delta_off(c, "x[1]", F(1, 3))
+    (root / "off-third.sc").write_text(dumps_coalgebra(off, name="off-third"))
+    bad = with_coaction_off(regular_comodule(c, "right"), "x[1]", F(1, 5))
+    (root / "bad-rho.sc").write_text(dumps_comodule(bad, name="bad-rho"))
     return root
 
 
