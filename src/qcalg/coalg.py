@@ -7,11 +7,11 @@ coradical filtration, wedges of subspaces, products of ideals in the
 dual, and skew-primitive spaces.
 
 The axiom checkers (``check_axioms`` here, ``comod.check_comodule``) sum
-coassociativity on integer images of the structure constants
-(``coassociativity_failures``): over QQ each constant times a common
-denominator D, over GF(p) its residue.  Both sides are bilinear in the
-constants, so over QQ each is D^2 times its value and the test stays
-exact.
+coassociativity and the counit laws on integer images of the structure
+constants: over QQ each constant times a common denominator D, over GF(p)
+its residue.  Each sum is bilinear in the constants, so over QQ it is D^2
+times its value.  A counit failure names the first position whose two
+sides differ.
 
 Convention fixed here and used bit-exactly everywhere else: tensor
 coordinates on C (x) C are flattened as (j, k) -> j*dim + k.
@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import islice
 from math import lcm
 from typing import Iterable, Iterator
 
@@ -151,6 +152,12 @@ class AxiomReport:
     ok: bool
     failures: "tuple[AxiomFailure, ...]"
 
+    @classmethod
+    def of(cls, failures: "Iterable[AxiomFailure]") -> "AxiomReport":
+        """The report of the first MAX_FAILURES failures; no more are drawn."""
+        capped = tuple(islice(failures, MAX_FAILURES))
+        return cls(not capped, capped)
+
     def first(self) -> "AxiomFailure | None":
         return self.failures[0] if self.failures else None
 
@@ -170,10 +177,12 @@ class _IntegerImages:
     scale: int
 
     @classmethod
-    def of(cls, field: Field, constants: "Iterable[Scalar]") -> "_IntegerImages":
+    def of(cls, field: Field, tables, epsilon) -> "_IntegerImages":
         if field.char:
             return cls(field, 1)
-        return cls(field, lcm(*{x.denominator for x in constants}))
+        return cls(field, lcm(*{x.denominator for table in tables
+                                for terms in table for _, _, x in terms},
+                              *{x.denominator for x in epsilon}))
 
     def lift(self, x: Scalar) -> int:
         if self.field.char:
@@ -219,7 +228,7 @@ def _coassociator(rho: list, delta: list, n: int, i: int, left: int, right: int)
     return out
 
 
-def coassociativity_failures(field: Field, coaction, delta,
+def coassociativity_failures(images: _IntegerImages, coaction, delta,
                              n: int) -> "Iterator[tuple[int, list]]":
     """Where (rho (x) id)rho and (id (x) Delta)rho differ, element by element.
 
@@ -231,8 +240,6 @@ def coassociativity_failures(field: Field, coaction, delta,
     integer images of all the constants, lifted with one scale; only a
     failing element has its two sides rebuilt.
     """
-    images = _IntegerImages.of(field, [x for table in (coaction, delta)
-                                       for terms in table for _, _, x in terms])
     rho = [[(j, k, flatten_index(j, k, n), images.lift(x)) for j, k, x in terms]
            for terms in coaction]
     lifted = [[(flatten_index(r, s, n), images.lift(x)) for r, s, x in terms]
@@ -248,6 +255,31 @@ def coassociativity_failures(field: Field, coaction, delta,
                       for key in sorted(bad)]
 
 
+def counit_failures(images: _IntegerImages, coactions,
+                    epsilon) -> "Iterator[tuple[int, int, int, Scalar, Scalar]]":
+    """Where (id (x) epsilon)rho(m_i) and m_i differ, for right coactions
+    given as (module j, coalg k, c) term tables over one module.
+
+    Yields (i, t, j, lhs, rhs) for each element i, and for each table t in
+    turn, that fails: j is the first position where the two sides differ,
+    and lhs, rhs are the sides there as field scalars.  Delta as the table
+    tests the coalgebra's right counit law, Delta with its slots swapped the
+    left one.  On integer images m_i's own coefficient is D^2.
+    """
+    eps = [images.lift(x) for x in epsilon]
+    unit = images.scale * images.scale
+    for i in range(len(coactions[0])):
+        for t, coaction in enumerate(coactions):
+            sums = {i: -unit}
+            for j, k, x in coaction[i]:
+                sums[j] = sums.get(j, 0) + images.lift(x) * eps[k]
+            bad = images.nonzero(sums)
+            if bad:
+                j = min(bad)
+                expected = unit if j == i else 0
+                yield i, t, j, images.scalar(sums[j] + expected), images.scalar(expected)
+
+
 # The axiom checkers (this one and comod.check_comodule) report at most
 # this many failures.
 MAX_FAILURES = 16
@@ -255,40 +287,20 @@ MAX_FAILURES = 16
 
 def check_axioms(c: Coalgebra) -> AxiomReport:
     """Exact coassociativity and counit test; failures are reported, not raised."""
-    failures: list[AxiomFailure] = []
+    return AxiomReport.of(_axiom_failures(c))
+
+
+def _axiom_failures(c: Coalgebra) -> "Iterator[AxiomFailure]":
+    images = _IntegerImages.of(c.field, (c.delta,), c.epsilon)
     fmt = c.field.format
-    for i, bad in coassociativity_failures(c.field, c.delta, c.delta, c.dim):
+    for i, bad in coassociativity_failures(images, c.delta, c.delta, c.dim):
         for key, lhs, rhs in bad:
-            failures.append(AxiomFailure(
-                law="coassociativity",
-                element=c.labels[i],
-                position=tuple(c.labels[t] for t in key),
-                lhs=fmt(lhs),
-                rhs=fmt(rhs),
-            ))
-            if len(failures) >= MAX_FAILURES:
-                return AxiomReport(False, tuple(failures))
-    for i in range(c.dim):
-        left: dict = {}
-        right: dict = {}
-        for j, k, coeff in c.delta[i]:
-            left[k] = left.get(k, c.field.zero) + coeff * c.epsilon[j]
-            right[j] = right.get(j, c.field.zero) + coeff * c.epsilon[k]
-        expected = {i: c.field.one}
-        for law, got in (("counit-left", left), ("counit-right", right)):
-            got = {k: v for k, v in got.items() if v}
-            if got != expected:
-                bad = sorted(set(got) | set(expected))[0]
-                failures.append(AxiomFailure(
-                    law=law,
-                    element=c.labels[i],
-                    position=(c.labels[bad],),
-                    lhs=fmt(got.get(bad, c.field.zero)),
-                    rhs=fmt(expected.get(bad, c.field.zero)),
-                ))
-                if len(failures) >= MAX_FAILURES:
-                    return AxiomReport(False, tuple(failures))
-    return AxiomReport(not failures, tuple(failures))
+            yield AxiomFailure("coassociativity", c.labels[i],
+                               tuple(c.labels[t] for t in key), fmt(lhs), fmt(rhs))
+    swapped = [[(k, j, x) for j, k, x in terms] for terms in c.delta]
+    laws = ("counit-left", "counit-right")
+    for i, t, j, lhs, rhs in counit_failures(images, (swapped, c.delta), c.epsilon):
+        yield AxiomFailure(laws[t], c.labels[i], (c.labels[j],), fmt(lhs), fmt(rhs))
 
 
 # -- the convolution algebra -------------------------------------------------

@@ -19,14 +19,16 @@ ones, never hand-duplicated formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .coalg import (
-    MAX_FAILURES,
     AxiomFailure,
     AxiomReport,
     Coalgebra,
     FiltrationChain,
+    _IntegerImages,
     coassociativity_failures,
+    counit_failures,
     dual_and_radical,
 )
 from .exactlin import Matrix, Scalar, Subspace, kernel, preimage
@@ -120,21 +122,20 @@ def direct_sum(parts: "list[Comodule]") -> Comodule:
 
 def check_comodule(m: Comodule) -> AxiomReport:
     """Exact coaction coassociativity and counit test."""
+    return AxiomReport.of(_comodule_failures(m))
+
+
+def _comodule_failures(m: Comodule) -> "Iterator[AxiomFailure]":
     c = m.over
-    field = c.field
-    fmt = field.format
-    failures: list[AxiomFailure] = []
-
-    def mlabel(i: int) -> str:
-        return m.labels[i]
-
+    fmt = c.field.format
     right = m.side == "right"
     # A left comodule is a right comodule over the co-opposite coalgebra
     # with its tensor slots reversed.
     coaction = m.coaction if right else [[(k, j, v) for j, k, v in terms]
                                          for terms in m.coaction]
     delta = c.delta if right else [[(s, r, v) for r, s, v in terms] for terms in c.delta]
-    for i, bad in coassociativity_failures(field, coaction, delta, c.dim):
+    images = _IntegerImages.of(c.field, (coaction, delta), c.epsilon)
+    for i, bad in coassociativity_failures(images, coaction, delta, c.dim):
         # Literal tensor slots: (module, coalg, coalg) for right comodules,
         # (coalg, coalg, module) for left ones.
         if not right:
@@ -142,30 +143,14 @@ def check_comodule(m: Comodule) -> AxiomReport:
                          key=lambda failure: failure[0])
         for key, lhs, rhs in bad:
             if right:
-                pos = (mlabel(key[0]), c.labels[key[1]], c.labels[key[2]])
+                pos = (m.labels[key[0]], c.labels[key[1]], c.labels[key[2]])
             else:
-                pos = (c.labels[key[0]], c.labels[key[1]], mlabel(key[2]))
-            failures.append(AxiomFailure("coaction-coassociativity",
-                                         mlabel(i), pos, fmt(lhs), fmt(rhs)))
-            if len(failures) >= MAX_FAILURES:
-                return AxiomReport(False, tuple(failures))
-    for i in range(m.dim):
-        got: dict = {}
-        for (j, k), coeff in m.module_coalg_pairs(i).items():
-            v = got.get(j, field.zero) + coeff * c.epsilon[k]
-            if v:
-                got[j] = v
-            else:
-                got.pop(j, None)
-        if got != {i: field.one}:
-            bad = sorted(set(got) | {i})[0]
-            failures.append(AxiomFailure(
-                "coaction-counit", mlabel(i), (mlabel(bad),),
-                fmt(got.get(bad, field.zero)),
-                fmt(field.one if bad == i else field.zero)))
-            if len(failures) >= MAX_FAILURES:
-                return AxiomReport(False, tuple(failures))
-    return AxiomReport(not failures, tuple(failures))
+                pos = (c.labels[key[0]], c.labels[key[1]], m.labels[key[2]])
+            yield AxiomFailure("coaction-coassociativity", m.labels[i], pos,
+                               fmt(lhs), fmt(rhs))
+    for i, _, j, lhs, rhs in counit_failures(images, (coaction,), c.epsilon):
+        yield AxiomFailure("coaction-counit", m.labels[i], (m.labels[j],),
+                           fmt(lhs), fmt(rhs))
 
 
 # -- the dual-algebra action ----------------------------------------------------

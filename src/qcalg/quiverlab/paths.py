@@ -3,8 +3,8 @@
 A truncation is selected by a family bound (every parameter set to N) and
 an optional maximum path length.  The enumerated basis is closed under
 contiguous subpaths, which is exactly what makes its span a subcoalgebra
-of the full path coalgebra; closure is validated on every enumeration and
-violations name the missing subpath.
+of the full path coalgebra; closure is validated on declared paths (all-mode
+walks grow from enumerated walks) and violations name the missing subpath.
 
 Compilation splits each basis path at every position, with the trivial
 source/target vertex paths at the ends, and sets the counit to 1 on
@@ -340,7 +340,8 @@ def enumerate_paths(spec: QuiverSpec, n_bound: "int | None" = None,
                            max(unique[key].line, p.line))
         unique[key] = p
     ordered = sorted(unique.values(), key=Path.sort_key)
-    _closure_check(ordered)
+    if spec.path_mode == "declared":
+        _closure_check(ordered)
     labels = [p.label for p in ordered]
     if len(set(labels)) != len(labels):
         raise DslError("duplicate path labels after instantiation", 1)

@@ -74,6 +74,21 @@ def _parse_terms(body: str, field: Field, line: int) -> "tuple[tuple[int, int, o
     return tuple(terms)
 
 
+def _final_labels(declared: dict, prefix: str, n: int,
+                  keyword: str) -> "tuple[str, ...]":
+    """The labels of n elements, <prefix><i> where none is declared; a label
+    given twice is a fault at the later declaration's line."""
+    final = tuple(declared[i][0] if i in declared else f"{prefix}{i}" for i in range(n))
+    first_index: dict[str, int] = {}
+    for i, lab in enumerate(final):
+        if lab in first_index:
+            # Default labels are distinct, so one of the pair was declared.
+            line = max(declared[t][1] for t in (first_index[lab], i) if t in declared)
+            raise FormatError(f"duplicate {keyword} {lab!r}", line)
+        first_index[lab] = i
+    return final
+
+
 def loads(text: str, field: Field = QQ, check: bool = False) -> LoadedFile:
     name = None
     dim = None
@@ -148,15 +163,8 @@ def loads(text: str, field: Field = QQ, check: bool = False) -> LoadedFile:
             if not (0 <= j < dim and 0 <= k < dim):
                 raise FormatError(f"delta {i}: tensor index out of range", line)
 
-    final_labels = tuple(labels[i][0] if i in labels else f"e{i}" for i in range(dim))
-    first_index: dict[str, int] = {}
-    for i, lab in enumerate(final_labels):
-        if lab in first_index:
-            # Default labels are distinct, so one of the pair was declared.
-            line = max(labels[t][1] for t in (first_index[lab], i) if t in labels)
-            raise FormatError(f"duplicate label {lab!r}", line)
-        first_index[lab] = i
-    coalgebra = Coalgebra(field=field, dim=dim, labels=final_labels,
+    coalgebra = Coalgebra(field=field, dim=dim,
+                          labels=_final_labels(labels, "e", dim, "label"),
                           delta=tuple(delta[i][0] if i in delta else () for i in range(dim)),
                           epsilon=epsilon)
 
@@ -171,17 +179,24 @@ def loads(text: str, field: Field = QQ, check: bool = False) -> LoadedFile:
                     raise FormatError(f"rho {i}: tensor index out of range", line)
         comodule = Comodule(side=side, dim=m, over=coalgebra,
                             coaction=tuple(rho[i][0] if i in rho else () for i in range(m)),
-                            labels=tuple(mlabels[i][0] if i in mlabels else f"m{i}"
-                                         for i in range(m)))
+                            labels=_final_labels(mlabels, "m", m, "mlabel"))
+
+    def fault_line(entries: dict, index: int) -> int:
+        """The failing element's own delta or rho line, else the epsilon line."""
+        return entries[index][1] if index in entries else epsilon_line
 
     if check:
         report = check_axioms(coalgebra)
         if not report.ok:
-            raise FormatError(f"coalgebra axioms fail: {report.first()}", 1)
+            first = report.first()
+            raise FormatError(f"coalgebra axioms fail: {first}",
+                              fault_line(delta, coalgebra.label_index(first.element)))
         if comodule is not None:
             report = check_comodule(comodule)
             if not report.ok:
-                raise FormatError(f"comodule axioms fail: {report.first()}", 1)
+                first = report.first()
+                raise FormatError(f"comodule axioms fail: {first}",
+                                  fault_line(rho, comodule.label_index(first.element)))
     return LoadedFile(name=name, coalgebra=coalgebra, comodule=comodule)
 
 

@@ -320,6 +320,19 @@ class TestInputFaults:
          "line 4: epsilon has 1 entries, expected 2"),
         ("dim 2\nlabel 1 e0\ndelta 0: 0 0 1\ndelta 1: 1 1 1\nepsilon: 1 1\n", ["check"],
          "line 2: duplicate label 'e0'"),
+        ("dim 1\ndelta 0: 0 0 1\nepsilon: 1\nmdim 2\nmlabel 0 m\nmlabel 1 m\n"
+         "rho 0: 0 0 1\n", ["check"], "line 6: duplicate mlabel 'm'"),
+        ("dim 2\nlabel 0 a\nlabel 1 b\ndelta 0: 0 0 1; 0 1 1\ndelta 1: 1 1 1\n"
+         "epsilon: 1 1\n", ["compute", "filtration", "--check"],
+         "line 4: coalgebra axioms fail: coassociativity fails on a at a (x) b (x) a"),
+        ("dim 2\ndelta 0: 0 0 1\nepsilon: 1 1\n", ["compute", "filtration", "--check"],
+         "line 3: coalgebra axioms fail: counit-left fails on e1 at e1: 0 != 1"),
+        ("dim 1\ndelta 0: 0 0 1\nepsilon: 1\n# m0\nrho 0: 0 0 2\n",
+         ["compute", "filtration", "--check"],
+         "line 5: comodule axioms fail: coaction-coassociativity fails on m0"),
+        ("dim 1\ndelta 0: 0 0 1\nepsilon: 1\nmdim 2\nrho 0: 0 0 1\n",
+         ["compute", "filtration", "--check"],
+         "line 3: comodule axioms fail: coaction-counit fails on m1 at m1: 0 != 1"),
         (None, ["compute", "ex1", "socle", "--quotient-by", "x1", "--N", "1"],
          "--quotient-by 'x1'"),
         (None, ["compute", "ex1", "mult", "--s", "x1", "--N", "1"],
@@ -328,7 +341,9 @@ class TestInputFaults:
             "zero-denominator", "negative-mdim", "negative-mdim-with-rho",
             "label-out-of-range", "mlabel-out-of-range", "delta-out-of-range",
             "delta-tensor-index", "rho-out-of-range", "rho-tensor-index",
-            "epsilon-length", "duplicate-label", "quotient-by", "mult-simple"])
+            "epsilon-length", "duplicate-label", "duplicate-mlabel", "axioms-delta-line",
+            "axioms-epsilon-line", "comodule-rho-line", "comodule-epsilon-line",
+            "quotient-by", "mult-simple"])
     def test_fault_names_the_line_or_flag(self, tmp_path, capsys, text, argv, phrase):
         if text is not None:
             path = tmp_path / "bad.sc"

@@ -21,8 +21,14 @@ from qcalg.coalg import (
     skew_primitives,
     wedge,
 )
-from qcalg.comod import is_left_coideal, is_right_coideal, is_subcoalgebra
-from qcalg.exactlin import GF, QQ, Subspace, preimage
+from qcalg.comod import (
+    check_comodule,
+    is_left_coideal,
+    is_right_coideal,
+    is_subcoalgebra,
+    regular_comodule,
+)
+from qcalg.exactlin import GF, QQ, GFElement, PrimeField, Rationals, Subspace, preimage
 from qcalg.quiverlab import compile_truncation, parse_spec
 from qcalg.quiverlab.registry import EX1, EX2
 from qcalg.textfmt import dumps_coalgebra, loads
@@ -601,7 +607,8 @@ def check_axioms_in_field_scalars(c):
         for law, got in (("counit-left", left), ("counit-right", right)):
             got = {k: v for k, v in got.items() if v}
             if got != expected:
-                bad = sorted(set(got) | set(expected))[0]
+                bad = min(k for k in set(got) | set(expected)
+                          if got.get(k, zero) != expected.get(k, zero))
                 failures.append(AxiomFailure(
                     law, c.labels[i], (c.labels[bad],),
                     fmt(got.get(bad, zero)), fmt(expected.get(bad, zero))))
@@ -634,6 +641,19 @@ def with_delta_off(c, label, by):
                      delta=tuple(delta), epsilon=c.epsilon)
 
 
+def with_epsilon_off(c, label, by):
+    """c with the counit of label off by by."""
+    epsilon = list(c.epsilon)
+    epsilon[c.label_index(label)] += by
+    return replace(c, epsilon=tuple(epsilon))
+
+
+# Delta(a) = a (x) a + a (x) b, so (epsilon (x) id)Delta(a) = a + b agrees
+# with a at a and first differs at b.
+COUNIT_EXAMPLE = ("dim 2\nlabel 0 a\nlabel 1 b\ndelta 0: 0 0 1; 0 1 1\n"
+                  "delta 1: 1 1 1\nepsilon: 1 1\n")
+
+
 def common_denominator(constants):
     return lcm(*(x.denominator for x in constants))
 
@@ -660,6 +680,8 @@ class TestAxiomCheckEquivalence:
     def report(c):
         report = check_axioms(c)
         assert report == check_axioms_in_field_scalars(c)
+        # A failure is reported only where its two sides differ.
+        assert all(f.lhs != f.rhs for f in report.failures)
         return report
 
     @pytest.mark.parametrize("name,bound", [("ex1", 1), ("ex1", 3), ("ex2", 2), ("ex2", 3)])
@@ -708,3 +730,35 @@ class TestAxiomCheckEquivalence:
     def test_failures_stop_at_the_cap(self, ex2_n3):
         c = with_delta_off(change_basis(ex2_n3[0], seed=5), "a", F(1, 3))
         assert len(self.report(c).failures) == MAX_FAILURES
+
+    def test_counit_off_by_a_third(self, ex1_n2):
+        c = with_epsilon_off(change_basis(ex1_n2[0], seed=5), "x[1]", F(1, 3))
+        report = self.report(c)
+        assert {f.law for f in report.failures} == {"counit-left", "counit-right"}
+        assert any("/" in f.lhs + f.rhs for f in report.failures)
+
+    def test_counit_off_by_two_over_gf(self, ex2_spec):
+        c, _ = compile_truncation(replace(ex2_spec, field=GF(101)), 2)
+        report = self.report(with_epsilon_off(c, "a", GF(101).from_int(2)))
+        assert {f.law for f in report.failures} == {"counit-left", "counit-right"}
+
+    def test_counit_names_the_first_position_that_differs(self):
+        report = self.report(loads(COUNIT_EXAMPLE).coalgebra)
+        left = next(f for f in report.failures if f.law == "counit-left")
+        assert (left.element, left.position, left.lhs, left.rhs) == ("a", ("b",), "1", "0")
+
+    @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
+    def test_passing_inputs_do_no_field_arithmetic(self, field, ex1_spec, monkeypatch):
+        c, _ = compile_truncation(replace(ex1_spec, field=field), 3)
+        modules = [regular_comodule(c, side) for side in ("left", "right")]
+
+        def forbidden(*args):
+            raise AssertionError("the axiom check did field arithmetic")
+        for field_type in (Rationals, PrimeField):
+            for name in ("zero", "one"):
+                monkeypatch.setattr(field_type, name, property(forbidden))
+        for scalar_type in (F, GFElement):
+            for name in ("__add__", "__sub__", "__mul__"):
+                monkeypatch.setattr(scalar_type, name, forbidden)
+        assert check_axioms(c).ok
+        assert all(check_comodule(m).ok for m in modules)

@@ -12,6 +12,7 @@ from test_coalg import (
     probe_subspaces,
     residue_sums_vanish,
     trigonometric_coalgebra,
+    with_epsilon_off,
 )
 
 from qcalg.coalg import (
@@ -702,7 +703,8 @@ def check_comodule_in_field_scalars(m):
             else:
                 got.pop(j, None)
         if got != {i: c.field.one}:
-            bad = sorted(set(got) | {i})[0]
+            bad = min(j for j in set(got) | {i}
+                      if got.get(j, zero) != (c.field.one if j == i else zero))
             failures.append(AxiomFailure(
                 "coaction-counit", m.labels[i], (m.labels[bad],),
                 fmt(got.get(bad, zero)), fmt(c.field.one if bad == i else zero)))
@@ -727,6 +729,8 @@ class TestAxiomCheckEquivalence:
     def report(m):
         report = check_comodule(m)
         assert report == check_comodule_in_field_scalars(m)
+        # A failure is reported only where its two sides differ.
+        assert all(f.lhs != f.rhs for f in report.failures)
         return report
 
     @pytest.mark.parametrize("side", SIDES)
@@ -785,6 +789,32 @@ class TestAxiomCheckEquivalence:
     def test_failures_stop_at_the_cap(self, side, ex2_n3):
         m = regular_comodule(change_basis(ex2_n3[0], seed=5), side)
         assert len(self.report(with_coaction_off(m, "a", F(1, 3))).failures) == MAX_FAILURES
+
+    @pytest.mark.parametrize("side", SIDES)
+    def test_counit_off_by_a_third(self, side, ex1_n2):
+        c = with_epsilon_off(change_basis(ex1_n2[0], seed=5), "x[1]", F(1, 3))
+        report = self.report(regular_comodule(c, side))
+        assert {f.law for f in report.failures} == {"coaction-counit"}
+        assert any("/" in f.lhs + f.rhs for f in report.failures)
+
+    @pytest.mark.parametrize("side", SIDES)
+    def test_counit_off_by_two_over_gf(self, side, ex2_spec):
+        c, _ = compile_truncation(replace(ex2_spec, field=GF(101)), 2)
+        m = regular_comodule(with_epsilon_off(c, "a", GF(101).from_int(2)), side)
+        assert {f.law for f in self.report(m).failures} == {"coaction-counit"}
+
+    @pytest.mark.parametrize("side", SIDES)
+    def test_counit_names_the_first_position_that_differs(self, side, ex1_n1):
+        c, _ = ex1_n1
+        g = c.grouplike_indices()[0]
+        # rho(m0) = m0 (x) g + m1 (x) g, so (id (x) epsilon)rho(m0) = m0 + m1.
+        terms = (((0, g, F(1)), (1, g, F(1))), ((1, g, F(1)),))
+        if side == "left":
+            terms = tuple(tuple((k, j, v) for j, k, v in t) for t in terms)
+        m = Comodule(side=side, dim=2, over=c, coaction=terms, labels=("m0", "m1"))
+        counit = next(f for f in self.report(m).failures if f.law == "coaction-counit")
+        assert (counit.element, counit.position, counit.lhs, counit.rhs) == \
+            ("m0", ("m1",), "1", "0")
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_coactions(self, seed, ex1_n1):

@@ -5,6 +5,7 @@ import re
 from fractions import Fraction as F
 
 import pytest
+from test_coalg import LADDER_ALL
 
 from qcalg import coalg
 from qcalg.coalg import check_axioms, coradical_filtration, wedge
@@ -179,6 +180,15 @@ class TestParsing:
 
 
 class TestEnumeration:
+    def test_all_mode_walks_skip_the_closure_check(self, monkeypatch):
+        spec = parse_spec(LADDER_ALL)
+
+        def forbidden(candidates):
+            raise AssertionError("the closure check ran on all-mode walks")
+        monkeypatch.setattr(paths, "_closure_check", forbidden)
+        # 5 vertices and 2^l walks of each length l from each of 5 - l vertices.
+        assert len(enumerate_paths(spec, 4)) == 5 + 4 * 2 + 3 * 4 + 2 * 8 + 16
+
     def test_ex1_bound1_depth2(self):
         basis = enumerate_paths(parse_spec(EX1), 1, 2)
         assert basis.labels() == ("a", "b[1]", "x[1]", "y[1]", "p[1]")
