@@ -277,23 +277,21 @@ def cmd_example(args) -> int:
 
 def cmd_check(args) -> int:
     bundle = _load_input(args.input, args.field, check=False)
-    reports = []
+    n = None
     if bundle.spec is not None:
-        coalgebra, _ = compile_truncation(bundle.spec, _probe_bound(bundle, args),
-                                          args.depth)
-        reports.append(("coalgebra", check_axioms(coalgebra)))
+        n = _probe_bound(bundle, args)
+        coalgebra, _ = compile_truncation(bundle.spec, n, args.depth)
     else:
         coalgebra = bundle.coalgebra
-        reports.append(("coalgebra", check_axioms(coalgebra)))
-        if bundle.comodule is not None:
-            reports.append(("comodule", check_comodule(bundle.comodule)))
+    reports = [("coalgebra", check_axioms(coalgebra))]
+    if bundle.comodule is not None:
+        reports.append(("comodule", check_comodule(bundle.comodule)))
     ok = all(rep.ok for _, rep in reports)
     failures = [
         {"target": target, "law": f.law, "element": f.element,
          "position": list(f.position), "lhs": f.lhs, "rhs": f.rhs}
         for target, rep in reports for f in rep.failures
     ]
-    n = _probe_bound(bundle, args) if bundle.spec is not None else None
     doc = ReportDocument.build(
         bundle.name, bundle.kind, bundle.text,
         _base_options(bundle, args, "check", n=n),

@@ -189,6 +189,10 @@ class _IntegerImages:
             return x.val
         return x.numerator * (self.scale // x.denominator)
 
+    def lift_table(self, table) -> list:
+        """A table of (j, k, c) term lists with each c lifted."""
+        return [[(j, k, self.lift(x)) for j, k, x in terms] for terms in table]
+
     def nonzero(self, sums: dict) -> list:
         """The keys of the lifted sums whose value in the field is not zero."""
         p = self.field.char
@@ -234,16 +238,15 @@ def coassociativity_failures(images: _IntegerImages, coaction, delta,
 
     coaction[i] holds rho(m_i) of a right comodule over a coalgebra of
     dimension n as (module j, coalg k, c) terms, and delta[k] holds
-    Delta(e_k) as (r, s, c) terms; coaction = delta tests the coalgebra
-    itself.  Yields i and its failing positions (j, r, s) in increasing
-    order, each with the two sides as field scalars.  The sums run on
-    integer images of all the constants, lifted with one scale; only a
-    failing element has its two sides rebuilt.
+    Delta(e_k) as (r, s, c) terms, each c lifted by images; coaction =
+    delta tests the coalgebra itself.  Yields i and its failing positions
+    (j, r, s) in increasing order, each with the two sides as field
+    scalars.  Only a failing element has its two sides rebuilt from the
+    integer sums.
     """
-    rho = [[(j, k, flatten_index(j, k, n), images.lift(x)) for j, k, x in terms]
+    rho = [[(j, k, flatten_index(j, k, n), a) for j, k, a in terms]
            for terms in coaction]
-    lifted = [[(flatten_index(r, s, n), images.lift(x)) for r, s, x in terms]
-              for terms in delta]
+    lifted = [[(flatten_index(r, s, n), b) for r, s, b in terms] for terms in delta]
     nn = n * n
     for i in range(len(rho)):
         bad = images.nonzero(_coassociator(rho, lifted, n, i, 1, -1))
@@ -258,7 +261,7 @@ def coassociativity_failures(images: _IntegerImages, coaction, delta,
 def counit_failures(images: _IntegerImages, coactions,
                     epsilon) -> "Iterator[tuple[int, int, int, Scalar, Scalar]]":
     """Where (id (x) epsilon)rho(m_i) and m_i differ, for right coactions
-    given as (module j, coalg k, c) term tables over one module.
+    given as lifted (module j, coalg k, c) term tables over one module.
 
     Yields (i, t, j, lhs, rhs) for each element i, and for each table t in
     turn, that fails: j is the first position where the two sides differ,
@@ -272,7 +275,7 @@ def counit_failures(images: _IntegerImages, coactions,
         for t, coaction in enumerate(coactions):
             sums = {i: -unit}
             for j, k, x in coaction[i]:
-                sums[j] = sums.get(j, 0) + images.lift(x) * eps[k]
+                sums[j] = sums.get(j, 0) + x * eps[k]
             bad = images.nonzero(sums)
             if bad:
                 j = min(bad)
@@ -292,14 +295,15 @@ def check_axioms(c: Coalgebra) -> AxiomReport:
 
 def _axiom_failures(c: Coalgebra) -> "Iterator[AxiomFailure]":
     images = _IntegerImages.of(c.field, (c.delta,), c.epsilon)
+    delta = images.lift_table(c.delta)
     fmt = c.field.format
-    for i, bad in coassociativity_failures(images, c.delta, c.delta, c.dim):
+    for i, bad in coassociativity_failures(images, delta, delta, c.dim):
         for key, lhs, rhs in bad:
             yield AxiomFailure("coassociativity", c.labels[i],
                                tuple(c.labels[t] for t in key), fmt(lhs), fmt(rhs))
-    swapped = [[(k, j, x) for j, k, x in terms] for terms in c.delta]
+    swapped = [[(k, j, x) for j, k, x in terms] for terms in delta]
     laws = ("counit-left", "counit-right")
-    for i, t, j, lhs, rhs in counit_failures(images, (swapped, c.delta), c.epsilon):
+    for i, t, j, lhs, rhs in counit_failures(images, (swapped, delta), c.epsilon):
         yield AxiomFailure(laws[t], c.labels[i], (c.labels[j],), fmt(lhs), fmt(rhs))
 
 

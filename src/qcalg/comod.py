@@ -129,12 +129,13 @@ def _comodule_failures(m: Comodule) -> "Iterator[AxiomFailure]":
     c = m.over
     fmt = c.field.format
     right = m.side == "right"
+    images = _IntegerImages.of(c.field, (m.coaction, c.delta), c.epsilon)
+    coaction, delta = images.lift_table(m.coaction), images.lift_table(c.delta)
     # A left comodule is a right comodule over the co-opposite coalgebra
     # with its tensor slots reversed.
-    coaction = m.coaction if right else [[(k, j, v) for j, k, v in terms]
-                                         for terms in m.coaction]
-    delta = c.delta if right else [[(s, r, v) for r, s, v in terms] for terms in c.delta]
-    images = _IntegerImages.of(c.field, (coaction, delta), c.epsilon)
+    if not right:
+        coaction = [[(k, j, v) for j, k, v in terms] for terms in coaction]
+        delta = [[(s, r, v) for r, s, v in terms] for terms in delta]
     for i, bad in coassociativity_failures(images, coaction, delta, c.dim):
         # Literal tensor slots: (module, coalg, coalg) for right comodules,
         # (coalg, coalg, module) for left ones.

@@ -15,12 +15,12 @@ two strict increases, and is reported as witnessed growth, never as a
 proof of infinitude.  A verdict of holds always cites the rule chain
 that produced it; a verdict of fails always carries a concrete witness.
 
-``analyze_spec`` is the one route through the analyzer.  It calls each
-stage once: ``degree_tables``, ``locally_finite_verdict``, then the
-two-sided stages ``semiperfect_verdict`` and ``fnoetherian_sweep``, which
-answer both sides from one enumeration of each probe bound and one
-compiled truncation per sweep bound (the analyzed one at N), and last the
-duality oracle.
+``analyze_spec`` is the one route through the analyzer.  It instantiates
+each probe bound once and calls each stage once: ``degree_tables``,
+``locally_finite_verdict``, then the two-sided stages
+``semiperfect_verdict`` and ``fnoetherian_sweep``, which answer both sides
+from one enumeration of each probe instance and one compiled truncation
+per sweep bound (the analyzed one at N), and last the duality oracle.
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ from ..comod import (
 )
 from ..exactlin import Subspace
 from .dsl import QuiverSpec
-from .paths import compile_truncation, enumerate_paths, instantiate, reachability
+from .paths import (QuiverInstance, compile_truncation, enumerate_instance,
+                    instantiate, reachability)
 
 
 class InternalCheckError(RuntimeError):
@@ -106,18 +107,16 @@ def _grows(counts: "tuple[int, ...] | list[int]") -> bool:
     return counts[0] < counts[1] < counts[2]
 
 
-def degree_tables(spec: QuiverSpec, n: int) -> dict:
-    """Arrow in/out counts per vertex at N, N+1, N+2 plus growth flags."""
-    probes = _probe_bounds(n)
-    instances = [instantiate(spec, b) for b in probes]
+def degree_tables(n: int, probes: "list[QuiverInstance]") -> dict:
+    """Arrow in/out counts per vertex of the probes at N, N+1, N+2 plus growth flags."""
     counts = [Counter(key for a in inst.arrows
                       for key in (("in", a.dst), ("out", a.src), (a.src, a.dst)))
-              for inst in instances]
+              for inst in probes]
 
     def at_probes(key) -> "tuple[int, ...]":
         return tuple(c[key] for c in counts)
 
-    ordered = sorted(instances[0].vertices, key=lambda v: (v.name, v.indices))
+    ordered = sorted(probes[0].vertices, key=lambda v: (v.name, v.indices))
     table: dict[str, dict] = {}
     for v in ordered:
         ins, outs = at_probes(("in", v)), at_probes(("out", v))
@@ -137,20 +136,20 @@ def degree_tables(spec: QuiverSpec, n: int) -> dict:
                     "count": pair[0], "probe_counts": list(pair),
                     "growing": _grows(pair),
                 })
-    return {"N": n, "probes": list(probes), "vertices": table, "pairs": pairs}
+    return {"N": n, "probes": list(_probe_bounds(n)), "vertices": table, "pairs": pairs}
 
 
-def _paths_by_vertex(spec: QuiverSpec,
-                     n: int) -> "dict[str, list[dict[str, list[str]]]]":
-    """For each side, at each probe bound, the labels of the basis paths
-    ending at (left) or starting at (right) each vertex: the bases of the
-    injective indecomposables on that side.  Each probe bound is
-    enumerated once for both sides."""
+def _paths_by_vertex(spec: QuiverSpec, probes: "list[QuiverInstance]"
+                     ) -> "dict[str, list[dict[str, list[str]]]]":
+    """For each side, at each probe instance of spec, the labels of the
+    basis paths ending at (left) or starting at (right) each vertex: the
+    bases of the injective indecomposables on that side.  Each probe
+    instance is enumerated once for both sides."""
     groups: dict[str, list] = {"left": [], "right": []}
-    for bound in _probe_bounds(n):
+    for inst in probes:
         into: dict[str, list[str]] = {}
         out_of: dict[str, list[str]] = {}
-        for p in enumerate_paths(spec, bound).paths:
+        for p in enumerate_instance(spec, inst).paths:
             into.setdefault(p.target.label, []).append(p.label)
             out_of.setdefault(p.source.label, []).append(p.label)
         groups["left"].append(into)
@@ -164,9 +163,9 @@ def locally_finite_verdict(spec: QuiverSpec, n: int, tables: dict,
                            truncation: Coalgebra) -> VerdictEntry:
     """Bounded arrow multiplicity for every ordered vertex pair.
 
-    tables is degree_tables(spec, n) and truncation the analyzed
-    truncation at n.  Cross-validated on compiled truncations at two
-    depths: the (g, h)-skew-primitive space of a vertex pair must have
+    tables is degree_tables at n and truncation the analyzed truncation
+    at n.  Cross-validated on compiled truncations at two depths: the
+    (g, h)-skew-primitive space of a vertex pair must have
     dimension (arrow count) + 1 for distinct vertices and (loop count)
     for g = h.  Its dimension is read as dim(kg ^ kh) - 1 from the
     coalgebra's table of grouplike-pair wedges (Taft-Wilson: kg ^ kh =
@@ -248,21 +247,22 @@ def _path_growth(groups: "list[dict[str, list[str]]]", vertices: list,
     return None
 
 
-def semiperfect_verdict(spec: QuiverSpec, n: int) -> "dict[str, VerdictEntry]":
+def semiperfect_verdict(spec: QuiverSpec, n: int, probes: "list[QuiverInstance]"
+                        ) -> "dict[str, VerdictEntry]":
     """Right semiperfect: bounded path families into every vertex (left
     injective indecomposables finite-dimensional); left mirrors with
     paths out of every vertex.
 
-    Both sides read one instance at n, one reachability map and one
-    enumeration per probe bound.  A cycle fails both sides, so the probes
-    are enumerated only when some side has no cycle witness (an all-paths
-    cyclic quiver has no unbounded enumeration).
+    probes holds spec's instances at n, n+1, n+2; both sides read the
+    reachability map of the first and one enumeration of each.  A cycle
+    fails both sides, so the probes are enumerated only when some side has
+    no cycle witness (an all-paths cyclic quiver has no unbounded
+    enumeration).
     """
-    instance = instantiate(spec, n)
-    reach = reachability(instance) if spec.path_mode == "all" else {}
+    reach = reachability(probes[0]) if spec.path_mode == "all" else {}
     cycles = {side: _cycle_witness(reach, side) for side in ("right", "left")}
-    groups = _paths_by_vertex(spec, n) if None in cycles.values() else None
-    ordered = sorted(instance.vertices, key=lambda v: (v.name, v.indices))
+    groups = _paths_by_vertex(spec, probes) if None in cycles.values() else None
+    ordered = sorted(probes[0].vertices, key=lambda v: (v.name, v.indices))
     verdicts: dict[str, VerdictEntry] = {}
     for side, cycle in cycles.items():
         criterion = f"{side}_semiperfect"
@@ -308,20 +308,21 @@ def fnoetherian_sweep(spec: QuiverSpec, sweep: "list[int]", depth: "int | None",
     simple where it is reached.  The multiplicities are the weight-space
     dimensions of ``multiplicity_table``: one shared kernel for the
     coaction rows at non-grouplike indices, then one small system per
-    grouplike on that kernel's coordinates.  The vertices are those at the
-    smallest bound.  A column increasing strictly over at least three
-    bounds is a refutation witness; absence of growth never proves the
-    property.
+    grouplike on that kernel's coordinates.  The vertices are the
+    grouplikes of the truncation at the smallest bound.  A column
+    increasing strictly over at least three bounds is a refutation
+    witness; absence of growth never proves the property.
     """
     if not sweep:
         raise ValueError("empty sweep")
-    vertices = sorted(v.label for v in instantiate(spec, min(sweep)).vertices)
+    smallest = min(sweep)
+    first = truncation if smallest == n else compile_truncation(spec, smallest, depth)[0]
+    vertices = sorted(first.labels[g] for g in first.grouplike_indices())
     tables = {side: {v: [] for v in vertices} for side in ("left", "right")}
+    held = {n: truncation, smallest: first}
     for bound in sweep:
-        if bound == n:
-            coalgebra = truncation
-        else:
-            coalgebra, _ = compile_truncation(spec, bound, depth)
+        coalgebra = (held[bound] if bound in held
+                     else compile_truncation(spec, bound, depth)[0])
         for side, columns in tables.items():
             reg = regular_comodule(coalgebra, side)
             for vlabel in vertices:
@@ -389,10 +390,10 @@ def analyze_spec(spec: QuiverSpec, n: int, sweep: "list[int] | None" = None,
                  depth: "int | None" = None) -> dict:
     """Everything the analyze command reports, as one JSON-friendly dict.
 
-    The analyzer's one route: it compiles the (n, depth) truncation once,
-    runs each verdict stage once (the two-sided stages answer both sides)
-    and passes the truncation and its coradical filtration to the stages
-    that read them.  sweep None means the bounds 1..max(2, n).
+    The analyzer's one route: it compiles the (n, depth) truncation and
+    instantiates each probe bound once, then runs each verdict stage once
+    on them (the two-sided stages answer both sides).  sweep None means
+    the bounds 1..max(2, n).
 
     holds conclusions only ever come from the structural rules; growth
     sweeps can only refute.  Conflicts between the two routes raise.
@@ -404,9 +405,10 @@ def analyze_spec(spec: QuiverSpec, n: int, sweep: "list[int] | None" = None,
             f"compiled truncation violates the coalgebra axioms: {axioms.first()}")
     filtration = coradical_filtration(coalgebra)
     sweep = sweep or list(range(1, max(2, n) + 1))
-    tables = degree_tables(spec, n)
+    probes = [instantiate(spec, bound) for bound in _probe_bounds(n)]
+    tables = degree_tables(n, probes)
     lf = locally_finite_verdict(spec, n, tables, coalgebra)
-    semiperfect = semiperfect_verdict(spec, n)
+    semiperfect = semiperfect_verdict(spec, n, probes)
     right_sp, left_sp = semiperfect["right"], semiperfect["left"]
     in_bounded = all(not v["in_growing"] for v in tables["vertices"].values())
     out_bounded = all(not v["out_growing"] for v in tables["vertices"].values())

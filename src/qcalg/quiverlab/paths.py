@@ -287,13 +287,18 @@ def reachability(inst: QuiverInstance) -> "dict[str, set[str]]":
 
 def enumerate_paths(spec: QuiverSpec, n_bound: "int | None" = None,
                     depth: "int | None" = None) -> PathBasis:
-    """All admissible paths at a family bound, up to an optional length.
+    """All admissible paths at a family bound, up to an optional length."""
+    return enumerate_instance(spec, instantiate(spec, n_bound), depth)
+
+
+def enumerate_instance(spec: QuiverSpec, inst: QuiverInstance,
+                       depth: "int | None" = None) -> PathBasis:
+    """All admissible paths of an instance of spec, up to an optional length.
 
     Declared mode takes the declared set; all mode walks the instantiated
     graph and therefore refuses cyclic instances unless a depth bound is
     given.
     """
-    inst = instantiate(spec, n_bound)
     candidates: list[Path] = [Path(v.label, v, v, ()) for v in inst.vertices]
     if depth is None or depth >= 1:
         candidates.extend(Path(a.label, a.src, a.dst, (a,)) for a in inst.arrows)

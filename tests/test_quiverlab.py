@@ -302,9 +302,15 @@ class TestCompilation:
             assert embedded == w_dp.intersect(span)
 
 
+def probe_instances(spec, n: int) -> list:
+    """The instances at the probe bounds N, N+1, N+2, which analyze_spec
+    builds once and hands to degree_tables and semiperfect_verdict."""
+    return [instantiate(spec, bound) for bound in (n, n + 1, n + 2)]
+
+
 class TestDegreeTables:
     def test_ex2_source_vertex_grows(self, ex2_spec):
-        table = degree_tables(ex2_spec, 3)
+        table = degree_tables(3, probe_instances(ex2_spec, 3))
         a = table["vertices"]["a"]
         assert a["arrows_out"] == 6 and a["out_growing"]
         assert not a["in_growing"]
@@ -312,7 +318,7 @@ class TestDegreeTables:
         assert b2["arrows_in"] == 2 and not b2["in_growing"]
 
     def test_ex1_center_vertex_grows_both_ways(self, ex1_spec):
-        table = degree_tables(ex1_spec, 3)
+        table = degree_tables(3, probe_instances(ex1_spec, 3))
         a = table["vertices"]["a"]
         assert a["in_growing"] and a["out_growing"]
         b1 = table["vertices"]["b[1]"]
@@ -320,7 +326,7 @@ class TestDegreeTables:
         assert not b1["in_growing"] and not b1["out_growing"]
 
     def test_pair_counts(self, ex2_spec):
-        table = degree_tables(ex2_spec, 3)
+        table = degree_tables(3, probe_instances(ex2_spec, 3))
         pair = {(p["src"], p["dst"]): p for p in table["pairs"]}
         assert pair[("a", "b[3]")]["count"] == 3
         assert not pair[("a", "b[3]")]["growing"]
@@ -329,7 +335,8 @@ class TestDegreeTables:
 def hull_bases(spec, side: str, vertex: str, n: int) -> "list[list[str]]":
     """The basis of the side's injective indecomposable at a vertex, at
     each probe bound, from the path groups the semiperfect verdict reads."""
-    return [g.get(vertex, []) for g in _paths_by_vertex(spec, n)[side]]
+    return [g.get(vertex, [])
+            for g in _paths_by_vertex(spec, probe_instances(spec, n))[side]]
 
 
 class TestInjectives:
@@ -349,18 +356,18 @@ class TestInjectives:
 
 class TestLocallyFinite:
     def test_ex1_holds(self, ex1_spec, ex1_n3):
-        entry = locally_finite_verdict(ex1_spec, 3, degree_tables(ex1_spec, 3),
-                                       ex1_n3[0])
+        entry = locally_finite_verdict(
+            ex1_spec, 3, degree_tables(3, probe_instances(ex1_spec, 3)), ex1_n3[0])
         assert entry.verdict == "holds"
 
     def test_ex2_holds(self, ex2_spec, ex2_n3):
-        entry = locally_finite_verdict(ex2_spec, 3, degree_tables(ex2_spec, 3),
-                                       ex2_n3[0])
+        entry = locally_finite_verdict(
+            ex2_spec, 3, degree_tables(3, probe_instances(ex2_spec, 3)), ex2_n3[0])
         assert entry.verdict == "holds"
 
     def test_unbounded_pair_fails_with_witness(self):
         spec = parse_spec(UNBOUNDED)
-        entry = locally_finite_verdict(spec, 2, degree_tables(spec, 2),
+        entry = locally_finite_verdict(spec, 2, degree_tables(2, probe_instances(spec, 2)),
                                        compile_truncation(spec, 2)[0])
         assert entry.verdict == "fails"
         assert entry.witness["pair"] == ["a", "b"]
@@ -369,26 +376,28 @@ class TestLocallyFinite:
 
 class TestSemiperfect:
     def test_ex2_sides(self, ex2_spec):
-        verdicts = semiperfect_verdict(ex2_spec, 3)
+        verdicts = semiperfect_verdict(ex2_spec, 3, probe_instances(ex2_spec, 3))
         assert verdicts["right"].verdict == "holds"
         left = verdicts["left"]
         assert left.verdict == "fails"
         assert left.witness["vertex"] == "a"
 
     def test_ex1_fails_both_sides_at_the_hub(self, ex1_spec):
-        for side, entry in semiperfect_verdict(ex1_spec, 3).items():
+        verdicts = semiperfect_verdict(ex1_spec, 3, probe_instances(ex1_spec, 3))
+        for side, entry in verdicts.items():
             assert entry.criterion == f"{side}_semiperfect"
             assert entry.verdict == "fails"
             assert entry.witness["vertex"] == "a"
 
     def test_single_vertex_holds(self):
-        verdicts = semiperfect_verdict(parse_spec(SINGLE), 1)
+        spec = parse_spec(SINGLE)
+        verdicts = semiperfect_verdict(spec, 1, probe_instances(spec, 1))
         assert list(verdicts) == ["right", "left"]
         assert all(entry.verdict == "holds" for entry in verdicts.values())
 
     def test_cycle_makes_path_families_infinite(self):
         spec = parse_spec(LOOP)
-        entry = semiperfect_verdict(spec, 1)["right"]
+        entry = semiperfect_verdict(spec, 1, probe_instances(spec, 1))["right"]
         assert entry.verdict == "fails"
         assert "cycle" in entry.witness["note"]
 
@@ -397,7 +406,8 @@ class TestSemiperfect:
         (CYCLE_INTO_LOOP, ("x", "x"), ("w", "x")),
     ])
     def test_cycle_witness_vertices(self, text, right, left):
-        verdicts = semiperfect_verdict(parse_spec(text), 1)
+        spec = parse_spec(text)
+        verdicts = semiperfect_verdict(spec, 1, probe_instances(spec, 1))
         for side, want in (("right", right), ("left", left)):
             witness = verdicts[side].witness
             assert (witness["vertex"], witness["cycle_through"]) == want
@@ -568,11 +578,12 @@ class TestEachStepOnce:
         assert len(filtrations) == 1
         assert len(radicals) == 1
         assert compiles.count((spec, 3, None)) == 1
-        assert tables == [(spec, 3)]
+        probes = probe_instances(spec, 3)
+        assert tables == [(3, probes)]
         # The bundle calls the public verdict, on the one set of tables and
         # the analyzed truncation.
         truncation, _ = compile_truncation(spec, 3)
-        assert verdicts == [(spec, 3, degree_tables(spec, 3), truncation)]
+        assert verdicts == [(spec, 3, degree_tables(3, probes), truncation)]
 
     @pytest.mark.parametrize("text,count", [(EX1, 5), (EX2, 4)], ids=["ex1", "ex2"])
     def test_analyze_compiles_each_truncation_once(self, text, count,
@@ -588,7 +599,8 @@ class TestEachStepOnce:
         assert len(compiles) == count
         assert all(compiles.count(call) == 1 for call in compiles)
         truncation, _ = compile_truncation(spec, 3)
-        assert stages == [[(spec, 3)], [(spec, [1, 2], None, 3, truncation)]]
+        assert stages == [[(spec, 3, probe_instances(spec, 3))],
+                          [(spec, [1, 2], None, 3, truncation)]]
 
     @pytest.mark.parametrize("text,count", [(EX1, 5), (EX2, 4)], ids=["ex1", "ex2"])
     def test_the_default_sweep_compiles_each_truncation_once(self, text, count,
@@ -615,12 +627,34 @@ class TestEachStepOnce:
         assert skew_calls == []
         assert len(wedge_calls) == wedges
 
+    @pytest.mark.parametrize("text,bounds", [
+        (EX1, [1, 2, 3, 3, 3, 3, 4, 5]),
+        (EX2, [1, 2, 3, 3, 3, 4, 5]),
+    ], ids=["ex1", "ex2"])
+    def test_analyze_instantiates_each_probe_bound_once(self, text, bounds,
+                                                        patch_everywhere):
+        # N+1 and N+2 are the probes alone.  N is instantiated by the probes,
+        # the analyzed truncation and each cross-check depth (ex1 probes
+        # depths 1 and 2, ex2 depth 1); the sweep compiles its bounds 1, 2.
+        spec = parse_spec(text)
+        calls = _record_calls(patch_everywhere, paths, "instantiate")
+        analyze_spec(spec, 3)
+        instantiated = [call[1] for call in calls]
+        assert instantiated.count(4) == instantiated.count(5) == 1
+        assert len(instantiated) == len(bounds)
+        assert sorted(instantiated) == bounds
+
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_semiperfect_enumerates_each_probe_once(self, n, ex2_spec,
                                                     patch_everywhere):
-        enumerations = _record_calls(patch_everywhere, paths, "enumerate_paths")
-        for spec in (ex2_spec, parse_spec(SINGLE)):
+        specs = (ex2_spec, parse_spec(SINGLE))
+        enumerations = _record_calls(patch_everywhere, paths, "enumerate_instance")
+        instantiations = _record_calls(patch_everywhere, paths, "instantiate")
+        for spec in specs:
             enumerations.clear()
-            semiperfect_verdict(spec, n)
+            probes = probe_instances(spec, n)
+            semiperfect_verdict(spec, n, probes)
             assert [call[1:] for call in enumerations] == [
-                (n, None), (n + 1, None), (n + 2, None)]
+                (probes[0], None), (probes[1], None), (probes[2], None)]
+            assert all(call[1] is probe for call, probe in zip(enumerations, probes))
+            assert instantiations == []
