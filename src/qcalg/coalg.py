@@ -31,6 +31,7 @@ from .exactlin import (
     Matrix,
     Scalar,
     Subspace,
+    drop_zeros,
     kernel,
 )
 
@@ -41,6 +42,19 @@ def flatten_index(j: int, k: int, dim: int) -> int:
 
 
 DeltaTerm = "tuple[int, int, Scalar]"
+
+
+def merged_terms(table, swap: bool = False) -> "list[dict]":
+    """Each (j, k, c) term list of table as one {(j, k): c} dict, keyed
+    (k, j) when swap is set: repeated pairs summed, zero sums dropped."""
+    merged = []
+    for terms in table:
+        out: dict = {}
+        for j, k, c in terms:
+            key = (k, j) if swap else (j, k)
+            out[key] = out[key] + c if key in out else c
+        merged.append(drop_zeros(out))
+    return merged
 
 
 @dataclass(frozen=True)
@@ -66,18 +80,15 @@ class Coalgebra:
         except ValueError:
             raise KeyError(f"unknown basis label {name!r}") from None
 
+    @cached_property
+    def _delta_dicts(self) -> "list[dict]":
+        return merged_terms(self.delta)
+
     def delta_dict(self, i: int) -> dict:
-        """Delta(e_i) as a sparse {(j, k): c} dict."""
-        out: dict = {}
-        for j, k, c in self.delta[i]:
-            key = (j, k)
-            v = out.get(key)
-            nv = c if v is None else v + c
-            if nv:
-                out[key] = nv
-            else:
-                out.pop(key, None)
-        return out
+        """Delta(e_i) as a sparse {(j, k): c} dict, repeated pairs summed
+        and zeros dropped.  The table of every i is built once per
+        coalgebra and shared: read the dict, never mutate it."""
+        return self._delta_dicts[i]
 
     def delta_matrix(self) -> Matrix:
         """Delta as a dim^2 x dim matrix in flattened coordinates."""
@@ -330,6 +341,7 @@ class DualAlgebra:
     unit: "tuple[Scalar, ...]"
 
     def multiply(self, u: dict, v: dict) -> dict:
+        zero = self.field.zero
         out: dict = {}
         for i, ui in u.items():
             row = self.mult.get(i)
@@ -341,18 +353,15 @@ class DualAlgebra:
                     continue
                 w = ui * vj
                 for k, c in terms:
-                    nv = out.get(k, self.field.zero) + w * c
-                    if nv:
-                        out[k] = nv
-                    else:
-                        out.pop(k, None)
-        return out
+                    out[k] = out.get(k, zero) + w * c
+        return drop_zeros(out)
 
     def unit_dict(self) -> dict:
         return {i: v for i, v in enumerate(self.unit) if v}
 
     def left_mult_matrix(self, u: dict) -> Matrix:
         """Matrix of v -> u*v on dual coordinates."""
+        zero = self.field.zero
         entries: dict = {}
         for i, ui in u.items():
             row = self.mult.get(i)
@@ -360,13 +369,8 @@ class DualAlgebra:
                 continue
             for j, terms in row.items():
                 for k, c in terms:
-                    key = (k, j)
-                    nv = entries.get(key, self.field.zero) + ui * c
-                    if nv:
-                        entries[key] = nv
-                    else:
-                        entries.pop(key, None)
-        return Matrix(self.dim, self.dim, entries)
+                    entries[(k, j)] = entries.get((k, j), zero) + ui * c
+        return Matrix.from_entries(self.dim, self.dim, entries)
 
 
 def dual_algebra(c: Coalgebra) -> DualAlgebra:
@@ -442,7 +446,7 @@ def ideal_product(i: Subspace, j: Subspace, a: DualAlgebra) -> Subspace:
                         prev = out.get(k)
                         out[k] = w * c if prev is None else prev + w * c
         for b in sorted(by_row):
-            product = {k: v for k, v in by_row[b].items() if v}
+            product = drop_zeros(by_row[b])
             if product:
                 products.append(product)
     return Subspace.span(a.field, a.dim, products)
@@ -482,35 +486,28 @@ def coradical_filtration(c: Coalgebra) -> FiltrationChain:
 def wedge(x: Subspace, y: Subspace, c: Coalgebra) -> Subspace:
     """The wedge X ^ Y = ker(C -> C/X (x) C/Y), the map being (pi_X (x) pi_Y) Delta.
 
-    pi_X sends e_j to its residual after reduction by X's echelon basis, a
-    linear projection with kernel X; ker(pi_X (x) pi_Y) = X (x) C + C (x) Y,
-    so this is the pullback of X (x) C + C (x) Y through Delta.
+    pi_X sends e_j to its residual after reduction by X's echelon basis
+    (X's residual table), a linear projection with kernel X;
+    ker(pi_X (x) pi_Y) = X (x) C + C (x) Y, so this is the pullback of
+    X (x) C + C (x) Y through Delta.
     """
     if x.ambient_dim != c.dim or y.ambient_dim != c.dim:
         raise ValueError("wedge: subspaces must live in the coalgebra's coordinates")
     n = c.dim
-    one, zero = c.field.one, c.field.zero
-    red_x = [x.reduce_vector({j: one}) for j in range(n)]
-    red_y = [y.reduce_vector({k: one}) for k in range(n)]
+    zero = c.field.zero
+    red_x, red_y = x.residuals, y.residuals
     entries: dict = {}
     for i in range(n):
-        col: dict = {}
-        for j, k, coeff in c.delta[i]:
+        for (j, k), coeff in c.delta_dict(i).items():
             rx, ry = red_x[j], red_y[k]
             if not rx or not ry:
                 continue
             for a, va in rx.items():
                 w = coeff * va
                 for b, vb in ry.items():
-                    key = flatten_index(a, b, n)
-                    nv = col.get(key, zero) + w * vb
-                    if nv:
-                        col[key] = nv
-                    else:
-                        col.pop(key, None)
-        for key, v in col.items():
-            entries[(key, i)] = v
-    return kernel(Matrix(n * n, n, entries), c.field)
+                    key = (flatten_index(a, b, n), i)
+                    entries[key] = entries.get(key, zero) + w * vb
+    return kernel(Matrix.from_entries(n * n, n, entries), c.field)
 
 
 def skew_primitives(g: int, h: int, c: Coalgebra) -> Subspace:
@@ -519,13 +516,9 @@ def skew_primitives(g: int, h: int, c: Coalgebra) -> Subspace:
         if not c.is_grouplike(idx):
             raise ValueError(f"basis element {c.labels[idx]!r} is not grouplike")
     n = c.dim
+    zero, one = c.field.zero, c.field.one
     entries = dict(c.delta_matrix().entries)
     for t in range(n):
         for row in (flatten_index(g, t, n), flatten_index(t, h, n)):
-            key = (row, t)
-            nv = entries.get(key, c.field.zero) - c.field.one
-            if nv:
-                entries[key] = nv
-            else:
-                entries.pop(key, None)
-    return kernel(Matrix(n * n, n, entries), c.field)
+            entries[(row, t)] = entries.get((row, t), zero) - one
+    return kernel(Matrix.from_entries(n * n, n, entries), c.field)

@@ -19,6 +19,7 @@ ones, never hand-duplicated formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from .coalg import (
@@ -30,8 +31,9 @@ from .coalg import (
     coassociativity_failures,
     counit_failures,
     dual_and_radical,
+    merged_terms,
 )
-from .exactlin import Matrix, Scalar, Subspace, kernel, preimage
+from .exactlin import Matrix, Scalar, Subspace, drop_zeros, kernel, preimage
 
 SIDES = ("left", "right")
 
@@ -61,18 +63,15 @@ class Comodule:
     def field(self):
         return self.over.field
 
+    @cached_property
+    def _pairs(self) -> "list[dict]":
+        return merged_terms(self.coaction, swap=self.side == "left")
+
     def module_coalg_pairs(self, i: int) -> "dict[tuple[int, int], Scalar]":
-        """Coaction of basis element i as {(module_idx, coalg_idx): c}."""
-        out: dict = {}
-        for j, k, c in self.coaction[i]:
-            key = (j, k) if self.side == "right" else (k, j)
-            v = out.get(key)
-            nv = c if v is None else v + c
-            if nv:
-                out[key] = nv
-            else:
-                out.pop(key, None)
-        return out
+        """Coaction of basis element i as {(module_idx, coalg_idx): c},
+        repeated pairs summed and zeros dropped.  The table of every i is
+        built once per comodule and shared: read the dict, never mutate it."""
+        return self._pairs[i]
 
     def label_index(self, name: str) -> int:
         try:
@@ -166,19 +165,14 @@ def dual_action(f: dict, m: Comodule) -> Matrix:
     for k in f:
         if k < 0 or k >= m.over.dim:
             raise ValueError("dual vector does not live on the base coalgebra")
+    zero = m.field.zero
     entries: dict = {}
     for i in range(m.dim):
         for (j, k), c in m.module_coalg_pairs(i).items():
             fk = f.get(k)
-            if not fk:
-                continue
-            key = (j, i)
-            v = entries.get(key, m.field.zero) + c * fk
-            if v:
-                entries[key] = v
-            else:
-                entries.pop(key, None)
-    return Matrix(m.dim, m.dim, entries)
+            if fk:
+                entries[(j, i)] = entries.get((j, i), zero) + c * fk
+    return Matrix.from_entries(m.dim, m.dim, entries)
 
 
 def _radical_action_matrices(m: Comodule) -> "list[Matrix]":
@@ -219,23 +213,13 @@ def weight_space(m: Comodule, g: int) -> Subspace:
     if not m.over.is_grouplike(g):
         raise ValueError(f"{m.over.labels[g]!r} is not grouplike")
     n, cdim = m.dim, m.over.dim
-    entries: dict = {}
-    for i in range(n):
-        for (j, k), c in m.module_coalg_pairs(i).items():
-            key = (j * cdim + k, i)
-            v = entries.get(key, m.field.zero) + c
-            if v:
-                entries[key] = v
-            else:
-                entries.pop(key, None)
+    zero, one = m.field.zero, m.field.one
+    entries = {(j * cdim + k, i): c
+               for i in range(n) for (j, k), c in m.module_coalg_pairs(i).items()}
     for t in range(n):
         key = (t * cdim + g, t)
-        v = entries.get(key, m.field.zero) - m.field.one
-        if v:
-            entries[key] = v
-        else:
-            entries.pop(key, None)
-    return kernel(Matrix(n * cdim, n, entries), m.field)
+        entries[key] = entries.get(key, zero) - one
+    return kernel(Matrix.from_entries(n * cdim, n, entries), m.field)
 
 
 # -- homs, quotients, subobjects -------------------------------------------------
@@ -244,38 +228,28 @@ def hom_space(n: Comodule, m: Comodule) -> "tuple[int, list[Matrix]]":
     """All comodule maps N -> M, by solving the intertwining equations."""
     if n.side != m.side or n.over != m.over:
         raise ValueError("hom_space needs one side and one base coalgebra")
-    cdim = n.over.dim
     field = n.field
+    zero = field.zero
     unknowns = m.dim * n.dim  # phi[l, i] at index l*n.dim + i
     equations: dict = {}
 
-    def eq_row(key: tuple) -> dict:
-        row = equations.get(key)
-        if row is None:
-            row = {}
-            equations[key] = row
-        return row
-
-    def add(row: dict, col: int, c: Scalar) -> None:
-        v = row.get(col, field.zero) + c
-        if v:
-            row[col] = v
-        else:
-            row.pop(col, None)
+    def add(key: tuple, col: int, c: Scalar) -> None:
+        row = equations.setdefault(key, {})
+        row[col] = row.get(col, zero) + c
 
     for i in range(n.dim):
         # Coact in N, then map the module leg with phi.
         for (j, k), c in n.module_coalg_pairs(i).items():
             for l in range(m.dim):
-                add(eq_row((i, l, k)), l * n.dim + j, c)
+                add((i, l, k), l * n.dim + j, c)
         # Map with phi, then coact in M.
         for lprime in range(m.dim):
             for (l, k), c in m.module_coalg_pairs(lprime).items():
-                add(eq_row((i, l, k)), lprime * n.dim + i, -c)
-    rows = sorted(equations, key=lambda key: key)
+                add((i, l, k), lprime * n.dim + i, -c)
+    rows = sorted(equations)
     entries = {(ri, col): c for ri, key in enumerate(rows)
                for col, c in equations[key].items()}
-    ker = kernel(Matrix(len(rows), unknowns, entries), field)
+    ker = kernel(Matrix.from_entries(len(rows), unknowns, entries), field)
     mats = [Matrix(m.dim, n.dim, {(u // n.dim, u % n.dim): c for u, c in vec.items()})
             for vec in ker.basis_dicts()]
     return ker.dim, mats
@@ -335,18 +309,15 @@ def multiplicity_table(m: Comodule) -> "dict[str, int]":
         for h_pos, h in enumerate(grouplikes):
             for j, c in slices.get(h, {}).items():
                 common[(h_pos * n + j, r)] = c
+    zero = m.field.zero
     table: dict[str, int] = {}
     for g_pos, g in enumerate(grouplikes):
         entries = dict(common)
         for r, b in enumerate(k_basis):
             for j, c in b.items():
                 key = (g_pos * n + j, r)
-                v = entries.get(key, m.field.zero) - c
-                if v:
-                    entries[key] = v
-                else:
-                    entries.pop(key, None)
-        system = Matrix(len(grouplikes) * n, len(k_basis), entries)
+                entries[key] = entries.get(key, zero) - c
+        system = Matrix.from_entries(len(grouplikes) * n, len(k_basis), entries)
         table[m.over.labels[g]] = kernel(system, m.field).dim
     return table
 
@@ -359,7 +330,7 @@ def _coaction_slices(m: Comodule, u: dict) -> "dict[int, dict]":
         for (j, k), c in m.module_coalg_pairs(i).items():
             piece = slices.setdefault(k, {})
             piece[j] = piece.get(j, zero) + ui * c
-    return {k: {j: v for j, v in piece.items() if v} for k, piece in slices.items()}
+    return {k: drop_zeros(piece) for k, piece in slices.items()}
 
 
 def is_stable(m: Comodule, x: Subspace) -> bool:
@@ -412,7 +383,7 @@ def quotient_with_projection(m: Comodule, x: Subspace) -> "tuple[Comodule, Matri
     """Quotient comodule m/x plus the coordinate projection onto it.
 
     Quotient coordinates are the non-pivot coordinates of x's echelon
-    basis, so the projection is reduction by x followed by coordinate
+    basis, so the projection is x's residual table followed by coordinate
     selection.
     """
     if not is_stable(m, x):
@@ -420,26 +391,22 @@ def quotient_with_projection(m: Comodule, x: Subspace) -> "tuple[Comodule, Matri
     pivots = set(x.pivot_columns())
     free = [t for t in range(m.dim) if t not in pivots]
     pos = {t: idx for idx, t in enumerate(free)}
-    reduced = [x.reduce_vector({j: m.field.one}) for j in range(m.dim)]
+    reduced = x.residuals
     proj_entries: dict = {}
     for j, red in enumerate(reduced):
         for t, v in red.items():
             proj_entries[(pos[t], j)] = v
     proj = Matrix(len(free), m.dim, proj_entries)
+    zero = m.field.zero
     coaction: list = []
     for t in free:
         acc: dict = {}
         for (j, k), c in m.module_coalg_pairs(t).items():
             for r, v in reduced[j].items():
                 key = (pos[r], k)
-                w = acc.get(key, m.field.zero) + c * v
-                if w:
-                    acc[key] = w
-                else:
-                    acc.pop(key, None)
+                acc[key] = acc.get(key, zero) + c * v
         terms = []
-        for (j, k) in sorted(acc):
-            c = acc[(j, k)]
+        for (j, k), c in sorted(drop_zeros(acc).items()):
             terms.append((j, k, c) if m.side == "right" else (k, j, c))
         coaction.append(tuple(terms))
     labels = tuple(f"~{m.labels[t]}" for t in free)
@@ -461,12 +428,7 @@ def coefficient_coalgebra(m: Comodule) -> Subspace:
     per_pair: dict[tuple[int, int], dict] = {}
     for i in range(m.dim):
         for (j, k), c in m.module_coalg_pairs(i).items():
-            row = per_pair.setdefault((i, j), {})
-            v = row.get(k, m.field.zero) + c
-            if v:
-                row[k] = v
-            else:
-                row.pop(k, None)
+            per_pair.setdefault((i, j), {})[k] = c
     return Subspace.span(m.field, m.over.dim, list(per_pair.values()))
 
 

@@ -5,6 +5,12 @@ residues modulo a prime.  No floating point anywhere: every operation is
 an exact field operation.  Subspaces are stored in reduced row-echelon
 form with sparse rows, so two equal subspaces have identical stored bases
 and equality is a plain comparison.
+
+Sparse rows, vectors and matrices store no zeros.  Code that builds one by
+summing terms sums into a plain dict and drops the zeros once, at the end,
+with :func:`drop_zeros`; ``Matrix.from_entries`` is the constructor for
+such accumulated entries, and ``_rref`` and ``Subspace.span`` drop zeros
+from their input themselves.  ``row_add`` is the one eager primitive.
 """
 
 from __future__ import annotations
@@ -183,6 +189,11 @@ def field_named(name: str) -> Field:
 # A "row" is a dict {col: scalar} with no zero values stored.
 
 
+def drop_zeros(sums: dict) -> dict:
+    """The accumulated sums without their zero values."""
+    return {k: v for k, v in sums.items() if v}
+
+
 def row_add(a: dict, b: dict, coeff: Scalar) -> dict:
     """a + coeff*b, dropping zeros."""
     out = dict(a)
@@ -200,7 +211,7 @@ def _rref(rows: Iterable[dict]) -> list[dict]:
     """Reduced row echelon form of sparse rows; canonical and unique."""
     pivots: dict[int, dict] = {}  # pivot column -> normalized row
     for row in rows:
-        row = {j: v for j, v in row.items() if v}
+        row = drop_zeros(row)
         # Pivot rows carry no other pivot columns, so one sweep suffices.
         for j in [c for c in row if c in pivots]:
             v = row.get(j)
@@ -228,7 +239,12 @@ def _thaw_row(row: tuple) -> dict:
 
 @dataclass(frozen=True)
 class Matrix:
-    """Sparse exact matrix; absent entries are zero, stored entries are not."""
+    """Sparse exact matrix; absent entries are zero, stored entries are not.
+
+    Entries summed term by term may hold zeros: build those matrices with
+    ``from_entries``, which drops them.  The plain constructor takes
+    entries that are already zero-free.
+    """
 
     rows: int
     cols: int
@@ -236,7 +252,7 @@ class Matrix:
 
     @classmethod
     def from_entries(cls, rows: int, cols: int, entries: dict) -> "Matrix":
-        return cls(rows, cols, {k: v for k, v in entries.items() if v})
+        return cls(rows, cols, drop_zeros(entries))
 
     @classmethod
     def from_rows(cls, cols: int, row_dicts: "Iterable[dict]") -> "Matrix":
@@ -260,15 +276,9 @@ class Matrix:
         out: dict = {}
         for (i, j), v in self.entries.items():
             c = vec.get(j)
-            if c is None:
-                continue
-            w = out.get(i)
-            nv = v * c if w is None else w + v * c
-            if nv:
-                out[i] = nv
-            else:
-                out.pop(i, None)
-        return out
+            if c is not None:
+                out[i] = out[i] + v * c if i in out else v * c
+        return drop_zeros(out)
 
     def compose(self, other: "Matrix") -> "Matrix":
         """self @ other (apply other first)."""
@@ -350,6 +360,20 @@ class Subspace:
         mutated; a sorted frozen row leads with its pivot."""
         return [(r[0][0], _thaw_row(r)) for r in self.basis]
 
+    @cached_property
+    def residuals(self) -> "list[dict]":
+        """reduce_vector({j: 1}) for every coordinate j, built once and
+        never mutated: the projection of e_j onto the non-pivot coordinates.
+
+        e_j off the pivots; at a pivot p, e_p minus p's basis row, which is
+        zero at every other pivot.
+        """
+        one = self.field.one
+        table = [{j: one} for j in range(self.ambient_dim)]
+        for lead, row in self._pivot_rows:
+            table[lead] = {t: -v for t, v in row.items() if t != lead}
+        return table
+
     def _require_compatible(self, other: "Subspace") -> None:
         if self.field != other.field:
             raise FieldMismatchError(f"{self.field} vs {other.field}")
@@ -383,7 +407,7 @@ class Subspace:
 
     def reduce_vector(self, vec: dict) -> dict:
         """Residual of vec after elimination by the stored basis."""
-        vec = {j: v for j, v in vec.items() if v}
+        vec = drop_zeros(vec)
         for lead, row in self._pivot_rows:
             c = vec.get(lead)
             if c:

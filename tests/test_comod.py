@@ -54,7 +54,7 @@ from qcalg.comod import (
     sub_comodule,
     weight_space,
 )
-from qcalg.exactlin import GF, QQ, Subspace, preimage
+from qcalg.exactlin import GF, QQ, Matrix, Subspace, preimage
 from qcalg.quiverlab import compile_truncation
 from qcalg.textfmt import dumps_coalgebra, loads
 
@@ -711,6 +711,112 @@ def check_comodule_in_field_scalars(m):
             if len(failures) >= MAX_FAILURES:
                 return AxiomReport(False, tuple(failures))
     return AxiomReport(not failures, tuple(failures))
+
+
+# Delta and a left coaction that repeat (j, k) pairs.  x is x0 - 7a for an
+# arrow x0: a -> b, so Delta(x) carries 7 a (x) b, written 3 + 4: zero over
+# GF(7), where eps(x) = -7 is zero too.  The pairs 2 + (-1),
+# 1 + (-1) and 3 + (-2) cancel or merge over every field.
+REPEATS = """\
+coalgebra repeats
+dim 4
+label 0 a
+label 1 b
+label 2 x
+label 3 z
+delta 0: 0 0 2; 0 0 -1
+delta 1: 1 1 1
+delta 2: 0 2 1; 2 1 1; 0 1 3; 0 1 4; 2 0 1; 2 0 -1
+delta 3: 0 3 1; 3 1 1
+epsilon: 1 1 -7 0
+side left
+rho 0: 0 0 1
+rho 1: 1 1 3; 1 1 -2
+rho 2: 0 2 1; 2 1 1; 0 1 3; 0 1 4; 1 2 1; 1 2 -1
+rho 3: 0 3 1; 3 1 1
+"""
+
+
+class TestZeroBoundary:
+    """Sums over repeated (j, k) pairs are merged, and a sum that cancels
+    is never stored, whether it cancels over QQ or only mod 7."""
+
+    FIELDS = pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+
+    @staticmethod
+    def scalars(field, vec):
+        return {k: field.from_int(v) for k, v in vec.items()}
+
+    @FIELDS
+    def test_delta_and_coaction_are_merged_once(self, field):
+        loaded = loads(REPEATS, field)
+        c, m = loaded.coalgebra, loaded.comodule
+        one = field.one
+        assert c.delta_dict(0) == {(0, 0): one}  # 2 + (-1)
+        # (x, a) cancels over every field, (a, b) = 3 + 4 only over GF(7).
+        assert c.delta_dict(2) == self.scalars(
+            field, {(0, 2): 1, (2, 1): 1} | ({(0, 1): 7} if field == QQ else {}))
+        # The left coaction is keyed (module, coalg).
+        assert m.module_coalg_pairs(1) == {(1, 1): one}  # 3 + (-2)
+        assert m.module_coalg_pairs(2) == self.scalars(
+            field, {(2, 0): 1, (1, 2): 1} | ({(1, 0): 7} if field == QQ else {}))
+        for i in range(c.dim):
+            assert all(c.delta_dict(i).values())
+            assert all(m.module_coalg_pairs(i).values())
+            assert c.delta_dict(i) is c.delta_dict(i)
+            assert m.module_coalg_pairs(i) is m.module_coalg_pairs(i)
+        assert c.grouplike_indices() == (0, 1)
+
+    @pytest.mark.parametrize("field,u,v,product", [
+        (QQ, {0: 1, 3: -1}, {3: 1, 1: 1}, {2: 7}),  # the z terms: 1 + (-1)
+        (QQ, {0: 3, 2: 4}, {2: 1, 1: 1}, {2: 28}),
+        (GF(7), {0: 3, 2: 4}, {2: 1, 1: 1}, {}),  # 3 + 4
+    ], ids=["QQ-cancels", "QQ", "GF7-cancels"])
+    def test_dual_products(self, field, u, v, product):
+        d = dual_algebra(loads(REPEATS, field).coalgebra)
+        assert d.multiply(self.scalars(field, u), self.scalars(field, v)) == \
+            self.scalars(field, product)
+        # e_x^* picks up 7 from e_a^* and -7 from e_x^* at column b over QQ,
+        # and nothing from e_a^* over GF(7).
+        u = {0: 1, 2: -7} if field == QQ else {0: 1}
+        diagonal = self.scalars(field, {(0, 0): 1, (2, 2): 1, (3, 3): 1})
+        assert d.left_mult_matrix(self.scalars(field, u)).entries == diagonal
+
+    @pytest.mark.parametrize("field,a,b", [(QQ, 1, -1), (GF(7), 3, 4)], ids=["QQ", "GF7"])
+    def test_matrix_apply(self, field, a, b):
+        mat = Matrix.from_entries(2, 2, self.scalars(field, {(0, 0): a, (0, 1): b,
+                                                             (1, 0): 2}))
+        assert mat.apply(self.scalars(field, {0: 1, 1: 1})) == {1: field.from_int(2)}
+
+    @FIELDS
+    def test_action_and_hom_matrices(self, field):
+        loaded = loads(REPEATS, field)
+        c, m = loaded.coalgebra, loaded.comodule
+        # Entry (m_1, m_x) is f(x) + 7 f(a): zero for this f over QQ, and
+        # 7 f(a) is gone over GF(7).
+        f = {0: 1, 2: -7} if field == QQ else {0: 1}
+        act = dual_action(self.scalars(field, f), m)
+        assert act.entries == self.scalars(field, {(0, 0): 1, (2, 2): 1, (3, 3): 1})
+        for f in [{k: field.one} for k in range(c.dim)] + [dual_algebra(c).unit_dict()]:
+            assert all(dual_action(f, m).entries.values())
+        for target in (m, regular_comodule(c, "left")):
+            for g in c.grouplike_indices():
+                dim, mats = hom_space(simple_comodule(c, g, "left"), target)
+                assert dim == len(mats) == 1
+                assert all(all(mat.entries.values()) for mat in mats)
+            _, mats = hom_space(target, target)
+            assert mats and all(all(mat.entries.values()) for mat in mats)
+
+    @FIELDS
+    def test_quotients(self, field):
+        loaded = loads(REPEATS, field)
+        c, m = loaded.coalgebra, loaded.comodule
+        for target in (m, regular_comodule(c, "left"), regular_comodule(c, "right")):
+            for x in (socle(target), c.span_of_labels(["a"]), c.span_of_labels(["b"])):
+                quot, proj = quotient_with_projection(target, x)
+                assert quot.dim == target.dim - x.dim
+                assert all(proj.entries.values())
+                assert all(v for terms in quot.coaction for _, _, v in terms)
 
 
 def with_coaction_off(m, label, by):

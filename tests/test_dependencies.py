@@ -1,5 +1,7 @@
 """The package imports nothing outside the standard library and itself,
-and its scalars stay exact: no float literal and no float() or round()."""
+its scalars stay exact: no float literal and no float() or round(), and
+zero sums are dropped in one place: no hand-written add-or-pop block
+outside ``exactlin.row_add``."""
 
 from __future__ import annotations
 
@@ -64,3 +66,74 @@ def test_the_scan_sees_floats(tmp_path):
     module.write_text("x = 0.5\ny = float(x)\nz = round(y, 2)\nw = Fraction(1, 2)\n"
                       "ok = 'float(3)'\n")
     assert inexact_scalars(module) == [(1, "0.5"), (2, "float()"), (3, "round()")]
+
+
+def _is_add_or_pop(node: ast.If) -> bool:
+    """Is node 'if v: d[k] = v' with 'else: d.pop(k, None)'?"""
+    if len(node.body) != 1 or len(node.orelse) != 1:
+        return False
+    store, drop = node.body[0], node.orelse[0]
+    if not (isinstance(store, ast.Assign) and len(store.targets) == 1
+            and isinstance(store.targets[0], ast.Subscript)
+            and isinstance(drop, ast.Expr) and isinstance(drop.value, ast.Call)):
+        return False
+    target, call = store.targets[0], drop.value
+    return (isinstance(call.func, ast.Attribute) and call.func.attr == "pop"
+            and len(call.args) == 2 and isinstance(call.args[1], ast.Constant)
+            and call.args[1].value is None
+            and ast.dump(node.test) == ast.dump(store.value)
+            and ast.dump(target.value) == ast.dump(call.func.value)
+            and ast.dump(target.slice) == ast.dump(call.args[0]))
+
+
+def add_or_pop_blocks(path: Path) -> "list[tuple[int, str]]":
+    """(line, innermost enclosing function) of every add-or-pop block."""
+    found = []
+
+    def visit(node: ast.AST, function: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.If) and _is_add_or_pop(child):
+                found.append((child.lineno, function))
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), "<module>")
+    return found
+
+
+def test_zero_sums_are_dropped_in_one_place():
+    modules = sorted(PACKAGE_DIR.rglob("*.py"))
+    blocks = [f"{path.relative_to(PACKAGE_DIR).as_posix()}: {function}"
+              for path in modules for _, function in add_or_pop_blocks(path)]
+    assert blocks == ["exactlin.py: row_add"]
+
+
+def test_the_scan_sees_add_or_pop_blocks(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text(
+        "def outer(out, key, v):\n"
+        "    def add(row, col, c):\n"
+        "        w = row.get(col, 0) + c\n"
+        "        if w:\n"
+        "            row[col] = w\n"
+        "        else:\n"
+        "            row.pop(col, None)\n"
+        "    if v:\n"
+        "        out[key] = v\n"
+        "    else:\n"
+        "        out.pop(key, None)\n"
+        "    if v:\n"  # another dict, another key or another value: not the shape
+        "        out[key] = v\n"
+        "    else:\n"
+        "        seen.pop(key, None)\n"
+        "    if v:\n"
+        "        out[key] = 1\n"
+        "    else:\n"
+        "        out.pop(key, None)\n"
+        "    if v:\n"
+        "        out[key] = v\n"
+        "    else:\n"
+        "        out.pop(other, None)\n")
+    assert add_or_pop_blocks(module) == [(4, "add"), (8, "outer")]

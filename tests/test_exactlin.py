@@ -107,10 +107,17 @@ class TestLatticeOps:
         a = span(3, (1, 2, 0), (0, 0, 1))
         b = span(3, (1, 2, 0), (0, 0, 1))
         assert a.pivot_columns() == [0, 2]  # builds a's pivot rows, not b's
+        # and a's residual table, built once: e_j reduced by a's basis.
+        assert a.residuals == [vec(0, -2, 0), vec(0, 1, 0), {}]
+        assert a.residuals is a.residuals
         assert a == b and hash(a) == hash(b)
         rows = a.basis_dicts()
         rows[0][1] = F(99)  # the caller owns the returned dicts
         assert a.basis_dicts() == [vec(1, 2, 0), vec(0, 0, 1)]
+        for x in (a, span(4, (1, 0, 2, 3), (0, 1, -1, 0), (0, 0, 0, 5)),
+                  Subspace.zero(QQ, 3), Subspace.full(GF(7), 2)):
+            one = x.field.one
+            assert x.residuals == [x.reduce_vector({j: one}) for j in range(x.ambient_dim)]
         assert a.reduce_vector(vec(1, 2, 5)) == {}
         assert a.coordinates_of(vec(2, 4, 3)) == {0: F(2), 1: F(3)}
 

@@ -627,6 +627,25 @@ class TestEachStepOnce:
         assert skew_calls == []
         assert len(wedge_calls) == wedges
 
+    def test_each_wedge_operand_is_projected_once(self, monkeypatch, patch_everywhere):
+        # ex2's 36 wedges read 72 residual tables: those of the cross-check's
+        # four grouplike lines and of the oracle's six subspaces (C0, C1 and
+        # four vertex spans), each built once, on its first read.
+        residuals = Subspace.__dict__["residuals"]
+        build = residuals.func
+        builds: list = []
+
+        def recorder(subspace):
+            builds.append(subspace)
+            return build(subspace)
+
+        monkeypatch.setattr(residuals, "func", recorder)
+        wedge_calls = _record_calls(patch_everywhere, coalg, "wedge")
+        analyze_spec(parse_spec(EX2), 3, [1, 2], None)
+        operands = {id(s): s for call in wedge_calls for s in call[:2]}
+        assert (len(wedge_calls), len(operands)) == (36, 10)
+        assert sorted(id(s) for s in builds if id(s) in operands) == sorted(operands)
+
     @pytest.mark.parametrize("text,bounds", [
         (EX1, [1, 2, 3, 3, 3, 3, 4, 5]),
         (EX2, [1, 2, 3, 3, 3, 4, 5]),

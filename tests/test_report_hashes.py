@@ -16,7 +16,7 @@ from fractions import Fraction as F
 
 import pytest
 from test_coalg import LADDER_ALL, change_basis, with_delta_off
-from test_comod import with_coaction_off
+from test_comod import REPEATS, with_coaction_off
 
 from qcalg.cli import main
 from qcalg.comod import regular_comodule
@@ -56,13 +56,16 @@ mode declared
 """
 
 FILES = {"ladder.quiver": LADDER_ALL, "loop.quiver": LOOP_ALL,
-         "growing.quiver": GROWING, "fan.quiver": FLIPPED_FAN}
+         "growing.quiver": GROWING, "fan.quiver": FLIPPED_FAN,
+         "repeats.sc": REPEATS}
 
 # (argv, exit code, sha256 of stdout); "ex1-n2.sc" is ex1 at N=2 in a
 # changed basis with integer coefficients.  "off-third.sc" is that file
 # with the first constant of Delta(x[1]) off by 1/3, and "bad-rho.sc" is
 # its regular right comodule with the first constant of rho(x[1]) off by
-# 1/5; both fail coassociativity with fractional sides.
+# 1/5; both fail coassociativity with fractional sides.  "repeats.sc"
+# repeats (j, k) pairs in Delta and rho, with sums that cancel over QQ and
+# one that cancels only over GF(7).
 CASES = [
     (("analyze", "ex1", "--N", "5", "--json"), 0,
      "34b430f3cc6940b26bf1f191959083fb2bf3b032ba6d84efd1f52fc38928bc7a"),
@@ -111,6 +114,22 @@ CASES = [
      "8b8377f4296afe4dbf50abe8d9c89c7135161daec7794d6b2faaf4b85650669d"),
     (("check", "bad-rho.sc", "--json", "--field", "gf:7"), 1,
      "814f23a40139cec35713024cc247713a6a61164dec583319f3d0793c4f7ee32f"),
+    (("check", "repeats.sc", "--json"), 0,
+     "2324e0e37f80615ee252d37d5bb0fd28848d75d4951ce8e4c980ab0e39c3fd34"),
+    (("analyze", "repeats.sc", "--json"), 0,
+     "fc95d19bce15d803d04539c85ec71dc0e3aaa1f88607bb7d1a0e8b12abb9bb54"),
+    (("compute", "repeats.sc", "socle", "--side", "left", "--json"), 0,
+     "bc151093defda8257d5e398aac89e3e3ca93c9e9f1c5ac85d375df6874ad485b"),
+    (("compute", "repeats.sc", "hom", "--simple", "b", "--json"), 0,
+     "db2816421a3d7357e7be788a200b2fa5a11f500f36627fa38c42409602cebbae"),
+    (("check", "repeats.sc", "--json", "--field", "gf:7"), 0,
+     "62d12488925c01a368cdcbaf6d0ea26ab5bfac759779e24c35beb1c286c80592"),
+    (("analyze", "repeats.sc", "--json", "--field", "gf:7"), 0,
+     "52c06a69addfd95a3279f6a8ab3c25aec9360fe766c15b79cb257003e114c67c"),
+    (("compute", "repeats.sc", "socle", "--side", "left", "--json", "--field", "gf:7"), 0,
+     "0410cd40bcceb9290a75896c33a4195601e3054921d5e7bc52f7ae7aca72b284"),
+    (("compute", "repeats.sc", "hom", "--simple", "b", "--json", "--field", "gf:7"), 0,
+     "0f769ede7d8ed5aead5340abe3e7454dca725e14e98022eeabb2a50218982bd9"),
 ]
 
 
