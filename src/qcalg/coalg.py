@@ -33,6 +33,7 @@ from .exactlin import (
     Subspace,
     drop_zeros,
     kernel,
+    kernel_on,
 )
 
 
@@ -116,11 +117,32 @@ class Coalgebra:
         in P_{g,h}; so dim P_{g,h} = dim(kg ^ kh) - 1 whether or not g = h.
         The local-finiteness cross-check reads those dimensions here, and
         the duality oracle checks these same wedges for its span pairs.
+
+        One wedge per vertex: K_g = kg ^ kG holds every kg ^ kh, as kh lies
+        in kG.  On K_g the entries (j, t) of (pi_g (x) id)Delta with t
+        outside G vanish already, so kg ^ kh is the kernel of the entries
+        with j != g and t in G, t != h.  Those images of K_g's basis are
+        built once per g.
         """
-        lines = {g: Subspace.span(self.field, self.dim, [{g: self.field.one}])
-                 for g in self.grouplike_indices()}
-        return {(g, h): wedge(x, y, self)
-                for g, x in lines.items() for h, y in lines.items()}
+        grouplikes = self.grouplike_indices()
+        grouplike_set = set(grouplikes)
+        span_g = Subspace.coordinates(self.field, self.dim, grouplikes)
+        table: dict = {}
+        for g in grouplikes:
+            shared = wedge(Subspace.coordinates(self.field, self.dim, [g]), span_g, self)
+            images = []
+            for b in shared.basis:
+                image: dict = {}
+                for i, bi in b:
+                    for key, c in self.delta_dict(i).items():
+                        if key[0] != g and key[1] in grouplike_set:
+                            image[key] = image[key] + bi * c if key in image else bi * c
+                images.append(drop_zeros(image))
+            for h in grouplikes:
+                table[(g, h)] = kernel_on(
+                    shared, [{key: v for key, v in image.items() if key[1] != h}
+                             for image in images])
+        return table
 
     def span_of_labels(self, names: "list[str]") -> Subspace:
         vecs = [{self.label_index(n): self.field.one} for n in names]
@@ -419,23 +441,29 @@ def dual_and_radical(c: Coalgebra) -> "tuple[DualAlgebra, Subspace]":
 
 
 def ideal_product(i: Subspace, j: Subspace, a: DualAlgebra) -> Subspace:
-    """Span of all pairwise convolution products of basis elements.
+    """Span of all pairwise convolution products of basis elements."""
+    if i.ambient_dim != a.dim or j.ambient_dim != a.dim:
+        raise ValueError("ideal_product: ambient mismatch with the dual algebra")
+    return Subspace.span(a.field, a.dim,
+                         [product for _, _, product in _basis_products(i, j, a)])
+
+
+def _basis_products(i: Subspace, j: Subspace,
+                    a: DualAlgebra) -> "Iterator[tuple[int, int, dict]]":
+    """(r, b, u_r * v_b) for the basis rows u_r of I and v_b of J whose
+    product is not zero, in order of r, then b.
 
     J's basis rows are indexed once by column, as {t: [(b, v_b[t])]}.
     For each u in I's basis the products u * v_b, for every b, are
     accumulated together: the walk over a.mult[s] for s in u visits, for
     each right factor t, only the rows of J with t in their support.  So
-    only structure constants that can contribute are read, and only the
-    nonzero products reach the elimination.
+    only structure constants that can contribute are read.
     """
-    if i.ambient_dim != a.dim or j.ambient_dim != a.dim:
-        raise ValueError("ideal_product: ambient mismatch with the dual algebra")
     columns: dict[int, list] = {}
     for b, row in enumerate(j.basis):
         for t, v in row:
             columns.setdefault(t, []).append((b, v))
-    products: list[dict] = []
-    for u in i.basis:
+    for r, u in enumerate(i.basis):
         by_row: dict[int, dict] = {}
         for s, us in u:
             for t, terms in a.mult.get(s, {}).items():
@@ -448,8 +476,44 @@ def ideal_product(i: Subspace, j: Subspace, a: DualAlgebra) -> Subspace:
         for b in sorted(by_row):
             product = drop_zeros(by_row[b])
             if product:
-                products.append(product)
-    return Subspace.span(a.field, a.dim, products)
+                yield r, b, product
+
+
+def grouplike_product_perps(a: DualAlgebra, grouplikes: "Iterable[int]"
+                            ) -> "dict[tuple[int, int], Subspace]":
+    """(I_g * I_h)^perp for I_g = (kg)^perp and every ordered pair (g, h)
+    of the given grouplike indices: the ideal side of the wedge duality
+    kg ^ kh = (I_g * I_h)^perp, read from the dual algebra alone.
+
+    One ideal product per vertex: I_h is (kG)^perp plus the span of the
+    e_t^* for grouplike t != h, so (I_g * I_h)^perp is the part of
+    P_g = (I_g * (kG)^perp)^perp that annihilates every u * e_t^*, u in
+    I_g's basis and t != h.  Those pairings with P_g's basis are built once
+    per g.
+    """
+    grouplikes = sorted(grouplikes)
+    units = Subspace.coordinates(a.field, a.dim, grouplikes)
+    off_units = Subspace.coordinates(a.field, a.dim, set(range(a.dim)) - set(grouplikes))
+    table: dict = {}
+    for g in grouplikes:
+        ideal = Subspace.coordinates(a.field, a.dim, set(range(a.dim)) - {g})
+        shared = ideal_product(ideal, off_units, a).perp()
+        columns: dict[int, list] = {}
+        for r, row in enumerate(shared.basis):
+            for k, v in row:
+                columns.setdefault(k, []).append((r, v))
+        pairings: list[dict] = [{} for _ in shared.basis]
+        for u, b, product in _basis_products(ideal, units, a):
+            for k, c in product.items():
+                for r, v in columns.get(k, ()):
+                    out = pairings[r]
+                    out[(u, b)] = out[(u, b)] + c * v if (u, b) in out else c * v
+        pairings = [drop_zeros(p) for p in pairings]
+        for b, h in enumerate(grouplikes):
+            table[(g, h)] = kernel_on(
+                shared, [{key: v for key, v in p.items() if key[1] != b}
+                         for p in pairings])
+    return table
 
 
 # -- filtrations ---------------------------------------------------------------

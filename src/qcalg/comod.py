@@ -65,6 +65,9 @@ class Comodule:
 
     @cached_property
     def _pairs(self) -> "list[dict]":
+        if self.side == "right" and self.coaction is self.over.delta:
+            # The right regular comodule: its coalgebra's merged Delta table.
+            return [self.over.delta_dict(i) for i in range(self.dim)]
         return merged_terms(self.coaction, swap=self.side == "left")
 
     def module_coalg_pairs(self, i: int) -> "dict[tuple[int, int], Scalar]":

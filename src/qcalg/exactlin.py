@@ -343,8 +343,14 @@ class Subspace:
 
     @classmethod
     def full(cls, field: Field, ambient_dim: int) -> "Subspace":
+        return cls.coordinates(field, ambient_dim, range(ambient_dim))
+
+    @classmethod
+    def coordinates(cls, field: Field, ambient_dim: int,
+                    cols: "Iterable[int]") -> "Subspace":
+        """The span of the unit vectors e_j for j in cols, already canonical."""
         one = field.one
-        return cls(field, ambient_dim, tuple(((j, one),) for j in range(ambient_dim)))
+        return cls(field, ambient_dim, tuple(((j, one),) for j in sorted(set(cols))))
 
     @property
     def dim(self) -> int:
@@ -474,6 +480,32 @@ def kernel(m: Matrix, field: Field) -> Subspace:
                 vec[pc] = -c
         gens.append(vec)
     return Subspace.span(field, m.cols, gens)
+
+
+def kernel_on(space: Subspace, images: "list[dict]") -> Subspace:
+    """{sum_r x_r b_r : sum_r x_r images[r] = 0} for space's basis rows b_r,
+    as a canonical subspace of space's ambient space.
+
+    images[r] is the image of b_r under a linear map, a zero-free dict whose
+    keys are any hashable codomain coordinates.  The system has one column
+    per basis row of space, so a map known on a small subspace is solved
+    in that subspace's coordinates.
+    """
+    rows: dict = {}
+    for r, image in enumerate(images):
+        for key, v in image.items():
+            rows.setdefault(key, {})[r] = v
+    system = Matrix(len(rows), space.dim,
+                    {(i, r): v for i, row in enumerate(rows.values())
+                     for r, v in row.items()})
+    vectors: list[dict] = []
+    for x in kernel(system, space.field).basis:
+        vec: dict = {}
+        for r, xr in x:
+            for j, v in space.basis[r]:
+                vec[j] = vec[j] + xr * v if j in vec else xr * v
+        vectors.append(vec)
+    return Subspace.span(space.field, space.ambient_dim, vectors)
 
 
 def preimage(f: Matrix, w: Subspace, field: Field) -> Subspace:

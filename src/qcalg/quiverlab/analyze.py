@@ -34,6 +34,7 @@ from ..coalg import (
     check_axioms,
     coradical_filtration,
     dual_and_radical,
+    grouplike_product_perps,
     ideal_product,
     wedge,
 )
@@ -342,26 +343,29 @@ def fnoetherian_sweep(spec: QuiverSpec, sweep: "list[int]", depth: "int | None",
 
 def _duality_oracle(coalgebra: Coalgebra, chain: FiltrationChain) -> dict:
     """Exact wedge vs perp-of-ideal-product agreement on standard pairs;
-    chain is the coalgebra's coradical filtration.  The wedges of two
-    grouplike spans come from the coalgebra's grouplike_wedges table,
-    the one the local-finiteness cross-check read."""
+    chain is the coalgebra's coradical filtration.  For two grouplike
+    spans the wedge comes from the coalgebra's grouplike_wedges table,
+    the one the local-finiteness cross-check read, and the ideal side from
+    grouplike_product_perps on the dual: each table solves one shared
+    kernel per vertex."""
     subspaces: dict[str, Subspace] = {"C0": chain.terms[0]}
     if len(chain.terms) > 1:
         subspaces["C1"] = chain.terms[1]
     lines = {f"span{{{coalgebra.labels[g]}}}": g for g in coalgebra.grouplike_indices()}
     for name, g in lines.items():
-        subspaces[name] = Subspace.span(
-            coalgebra.field, coalgebra.dim, [{g: coalgebra.field.one}])
+        subspaces[name] = Subspace.coordinates(coalgebra.field, coalgebra.dim, [g])
     dual, _ = dual_and_radical(coalgebra)
     perps = {name: s.perp() for name, s in subspaces.items()}
+    products = grouplike_product_perps(dual, lines.values())
     checked = 0
     for uname, u in subspaces.items():
         for wname, w in subspaces.items():
             if uname in lines and wname in lines:
-                left = coalgebra.grouplike_wedges[(lines[uname], lines[wname])]
+                pair = (lines[uname], lines[wname])
+                left, right = coalgebra.grouplike_wedges[pair], products[pair]
             else:
                 left = wedge(u, w, coalgebra)
-            right = ideal_product(perps[uname], perps[wname], dual).perp()
+                right = ideal_product(perps[uname], perps[wname], dual).perp()
             if left != right:
                 raise InternalCheckError(
                     f"wedge/ideal-product duality broke on ({uname}, {wname})")

@@ -671,6 +671,34 @@ class TestInternalErrorHandling:
         assert out == ""
         assert "skew-primitive dimension" in err
 
+    def test_vertex_pair_duality_mismatch_exits_3(self, capsys, monkeypatch, ex1_spec):
+        # One vertex pair's ideal-side entry is the zero space, which no
+        # wedge kg ^ kh is: the oracle's two routes disagree on that pair.
+        from qcalg.exactlin import Subspace
+        from qcalg.quiverlab import analyze
+        from qcalg.quiverlab.analyze import InternalCheckError
+        original = analyze.grouplike_product_perps
+        broken: list = []
+
+        def one_wrong(dual, grouplikes):
+            table = original(dual, grouplikes)
+            g, h = sorted(table)[1]
+            table[(g, h)] = Subspace.zero(dual.field, dual.dim)
+            broken.append(f"(span{{{dual.labels[g]}}}, span{{{dual.labels[h]}}})")
+            return table
+
+        monkeypatch.setattr(analyze, "grouplike_product_perps", one_wrong)
+        with pytest.raises(InternalCheckError,
+                           match=re.escape("wedge/ideal-product duality broke on (span{")
+                           ) as raised:
+            analyze.analyze_spec(ex1_spec, 2)
+        assert broken[-1] == "(span{a}, span{b[1]})"
+        assert str(raised.value).endswith(broken[-1])
+        code, out, err = run(capsys, "analyze", "ex1", "--N", "2")
+        assert code == 3
+        assert out == ""
+        assert f"wedge/ideal-product duality broke on {broken[-1]}" in err
+
     def test_unexpected_exception_exits_3(self, capsys, monkeypatch):
         from qcalg import cli as climod
 

@@ -16,6 +16,7 @@ from qcalg.coalg import (
     check_axioms,
     coradical_filtration,
     dual_algebra,
+    grouplike_product_perps,
     ideal_product,
     radical,
     skew_primitives,
@@ -321,6 +322,31 @@ mode all
 """
 
 
+def grid_truncations(text, field):
+    """The truncations of text over field at bounds 1..4 and every depth."""
+    spec = replace(parse_spec(text), field=field)
+    # A cyclic all-mode quiver has no unbounded truncation.
+    depths = [1, 2, 3] if text == LOOPS_ALL else [1, 2, 3, None]
+    for bound in range(1, 5):
+        for depth in depths:
+            yield compile_truncation(spec, bound, depth)[0]
+
+
+def assert_pair_tables_match(c):
+    """Each grouplike-pair entry of both tables equals the wedge and the
+    perp of the ideal product computed for that pair alone."""
+    grouplikes = c.grouplike_indices()
+    dual = dual_algebra(c)
+    lines = {g: Subspace.span(c.field, c.dim, [{g: c.field.one}]) for g in grouplikes}
+    perps = {g: line.perp() for g, line in lines.items()}
+    products = grouplike_product_perps(dual, grouplikes)
+    pairs = {(g, h) for g in grouplikes for h in grouplikes}
+    assert set(c.grouplike_wedges) == set(products) == pairs
+    for g, h in pairs:
+        assert c.grouplike_wedges[(g, h)] == wedge(lines[g], lines[h], c)
+        assert products[(g, h)] == ideal_product(perps[g], perps[h], dual).perp()
+
+
 class TestGrouplikeWedges:
     """Taft-Wilson: kg ^ kh = kg + kh + P_{g,h} with g not in P_{g,h}."""
 
@@ -328,17 +354,27 @@ class TestGrouplikeWedges:
                              ids=["ex1", "ex2", "ladder", "loops"])
     @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
     def test_wedge_dim_is_one_more_than_the_skew_primitives(self, text, field):
-        spec = replace(parse_spec(text), field=field)
-        # A cyclic all-mode quiver has no unbounded truncation.
-        depths = [1, 2, 3] if text == LOOPS_ALL else [1, 2, 3, None]
-        for bound in range(1, 5):
-            for depth in depths:
-                c, _ = compile_truncation(spec, bound, depth)
-                grouplikes = c.grouplike_indices()
-                assert set(c.grouplike_wedges) == {
-                    (g, h) for g in grouplikes for h in grouplikes}
-                for (g, h), space in c.grouplike_wedges.items():
-                    assert space.dim - 1 == skew_primitives(g, h, c).dim
+        for c in grid_truncations(text, field):
+            grouplikes = c.grouplike_indices()
+            assert set(c.grouplike_wedges) == {
+                (g, h) for g in grouplikes for h in grouplikes}
+            for (g, h), space in c.grouplike_wedges.items():
+                assert space.dim - 1 == skew_primitives(g, h, c).dim
+
+    @pytest.mark.parametrize("text", [EX1, EX2, LADDER_ALL, LOOPS_ALL],
+                             ids=["ex1", "ex2", "ladder", "loops"])
+    @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
+    def test_entries_equal_the_pairwise_wedge_and_product(self, text, field):
+        for c in grid_truncations(text, field):
+            assert_pair_tables_match(c)
+
+    @pytest.mark.parametrize("seed,max_den", [(5, 1), (7, 3)])
+    def test_entries_match_with_coefficients_other_than_0_and_1(
+            self, seed, max_den, ex1_n2):
+        c = change_basis(ex1_n2[0], seed, max_den, keep_grouplikes=True)
+        assert c.grouplike_indices() == ex1_n2[0].grouplike_indices() != ()
+        assert {x for terms in c.delta for _, _, x in terms} - {F(0), F(1)}
+        assert_pair_tables_match(c)
 
     def test_the_table_is_built_once(self, ex1_n1):
         c, _ = ex1_n1
@@ -404,21 +440,24 @@ def probe_subspaces(c, rng, count=6):
     return spaces
 
 
-def change_basis(c, seed, max_den=1):
+def change_basis(c, seed, max_den=1, keep_grouplikes=False):
     """The structure-constants file of c in a unitriangular basis.
 
     f_i = e_i + sum_{a > i} p_ia e_a, each p_ia an integer in [-2, 2]
     divided by one in [1, max_den]; the file is written and loaded back
     with the axioms checked, so its coefficients are no longer 0/1.
+    With keep_grouplikes, f_g = e_g for each grouplike basis vector e_g of
+    c, so those stay grouplike basis vectors.
     """
     rng = random.Random(seed)
     n = c.dim
+    kept = set(c.grouplike_indices()) if keep_grouplikes else set()
 
     def entry():
         num = rng.randint(-2, 2)
         return F(num, rng.randint(1, max_den)) if max_den > 1 else F(num)
 
-    p = [[F(int(a == i)) if a <= i else entry() for a in range(n)]
+    p = [[F(int(a == i)) if a <= i or i in kept else entry() for a in range(n)]
          for i in range(n)]
     q = [[F(int(a == i)) for a in range(n)] for i in range(n)]  # p^{-1}
     for i in reversed(range(n)):

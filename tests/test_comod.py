@@ -767,6 +767,17 @@ class TestZeroBoundary:
             assert m.module_coalg_pairs(i) is m.module_coalg_pairs(i)
         assert c.grouplike_indices() == (0, 1)
 
+    @FIELDS
+    def test_the_right_regular_comodule_reads_the_merged_delta(self, field):
+        # Its coaction is Delta itself, so it shares the coalgebra's table;
+        # the left one is keyed (module, coalg), so it merges its own.
+        c = loads(REPEATS, field).coalgebra
+        right, left = regular_comodule(c, "right"), regular_comodule(c, "left")
+        for i in range(c.dim):
+            assert right.module_coalg_pairs(i) is c.delta_dict(i)
+            assert left.module_coalg_pairs(i) == {
+                (k, j): v for (j, k), v in c.delta_dict(i).items()}
+
     @pytest.mark.parametrize("field,u,v,product", [
         (QQ, {0: 1, 3: -1}, {3: 1, 1: 1}, {2: 7}),  # the z terms: 1 + (-1)
         (QQ, {0: 3, 2: 4}, {2: 1, 1: 1}, {2: 28}),

@@ -13,6 +13,7 @@ from qcalg.exactlin import (
     Subspace,
     field_named,
     kernel,
+    kernel_on,
     preimage,
 )
 
@@ -135,6 +136,33 @@ class TestPerp:
         x = span(4, (1, 2, 0, 1), (0, 0, 1, 3))
         assert x.perp().dim == 4 - x.dim
         assert x.perp().perp() == x
+
+
+class TestKernelOn:
+    # f(x0, x1, x2, x3) = (x0 - x1, x2 + 2 x3), by rows.
+    F_MAP = Matrix(2, 4, {(0, 0): F(1), (0, 1): F(-1), (1, 2): F(1), (1, 3): F(2)})
+
+    @pytest.mark.parametrize("vectors", [
+        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)],
+        [(1, 1, 0, 0), (0, 0, 2, -1)],
+        [(1, 2, 3, 4), (0, 1, 1, 1), (0, 0, 1, 5)],
+        [(1, 0, 2, 0)],
+    ])
+    def test_is_the_kernel_met_with_the_subspace(self, vectors):
+        x = span(4, *vectors)
+        images = [self.F_MAP.apply(b) for b in x.basis_dicts()]
+        assert kernel_on(x, images) == x & kernel(self.F_MAP, QQ)
+
+    def test_codomain_keys_are_any_hashables(self):
+        x = span(3, (1, 0, 1), (0, 1, 1))
+        images = [{("u", 0): F(1)}, {("u", 0): F(-2), "v": F(3)}]
+        assert kernel_on(x, images) == Subspace.zero(QQ, 3)
+        assert kernel_on(x, [{"v": F(1)}, {"v": F(1)}]) == span(3, (1, -1, 0))
+        assert kernel_on(x, [{}, {}]) == x
+
+    def test_coordinates(self):
+        assert Subspace.coordinates(QQ, 4, [3, 1, 3]) == span(4, (0, 1, 0, 0), (0, 0, 0, 1))
+        assert Subspace.coordinates(QQ, 2, []) == Subspace.zero(QQ, 2)
 
 
 class TestPreimage:

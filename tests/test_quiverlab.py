@@ -613,13 +613,15 @@ class TestEachStepOnce:
         assert len(compiles) == count
         assert all(compiles.count(call) == 1 for call in compiles)
 
-    @pytest.mark.parametrize("text,wedges", [(EX1, 52), (EX2, 36)], ids=["ex1", "ex2"])
+    @pytest.mark.parametrize("text,wedges", [(EX1, 28), (EX2, 24)], ids=["ex1", "ex2"])
     def test_grouplike_pair_spaces_come_from_one_table(self, text, wedges,
                                                        patch_everywhere):
-        # Six oracle subspaces (C0, C1 and four vertex spans) give 36 wedges,
-        # 16 of them from the grouplike-pair table the cross-check read.
-        # ex1's cross-check also probes depth 1, a distinct truncation
-        # without the paths p[n], which builds its own 16-pair table.
+        # Six oracle subspaces (C0, C1 and four vertex spans) give 36 pairs,
+        # 16 of them read from the grouplike-pair table the cross-check
+        # read, so the oracle makes 20 wedges.  The table makes one wedge
+        # kg ^ kG per vertex: 4.  ex1's cross-check also probes depth 1, a
+        # distinct truncation without the paths p[n], which builds its own
+        # table with 4 more.
         spec = parse_spec(text)
         wedge_calls = _record_calls(patch_everywhere, coalg, "wedge")
         skew_calls = _record_calls(patch_everywhere, coalg, "skew_primitives")
@@ -628,9 +630,10 @@ class TestEachStepOnce:
         assert len(wedge_calls) == wedges
 
     def test_each_wedge_operand_is_projected_once(self, monkeypatch, patch_everywhere):
-        # ex2's 36 wedges read 72 residual tables: those of the cross-check's
-        # four grouplike lines and of the oracle's six subspaces (C0, C1 and
-        # four vertex spans), each built once, on its first read.
+        # ex2's 24 wedges read 48 residual tables: those of the table's four
+        # grouplike lines and their span kG, and of the oracle's six
+        # subspaces (C0, C1 and four vertex spans), each built once, on its
+        # first read.
         residuals = Subspace.__dict__["residuals"]
         build = residuals.func
         builds: list = []
@@ -643,7 +646,7 @@ class TestEachStepOnce:
         wedge_calls = _record_calls(patch_everywhere, coalg, "wedge")
         analyze_spec(parse_spec(EX2), 3, [1, 2], None)
         operands = {id(s): s for call in wedge_calls for s in call[:2]}
-        assert (len(wedge_calls), len(operands)) == (36, 10)
+        assert (len(wedge_calls), len(operands)) == (24, 11)
         assert sorted(id(s) for s in builds if id(s) in operands) == sorted(operands)
 
     @pytest.mark.parametrize("text,bounds", [
