@@ -293,7 +293,7 @@ def multiplicity_table(m: Comodule) -> "dict[str, int]":
     basis b_r, of the rows (h, j) for grouplike h with entries
     rho_h(b_r)_j - delta_hg (b_r)_j; this is weight_space's own system
     restricted to K, so no comodule axiom is assumed.  Reads neither the
-    socle nor the radical.
+    socle nor the radical.  ``compute socle`` is its one reader.
     """
     grouplikes = m.over.grouplike_indices()
     if not grouplikes:

@@ -10,17 +10,18 @@ behaviour of the two built-in examples pins it down):
 * bounded incoming arrow families support the LEFT structural rules,
   bounded outgoing ones the RIGHT rules.
 
-Family growth is always decided by three probes (N, N+1, N+2) requiring
-two strict increases, and is reported as witnessed growth, never as a
-proof of infinitude.  A verdict of holds always cites the rule chain
-that produced it; a verdict of fails always carries a concrete witness.
+Growth is decided by one test, ``_grows`` (at least three values, each
+larger than the last: probes N, N+1, N+2 or a sweep column), and reported
+as witnessed, never as proof of infinitude.  A verdict of holds cites the
+rule chain that produced it; a verdict of fails carries a concrete witness.
 
 ``analyze_spec`` is the one route through the analyzer.  It instantiates
 each probe bound once and calls each stage once: ``degree_tables``,
-``locally_finite_verdict``, then the two-sided stages
-``semiperfect_verdict`` and ``fnoetherian_sweep``, which answer both sides
-from one enumeration of each probe instance and one compiled truncation
-per sweep bound (the analyzed one at N), and last the duality oracle.
+``locally_finite_verdict``, the two-sided ``semiperfect_verdict`` and
+``fnoetherian_sweep`` (one enumeration per probe instance, one truncation
+per sweep bound, the analyzed one at N), and the duality oracle.  The
+cross-check, the sweep and the oracle read vertex pairs from one table
+per truncation, ``Coalgebra.grouplike_wedges``.
 """
 
 from __future__ import annotations
@@ -38,16 +39,11 @@ from ..coalg import (
     ideal_product,
     wedge,
 )
-from ..comod import (
-    loewy_series,
-    multiplicity_table,
-    quotient_with_projection,
-    regular_comodule,
-)
+from ..comod import loewy_series, regular_comodule
 from ..exactlin import Subspace
 from .dsl import QuiverSpec
-from .paths import (QuiverInstance, compile_truncation, enumerate_instance,
-                    instantiate, reachability)
+from .paths import (QuiverInstance, compile_truncation, cycle_vertices,
+                    enumerate_instance, instantiate, reachability)
 
 
 class InternalCheckError(RuntimeError):
@@ -104,8 +100,8 @@ def _probe_bounds(n: int) -> "tuple[int, int, int]":
     return (n, n + 1, n + 2)
 
 
-def _grows(counts: "tuple[int, ...] | list[int]") -> bool:
-    return counts[0] < counts[1] < counts[2]
+def _grows(values: "tuple[int, ...] | list[int]") -> bool:
+    return len(values) >= 3 and all(a < b for a, b in zip(values, values[1:]))
 
 
 def degree_tables(n: int, probes: "list[QuiverInstance]") -> dict:
@@ -171,7 +167,7 @@ def locally_finite_verdict(spec: QuiverSpec, n: int, tables: dict,
     for g = h.  Its dimension is read as dim(kg ^ kh) - 1 from the
     coalgebra's table of grouplike-pair wedges (Taft-Wilson: kg ^ kh =
     kg + kh + P_{g,h}).  A probed depth that compiles to the truncation
-    uses that object, so the duality oracle reads the same table.
+    uses that object, so the sweep and the oracle read the same table.
     """
     for info in tables["pairs"]:
         if info["growing"]:
@@ -190,9 +186,7 @@ def locally_finite_verdict(spec: QuiverSpec, n: int, tables: dict,
         max_declared = max(max_declared, 2)
     for depth in sorted({1, max_declared}):
         coalgebra, basis = compile_truncation(spec, n, depth)
-        if coalgebra == truncation:
-            coalgebra = truncation
-        wedges = coalgebra.grouplike_wedges
+        wedges = (truncation if coalgebra == truncation else coalgebra).grouplike_wedges
         verts = [(v, basis.index_of_label(v.label)) for v in basis.vertices()]
         for u, gi in verts:
             for w, hi in verts:
@@ -217,7 +211,7 @@ def locally_finite_verdict(spec: QuiverSpec, n: int, tables: dict,
 def _cycle_witness(reach: "dict[str, set[str]]", side: str) -> "dict | None":
     """In all-paths mode a cycle makes path families infinite at fixed N;
     reach is the instance's reachability map, empty in declared mode."""
-    cyclic = sorted(v for v, seen in reach.items() if v in seen)
+    cyclic = cycle_vertices(reach)
     for v in sorted(reach):
         # side 'right' semiperfect counts paths INTO v: any cycle vertex
         # reaching v gives infinitely many.
@@ -286,11 +280,9 @@ def semiperfect_verdict(spec: QuiverSpec, n: int, probes: "list[QuiverInstance]"
 
 def _growth_witness(columns: "dict[str, list[dict]]") -> "dict | None":
     """A refutation witness at the first vertex whose multiplicity column
-    grows strictly over at least three bounds: two strict increases, as
-    for the probes."""
+    grows over the sweep, by the growth test of the probes."""
     for vlabel, rows in columns.items():
-        values = [row["max_multiplicity"] for row in rows]
-        if len(values) >= 3 and all(a < b for a, b in zip(values, values[1:])):
+        if _grows([row["max_multiplicity"] for row in rows]):
             return {"quotient_by": vlabel, "table": rows,
                     "note": "maximal socle multiplicity grows strictly along "
                             "the sweep; the simple-to-coalgebra multiplicity "
@@ -303,16 +295,17 @@ def fnoetherian_sweep(spec: QuiverSpec, sweep: "list[int]", depth: "int | None",
     """Socle-multiplicity growth tables for single-vertex quotients, per side.
 
     truncation is the analyzed truncation at (n, depth), read at bound n;
-    each other bound in the sweep is compiled once.  For both sides, the
-    regular comodule is quotiented by each vertex span and the maximal
-    socle multiplicity over the grouplike simples recorded, with the
-    simple where it is reached.  The multiplicities are the weight-space
-    dimensions of ``multiplicity_table``: one shared kernel for the
-    coaction rows at non-grouplike indices, then one small system per
-    grouplike on that kernel's coordinates.  The vertices are the
-    grouplikes of the truncation at the smallest bound.  A column
-    increasing strictly over at least three bounds is a refutation
-    witness; absence of growth never proves the property.
+    each other bound is compiled once.  Per side, the column of a vertex v
+    (a grouplike at the smallest bound) holds the maximal socle multiplicity
+    of C/kv over the grouplike simples and the first simple reaching it.  A
+    growing column refutes; absence of growth never proves the property.
+
+    The counts come from grouplike_wedges (at n the table the cross-check
+    and the oracle read).  Right weight-h vectors of C/kv lift to the c with
+    (pi_v (x) id)Delta c = pi_v(c) (x) h: inside kv ^ kh by definition, and
+    all of it, as id (x) epsilon turns (pi_v (x) id)Delta c = w (x) h into
+    w = pi_v(c) (counit law, epsilon(h) = 1).  The lifts hold kv = ker pi_v,
+    so [soc(C/kv) : S_h] = dim(kv ^ kh) - 1, and dim(kh ^ kv) - 1 on the left.
     """
     if not sweep:
         raise ValueError("empty sweep")
@@ -322,16 +315,17 @@ def fnoetherian_sweep(spec: QuiverSpec, sweep: "list[int]", depth: "int | None",
     tables = {side: {v: [] for v in vertices} for side in ("left", "right")}
     held = {n: truncation, smallest: first}
     for bound in sweep:
-        coalgebra = (held[bound] if bound in held
-                     else compile_truncation(spec, bound, depth)[0])
+        coalgebra = held.get(bound) or compile_truncation(spec, bound, depth)[0]
+        wedges = coalgebra.grouplike_wedges
+        grouplikes = coalgebra.grouplike_indices()
         for side, columns in tables.items():
-            reg = regular_comodule(coalgebra, side)
             for vlabel in vertices:
-                quot, _ = quotient_with_projection(reg, coalgebra.span_of_labels([vlabel]))
+                v = coalgebra.label_index(vlabel)
                 best, best_simple = 0, None
-                for simple, mult in multiplicity_table(quot).items():
+                for h in grouplikes:
+                    mult = wedges[(v, h) if side == "right" else (h, v)].dim - 1
                     if mult > best:
-                        best, best_simple = mult, simple
+                        best, best_simple = mult, coalgebra.labels[h]
                 columns[vlabel].append(
                     {"N": bound, "max_multiplicity": best, "at_simple": best_simple})
     return {side: {"side": side, "sweep": list(sweep), "tables": columns,

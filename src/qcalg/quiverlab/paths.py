@@ -285,6 +285,11 @@ def reachability(inst: QuiverInstance) -> "dict[str, set[str]]":
     return reach
 
 
+def cycle_vertices(reach: "dict[str, set[str]]") -> "list[str]":
+    """The sorted labels that lie on a cycle, from a reachability map."""
+    return sorted(v for v, seen in reach.items() if v in seen)
+
+
 def enumerate_paths(spec: QuiverSpec, n_bound: "int | None" = None,
                     depth: "int | None" = None) -> PathBasis:
     """All admissible paths at a family bound, up to an optional length."""
@@ -310,7 +315,7 @@ def enumerate_instance(spec: QuiverSpec, inst: QuiverInstance,
     else:
         if depth is None:
             reach = reachability(inst)
-            cyclic = sorted(v for v, seen in reach.items() if v in seen)
+            cyclic = cycle_vertices(reach)
             if cyclic:
                 v = cyclic[0]
                 # The first declared arrow out of v whose target leads back to v.

@@ -15,7 +15,9 @@ Grammar (line-oriented, ``#`` starts a comment, blanks ignored):
 ``delta i: j k c`` contributes c * e_j (x) e_k to the comultiplication of
 e_i.  ``rho`` lines, when present, define a standalone comodule over the
 coalgebra in the same file, with the same (j, k, c) placement convention
-as :mod:`qcalg.comod`.  Scalars are exact: integers or num/den.
+as :mod:`qcalg.comod`.  Scalars are exact: integers or num/den.  Each of
+coalgebra, dim, mdim, side and epsilon is given at most once, and each
+label, mlabel, delta and rho index at most once.
 
 Loading is lazily validated: well-formedness (dimensions, index ranges)
 is always enforced, the coalgebra and comodule axioms only when
@@ -101,6 +103,7 @@ def loads(text: str, field: Field = QQ, check: bool = False) -> LoadedFile:
     delta: dict[int, tuple[tuple, int]] = {}
     rho: dict[int, tuple[tuple, int]] = {}
     epsilon = None
+    singletons: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stmt = raw.split("#", 1)[0].strip()
@@ -108,6 +111,12 @@ def loads(text: str, field: Field = QQ, check: bool = False) -> LoadedFile:
             continue
         keyword, _, rest = stmt.partition(" ")
         rest = rest.strip()
+        once = "epsilon" if keyword == "epsilon:" else keyword
+        if once in ("coalgebra", "dim", "mdim", "side", "epsilon"):
+            # A second line would silently override the first.
+            if once in singletons:
+                raise FormatError(f"{once} given twice", lineno)
+            singletons.add(once)
         if keyword == "coalgebra":
             name = rest
         elif keyword == "dim":
@@ -127,7 +136,10 @@ def loads(text: str, field: Field = QQ, check: bool = False) -> LoadedFile:
             if len(bits) != 2:
                 raise FormatError("expected '<index> <name>'", lineno)
             target = labels if keyword == "label" else mlabels
-            target[_int(bits[0], f"{keyword} index", lineno)] = (bits[1].strip(), lineno)
+            i = _int(bits[0], f"{keyword} index", lineno)
+            if i in target:
+                raise FormatError(f"{keyword} {i} given twice", lineno)
+            target[i] = (bits[1].strip(), lineno)
         elif keyword in ("delta", "rho"):
             head, sep, body = rest.partition(":")
             if not sep:

@@ -333,6 +333,20 @@ class TestInputFaults:
         ("dim 1\ndelta 0: 0 0 1\nepsilon: 1\nmdim 2\nrho 0: 0 0 1\n",
          ["compute", "filtration", "--check"],
          "line 3: comodule axioms fail: coaction-counit fails on m1 at m1: 0 != 1"),
+        ("dim 2\nlabel 0 a\nlabel 0 b\ndelta 0: 0 0 1\ndelta 1: 1 1 1\nepsilon: 1 1\n",
+         ["check"], "line 3: label 0 given twice"),
+        ("dim 1\ndelta 0: 0 0 1\nepsilon: 1\nmdim 2\nmlabel 1 u\nmlabel 1 w\n"
+         "rho 0: 0 0 1\n", ["check"], "line 6: mlabel 1 given twice"),
+        ("dim 1\ndelta 0: 0 0 1\nepsilon: 1\nepsilon 1\n", ["check"],
+         "line 4: epsilon given twice"),
+        ("dim 1\ndelta 0: 0 0 1\nepsilon: 1\nside left\nside right\nrho 0: 0 0 1\n",
+         ["check"], "line 5: side given twice"),
+        ("dim 1\ndim 1\ndelta 0: 0 0 1\nepsilon: 1\n", ["check"],
+         "line 2: dim given twice"),
+        ("dim 1\ndelta 0: 0 0 1\nepsilon: 1\nmdim 1\nmdim 1\nrho 0: 0 0 1\n",
+         ["check"], "line 5: mdim given twice"),
+        ("coalgebra one\ndim 1\ncoalgebra two\ndelta 0: 0 0 1\nepsilon: 1\n",
+         ["check"], "line 3: coalgebra given twice"),
         (None, ["compute", "ex1", "socle", "--quotient-by", "x1", "--N", "1"],
          "--quotient-by 'x1'"),
         (None, ["compute", "ex1", "mult", "--s", "x1", "--N", "1"],
@@ -343,6 +357,8 @@ class TestInputFaults:
             "delta-tensor-index", "rho-out-of-range", "rho-tensor-index",
             "epsilon-length", "duplicate-label", "duplicate-mlabel", "axioms-delta-line",
             "axioms-epsilon-line", "comodule-rho-line", "comodule-epsilon-line",
+            "repeated-label", "repeated-mlabel", "repeated-epsilon", "repeated-side",
+            "repeated-dim", "repeated-mdim", "repeated-coalgebra",
             "quotient-by", "mult-simple"])
     def test_fault_names_the_line_or_flag(self, tmp_path, capsys, text, argv, phrase):
         if text is not None:

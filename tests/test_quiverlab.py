@@ -2,15 +2,22 @@ from __future__ import annotations
 
 import inspect
 import re
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from test_coalg import LADDER_ALL
+from test_coalg import LADDER_ALL, LOOPS_ALL
 
-from qcalg import coalg
-from qcalg.coalg import check_axioms, coradical_filtration, wedge
-from qcalg.comod import dual_and_radical
-from qcalg.exactlin import QQ, Matrix, Subspace
+from qcalg import coalg, comod
+from qcalg.coalg import Coalgebra, check_axioms, coradical_filtration, wedge
+from qcalg.comod import (
+    dual_and_radical,
+    loewy_series,
+    multiplicity_table,
+    quotient_with_projection,
+    regular_comodule,
+)
+from qcalg.exactlin import GF, QQ, Matrix, Subspace
 from qcalg.quiverlab import (
     ClosureError,
     DslError,
@@ -460,6 +467,64 @@ class TestFNoetherianSweep:
         assert sweeps == sweep_tables(ex2_spec, [1, 2, 3])
 
 
+def quotient_route_columns(spec, sweep, depth) -> "dict[str, dict]":
+    """The sweep's columns by the route it replaced: the regular comodule
+    modulo each vertex span, then the maximum of multiplicity_table, the
+    first simple in grouplike order winning a tie."""
+    first, _ = compile_truncation(spec, min(sweep), depth)
+    vertices = sorted(first.labels[g] for g in first.grouplike_indices())
+    tables = {side: {v: [] for v in vertices} for side in ("left", "right")}
+    for bound in sweep:
+        c, _ = compile_truncation(spec, bound, depth)
+        for side, columns in tables.items():
+            reg = regular_comodule(c, side)
+            for v in vertices:
+                quot, _ = quotient_with_projection(reg, c.span_of_labels([v]))
+                best, at = 0, None
+                for simple, mult in multiplicity_table(quot).items():
+                    if mult > best:
+                        best, at = mult, simple
+                columns[v].append({"N": bound, "max_multiplicity": best,
+                                   "at_simple": at})
+    return tables
+
+
+class TestSweepReadsThePairTable:
+    """[soc(C/kv) : S_h] = dim(kv ^ kh) - 1 on the right and
+    dim(kh ^ kv) - 1 on the left, checked against the quotient route."""
+
+    # (text, depth): ex2 and the ladder differ between sides; LOOPS_ALL has
+    # loops (the v = h entries) and, like LOOP, is cyclic, so needs a depth;
+    # depth 0 keeps the vertices alone.
+    GRID = {"ex1": (EX1, None), "ex1-depth0": (EX1, 0), "ex2": (EX2, None),
+            "ex2-depth1": (EX2, 1), "ex2-depth0": (EX2, 0),
+            "ladder": (LADDER_ALL, None), "ladder-depth1": (LADDER_ALL, 1),
+            "ladder-depth0": (LADDER_ALL, 0), "loops-depth2": (LOOPS_ALL, 2),
+            "loops-depth3": (LOOPS_ALL, 3), "loops-depth0": (LOOPS_ALL, 0),
+            "two-cycle-depth2": (LOOP, 2)}
+
+    @pytest.mark.parametrize("text,depth", GRID.values(), ids=GRID.keys())
+    @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
+    def test_columns_match_the_quotient_route(self, text, depth, field):
+        spec = replace(parse_spec(text), field=field)
+        sweep = [1, 2, 3]
+        truncation, _ = compile_truncation(spec, 2, depth)
+        got = fnoetherian_sweep(spec, sweep, depth, 2, truncation)
+        assert {side: got[side]["tables"] for side in got} == \
+            quotient_route_columns(spec, sweep, depth)
+
+    def test_the_grid_tells_the_sides_and_the_trivial_line_apart(self):
+        # ex2's right columns grow and its left ones do not, and a loop at
+        # v makes kv ^ kv larger than kv, so a swap of sides or a count
+        # that keeps kv differs from the quotient route above.
+        ex2 = quotient_route_columns(parse_spec(EX2), [1, 2, 3], None)
+        assert [r["max_multiplicity"] for r in ex2["right"]["a"]] == [2, 3, 4]
+        assert [r["max_multiplicity"] for r in ex2["left"]["a"]] == [1, 1, 1]
+        loops = quotient_route_columns(parse_spec(LOOPS_ALL), [3], 1)
+        assert loops["right"]["b[3]"] == [
+            {"N": 3, "max_multiplicity": 3, "at_simple": "b[3]"}]
+
+
 def verdict_entries(spec, n: int, sweep: "list[int]") -> "dict[str, dict]":
     """The verdict entries of one analysis, by criterion."""
     return {e["criterion"]: e for e in analyze_spec(spec, n, sweep)["verdicts"]}
@@ -613,7 +678,7 @@ class TestEachStepOnce:
         assert len(compiles) == count
         assert all(compiles.count(call) == 1 for call in compiles)
 
-    @pytest.mark.parametrize("text,wedges", [(EX1, 28), (EX2, 24)], ids=["ex1", "ex2"])
+    @pytest.mark.parametrize("text,wedges", [(EX1, 33), (EX2, 29)], ids=["ex1", "ex2"])
     def test_grouplike_pair_spaces_come_from_one_table(self, text, wedges,
                                                        patch_everywhere):
         # Six oracle subspaces (C0, C1 and four vertex spans) give 36 pairs,
@@ -621,7 +686,8 @@ class TestEachStepOnce:
         # read, so the oracle makes 20 wedges.  The table makes one wedge
         # kg ^ kG per vertex: 4.  ex1's cross-check also probes depth 1, a
         # distinct truncation without the paths p[n], which builds its own
-        # table with 4 more.
+        # table with 4 more.  The sweep reads its counts from the tables of
+        # its bounds 1 and 2, with 2 and 3 vertices: 5 more wedges.
         spec = parse_spec(text)
         wedge_calls = _record_calls(patch_everywhere, coalg, "wedge")
         skew_calls = _record_calls(patch_everywhere, coalg, "skew_primitives")
@@ -630,10 +696,11 @@ class TestEachStepOnce:
         assert len(wedge_calls) == wedges
 
     def test_each_wedge_operand_is_projected_once(self, monkeypatch, patch_everywhere):
-        # ex2's 24 wedges read 48 residual tables: those of the table's four
+        # ex2's 29 wedges read 58 residual tables: those of the table's four
         # grouplike lines and their span kG, and of the oracle's six
         # subspaces (C0, C1 and four vertex spans), each built once, on its
-        # first read.
+        # first read.  The sweep's tables at bounds 1 and 2 add 2 + 1 and
+        # 3 + 1 operands: their grouplike lines and spans kG.
         residuals = Subspace.__dict__["residuals"]
         build = residuals.func
         builds: list = []
@@ -646,8 +713,45 @@ class TestEachStepOnce:
         wedge_calls = _record_calls(patch_everywhere, coalg, "wedge")
         analyze_spec(parse_spec(EX2), 3, [1, 2], None)
         operands = {id(s): s for call in wedge_calls for s in call[:2]}
-        assert (len(wedge_calls), len(operands)) == (24, 11)
+        assert (len(wedge_calls), len(operands)) == (29, 18)
         assert sorted(id(s) for s in builds if id(s) in operands) == sorted(operands)
+
+    @pytest.mark.parametrize("text,tables", [(EX1, 4), (EX2, 3)], ids=["ex1", "ex2"])
+    def test_each_truncation_builds_one_pair_table(self, text, tables, monkeypatch):
+        # One table per truncation: at N=3 for the cross-check, the sweep
+        # and the oracle together, at the sweep bounds 1 and 2, and for ex1
+        # at the cross-check's depth 1.
+        pair_table = Coalgebra.__dict__["grouplike_wedges"]
+        build = pair_table.func
+        owners: list = []
+
+        def recorder(c):
+            owners.append(c)
+            return build(c)
+
+        monkeypatch.setattr(pair_table, "func", recorder)
+        spec = parse_spec(text)
+        analyze_spec(spec, 3)
+        assert len(owners) == tables
+        assert len({id(c) for c in owners}) == len(set(owners)) == tables
+        assert compile_truncation(spec, 3)[0] in owners
+
+    @pytest.mark.parametrize("text", [EX1, EX2], ids=["ex1", "ex2"])
+    def test_analyze_solves_no_quotient_for_the_sweep(self, text, patch_everywhere):
+        # The sweep reads grouplike_wedges; the only quotients left are
+        # those of the socle series of the regular right comodule.
+        spec = parse_spec(text)
+        quotients = _record_calls(patch_everywhere, comod, "quotient_with_projection")
+        tables = _record_calls(patch_everywhere, comod, "multiplicity_table")
+        analyze_spec(spec, 3)
+        in_analyze = list(quotients)
+        quotients.clear()
+        loewy = loewy_series(regular_comodule(compile_truncation(spec, 3)[0], "right"))
+        assert tables == []
+        assert in_analyze == quotients
+        assert len(quotients) == len(loewy.terms) - 1
+        assert not hasattr(analyze, "quotient_with_projection")
+        assert not hasattr(analyze, "multiplicity_table")
 
     @pytest.mark.parametrize("text,bounds", [
         (EX1, [1, 2, 3, 3, 3, 3, 4, 5]),

@@ -15,7 +15,7 @@ import hashlib
 from fractions import Fraction as F
 
 import pytest
-from test_coalg import LADDER_ALL, change_basis, with_delta_off
+from test_coalg import LADDER_ALL, LOOPS_ALL, change_basis, with_delta_off
 from test_comod import REPEATS, with_coaction_off
 
 from qcalg.cli import main
@@ -56,8 +56,8 @@ mode declared
 """
 
 FILES = {"ladder.quiver": LADDER_ALL, "loop.quiver": LOOP_ALL,
-         "growing.quiver": GROWING, "fan.quiver": FLIPPED_FAN,
-         "repeats.sc": REPEATS}
+         "loops.quiver": LOOPS_ALL, "growing.quiver": GROWING,
+         "fan.quiver": FLIPPED_FAN, "repeats.sc": REPEATS}
 
 # (argv, exit code, sha256 of stdout); "ex1-n2.sc" is ex1 at N=2 in a
 # changed basis with integer coefficients.  "off-third.sc" is that file
@@ -65,7 +65,10 @@ FILES = {"ladder.quiver": LADDER_ALL, "loop.quiver": LOOP_ALL,
 # its regular right comodule with the first constant of rho(x[1]) off by
 # 1/5; both fail coassociativity with fractional sides.  "repeats.sc"
 # repeats (j, k) pairs in Delta and rho, with sums that cancel over QQ and
-# one that cancels only over GF(7).
+# one that cancels only over GF(7).  "loops.quiver" has loops at every
+# vertex, so its sweep reads the (v, v) entries of the pair table; the
+# sweep 4..6 of ex2 at N=3 compiles every bound itself.  Both were recorded
+# while the sweep still quotiented the regular comodule.
 CASES = [
     (("analyze", "ex1", "--N", "5", "--json"), 0,
      "34b430f3cc6940b26bf1f191959083fb2bf3b032ba6d84efd1f52fc38928bc7a"),
@@ -91,6 +94,11 @@ CASES = [
      "a2fd514027baf038549099070c7a4c75452ba5eefbbbaa09b1482c5690e63dad"),
     (("analyze", "loop.quiver", "--N", "1"), 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("analyze", "loops.quiver", "--N", "3", "--depth", "2", "--json"), 0,
+     "b62bd4e165efada73c1c9e5fe9bcfb180f3951c4f532b9013a7262ff73158075"),
+    (("analyze", "ex2", "--N", "3", "--sweep", "4..6", "--field", "gf:101",
+      "--json"), 0,
+     "deae4fbcaf04be1516d4601b1b15504241b3160ddef83cf405b816186266da6b"),
     (("analyze", "growing.quiver", "--N", "4", "--json"), 0,
      "9e87b1f480b8f9a50ce55d359a0f857387343fe25ddb89461c7c5e4130b8d802"),
     (("analyze", "fan.quiver", "--N", "3", "--json", "--field", "gf:101",
