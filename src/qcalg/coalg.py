@@ -115,9 +115,11 @@ class Coalgebra:
         By Taft-Wilson, kg ^ kh = kg + kh + P_{g,h}, where P_{g,h} is the
         space of (g, h)-skew-primitives (Montgomery 1993, 5.4), and g is not
         in P_{g,h}; so dim P_{g,h} = dim(kg ^ kh) - 1 whether or not g = h.
-        Three readers share the table: the local-finiteness cross-check and
-        the F-Noetherian sweep read those dimensions, and the duality oracle
-        checks these same wedges for its span pairs.
+        Three readers share the table: the local-finiteness cross-check
+        reads those dimensions, the duality oracle checks these same wedges
+        for its span pairs, and the F-Noetherian sweep reads its reference
+        truncation's table, at every bound that embeds in it as a
+        subcoalgebra spanned by basis vectors (kg ^_D kh = (kg ^ kh) meet D).
 
         One wedge per vertex: K_g = kg ^ kG holds every kg ^ kh, as kh lies
         in kG.  On K_g the entries (j, t) of (pi_g (x) id)Delta with t

@@ -20,8 +20,11 @@ each probe bound once and calls each stage once: ``degree_tables``,
 ``locally_finite_verdict``, the two-sided ``semiperfect_verdict`` and
 ``fnoetherian_sweep`` (one enumeration per probe instance, one truncation
 per sweep bound, the analyzed one at N), and the duality oracle.  The
-cross-check, the sweep and the oracle read vertex pairs from one table
-per truncation, ``Coalgebra.grouplike_wedges``.
+cross-check and the oracle read vertex pairs from one table per
+truncation, ``Coalgebra.grouplike_wedges``.  The sweep reads every bound
+from one reference table, that of the analyzed truncation or, past N, of
+its largest bound: a bound checked to embed in the reference truncation
+reads its entries from it, and one that does not builds its own.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from ..coalg import (
     wedge,
 )
 from ..comod import loewy_series, regular_comodule
-from ..exactlin import Subspace
+from ..exactlin import Subspace, kernel_on
 from .dsl import QuiverSpec
 from .paths import (QuiverInstance, compile_truncation, cycle_vertices,
                     enumerate_instance, instantiate, reachability)
@@ -290,40 +293,101 @@ def _growth_witness(columns: "dict[str, list[dict]]") -> "dict | None":
     return None
 
 
+def _basis_embedding(sub: Coalgebra, reference: Coalgebra) -> "list[int] | None":
+    """reference's index of each basis element of sub when sub is the
+    subcoalgebra of reference spanned by those basis vectors, else None.
+
+    Checked, not assumed: one field, every label of sub a label of reference
+    with the same epsilon, and Delta_sub(x) = Delta_reference(x) label for
+    label.  An arrow whose endpoint moves with the bound keeps its label and
+    changes its Delta, so it fails the check.
+    """
+    if sub.field != reference.field:
+        return None
+    index = {label: i for i, label in enumerate(reference.labels)}
+    place = [index.get(label) for label in sub.labels]
+    if None in place:
+        return None
+    for i, j in enumerate(place):
+        image = {(place[a], place[b]): c for (a, b), c in sub.delta_dict(i).items()}
+        if sub.epsilon[i] != reference.epsilon[j] or image != reference.delta_dict(j):
+            return None
+    return place
+
+
+def _pair_wedges(coalgebra: Coalgebra, reference: Coalgebra):
+    """The wedge kg ^ kh of coalgebra's grouplikes, as a function of the
+    pair (g, h), read from reference's grouplike_wedges when coalgebra
+    embeds in reference (then as a subspace of reference), and from
+    coalgebra's own table when it does not.
+
+    Let D embed in C by _basis_embedding: D is a subcoalgebra spanned by
+    basis vectors of C, and C = D + E with E spanned by the other basis
+    vectors.  Then C (x) C splits as D(x)D + D(x)E + E(x)D + E(x)E, and for
+    X, Y in D the space X(x)C + C(x)Y = (X(x)D + D(x)Y) + X(x)E + E(x)Y is
+    graded by it, so (X(x)C + C(x)Y) meets D(x)D in X(x)D + D(x)Y.  For x in
+    D, Delta_C(x) = Delta_D(x) lies in D(x)D, so x is in X ^_C Y exactly
+    when it is in X ^_D Y: X ^_D Y = (X ^_C Y) meet D.  Each entry is
+    therefore the kernel, on C's entry, of its coordinates outside D; only
+    the entries read are solved.
+    """
+    if coalgebra is reference:
+        return reference.grouplike_wedges.__getitem__
+    place = _basis_embedding(coalgebra, reference)
+    if place is None:
+        return coalgebra.grouplike_wedges.__getitem__
+    inside = set(place)
+
+    def within(pair: "tuple[int, int]") -> Subspace:
+        entry = reference.grouplike_wedges[(place[pair[0]], place[pair[1]])]
+        return kernel_on(entry, [{j: c for j, c in row if j not in inside}
+                                 for row in entry.basis])
+    return within
+
+
 def fnoetherian_sweep(spec: QuiverSpec, sweep: "list[int]", depth: "int | None",
                       n: int, truncation: Coalgebra) -> dict:
     """Socle-multiplicity growth tables for single-vertex quotients, per side.
 
     truncation is the analyzed truncation at (n, depth), read at bound n;
-    each other bound is compiled once.  Per side, the column of a vertex v
+    each other bound is compiled once, the smallest first and the largest,
+    when it exceeds n, right after it (so an over-budget sweep fails before
+    any bound in between is built).  Per side, the column of a vertex v
     (a grouplike at the smallest bound) holds the maximal socle multiplicity
     of C/kv over the grouplike simples and the first simple reaching it.  A
     growing column refutes; absence of growth never proves the property.
 
-    The counts come from grouplike_wedges (at n the table the cross-check
-    and the oracle read).  Right weight-h vectors of C/kv lift to the c with
-    (pi_v (x) id)Delta c = pi_v(c) (x) h: inside kv ^ kh by definition, and
-    all of it, as id (x) epsilon turns (pi_v (x) id)Delta c = w (x) h into
-    w = pi_v(c) (counit law, epsilon(h) = 1).  The lifts hold kv = ker pi_v,
-    so [soc(C/kv) : S_h] = dim(kv ^ kh) - 1, and dim(kh ^ kv) - 1 on the left.
+    The counts are grouplike-pair wedges, all read from one reference
+    table: the grouplike_wedges of the truncation at max(n, largest bound),
+    at n the table the cross-check and the oracle read.  A bound that embeds
+    in the reference reads its entries from it (_pair_wedges); one that does
+    not builds its own table.  Right weight-h vectors of C/kv lift to the c
+    with (pi_v (x) id)Delta c = pi_v(c) (x) h: inside kv ^ kh by definition,
+    and all of it, as id (x) epsilon turns (pi_v (x) id)Delta c = w (x) h
+    into w = pi_v(c) (counit law, epsilon(h) = 1).  The lifts hold
+    kv = ker pi_v, so [soc(C/kv) : S_h] = dim(kv ^ kh) - 1, and
+    dim(kh ^ kv) - 1 on the left.
     """
     if not sweep:
         raise ValueError("empty sweep")
-    smallest = min(sweep)
-    first = truncation if smallest == n else compile_truncation(spec, smallest, depth)[0]
+    smallest, top = min(sweep), max(max(sweep), n)
+    held = {n: truncation}
+    for bound in (smallest, top):
+        if bound not in held:
+            held[bound] = compile_truncation(spec, bound, depth)[0]
+    first, reference = held[smallest], held[top]
     vertices = sorted(first.labels[g] for g in first.grouplike_indices())
     tables = {side: {v: [] for v in vertices} for side in ("left", "right")}
-    held = {n: truncation, smallest: first}
     for bound in sweep:
         coalgebra = held.get(bound) or compile_truncation(spec, bound, depth)[0]
-        wedges = coalgebra.grouplike_wedges
+        wedges = _pair_wedges(coalgebra, reference)
         grouplikes = coalgebra.grouplike_indices()
         for side, columns in tables.items():
             for vlabel in vertices:
                 v = coalgebra.label_index(vlabel)
                 best, best_simple = 0, None
                 for h in grouplikes:
-                    mult = wedges[(v, h) if side == "right" else (h, v)].dim - 1
+                    mult = wedges((v, h) if side == "right" else (h, v)).dim - 1
                     if mult > best:
                         best, best_simple = mult, coalgebra.labels[h]
                 columns[vlabel].append(

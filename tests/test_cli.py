@@ -647,6 +647,27 @@ class TestSizeBudget:
         assert ("line 2, col 1: the ranges enclosing i take more than 100000 "
                 "values") in err
 
+    def test_an_over_budget_sweep_fails_before_its_middle_bounds(
+            self, capsys, patch_everywhere):
+        # The sweep compiles its smallest bound and then its largest, which
+        # is past the budget; no bound in between is built.
+        from qcalg.quiverlab import paths
+        original = paths.compile_truncation
+        compiles: list = []
+
+        def recorder(spec, n_bound=None, depth=None):
+            compiles.append((n_bound, depth))
+            return original(spec, n_bound, depth)
+
+        patch_everywhere(original, recorder)
+        code, out, err = run(capsys, "analyze", "ex2", "--N", "3", "--sweep", "1..5000")
+        assert code == 2
+        assert out == ""
+        assert ("line 6, col 1: more than 100000 vertices, arrows and declared "
+                "paths: past the size budget") in err
+        # The analyzed truncation, the cross-check's depth 1, then the sweep.
+        assert compiles == [(3, None), (3, 1), (1, None), (5000, None)]
+
     @pytest.mark.parametrize("name", ["ex1", "ex2"])
     def test_builtins_at_thirty_are_within_it(self, capsys, name):
         code, out, _ = run(capsys, "check", name, "--N", "30")
