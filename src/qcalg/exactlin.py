@@ -11,6 +11,15 @@ summing terms sums into a plain dict and drops the zeros once, at the end,
 with :func:`drop_zeros`; ``Matrix.from_entries`` is the constructor for
 such accumulated entries, and ``_rref`` and ``Subspace.span`` drop zeros
 from their input themselves.  ``row_add`` is the one eager primitive.
+
+``_rref`` is the one elimination, and each of ``Subspace.span``,
+``Subspace.intersect``, ``kernel``, ``kernel_on``, ``perp`` and
+``preimage`` runs it exactly once: only ``span`` takes vectors in no
+particular form, and the others build their canonical bases directly.
+``kernel`` puts each pivot at its row's last column, so its null-space
+generators come out in RREF as they are built; it feeds the rows in
+reverse order because, with the pivot at the last column, that order
+makes less fill-in on the basis-changed inputs.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 
 class FieldMismatchError(ValueError):
@@ -207,8 +216,16 @@ def row_add(a: dict, b: dict, coeff: Scalar) -> dict:
     return out
 
 
-def _rref(rows: Iterable[dict]) -> list[dict]:
-    """Reduced row echelon form of sparse rows; canonical and unique."""
+def _is_one(x: Scalar) -> bool:
+    return x.val == 1 if type(x) is GFElement else x == 1
+
+
+def _rref(rows: Iterable[dict], lead_of: Callable[[dict], int] = min) -> list[dict]:
+    """Reduced row echelon form of sparse rows; canonical and unique.
+
+    Each row's pivot is its first column, or its last with lead_of=max;
+    either way the pivot is 1 and every other pivot row is zero there.
+    """
     pivots: dict[int, dict] = {}  # pivot column -> normalized row
     for row in rows:
         row = drop_zeros(row)
@@ -219,9 +236,10 @@ def _rref(rows: Iterable[dict]) -> list[dict]:
                 row = row_add(row, pivots[j], -v)
         if not row:
             continue
-        lead = min(row)
+        lead = lead_of(row)
         inv = row[lead]
-        row = {j: v / inv for j, v in row.items()}
+        if not _is_one(inv):
+            row = {j: v / inv for j, v in row.items()}
         for col, piv in list(pivots.items()):
             if lead in piv:
                 pivots[col] = row_add(piv, row, -piv[lead])
@@ -393,7 +411,12 @@ class Subspace:
                              self.basis_dicts() + other.basis_dicts())
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: echelonize [a|a; b|0], read the 0|* block."""
+        """Zassenhaus: echelonize [a|a; b|0], read the 0|* block.
+
+        The RREF rows that lead at or past n span the meet once shifted
+        by n.  They are already canonical: each leads with a 1 at its own
+        pivot, and every other RREF row, these included, is zero there.
+        """
         self._require_compatible(other)
         n = self.ambient_dim
         stacked: list[dict] = []
@@ -402,11 +425,9 @@ class Subspace:
             double.update({j + n: v for j, v in row.items()})
             stacked.append(double)
         stacked.extend(other.basis_dicts())
-        meet: list[dict] = []
-        for row in _rref(stacked):
-            if min(row) >= n:
-                meet.append({j - n: v for j, v in row.items()})
-        return Subspace.span(self.field, n, meet)
+        meet = tuple(_freeze_row({j - n: v for j, v in row.items()})
+                     for row in _rref(stacked) if min(row) >= n)
+        return Subspace(self.field, n, meet)
 
     def __and__(self, other: "Subspace") -> "Subspace":
         return self.intersect(other)
@@ -461,25 +482,26 @@ class Subspace:
 def kernel(m: Matrix, field: Field) -> Subspace:
     """Null space {v : m v = 0} as a canonical subspace of the domain.
 
-    Only the nonzero rows reach the elimination, in row order: a wedge or
-    skew-primitive matrix has dim^2 rows, nearly all of them empty.
+    Only the nonzero rows reach the elimination, in reverse row order: a
+    wedge or skew-primitive matrix has dim^2 rows, nearly all of them
+    empty.  Each pivot sits at its row's last column, so R[p][f] is
+    nonzero only for f < p.  The generator e_f - sum_p R[p][f] e_p of a
+    free column f therefore leads at f with a 1, and no other generator
+    has an entry at f, a free column: the generators are the canonical
+    basis as they stand.
     """
     nonzero: dict[int, dict] = {}
     for (i, j), v in m.entries.items():
         nonzero.setdefault(i, {})[j] = v
-    rows = _rref(nonzero[i] for i in sorted(nonzero))
-    pivot_cols = [min(r) for r in rows]
-    pivot_set = set(pivot_cols)
-    free_cols = [j for j in range(m.cols) if j not in pivot_set]
-    gens: list[dict] = []
-    for f in free_cols:
-        vec = {f: field.one}
-        for r, pc in zip(rows, pivot_cols):
-            c = r.get(f)
-            if c:
-                vec[pc] = -c
-        gens.append(vec)
-    return Subspace.span(field, m.cols, gens)
+    rows = _rref((nonzero[i] for i in sorted(nonzero, reverse=True)), lead_of=max)
+    pivots = {max(r): r for r in rows}
+    one = field.one
+    gens = {f: {f: one} for f in range(m.cols) if f not in pivots}
+    for p, r in pivots.items():
+        for f, c in r.items():
+            if f != p:
+                gens[f][p] = -c
+    return Subspace(field, m.cols, tuple(_freeze_row(g) for g in gens.values()))
 
 
 def kernel_on(space: Subspace, images: "list[dict]") -> Subspace:
@@ -490,6 +512,11 @@ def kernel_on(space: Subspace, images: "list[dict]") -> Subspace:
     keys are any hashable codomain coordinates.  The system has one column
     per basis row of space, so a map known on a small subspace is solved
     in that subspace's coordinates.
+
+    The lifts are canonical as they stand.  Each kernel vector x leads at
+    some r with x_r = 1 and every other x is zero at r.  Since space's
+    basis is in RREF, sum_r x_r b_r leads at b_r's pivot with a 1, where
+    every other lift is zero.
     """
     rows: dict = {}
     for r, image in enumerate(images):
@@ -498,14 +525,14 @@ def kernel_on(space: Subspace, images: "list[dict]") -> Subspace:
     system = Matrix(len(rows), space.dim,
                     {(i, r): v for i, row in enumerate(rows.values())
                      for r, v in row.items()})
-    vectors: list[dict] = []
+    lifts: list[tuple] = []
     for x in kernel(system, space.field).basis:
         vec: dict = {}
         for r, xr in x:
             for j, v in space.basis[r]:
                 vec[j] = vec[j] + xr * v if j in vec else xr * v
-        vectors.append(vec)
-    return Subspace.span(space.field, space.ambient_dim, vectors)
+        lifts.append(_freeze_row(drop_zeros(vec)))
+    return Subspace(space.field, space.ambient_dim, tuple(lifts))
 
 
 def preimage(f: Matrix, w: Subspace, field: Field) -> Subspace:

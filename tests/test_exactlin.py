@@ -3,7 +3,9 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 import pytest
+from test_quiverlab import _record_calls
 
+from qcalg import exactlin
 from qcalg.exactlin import (
     GF,
     QQ,
@@ -93,6 +95,18 @@ class TestLatticeOps:
         with pytest.raises(ValueError):
             b.quotient_dim(a)
 
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+    def test_meet_basis_is_canonical(self, field):
+        def sp(*vectors):
+            return Subspace.span(field, 4, [{j: field.from_int(v) for j, v in enumerate(row) if v}
+                                            for row in vectors])
+        a = sp((1, 2, 0, 1), (0, 1, 1, 0), (0, 0, 0, 3))
+        b = sp((2, 6, 2, 5), (0, 0, 3, 2))
+        meet = a.intersect(b)
+        assert meet.basis == Subspace.span(field, 4, meet.basis_dicts()).basis
+        assert meet == sp((2, 6, 2, 5))
+        assert b.intersect(a) == meet and meet.intersect(meet) == meet
+
     def test_ambient_mismatch(self):
         with pytest.raises(ValueError):
             span(2, (1, 0)) + span(3, (1, 0, 0))
@@ -163,6 +177,36 @@ class TestKernelOn:
     def test_coordinates(self):
         assert Subspace.coordinates(QQ, 4, [3, 1, 3]) == span(4, (0, 1, 0, 0), (0, 0, 0, 1))
         assert Subspace.coordinates(QQ, 2, []) == Subspace.zero(QQ, 2)
+
+
+class TestOneElimination:
+    """Each kernel builds its canonical basis from one _rref pass; a second
+    pass through Subspace.span would show here as a second call."""
+
+    def test_kernel_and_kernel_on_eliminate_once(self, patch_everywhere):
+        f = TestKernelOn.F_MAP
+        x = span(4, (1, 1, 0, 0), (0, 0, 1, 0), (0, 1, 0, 3))
+        images = [f.apply(b) for b in x.basis_dicts()]
+        rrefs = _record_calls(patch_everywhere, exactlin, "_rref")
+        k = kernel(f, QQ)
+        assert len(rrefs) == 1
+        on = kernel_on(x, images)
+        assert len(rrefs) == 2
+        assert k == span(4, (1, 1, 0, 0), (0, 0, 2, -1))
+        assert on == span(4, (1, 1, 0, 0))
+
+    def test_perp_preimage_and_intersect_eliminate_once(self, patch_everywhere):
+        f = TestKernelOn.F_MAP
+        x = span(4, (1, 2, 3, 4), (0, 1, 1, 1))
+        y = span(4, (1, 1, 2, 3), (0, 0, 1, 0))
+        w = span(2, (1, 1))
+        rrefs = _record_calls(patch_everywhere, exactlin, "_rref")
+        x.perp()
+        assert len(rrefs) == 1
+        preimage(f, w, QQ)
+        assert len(rrefs) == 2
+        x.intersect(y)
+        assert len(rrefs) == 3
 
 
 class TestPreimage:

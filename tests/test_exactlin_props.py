@@ -2,17 +2,18 @@
 
 The seeded loop runs the documented 500-pair battery over the rationals
 and GF(7); the hypothesis properties re-explore the same laws with
-shrinking.
+shrinking.  The sparse-matrix properties check that every operation that
+builds its basis without ``Subspace.span`` still returns the canonical one.
 """
 
 from __future__ import annotations
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcalg.exactlin import GF, QQ, Subspace
+from qcalg.exactlin import GF, QQ, Matrix, Subspace, kernel, kernel_on, preimage
 
 FIELDS = (QQ, GF(7))
 
@@ -89,3 +90,106 @@ def test_canonical_equality_is_decidable_by_bases(data):
     _, _, a, b = data
     same = a.basis == b.basis
     assert same == (a.contains(b) and b.contains(a))
+
+
+# Pivots in every scale, and mostly zeros: whole zero rows, the zero
+# matrix and matrices with no columns all come up.
+SCALES = ("0", "0", "0", "1", "-1", "2", "1/3")
+
+
+def sparse_matrix(draw, field, rows, cols) -> Matrix:
+    entries = {}
+    for i in range(rows):
+        for j in range(cols):
+            x = field.parse(draw(st.sampled_from(SCALES)))
+            if x:
+                entries[(i, j)] = x
+    return Matrix(rows, cols, entries)
+
+
+def sparse_span(draw, field, ambient) -> Subspace:
+    rows = draw(st.integers(min_value=0, max_value=ambient + 1))
+    return row_space(field, sparse_matrix(draw, field, rows, ambient))
+
+
+def row_space(field, m: Matrix) -> Subspace:
+    return Subspace.span(field, m.cols, m.row_dicts())
+
+
+@st.composite
+def sparse_matrices(draw):
+    field = draw(st.sampled_from(FIELDS))
+    rows = draw(st.integers(min_value=0, max_value=6))
+    cols = draw(st.integers(min_value=0, max_value=7))
+    return field, sparse_matrix(draw, field, rows, cols)
+
+
+@st.composite
+def matrix_and_domain_subspace(draw):
+    field, m = draw(sparse_matrices())
+    return field, m, sparse_span(draw, field, m.cols)
+
+
+@st.composite
+def matrix_and_codomain_subspace(draw):
+    field, m = draw(sparse_matrices())
+    return field, m, sparse_span(draw, field, m.rows)
+
+
+def assert_canonical(space: Subspace) -> None:
+    respanned = Subspace.span(space.field, space.ambient_dim, space.basis_dicts())
+    assert space.basis == respanned.basis
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices())
+@example((QQ, Matrix(3, 4, {})))
+@example((GF(7), Matrix(2, 0, {})))
+def test_kernel_basis_is_canonical_and_killed(data):
+    field, m = data
+    k = kernel(m, field)
+    assert_canonical(k)
+    assert k.ambient_dim == m.cols
+    for v in k.basis_dicts():
+        assert m.apply(v) == {}
+    assert k.dim == m.cols - row_space(field, m).dim
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices())
+def test_perp_basis_is_canonical(data):
+    field, m = data
+    rows = row_space(field, m)
+    assert_canonical(rows.perp())
+    assert rows.perp() == kernel(m, field)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_and_domain_subspace())
+def test_kernel_on_basis_is_canonical(data):
+    field, m, x = data
+    on = kernel_on(x, [m.apply(b) for b in x.basis_dicts()])
+    assert_canonical(on)
+    assert on == x.intersect(kernel(m, field))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_and_domain_subspace())
+def test_intersect_basis_is_canonical(data):
+    field, m, x = data
+    rows = row_space(field, m)
+    for meet in (x.intersect(rows), rows.intersect(x)):
+        assert_canonical(meet)
+        assert x.contains(meet) and rows.contains(meet)
+        assert (x + rows).dim + meet.dim == x.dim + rows.dim
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_and_codomain_subspace())
+def test_preimage_basis_is_canonical(data):
+    field, f, w = data
+    pre = preimage(f, w, field)
+    assert_canonical(pre)
+    assert pre.contains(kernel(f, field))
+    for v in pre.basis_dicts():
+        assert w.contains_vector(f.apply(v))
