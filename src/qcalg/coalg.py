@@ -410,29 +410,43 @@ def dual_algebra(c: Coalgebra) -> DualAlgebra:
 
 
 def radical(a: DualAlgebra) -> Subspace:
-    """Jacobson radical via the trace-form kernel of the regular representation.
+    """Jacobson radical: the kernel of the trace form (x, y) -> tr(L_x L_y)
+    of the left regular representation L.
 
     Valid in characteristic 0 or p > dim; anything else is rejected rather
     than silently wrong.
+
+    The Gram matrix comes from one trace vector tau_k = tr(L_{e_k^*}), read
+    off the structure constants in one pass, with no L_x built.  C* is
+    associative because C is coassociative, so L is an algebra map and
+    tr(L_x L_y) = tr(L_{xy}).  With c^k_ij the (i, j) coefficient of
+    Delta(e_k), tr(L_{e_i^* e_j^*}) = sum_k c^k_ij tau_k: the Gram matrix
+    is the coefficient matrix of Delta(t) for t = sum_k tau_k e_k, entry
+    for entry the matrix of traces tr(L_i L_j), and its canonical kernel is
+    the same.  On input that is not coassociative (``compute`` without
+    ``--check``) the two matrices may differ; the kernel returned is that
+    of Delta(t)'s coefficient matrix.
     """
     if a.field.char != 0 and a.field.char <= a.dim:
         raise RadicalRangeError(
             f"radical algorithm out of validity range: characteristic "
             f"{a.field.char} <= dimension {a.dim}")
-    mats = [a.left_mult_matrix({i: a.field.one}) for i in range(a.dim)]
+    zero = a.field.zero
+    trace = [zero] * a.dim
+    for k, row in a.mult.items():
+        for j, terms in row.items():
+            for t, c in terms:
+                if t == j:
+                    trace[k] = trace[k] + c
     gram: dict = {}
-    for i, mi in enumerate(mats):
-        for j in range(i, a.dim):
-            acc = a.field.zero
-            entries_j = mats[j].entries
-            for (k, t), v in mi.entries.items():
-                w = entries_j.get((t, k))
-                if w:
-                    acc = acc + v * w
+    for i, row in a.mult.items():
+        for j, terms in row.items():
+            acc = zero
+            for k, c in terms:
+                if trace[k]:
+                    acc = acc + c * trace[k]
             if acc:
                 gram[(i, j)] = acc
-                if i != j:
-                    gram[(j, i)] = acc
     return kernel(Matrix(a.dim, a.dim, gram), a.field)
 
 

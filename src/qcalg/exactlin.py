@@ -117,6 +117,14 @@ class Rationals:
         return Fraction(n)
 
     def parse(self, text: str) -> Fraction:
+        # Most coefficients are integers, and int() reads them without the
+        # Fraction string regex; any string int() refuses takes that route.
+        # Strings with "_" always do: Python 3.10's Fraction refuses them.
+        if "_" not in text:
+            try:
+                return Fraction(int(text))
+            except ValueError:
+                pass
         return Fraction(text.strip())
 
     def format(self, x: Fraction) -> str:

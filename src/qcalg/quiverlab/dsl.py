@@ -24,6 +24,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ..exactlin import Field, QQ, field_named
 
@@ -46,9 +47,15 @@ _NAME_RE = re.compile(_NAME + r"\Z")
 _HEAD_RE = re.compile(rf"({_NAME})\s*(?:\[([^\]]*)\])?\s*\Z")
 
 
+@lru_cache(maxsize=1024)
+def _parse_expr(src: str) -> ast.Expression:
+    """The syntax tree of an index expression, parsed once per source text."""
+    return ast.parse(src, mode="eval")
+
+
 def _eval_expr(src: str, env: "dict[str, int]", line: int) -> int:
     try:
-        tree = ast.parse(src.strip(), mode="eval")
+        tree = _parse_expr(src.strip())
     except SyntaxError as exc:
         raise DslError(f"bad index expression {src.strip()!r}", line,
                        getattr(exc, "offset", 1) or 1) from None

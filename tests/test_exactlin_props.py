@@ -4,11 +4,15 @@ The seeded loop runs the documented 500-pair battery over the rationals
 and GF(7); the hypothesis properties re-explore the same laws with
 shrinking.  The sparse-matrix properties check that every operation that
 builds its basis without ``Subspace.span`` still returns the canonical one.
+The last property checks that rational parsing reads what ``Fraction``
+reads.
 """
 
 from __future__ import annotations
 
 import random
+
+from fractions import Fraction
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -193,3 +197,28 @@ def test_preimage_basis_is_canonical(data):
     assert pre.contains(kernel(f, field))
     for v in pre.basis_dicts():
         assert w.contains_vector(f.apply(v))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:  # the class is the outcome compared
+        return type(exc)
+
+
+# Signs, separators, decimal points, exponents, whitespace and an
+# Arabic-Indic digit: integer strings, the strings only Fraction reads,
+# and the strings neither reads.
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet="0123456789+-_/. e\t\n\u0663", max_size=12))
+@example("-12")
+@example(" +7\n")
+@example("1_000")
+@example("\u0663\u0663")
+@example("3/4")
+@example("1/0")
+@example("1e3")
+@example("")
+@example("9" * 5000)
+def test_rational_parse_reads_what_fraction_reads(text):
+    assert _outcome(QQ.parse, text) == _outcome(lambda t: Fraction(t.strip()), text)

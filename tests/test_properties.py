@@ -3,6 +3,8 @@
 Each generated presentation uses all-paths mode on a random DAG, so the
 enumerated basis is automatically subpath-closed; the checks below are
 the package-wide invariants that every compiled truncation must satisfy.
+The radical properties run on changed-basis images of ex1, ex2 and the
+ladder, whose structure constants are no longer 0/1.
 """
 
 from __future__ import annotations
@@ -10,8 +12,17 @@ from __future__ import annotations
 import random
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
+from functools import lru_cache
+from unittest import mock
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_coalg import LADDER_ALL, change_basis
+from test_quiverlab import _record_calls
+
+from qcalg import coalg, exactlin
 from qcalg.coalg import (
+    DualAlgebra,
     check_axioms,
     coradical_filtration,
     dual_algebra,
@@ -25,8 +36,10 @@ from qcalg.comod import (
     regular_comodule,
     socle_annihilator_check,
 )
-from qcalg.exactlin import QQ, Matrix, Subspace
+from qcalg.exactlin import GF, QQ, Matrix, Subspace, kernel
 from qcalg.quiverlab import compile_truncation, parse_spec
+from qcalg.quiverlab.registry import EX1, EX2
+from qcalg.textfmt import dumps_coalgebra, loads
 
 
 def random_dag_spec(rng: random.Random) -> str:
@@ -107,3 +120,62 @@ def test_concurrent_evaluation_matches_serial(ex1_n3):
     with ThreadPoolExecutor(max_workers=4) as pool:
         parallel = list(pool.map(lambda uw: wedge(uw[0], uw[1], c), jobs))
     assert serial == parallel
+
+
+@lru_cache(maxsize=None)
+def truncation(name: str, bound: int):
+    text = {"ex1": EX1, "ex2": EX2, "ladder": LADDER_ALL}[name]
+    return compile_truncation(parse_spec(text), bound)[0]
+
+
+def trace_gram_by_pairs(a: DualAlgebra) -> dict:
+    """Reference Gram matrix: tr(L_i L_j) from the left-multiplication
+    matrices of the dual basis, zeros dropped."""
+    mats = [a.left_mult_matrix({i: a.field.one}).entries for i in range(a.dim)]
+    gram = {}
+    for i, mi in enumerate(mats):
+        for j, mj in enumerate(mats):
+            acc = a.field.zero
+            for (k, t), v in mi.items():
+                if (t, k) in mj:
+                    acc = acc + v * mj[(t, k)]
+            if acc:
+                gram[(i, j)] = acc
+    return gram
+
+
+def next_prime_above(n: int) -> int:
+    p = n + 1
+    while any(p % q == 0 for q in range(2, p)):
+        p += 1
+    return p
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([("ex1", 1), ("ex1", 2), ("ex2", 1), ("ex2", 2),
+                        ("ladder", 1), ("ladder", 2)]),
+       st.integers(min_value=0, max_value=10**6),
+       st.sampled_from([1, 3]),
+       st.sampled_from(["QQ", "GF(p), p just above dim", "GF(10007)"]))
+def test_radical_gram_is_the_trace_form(case, seed, max_den, field):
+    c = change_basis(truncation(*case), seed=seed, max_den=max_den)
+    if field != "QQ":
+        p = 10007 if field == "GF(10007)" else next_prime_above(c.dim)
+        c = loads(dumps_coalgebra(c), field=GF(p), check=True).coalgebra
+    a = dual_algebra(c)
+    with mock.patch.object(coalg, "kernel", wraps=coalg.kernel) as spy:
+        j = radical(a)
+    old = trace_gram_by_pairs(a)
+    assert [call.args[0].entries for call in spy.call_args_list] == [old]
+    assert j == kernel(Matrix(a.dim, a.dim, old), a.field)
+
+
+def test_radical_builds_no_left_mult_matrix(monkeypatch, patch_everywhere):
+    # The Gram matrix is read off the structure constants: no L_x is built.
+    a = dual_algebra(change_basis(truncation("ex1", 2), seed=3))
+    kernels = _record_calls(patch_everywhere, exactlin, "kernel")
+    mults = _record_calls(
+        lambda _, rep: monkeypatch.setattr(DualAlgebra, "left_mult_matrix", rep),
+        DualAlgebra, "left_mult_matrix")
+    j = radical(a)
+    assert (len(kernels), len(mults), j.dim) == (1, 0, 6)

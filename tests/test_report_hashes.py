@@ -68,7 +68,10 @@ FILES = {"ladder.quiver": LADDER_ALL, "loop.quiver": LOOP_ALL,
 # one that cancels only over GF(7).  "loops.quiver" has loops at every
 # vertex, so its sweep reads the (v, v) entries of the pair table; the
 # sweep 4..6 of ex2 at N=3 compiles every bound itself.  Both were recorded
-# while the sweep still quotiented the regular comodule.
+# while the sweep still quotiented the regular comodule.  "mutant-ex1" is
+# not coassociative and ``compute`` does not check it, so its filtration
+# and socle pin the radical on input where tr(L_x L_y) = tr(L_xy) need not
+# hold; they were recorded while the Gram matrix still summed those traces.
 CASES = [
     (("analyze", "ex1", "--N", "5", "--json"), 0,
      "34b430f3cc6940b26bf1f191959083fb2bf3b032ba6d84efd1f52fc38928bc7a"),
@@ -112,6 +115,10 @@ CASES = [
      "db8501c1ecd3c685ef01241dc75518d97c97d4036407294f5549f660d62bb57f"),
     (("check", "mutant-ex1", "--json"), 1,
      "0adc70492b8e4e9e9aa04538eb184c4277057652d115106ce7d9b9c9a2db2225"),
+    (("compute", "mutant-ex1", "filtration", "--json"), 0,
+     "5219f1c5470df682e74ac46918cb233f0f68801fa5934bb737dcee3564dceb2c"),
+    (("compute", "mutant-ex1", "socle", "--side", "left", "--json"), 0,
+     "91bb97cab4c35a5c59cc180bd1ea9d4270ced4566976086ddbb82148a1383de8"),
     (("check", "off-third.sc", "--json"), 1,
      "526394d17e5f64779c2aff94fd376ad09a0e06f933763890c8c6d4a1dfb801fe"),
     (("check", "off-third.sc"), 1,
