@@ -99,6 +99,9 @@ class GFElement:
 
 Scalar = Union[Fraction, GFElement]
 
+# The largest decimal exponent a rational scalar may be written with.
+MAX_EXPONENT = 4300
+
 
 class Rationals:
     """The field of rationals; scalars are ``fractions.Fraction``."""
@@ -125,7 +128,19 @@ class Rationals:
                 return Fraction(int(text))
             except ValueError:
                 pass
-        return Fraction(text.strip())
+        text = text.strip()
+        # Fraction writes 10**exp out in full: "1e999999999" would take
+        # hours.  No exponent may carry a scalar past the 4300 digits that
+        # int() reads.
+        _, e, exp = text.replace("E", "e").rpartition("e")
+        if e:
+            try:
+                too_big = abs(int(exp)) > MAX_EXPONENT
+            except ValueError:
+                too_big = False
+            if too_big:
+                raise ValueError(f"exponent of {text!r} beyond {MAX_EXPONENT}")
+        return Fraction(text)
 
     def format(self, x: Fraction) -> str:
         return str(x)

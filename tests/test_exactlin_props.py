@@ -5,19 +5,29 @@ and GF(7); the hypothesis properties re-explore the same laws with
 shrinking.  The sparse-matrix properties check that every operation that
 builds its basis without ``Subspace.span`` still returns the canonical one.
 The last property checks that rational parsing reads what ``Fraction``
-reads.
+reads, and refuses at once an exponent too large to write out.
 """
 
 from __future__ import annotations
 
 import random
+import re
 
 from fractions import Fraction
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcalg.exactlin import GF, QQ, Matrix, Subspace, kernel, kernel_on, preimage
+from qcalg.exactlin import (
+    GF,
+    MAX_EXPONENT,
+    QQ,
+    Matrix,
+    Subspace,
+    kernel,
+    kernel_on,
+    preimage,
+)
 
 FIELDS = (QQ, GF(7))
 
@@ -206,9 +216,23 @@ def _outcome(parse, text):
         return type(exc)
 
 
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def _fraction_or_refusal(text):
+    """What Fraction reads, or ValueError for an exponent past
+    MAX_EXPONENT, which Fraction would spend hours writing out."""
+    m = _EXPONENT.search(text)
+    if m:
+        exp = _outcome(int, m.group(1))
+        if isinstance(exp, int) and abs(exp) > MAX_EXPONENT:
+            raise ValueError(text)
+    return Fraction(text.strip())
+
+
 # Signs, separators, decimal points, exponents, whitespace and an
 # Arabic-Indic digit: integer strings, the strings only Fraction reads,
-# and the strings neither reads.
+# the strings neither reads, and exponents too large to write out.
 @settings(max_examples=400, deadline=None)
 @given(st.text(alphabet="0123456789+-_/. e\t\n\u0663", max_size=12))
 @example("-12")
@@ -220,5 +244,10 @@ def _outcome(parse, text):
 @example("1e3")
 @example("")
 @example("9" * 5000)
+@example("1e4300")
+@example("-2E-4300 ")
+@example("1e4301")
+@example("1e999999999")
+@example("3/4E-99_999_999")
 def test_rational_parse_reads_what_fraction_reads(text):
-    assert _outcome(QQ.parse, text) == _outcome(lambda t: Fraction(t.strip()), text)
+    assert _outcome(QQ.parse, text) == _outcome(_fraction_or_refusal, text)

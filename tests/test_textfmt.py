@@ -72,3 +72,9 @@ def test_structural_errors_are_always_caught():
         loads("dim 2\nepsilon: 1\n")  # epsilon length
     with pytest.raises(FormatError):
         loads("dim 1\nwibble 3\nepsilon: 1\n")  # unknown keyword
+
+
+def test_an_exponent_too_large_to_write_out_is_a_bad_scalar():
+    text = "dim 1\ndelta 0: 0 0 1\nepsilon: 1e999999999\n"
+    with pytest.raises(FormatError, match="bad scalar '1e999999999'"):
+        loads(text)
