@@ -33,7 +33,7 @@ from .coalg import (
     dual_and_radical,
     merged_terms,
 )
-from .exactlin import Matrix, Scalar, Subspace, drop_zeros, kernel, preimage
+from .exactlin import Matrix, Scalar, Subspace, drop_zeros, kernel
 
 SIDES = ("left", "right")
 
@@ -178,17 +178,33 @@ def dual_action(f: dict, m: Comodule) -> Matrix:
     return Matrix.from_entries(m.dim, m.dim, entries)
 
 
-def _radical_action_matrices(m: Comodule) -> "list[Matrix]":
-    _, j = dual_and_radical(m.over)
-    return [dual_action(f, m) for f in j.basis_dicts()]
+def _radical_action(m: Comodule) -> Matrix:
+    """The radical's action on M, stacked: entry (r * dim + j, i) is
+    (f_r . e_i)_j for the basis rows f_r of J, so row block r is
+    dual_action(f_r, m) and the kernel is soc M = {v : J.v = 0}.
+
+    One pass over the coaction.  J's basis rows are indexed once by column,
+    as {k: [(r, f_r[k])]}, so a coaction term (j, k, c) of e_i visits only
+    the rows of J with k in their support.
+    """
+    _, rad = dual_and_radical(m.over)
+    columns: dict[int, list] = {}
+    for r, row in enumerate(rad.basis):
+        for k, v in row:
+            columns.setdefault(k, []).append((r, v))
+    n = m.dim
+    entries: dict = {}
+    for i in range(n):
+        for (j, k), c in m.module_coalg_pairs(i).items():
+            for r, v in columns.get(k, ()):
+                key = (r * n + j, i)
+                entries[key] = entries[key] + c * v if key in entries else c * v
+    return Matrix.from_entries(rad.dim * n, n, entries)
 
 
 def socle(m: Comodule) -> Subspace:
     """Largest semisimple subcomodule: the joint kernel of the radical action."""
-    mats = _radical_action_matrices(m)
-    if not mats:
-        return Subspace.full(m.field, m.dim)
-    return kernel(Matrix.vstack(mats), m.field)
+    return kernel(_radical_action(m), m.field)
 
 
 def loewy_series(m: Comodule) -> FiltrationChain:
@@ -198,13 +214,27 @@ def loewy_series(m: Comodule) -> FiltrationChain:
     finite dimension.  It reads neither ideal products nor the coradical,
     so it stays a route to the filtration dimensions independent of
     coradical_filtration.
+
+    Each term is one kernel, from L_{-1} = 0: L_{n+1} = {v : f.v in L_n for
+    every f in J}, the kernel of the stacked action followed, block by
+    block, by the projection p onto M/L_n read off L_n's residuals.  This
+    is the preimage under p of soc(M/L_n) = {w : J.w = 0}, because p is a
+    module map: f.p(v) = p(f.v), which is zero exactly when f.v is in L_n.
     """
-    term = socle(m)
-    terms = [term]
-    while term.dim < m.dim:
-        quot, proj = quotient_with_projection(m, term)
-        nxt = preimage(proj, socle(quot), m.field)
-        if nxt == term:
+    action = _radical_action(m)
+    n = m.dim
+    term, terms = Subspace.zero(m.field, n), []
+    while not terms or term.dim < n:
+        residuals = term.residuals
+        entries: dict = {}
+        for (row, i), v in action.entries.items():
+            j = row % n
+            block = row - j
+            for t, w in residuals[j].items():
+                key = (block + t, i)
+                entries[key] = entries[key] + v * w if key in entries else v * w
+        nxt = kernel(Matrix.from_entries(action.rows, n, entries), m.field)
+        if terms and nxt == term:
             return FiltrationChain(tuple(terms), None)  # cannot happen for comodules
         terms.append(nxt)
         term = nxt
@@ -441,16 +471,11 @@ def socle_annihilator_check(m: Comodule) -> bool:
     Every finite-dimensional comodule embeds in finitely many copies of
     the base coalgebra via its coaction, so the finitely-cogenerated
     hypothesis behind this identity is automatic here.  Both sides are
-    computed independently: the left as the span of the transposed
-    radical action applied to all of M*, the right as perp of the socle.
+    computed independently from the stacked radical action: the left as
+    the span of its rows (the transposed action applied to all of M*), the
+    right as perp of its kernel, the socle.
     """
-    mats = _radical_action_matrices(m)
-    rows: list[dict] = []
-    for a in mats:
-        by_row: dict[int, dict] = {}
-        for (i, j), v in a.entries.items():
-            by_row.setdefault(i, {})[j] = v
-        rows.extend(by_row.values())
-    lhs = Subspace.span(m.field, m.dim, rows)
-    rhs = socle(m).perp()
+    action = _radical_action(m)
+    lhs = Subspace.span(m.field, m.dim, action.row_dicts())
+    rhs = kernel(action, m.field).perp()
     return lhs == rhs

@@ -14,8 +14,9 @@ from their input themselves.  ``row_add`` is the one eager primitive.
 
 ``_rref`` is the one elimination, and each of ``Subspace.span``,
 ``Subspace.intersect``, ``kernel``, ``kernel_on``, ``perp`` and
-``preimage`` runs it exactly once: only ``span`` takes vectors in no
-particular form, and the others build their canonical bases directly.
+``preimage`` runs it exactly once (``kernel_on`` not at all when every
+image is empty): only ``span`` takes vectors in no particular form, and
+the others build their canonical bases directly.
 ``kernel`` puts each pivot at its row's last column, so its null-space
 generators come out in RREF as they are built; it feeds the rows in
 reverse order because, with the pivot at the last column, that order
@@ -539,8 +540,12 @@ def kernel_on(space: Subspace, images: "list[dict]") -> Subspace:
     The lifts are canonical as they stand.  Each kernel vector x leads at
     some r with x_r = 1 and every other x is zero at r.  Since space's
     basis is in RREF, sum_r x_r b_r leads at b_r's pivot with a 1, where
-    every other lift is zero.
+    every other lift is zero.  With every image empty the kernel vectors
+    are the unit vectors, so the lifts are space's basis and no system is
+    solved.
     """
+    if not any(images):
+        return space
     rows: dict = {}
     for r, image in enumerate(images):
         for key, v in image.items():

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 
 from ..coalg import (
     Coalgebra,
@@ -329,7 +330,8 @@ def _pair_wedges(coalgebra: Coalgebra, reference: Coalgebra):
     D, Delta_C(x) = Delta_D(x) lies in D(x)D, so x is in X ^_C Y exactly
     when it is in X ^_D Y: X ^_D Y = (X ^_C Y) meet D.  Each entry is
     therefore the kernel, on C's entry, of its coordinates outside D; only
-    the entries read are solved.
+    the entries read are solved, each once: the right side reads (v, h)
+    and the left side (h, v), so pairs repeat.
     """
     if coalgebra is reference:
         return reference.grouplike_wedges.__getitem__
@@ -338,6 +340,7 @@ def _pair_wedges(coalgebra: Coalgebra, reference: Coalgebra):
         return coalgebra.grouplike_wedges.__getitem__
     inside = set(place)
 
+    @cache
     def within(pair: "tuple[int, int]") -> Subspace:
         entry = reference.grouplike_wedges[(place[pair[0]], place[pair[1]])]
         return kernel_on(entry, [{j: c for j, c in row if j not in inside}

@@ -464,19 +464,22 @@ def change_basis(c, seed, max_den=1, keep_grouplikes=False):
         for a in range(i + 1, n):
             for b in range(n):
                 q[i][b] -= p[i][a] * q[a][b]
+    q_rows = [[(b, v) for b, v in enumerate(row) if v] for row in q]
     delta = []
     for i in range(n):
+        # Delta(f_i) in the old basis, then each tensor leg in the new one.
         acc = {}
         for a in range(n):
-            for j, k, coeff in c.delta[a]:
-                w = p[i][a] * coeff
-                if not w:
-                    continue
-                for b in range(n):
-                    for d in range(n):
-                        v = w * q[j][b] * q[k][d]
-                        if v:
-                            acc[(b, d)] = acc.get((b, d), F(0)) + v
+            if p[i][a]:
+                for j, k, coeff in c.delta[a]:
+                    acc[(j, k)] = acc.get((j, k), F(0)) + p[i][a] * coeff
+        for leg in (0, 1):
+            moved = {}
+            for key, w in acc.items():
+                for b, v in q_rows[key[leg]]:
+                    new = (b, key[1]) if leg == 0 else (key[0], b)
+                    moved[new] = moved.get(new, F(0)) + w * v
+            acc = moved
         delta.append(tuple((b, d, v) for (b, d), v in sorted(acc.items()) if v))
     epsilon = tuple(sum((p[i][a] * c.epsilon[a] for a in range(n)), F(0))
                     for i in range(n))

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 from test_coalg import (
+    LADDER_ALL,
     change_basis,
     common_denominator,
     off_by,
@@ -55,7 +56,7 @@ from qcalg.comod import (
     weight_space,
 )
 from qcalg.exactlin import GF, QQ, Matrix, Subspace, preimage
-from qcalg.quiverlab import compile_truncation
+from qcalg.quiverlab import compile_truncation, parse_spec
 from qcalg.textfmt import dumps_coalgebra, loads
 
 
@@ -485,9 +486,13 @@ def is_stable_by_flank(m, x):
 class TestSocleSeriesEquivalence:
     @pytest.mark.parametrize("side", ["right", "left"])
     @pytest.mark.parametrize("case", ["ex1-3", "ex2-4", "ex2-3-gf101",
-                                      "ex1-2-integer-basis", "ex2-3-quotient"])
+                                      "ex1-2-integer-basis", "ex2-3-quotient",
+                                      "ladder-3-quotient"])
     def test_matches_the_meet_of_preimages(self, case, side, ex1_spec, ex2_spec):
-        if case == "ex1-3":
+        if case == "ladder-3-quotient":
+            c, _ = compile_truncation(parse_spec(LADDER_ALL), 3)
+            m = quotient(regular_comodule(c, side), c.span_of_labels(["v[1]"]))
+        elif case == "ex1-3":
             m = regular_comodule(compile_truncation(ex1_spec, 3)[0], side)
         elif case == "ex2-4":
             m = regular_comodule(compile_truncation(ex2_spec, 4)[0], side)

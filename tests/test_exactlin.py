@@ -195,6 +195,12 @@ class TestOneElimination:
         assert k == span(4, (1, 1, 0, 0), (0, 0, 2, -1))
         assert on == span(4, (1, 1, 0, 0))
 
+    def test_kernel_on_empty_images_eliminates_nothing(self, patch_everywhere):
+        x = span(4, (1, 2, 3, 4), (0, 1, 1, 1))
+        rrefs = _record_calls(patch_everywhere, exactlin, "_rref")
+        assert kernel_on(x, [{}, {}]) is x
+        assert rrefs == []
+
     def test_perp_preimage_and_intersect_eliminate_once(self, patch_everywhere):
         f = TestKernelOn.F_MAP
         x = span(4, (1, 2, 3, 4), (0, 1, 1, 1))

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 from test_coalg import LADDER_ALL, LOOPS_ALL
 
-from qcalg import coalg, comod
+from qcalg import coalg, comod, exactlin
 from qcalg.coalg import Coalgebra, check_axioms, coradical_filtration, wedge
 from qcalg.comod import (
     dual_and_radical,
@@ -589,6 +589,20 @@ class TestSweepReadsOneReferenceTable:
                 assert Subspace.span(field, sub.dim, [
                     {back[j]: c for j, c in row} for row in within.basis]) == own
 
+    def test_each_pair_is_solved_once_per_bound(self, patch_everywhere):
+        # The right side reads (v, h) and the left side (h, v): a second
+        # read of either is the first one's subspace, with no solve.
+        spec = parse_spec(EX2)
+        reference, _ = compile_truncation(spec, 4)
+        sub, _ = compile_truncation(spec, 2)
+        read = analyze._pair_wedges(sub, reference)
+        reference.grouplike_wedges  # built once, before the count
+        solves = _record_calls(patch_everywhere, exactlin, "kernel_on")
+        g, h = sub.grouplike_indices()[:2]
+        first = [read((g, h)), read((h, g))]
+        assert all(read(pair) is wedge for pair, wedge in zip([(g, h), (h, g)], first))
+        assert len(solves) == 2
+
     @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
     @pytest.mark.parametrize("text,tables", [(MOVING, 3), (GROWING, 1)],
                              ids=["moving", "growing"])
@@ -829,20 +843,36 @@ class TestEachStepOnce:
 
     @pytest.mark.parametrize("text", [EX1, EX2], ids=["ex1", "ex2"])
     def test_analyze_solves_no_quotient_for_the_sweep(self, text, patch_everywhere):
-        # The sweep reads grouplike_wedges; the only quotients left are
-        # those of the socle series of the regular right comodule.
+        # The sweep reads grouplike_wedges, and the socle series reads the
+        # stacked radical action: neither builds a quotient comodule.
         spec = parse_spec(text)
         quotients = _record_calls(patch_everywhere, comod, "quotient_with_projection")
         tables = _record_calls(patch_everywhere, comod, "multiplicity_table")
         analyze_spec(spec, 3)
-        in_analyze = list(quotients)
-        quotients.clear()
-        loewy = loewy_series(regular_comodule(compile_truncation(spec, 3)[0], "right"))
+        loewy_series(regular_comodule(compile_truncation(spec, 3)[0], "right"))
         assert tables == []
-        assert in_analyze == quotients
-        assert len(quotients) == len(loewy.terms) - 1
+        assert quotients == []
         assert not hasattr(analyze, "quotient_with_projection")
         assert not hasattr(analyze, "multiplicity_table")
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    @pytest.mark.parametrize("text", [EX1, EX2], ids=["ex1", "ex2"])
+    def test_socle_series_solves_one_kernel_per_term(self, text, side,
+                                                     patch_everywhere):
+        # Each term is the kernel of the stacked radical action projected
+        # mod the term before; the radical is read from its cache, primed
+        # here so that its own kernel is not counted.
+        c, _ = compile_truncation(parse_spec(text), 3)
+        m = regular_comodule(c, side)
+        dual_and_radical(c)
+        kernels = _record_calls(patch_everywhere, exactlin, "kernel")
+        others = [_record_calls(patch_everywhere, module, name)
+                  for module, name in ((exactlin, "preimage"), (comod, "dual_action"),
+                                       (comod, "socle"),
+                                       (comod, "quotient_with_projection"))]
+        chain = loewy_series(m)
+        assert len(kernels) == len(chain.terms) > 1
+        assert others == [[], [], [], []]
 
     @pytest.mark.parametrize("text,bounds", [
         (EX1, [1, 2, 3, 3, 3, 3, 4, 5]),
