@@ -155,7 +155,11 @@ def _probe_bound(bundle: InputBundle, args) -> int:
     if bundle.spec is not None:
         defaults = bundle.spec.param_map()
         if defaults:
-            return max(defaults.values())
+            name = max(defaults, key=defaults.get)
+            if defaults[name] < 0:
+                raise InputError(f"the largest parameter default, {name} = "
+                                 f"{defaults[name]}, must be nonnegative; give --N")
+            return defaults[name]
     return 1
 
 

@@ -14,7 +14,9 @@ times its value.  A counit failure names the first position whose two
 sides differ.
 
 Convention fixed here and used bit-exactly everywhere else: tensor
-coordinates on C (x) C are flattened as (j, k) -> j*dim + k.
+coordinates on C (x) C are flattened as (j, k) -> j*dim + k.  A kernel
+system keys its rows by the pair (j, k) itself, which sorts as its flat
+index.
 """
 
 from __future__ import annotations
@@ -56,6 +58,17 @@ def merged_terms(table, swap: bool = False) -> "list[dict]":
             out[key] = out[key] + c if key in out else c
         merged.append(drop_zeros(out))
     return merged
+
+
+def coefficient_rows(pairs: "list[dict]") -> dict:
+    """{(j, k): {i: c}} for the {(j, k): c} dicts pairs[i]: the system,
+    one row per tensor coordinate and one column per basis element, of an
+    equation on the coefficients of Delta or of a coaction."""
+    rows: dict = {}
+    for i, pair in enumerate(pairs):
+        for key, c in pair.items():
+            rows.setdefault(key, {})[i] = c
+    return rows
 
 
 @dataclass(frozen=True)
@@ -440,14 +453,15 @@ def radical(a: DualAlgebra) -> Subspace:
                     trace[k] = trace[k] + c
     gram: dict = {}
     for i, row in a.mult.items():
+        sums = gram[i] = {}
         for j, terms in row.items():
             acc = zero
             for k, c in terms:
                 if trace[k]:
                     acc = acc + c * trace[k]
             if acc:
-                gram[(i, j)] = acc
-    return kernel(Matrix(a.dim, a.dim, gram), a.field)
+                sums[j] = acc
+    return kernel(gram, a.dim, a.field)
 
 
 @lru_cache(maxsize=None)
@@ -574,11 +588,9 @@ def wedge(x: Subspace, y: Subspace, c: Coalgebra) -> Subspace:
     """
     if x.ambient_dim != c.dim or y.ambient_dim != c.dim:
         raise ValueError("wedge: subspaces must live in the coalgebra's coordinates")
-    n = c.dim
-    zero = c.field.zero
     red_x, red_y = x.residuals, y.residuals
-    entries: dict = {}
-    for i in range(n):
+    rows: dict = {}
+    for i in range(c.dim):
         for (j, k), coeff in c.delta_dict(i).items():
             rx, ry = red_x[j], red_y[k]
             if not rx or not ry:
@@ -586,9 +598,9 @@ def wedge(x: Subspace, y: Subspace, c: Coalgebra) -> Subspace:
             for a, va in rx.items():
                 w = coeff * va
                 for b, vb in ry.items():
-                    key = (flatten_index(a, b, n), i)
-                    entries[key] = entries.get(key, zero) + w * vb
-    return kernel(Matrix.from_entries(n * n, n, entries), c.field)
+                    row = rows.setdefault((a, b), {})
+                    row[i] = row[i] + w * vb if i in row else w * vb
+    return kernel(rows, c.dim, c.field)
 
 
 def skew_primitives(g: int, h: int, c: Coalgebra) -> Subspace:
@@ -596,10 +608,10 @@ def skew_primitives(g: int, h: int, c: Coalgebra) -> Subspace:
     for idx in (g, h):
         if not c.is_grouplike(idx):
             raise ValueError(f"basis element {c.labels[idx]!r} is not grouplike")
-    n = c.dim
-    zero, one = c.field.zero, c.field.one
-    entries = dict(c.delta_matrix().entries)
-    for t in range(n):
-        for row in (flatten_index(g, t, n), flatten_index(t, h, n)):
-            entries[(row, t)] = entries.get((row, t), zero) - one
-    return kernel(Matrix.from_entries(n * n, n, entries), c.field)
+    one = c.field.one
+    rows = coefficient_rows(c._delta_dicts)
+    for t in range(c.dim):
+        for key in ((g, t), (t, h)):
+            row = rows.setdefault(key, {})
+            row[t] = row[t] - one if t in row else -one
+    return kernel(rows, c.dim, c.field)

@@ -30,6 +30,7 @@ from .coalg import (
     _IntegerImages,
     coassociativity_failures,
     counit_failures,
+    coefficient_rows,
     dual_and_radical,
     merged_terms,
 )
@@ -178,10 +179,11 @@ def dual_action(f: dict, m: Comodule) -> Matrix:
     return Matrix.from_entries(m.dim, m.dim, entries)
 
 
-def _radical_action(m: Comodule) -> Matrix:
-    """The radical's action on M, stacked: entry (r * dim + j, i) is
-    (f_r . e_i)_j for the basis rows f_r of J, so row block r is
-    dual_action(f_r, m) and the kernel is soc M = {v : J.v = 0}.
+def _radical_action(m: Comodule) -> "dict[tuple[int, int], dict]":
+    """The radical's action on M, stacked as rows: row (r, j) holds
+    (f_r . e_i)_j at column i for the basis rows f_r of J, so the rows
+    (r, *) are dual_action(f_r, m) and their kernel is soc M =
+    {v : J.v = 0}.  A row may hold a zero sum.
 
     One pass over the coaction.  J's basis rows are indexed once by column,
     as {k: [(r, f_r[k])]}, so a coaction term (j, k, c) of e_i visits only
@@ -192,19 +194,18 @@ def _radical_action(m: Comodule) -> Matrix:
     for r, row in enumerate(rad.basis):
         for k, v in row:
             columns.setdefault(k, []).append((r, v))
-    n = m.dim
-    entries: dict = {}
-    for i in range(n):
+    rows: dict = {}
+    for i in range(m.dim):
         for (j, k), c in m.module_coalg_pairs(i).items():
             for r, v in columns.get(k, ()):
-                key = (r * n + j, i)
-                entries[key] = entries[key] + c * v if key in entries else c * v
-    return Matrix.from_entries(rad.dim * n, n, entries)
+                row = rows.setdefault((r, j), {})
+                row[i] = row[i] + c * v if i in row else c * v
+    return rows
 
 
 def socle(m: Comodule) -> Subspace:
     """Largest semisimple subcomodule: the joint kernel of the radical action."""
-    return kernel(_radical_action(m), m.field)
+    return kernel(_radical_action(m), m.dim, m.field)
 
 
 def loewy_series(m: Comodule) -> FiltrationChain:
@@ -216,8 +217,10 @@ def loewy_series(m: Comodule) -> FiltrationChain:
     coradical_filtration.
 
     Each term is one kernel, from L_{-1} = 0: L_{n+1} = {v : f.v in L_n for
-    every f in J}, the kernel of the stacked action followed, block by
-    block, by the projection p onto M/L_n read off L_n's residuals.  This
+    every f in J}, the kernel of the stacked action followed, radical row
+    by radical row, by the projection p onto M/L_n read off L_n's
+    residuals: row (r, t) of the system is sum_j p(e_j)_t times row (r, j)
+    of the action.  This
     is the preimage under p of soc(M/L_n) = {w : J.w = 0}, because p is a
     module map: f.p(v) = p(f.v), which is zero exactly when f.v is in L_n.
     """
@@ -226,14 +229,13 @@ def loewy_series(m: Comodule) -> FiltrationChain:
     term, terms = Subspace.zero(m.field, n), []
     while not terms or term.dim < n:
         residuals = term.residuals
-        entries: dict = {}
-        for (row, i), v in action.entries.items():
-            j = row % n
-            block = row - j
+        rows: dict = {}
+        for (r, j), action_row in action.items():
             for t, w in residuals[j].items():
-                key = (block + t, i)
-                entries[key] = entries[key] + v * w if key in entries else v * w
-        nxt = kernel(Matrix.from_entries(action.rows, n, entries), m.field)
+                row = rows.setdefault((r, t), {})
+                for i, v in action_row.items():
+                    row[i] = row[i] + v * w if i in row else v * w
+        nxt = kernel(rows, n, m.field)
         if terms and nxt == term:
             return FiltrationChain(tuple(terms), None)  # cannot happen for comodules
         terms.append(nxt)
@@ -245,14 +247,12 @@ def weight_space(m: Comodule, g: int) -> Subspace:
     """{v : coaction(v) = v (x) e_g} (resp. e_g (x) v); inside the socle."""
     if not m.over.is_grouplike(g):
         raise ValueError(f"{m.over.labels[g]!r} is not grouplike")
-    n, cdim = m.dim, m.over.dim
-    zero, one = m.field.zero, m.field.one
-    entries = {(j * cdim + k, i): c
-               for i in range(n) for (j, k), c in m.module_coalg_pairs(i).items()}
-    for t in range(n):
-        key = (t * cdim + g, t)
-        entries[key] = entries.get(key, zero) - one
-    return kernel(Matrix.from_entries(n * cdim, n, entries), m.field)
+    one = m.field.one
+    rows = coefficient_rows(m._pairs)
+    for t in range(m.dim):
+        row = rows.setdefault((t, g), {})
+        row[t] = row[t] - one if t in row else -one
+    return kernel(rows, m.dim, m.field)
 
 
 # -- homs, quotients, subobjects -------------------------------------------------
@@ -261,14 +261,12 @@ def hom_space(n: Comodule, m: Comodule) -> "tuple[int, list[Matrix]]":
     """All comodule maps N -> M, by solving the intertwining equations."""
     if n.side != m.side or n.over != m.over:
         raise ValueError("hom_space needs one side and one base coalgebra")
-    field = n.field
-    zero = field.zero
     unknowns = m.dim * n.dim  # phi[l, i] at index l*n.dim + i
     equations: dict = {}
 
     def add(key: tuple, col: int, c: Scalar) -> None:
         row = equations.setdefault(key, {})
-        row[col] = row.get(col, zero) + c
+        row[col] = row[col] + c if col in row else c
 
     for i in range(n.dim):
         # Coact in N, then map the module leg with phi.
@@ -279,10 +277,7 @@ def hom_space(n: Comodule, m: Comodule) -> "tuple[int, list[Matrix]]":
         for lprime in range(m.dim):
             for (l, k), c in m.module_coalg_pairs(lprime).items():
                 add((i, l, k), lprime * n.dim + i, -c)
-    rows = sorted(equations)
-    entries = {(ri, col): c for ri, key in enumerate(rows)
-               for col, c in equations[key].items()}
-    ker = kernel(Matrix.from_entries(len(rows), unknowns, entries), field)
+    ker = kernel(equations, unknowns, n.field)
     mats = [Matrix(m.dim, n.dim, {(u // n.dim, u % n.dim): c for u, c in vec.items()})
             for vec in ker.basis_dicts()]
     return ker.dim, mats
@@ -301,16 +296,14 @@ def hom_image_sum(p: Comodule, target: Comodule) -> Subspace:
 
 
 def multiplicity(m: Comodule, s_label: str) -> int:
-    """Socle multiplicity of the simple of the given grouplike weight.
+    """Socle multiplicity of the simple S_g of the given grouplike weight g.
 
-    Computed as dim Hom(S, M) / dim End(S); the divisor is 1 for pointed
-    coalgebras but keeps the count well-defined in general.
+    S_g is one-dimensional with End(S_g) = k, so the multiplicity is
+    dim Hom(S_g, M).  A map sends the basis vector of S_g to a v with
+    coaction(v) = v (x) e_g (resp. e_g (x) v), and that is the system of
+    weight_space(m, g) itself.
     """
-    g = m.over.label_index(s_label)
-    s = simple_comodule(m.over, g, m.side)
-    hom_dim, _ = hom_space(s, m)
-    end_dim, _ = hom_space(s, s)
-    return hom_dim // end_dim
+    return weight_space(m, m.over.label_index(s_label)).dim
 
 
 def multiplicity_table(m: Comodule) -> "dict[str, int]":
@@ -328,30 +321,29 @@ def multiplicity_table(m: Comodule) -> "dict[str, int]":
     grouplikes = m.over.grouplike_indices()
     if not grouplikes:
         return {}
-    n, cdim = m.dim, m.over.dim
     grouplike_set = set(grouplikes)
-    shared = {(j * cdim + k, i): c
-              for i in range(n)
-              for (j, k), c in m.module_coalg_pairs(i).items()
-              if k not in grouplike_set}
-    k_basis = kernel(Matrix(n * cdim, n, shared), m.field).basis_dicts()
-    # (h, j) -> row h_pos * n + j; the entries common to every g.
+    shared = {key: row for key, row in coefficient_rows(m._pairs).items()
+              if key[1] not in grouplike_set}
+    k_basis = kernel(shared, m.dim, m.field).basis_dicts()
+    # Row (h_pos, j) holds rho_h(b_r)_j at column r: the rows common to
+    # every g.  Row j of minus holds -(b_r)_j at column r.
     common: dict = {}
+    minus: dict = {}
     for r, b in enumerate(k_basis):
         slices = _coaction_slices(m, b)
         for h_pos, h in enumerate(grouplikes):
             for j, c in slices.get(h, {}).items():
-                common[(h_pos * n + j, r)] = c
-    zero = m.field.zero
+                common.setdefault((h_pos, j), {})[r] = c
+        for j, c in b.items():
+            minus.setdefault(j, {})[r] = -c
     table: dict[str, int] = {}
     for g_pos, g in enumerate(grouplikes):
-        entries = dict(common)
-        for r, b in enumerate(k_basis):
-            for j, c in b.items():
-                key = (g_pos * n + j, r)
-                entries[key] = entries.get(key, zero) - c
-        system = Matrix.from_entries(len(grouplikes) * n, len(k_basis), entries)
-        table[m.over.labels[g]] = kernel(system, m.field).dim
+        rows = dict(common)
+        for j, subtrahend in minus.items():
+            row = rows[(g_pos, j)] = dict(common.get((g_pos, j), {}))
+            for r, v in subtrahend.items():
+                row[r] = row[r] + v if r in row else v
+        table[m.over.labels[g]] = kernel(rows, len(k_basis), m.field).dim
     return table
 
 
@@ -476,6 +468,6 @@ def socle_annihilator_check(m: Comodule) -> bool:
     right as perp of its kernel, the socle.
     """
     action = _radical_action(m)
-    lhs = Subspace.span(m.field, m.dim, action.row_dicts())
-    rhs = kernel(action, m.field).perp()
+    lhs = Subspace.span(m.field, m.dim, action.values())
+    rhs = kernel(action, m.dim, m.field).perp()
     return lhs == rhs

@@ -17,10 +17,14 @@ from their input themselves.  ``row_add`` is the one eager primitive.
 ``preimage`` runs it exactly once (``kernel_on`` not at all when every
 image is empty): only ``span`` takes vectors in no particular form, and
 the others build their canonical bases directly.
-``kernel`` puts each pivot at its row's last column, so its null-space
-generators come out in RREF as they are built; it feeds the rows in
-reverse order because, with the pivot at the last column, that order
-makes less fill-in on the basis-changed inputs.
+``kernel`` takes its system as keyed rows, {key: {col: scalar}}, each
+keyed by what it means to its caller (a tensor coordinate (j, k), a
+radical row and module coordinate (r, j), an equation (i, l, k)), and
+eliminates them in reverse key order.  It puts each pivot at its row's
+last column, so its null-space generators come out in RREF as they are
+built; with the pivot at the last column, reverse order makes less
+fill-in on the basis-changed inputs.  ``Matrix`` is the value type of
+linear maps, not of systems: no solver builds one.
 """
 
 from __future__ import annotations
@@ -296,17 +300,6 @@ class Matrix:
     def from_entries(cls, rows: int, cols: int, entries: dict) -> "Matrix":
         return cls(rows, cols, drop_zeros(entries))
 
-    @classmethod
-    def from_rows(cls, cols: int, row_dicts: "Iterable[dict]") -> "Matrix":
-        entries = {}
-        n = 0
-        for i, row in enumerate(row_dicts):
-            n = i + 1
-            for j, v in row.items():
-                if v:
-                    entries[(i, j)] = v
-        return cls(n, cols, entries)
-
     def row_dicts(self) -> list[dict]:
         out: list[dict] = [dict() for _ in range(self.rows)]
         for (i, j), v in self.entries.items():
@@ -480,8 +473,7 @@ class Subspace:
 
     def perp(self) -> "Subspace":
         """Annihilator in the dual coordinate space (same coordinates)."""
-        mat = Matrix.from_rows(self.ambient_dim, self.basis_dicts())
-        return kernel(mat, self.field)
+        return kernel(dict(enumerate(self.basis_dicts())), self.ambient_dim, self.field)
 
     def pivot_columns(self) -> list[int]:
         return [lead for lead, _ in self._pivot_rows]
@@ -503,29 +495,29 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim}, field={self.field})"
 
 
-def kernel(m: Matrix, field: Field) -> Subspace:
-    """Null space {v : m v = 0} as a canonical subspace of the domain.
+def kernel(rows: dict, cols: int, field: Field) -> Subspace:
+    """Null space {v in field^cols : sum_j row[j] v_j = 0 for every row}
+    as a canonical subspace, for rows mapping sortable keys to sparse rows
+    {col: scalar}; a row may hold zeros.
 
-    Only the nonzero rows reach the elimination, in reverse row order: a
-    wedge or skew-primitive matrix has dim^2 rows, nearly all of them
-    empty.  Each pivot sits at its row's last column, so R[p][f] is
-    nonzero only for f < p.  The generator e_f - sum_p R[p][f] e_p of a
-    free column f therefore leads at f with a 1, and no other generator
-    has an entry at f, a free column: the generators are the canonical
-    basis as they stand.
+    Only the rows with a nonzero entry reach the elimination, in
+    descending key order: a wedge or skew-primitive system is keyed by the
+    dim^2 tensor coordinates, nearly all of them empty.  Each pivot sits
+    at its row's last column, so R[p][f] is nonzero only for f < p.  The
+    generator e_f - sum_p R[p][f] e_p of a free column f therefore leads
+    at f with a 1, and no other generator has an entry at f, a free
+    column: the generators are the canonical basis as they stand.
     """
-    nonzero: dict[int, dict] = {}
-    for (i, j), v in m.entries.items():
-        nonzero.setdefault(i, {})[j] = v
-    rows = _rref((nonzero[i] for i in sorted(nonzero, reverse=True)), lead_of=max)
-    pivots = {max(r): r for r in rows}
+    echelon = _rref([rows[key] for key in sorted(rows, reverse=True)
+                     if any(rows[key].values())], lead_of=max)
+    pivots = {max(r): r for r in echelon}
     one = field.one
-    gens = {f: {f: one} for f in range(m.cols) if f not in pivots}
+    gens = {f: {f: one} for f in range(cols) if f not in pivots}
     for p, r in pivots.items():
         for f, c in r.items():
             if f != p:
                 gens[f][p] = -c
-    return Subspace(field, m.cols, tuple(_freeze_row(g) for g in gens.values()))
+    return Subspace(field, cols, tuple(_freeze_row(g) for g in gens.values()))
 
 
 def kernel_on(space: Subspace, images: "list[dict]") -> Subspace:
@@ -550,11 +542,8 @@ def kernel_on(space: Subspace, images: "list[dict]") -> Subspace:
     for r, image in enumerate(images):
         for key, v in image.items():
             rows.setdefault(key, {})[r] = v
-    system = Matrix(len(rows), space.dim,
-                    {(i, r): v for i, row in enumerate(rows.values())
-                     for r, v in row.items()})
     lifts: list[tuple] = []
-    for x in kernel(system, space.field).basis:
+    for x in kernel(dict(enumerate(rows.values())), space.dim, space.field).basis:
         vec: dict = {}
         for r, xr in x:
             for j, v in space.basis[r]:
@@ -571,11 +560,9 @@ def preimage(f: Matrix, w: Subspace, field: Field) -> Subspace:
     """
     if w.ambient_dim != f.rows:
         raise ValueError(f"codomain mismatch: matrix has {f.rows} rows, subspace ambient {w.ambient_dim}")
-    cols: list[dict] = []
+    rows: dict = {}
     for t in range(f.cols):
-        image = f.apply({t: field.one})
-        cols.append(w.reduce_vector(image))
-    residual = Matrix(f.rows, f.cols,
-                      {(i, t): v for t, col in enumerate(cols) for i, v in col.items()})
-    return kernel(residual, field)
+        for i, v in w.reduce_vector(f.apply({t: field.one})).items():
+            rows.setdefault(i, {})[t] = v
+    return kernel(rows, f.cols, field)
 

@@ -358,7 +358,10 @@ def fnoetherian_sweep(spec: QuiverSpec, sweep: "list[int]", depth: "int | None",
     any bound in between is built).  Per side, the column of a vertex v
     (a grouplike at the smallest bound) holds the maximal socle multiplicity
     of C/kv over the grouplike simples and the first simple reaching it.  A
-    growing column refutes; absence of growth never proves the property.
+    vertex of the smallest bound that is not a grouplike label at every
+    sweep bound (a family whose vertex set shifts with the bound) gets no
+    column.  A growing column refutes; absence of growth never proves the
+    property.
 
     The counts are grouplike-pair wedges, all read from one reference
     table: the grouplike_wedges of the truncation at max(n, largest bound),
@@ -385,9 +388,11 @@ def fnoetherian_sweep(spec: QuiverSpec, sweep: "list[int]", depth: "int | None",
         coalgebra = held.get(bound) or compile_truncation(spec, bound, depth)[0]
         wedges = _pair_wedges(coalgebra, reference)
         grouplikes = coalgebra.grouplike_indices()
+        at = {coalgebra.labels[g]: g for g in grouplikes}
+        vertices = [vlabel for vlabel in vertices if vlabel in at]
         for side, columns in tables.items():
             for vlabel in vertices:
-                v = coalgebra.label_index(vlabel)
+                v = at[vlabel]
                 best, best_simple = 0, None
                 for h in grouplikes:
                     mult = wedges((v, h) if side == "right" else (h, v)).dim - 1
@@ -395,6 +400,7 @@ def fnoetherian_sweep(spec: QuiverSpec, sweep: "list[int]", depth: "int | None",
                         best, best_simple = mult, coalgebra.labels[h]
                 columns[vlabel].append(
                     {"N": bound, "max_multiplicity": best, "at_simple": best_simple})
+    tables = {side: {v: columns[v] for v in vertices} for side, columns in tables.items()}
     return {side: {"side": side, "sweep": list(sweep), "tables": columns,
                    "witness": _growth_witness(columns)}
             for side, columns in tables.items()}

@@ -375,6 +375,20 @@ class TestInputFaults:
         assert code == 0
         assert "PASS" in out
 
+    @pytest.mark.parametrize("command", [["check"], ["analyze"],
+                                         ["compute", "filtration"]])
+    def test_negative_parameter_default_without_n(self, tmp_path, capsys, command):
+        # Only the bound read off the defaults is at fault: --N 2 runs.
+        f = tmp_path / "neg.quiver"
+        f.write_text("coalgebra neg\nparam N = -1\nvertex a\n")
+        argv = [command[0], str(f), *command[1:]]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "N = -1, must be nonnegative" in err
+        assert out == ""
+        code, _, err = run(capsys, *argv, "--N", "2")
+        assert code == 0, err
+
 
 # What the structure-constants fuzz splices in: small integers (two draws
 # in three, so that many mutants still parse and reach the algebra), a
@@ -588,6 +602,36 @@ class TestShortSweeps:
         doc = json.loads(out)
         verdicts = {v["criterion"]: v["verdict"] for v in doc["results"]["verdicts"]}
         assert verdicts["right_fnoetherian"] == "undecided"
+
+
+# The vertex v[N] is a different label at every bound.
+SHIFTING_VERTEX = """\
+coalgebra shift
+param N = 3
+vertex a
+vertex v[k], k=N..N
+arrow x[k]: a -> v[k], k=N..N
+"""
+
+
+class TestShiftingVertexSweep:
+    @pytest.mark.parametrize("sweep,bounds", [([], [1, 2, 3]),
+                                              (["--sweep", "1..4"], [1, 2, 3, 4])])
+    def test_only_vertices_at_every_bound_get_a_column(self, tmp_path, capsys,
+                                                       sweep, bounds):
+        f = tmp_path / "shift.quiver"
+        f.write_text(SHIFTING_VERTEX)
+        code, out, err = run(capsys, "analyze", str(f), "--N", "3", *sweep, "--json")
+        assert code == 0, err
+        doc = json.loads(out)
+        for side, mult in (("left", 1), ("right", 2)):
+            table = doc["results"]["fnoetherian_sweep"][side]
+            assert table["sweep"] == bounds
+            # C/ka holds the weight-v[N] vector v[N], and on the right the
+            # arrow x[N] too.
+            assert table["tables"] == {"a": [
+                {"N": b, "max_multiplicity": mult, "at_simple": f"v[{b}]"}
+                for b in bounds]}
 
 
 # Eight factors of N: 10**8 vertices at --N 10, 4**8 = 65536 at --N 4.

@@ -442,7 +442,8 @@ class TestMultiplicityTable:
         c, _ = ex1_n2
         m = regular_comodule(c, "left")
         for label, count in multiplicity_table(m).items():
-            assert count == multiplicity(m, label)
+            s = simple_comodule(c, c.label_index(label), "left")
+            assert count == hom_space(s, m)[0] == multiplicity(m, label)
 
 
 # -- the socle series and coaction stability against their textbook forms ------

@@ -6,6 +6,7 @@ import pytest
 from test_quiverlab import _record_calls
 
 from qcalg import exactlin
+from qcalg.coalg import wedge
 from qcalg.exactlin import (
     GF,
     QQ,
@@ -165,7 +166,8 @@ class TestKernelOn:
     def test_is_the_kernel_met_with_the_subspace(self, vectors):
         x = span(4, *vectors)
         images = [self.F_MAP.apply(b) for b in x.basis_dicts()]
-        assert kernel_on(x, images) == x & kernel(self.F_MAP, QQ)
+        f = self.F_MAP
+        assert kernel_on(x, images) == x & kernel(dict(enumerate(f.row_dicts())), f.cols, QQ)
 
     def test_codomain_keys_are_any_hashables(self):
         x = span(3, (1, 0, 1), (0, 1, 1))
@@ -188,7 +190,7 @@ class TestOneElimination:
         x = span(4, (1, 1, 0, 0), (0, 0, 1, 0), (0, 1, 0, 3))
         images = [f.apply(b) for b in x.basis_dicts()]
         rrefs = _record_calls(patch_everywhere, exactlin, "_rref")
-        k = kernel(f, QQ)
+        k = kernel(dict(enumerate(f.row_dicts())), f.cols, QQ)
         assert len(rrefs) == 1
         on = kernel_on(x, images)
         assert len(rrefs) == 2
@@ -215,6 +217,32 @@ class TestOneElimination:
         assert len(rrefs) == 3
 
 
+class TestKeyedRows:
+    def test_zero_rows_and_zero_entries_do_not_count(self):
+        rows = {("b", 0): {0: F(0)}, ("a", 1): {}, ("a", 0): {0: F(1), 1: F(0)}}
+        assert kernel(rows, 2, QQ) == span(2, (0, 1))
+        assert kernel({}, 2, QQ) == Subspace.full(QQ, 2)
+
+    def test_wedge_feeds_rref_its_rows_in_descending_tensor_order(
+            self, ex2_n3, patch_everywhere):
+        # The rows reach _rref as the caller built them, in descending
+        # (j, k) order, which is the order of the flat index j*dim + k.
+        c, _ = ex2_n3
+        x = c.span_of_labels(["a"])
+        kernels = _record_calls(patch_everywhere, exactlin, "kernel")
+        rrefs = _record_calls(patch_everywhere, exactlin, "_rref")
+        wedge(x, x, c)
+        [(rows, cols, _)] = kernels
+        [(fed, lead_of)] = rrefs
+        keys = sorted(rows, reverse=True)
+        assert keys == sorted(rows, key=lambda jk: jk[0] * c.dim + jk[1], reverse=True)
+        assert all(0 <= j < c.dim and 0 <= k < c.dim for j, k in keys)
+        assert (cols, lead_of) == (c.dim, max)
+        assert len(fed) > 1
+        assert [id(row) for row in fed] == [id(rows[key]) for key in keys
+                                            if any(rows[key].values())]
+
+
 class TestPreimage:
     def test_full_codomain(self):
         f = Matrix(1, 2, {(0, 0): F(1)})  # projection (x, y) -> x
@@ -222,8 +250,9 @@ class TestPreimage:
 
     def test_zero_gives_kernel(self):
         f = Matrix(1, 2, {(0, 0): F(1)})
-        assert preimage(f, Subspace.zero(QQ, 1), QQ) == kernel(f, QQ)
-        assert kernel(f, QQ) == span(2, (0, 1))
+        k = kernel(dict(enumerate(f.row_dicts())), f.cols, QQ)
+        assert preimage(f, Subspace.zero(QQ, 1), QQ) == k
+        assert k == span(2, (0, 1))
 
     def test_projection_onto_line(self):
         f = Matrix(1, 2, {(0, 0): F(1)})

@@ -161,7 +161,7 @@ def assert_canonical(space: Subspace) -> None:
 @example((GF(7), Matrix(2, 0, {})))
 def test_kernel_basis_is_canonical_and_killed(data):
     field, m = data
-    k = kernel(m, field)
+    k = kernel(dict(enumerate(m.row_dicts())), m.cols, field)
     assert_canonical(k)
     assert k.ambient_dim == m.cols
     for v in k.basis_dicts():
@@ -175,7 +175,32 @@ def test_perp_basis_is_canonical(data):
     field, m = data
     rows = row_space(field, m)
     assert_canonical(rows.perp())
-    assert rows.perp() == kernel(m, field)
+    assert rows.perp() == kernel(dict(enumerate(m.row_dicts())), m.cols, field)
+
+
+@st.composite
+def keyed_rows(draw):
+    """A sparse matrix with its rows under distinct sortable keys, inserted
+    in a shuffled order; some rows also hold explicit zero entries."""
+    field, m = draw(sparse_matrices())
+    keys = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 9)),
+                         min_size=m.rows, max_size=m.rows, unique=True))
+    rows = m.row_dicts()
+    if rows and m.cols:
+        for i, j in draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
+                                            st.integers(0, m.cols - 1)), max_size=3)):
+            rows[i].setdefault(j, field.zero)
+    order = draw(st.permutations(range(m.rows)))
+    return field, m, {keys[i]: rows[i] for i in order}
+
+
+@settings(max_examples=150, deadline=None)
+@given(keyed_rows())
+def test_kernel_of_keyed_rows_is_the_perp_of_their_span(data):
+    field, m, rows = data
+    k = kernel(rows, m.cols, field)
+    assert_canonical(k)
+    assert k == row_space(field, m).perp()
 
 
 @settings(max_examples=150, deadline=None)
@@ -184,7 +209,7 @@ def test_kernel_on_basis_is_canonical(data):
     field, m, x = data
     on = kernel_on(x, [m.apply(b) for b in x.basis_dicts()])
     assert_canonical(on)
-    assert on == x.intersect(kernel(m, field))
+    assert on == x.intersect(kernel(dict(enumerate(m.row_dicts())), m.cols, field))
 
 
 @settings(max_examples=150, deadline=None)
@@ -204,7 +229,7 @@ def test_preimage_basis_is_canonical(data):
     field, f, w = data
     pre = preimage(f, w, field)
     assert_canonical(pre)
-    assert pre.contains(kernel(f, field))
+    assert pre.contains(kernel(dict(enumerate(f.row_dicts())), f.cols, field))
     for v in pre.basis_dicts():
         assert w.contains_vector(f.apply(v))
 

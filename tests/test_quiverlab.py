@@ -842,6 +842,22 @@ class TestEachStepOnce:
         assert compile_truncation(spec, 3)[0] in owners
 
     @pytest.mark.parametrize("text", [EX1, EX2], ids=["ex1", "ex2"])
+    def test_analyze_builds_no_matrix(self, text, monkeypatch):
+        # Every kernel takes the rows its caller builds: no wedge, radical,
+        # socle series or other system goes through a Matrix.
+        built: list = []
+        init = Matrix.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Matrix, "__init__", counting)
+        dual_and_radical.cache_clear()
+        analyze_spec(parse_spec(text), 3)
+        assert built == []
+
+    @pytest.mark.parametrize("text", [EX1, EX2], ids=["ex1", "ex2"])
     def test_analyze_solves_no_quotient_for_the_sweep(self, text, patch_everywhere):
         # The sweep reads grouplike_wedges, and the socle series reads the
         # stacked radical action: neither builds a quotient comodule.
