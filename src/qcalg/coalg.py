@@ -22,7 +22,6 @@ index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import islice
 from math import lcm
@@ -34,6 +33,7 @@ from .exactlin import (
     Scalar,
     Subspace,
     drop_zeros,
+    exact_quotient,
     kernel,
     kernel_on,
 )
@@ -253,7 +253,7 @@ class _IntegerImages:
         """The field value of a lifted sum of products of two constants."""
         if self.field.char:
             return self.field.from_int(x)
-        return Fraction(x, self.scale * self.scale)
+        return exact_quotient(x, self.scale * self.scale)
 
 
 def _coassociator(rho: list, delta: list, n: int, i: int, left: int, right: int) -> dict:

@@ -1,10 +1,13 @@
 """Exact fields and a canonical-echelon subspace calculus.
 
-Scalars are arbitrary-precision rationals (``fractions.Fraction``) or
-residues modulo a prime.  No floating point anywhere: every operation is
-an exact field operation.  Subspaces are stored in reduced row-echelon
-form with sparse rows, so two equal subspaces have identical stored bases
-and equality is a plain comparison.
+Scalars are arbitrary-precision rationals or residues modulo a prime.
+An integral rational is a Python ``int`` and any other is a
+``fractions.Fraction``; the two mix exactly under ``+ - *``, compare and
+hash equal, and print alike.  No floating point anywhere: every operation
+is an exact field operation, and since ``int / int`` is a float, the one
+division of rationals goes through :func:`exact_quotient`.  Subspaces are
+stored in reduced row-echelon form with sparse rows, so two equal
+subspaces have identical stored bases and equality is a plain comparison.
 
 Sparse rows, vectors and matrices store no zeros.  Code that builds one by
 summing terms sums into a plain dict and drops the zeros once, at the end,
@@ -102,35 +105,36 @@ class GFElement:
         return f"{self.val}"
 
 
-Scalar = Union[Fraction, GFElement]
+Scalar = Union[int, Fraction, GFElement]
 
 # The largest decimal exponent a rational scalar may be written with.
 MAX_EXPONENT = 4300
 
 
 class Rationals:
-    """The field of rationals; scalars are ``fractions.Fraction``."""
+    """The field of rationals; an integral scalar is an ``int`` and any
+    other is a ``fractions.Fraction``."""
 
     char = 0
 
     @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
+    def zero(self) -> int:
+        return 0
 
     @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+    def one(self) -> int:
+        return 1
 
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
+    def from_int(self, n: int) -> int:
+        return n
 
-    def parse(self, text: str) -> Fraction:
+    def parse(self, text: str) -> "int | Fraction":
         # Most coefficients are integers, and int() reads them without the
         # Fraction string regex; any string int() refuses takes that route.
         # Strings with "_" always do: Python 3.10's Fraction refuses them.
         if "_" not in text:
             try:
-                return Fraction(int(text))
+                return int(text)
             except ValueError:
                 pass
         text = text.strip()
@@ -145,9 +149,10 @@ class Rationals:
                 too_big = False
             if too_big:
                 raise ValueError(f"exponent of {text!r} beyond {MAX_EXPONENT}")
-        return Fraction(text)
+        x = Fraction(text)
+        return x.numerator if x.denominator == 1 else x
 
-    def format(self, x: Fraction) -> str:
+    def format(self, x: "int | Fraction") -> str:
         return str(x)
 
     def __eq__(self, other: object) -> bool:
@@ -248,13 +253,35 @@ def _is_one(x: Scalar) -> bool:
     return x.val == 1 if type(x) is GFElement else x == 1
 
 
+def exact_quotient(a: Scalar, b: Scalar) -> Scalar:
+    """a / b in the field of a and b.
+
+    Two ints divide by divmod, to an int when b divides a and to a
+    Fraction otherwise, never to a float; Fraction and GF(p) operands
+    divide as they are.
+    """
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b
+
+
 def _rref(rows: Iterable[dict], lead_of: Callable[[dict], int] = min) -> list[dict]:
     """Reduced row echelon form of sparse rows; canonical and unique.
 
     Each row's pivot is its first column, or its last with lead_of=max;
     either way the pivot is 1 and every other pivot row is zero there.
+
+    A new pivot row is eliminated only from the pivot rows listed under
+    its lead column in ``holders``, which maps each column to the pivot
+    columns whose row may hold it.  Every row a step touches, the new row
+    included, is listed under every column of the new row, and a row only
+    gains columns of the rows added into it, so the lists stay a superset
+    of the true holders and are never shrunk: an entry whose row has since
+    lost the column is skipped.
     """
     pivots: dict[int, dict] = {}  # pivot column -> normalized row
+    holders: dict[int, set] = {}  # column -> pivot columns whose row may hold it
     for row in rows:
         row = drop_zeros(row)
         # Pivot rows carry no other pivot columns, so one sweep suffices.
@@ -267,11 +294,16 @@ def _rref(rows: Iterable[dict], lead_of: Callable[[dict], int] = min) -> list[di
         lead = lead_of(row)
         inv = row[lead]
         if not _is_one(inv):
-            row = {j: v / inv for j, v in row.items()}
-        for col, piv in list(pivots.items()):
+            row = {j: exact_quotient(v, inv) for j, v in row.items()}
+        touched = [lead]
+        for col in holders.pop(lead, ()):
+            piv = pivots[col]
             if lead in piv:
                 pivots[col] = row_add(piv, row, -piv[lead])
+                touched.append(col)
         pivots[lead] = row
+        for j in row:
+            holders.setdefault(j, set()).update(touched)
     return [pivots[c] for c in sorted(pivots)]
 
 
@@ -314,39 +346,6 @@ class Matrix:
             if c is not None:
                 out[i] = out[i] + v * c if i in out else v * c
         return drop_zeros(out)
-
-    def compose(self, other: "Matrix") -> "Matrix":
-        """self @ other (apply other first)."""
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        by_row: dict[int, dict] = {}
-        for (i, j), v in self.entries.items():
-            by_row.setdefault(i, {})[j] = v
-        entries: dict = {}
-        other_rows = other.row_dicts()
-        for i, row in by_row.items():
-            acc: dict = {}
-            for j, v in row.items():
-                acc = row_add(acc, other_rows[j], v)
-            for k, v in acc.items():
-                entries[(i, k)] = v
-        return Matrix(self.rows, other.cols, entries)
-
-    @classmethod
-    def vstack(cls, mats: "Iterable[Matrix]") -> "Matrix":
-        mats = list(mats)
-        if not mats:
-            raise ValueError("vstack of nothing")
-        cols = mats[0].cols
-        entries: dict = {}
-        offset = 0
-        for m in mats:
-            if m.cols != cols:
-                raise ValueError("vstack: column counts differ")
-            for (i, j), v in m.entries.items():
-                entries[(i + offset, j)] = v
-            offset += m.rows
-        return cls(offset, cols, entries)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """The package imports nothing outside the standard library and itself,
 its scalars stay exact: no float literal and no float() or round(), and
-zero sums are dropped in one place: no hand-written add-or-pop block
-outside ``exactlin.row_add``."""
+no true division outside ``exactlin.exact_quotient`` and
+``PrimeField.parse``, since an integral rational is an ``int`` and
+``int / int`` is a float; and zero sums are dropped in one place: no
+hand-written add-or-pop block outside ``exactlin.row_add``."""
 
 from __future__ import annotations
 
@@ -68,6 +70,56 @@ def test_the_scan_sees_floats(tmp_path):
     assert inexact_scalars(module) == [(1, "0.5"), (2, "float()"), (3, "round()")]
 
 
+def sites_by_function(path: Path, is_site) -> "list[tuple[int, str]]":
+    """(line, innermost enclosing function) of every node that is_site
+    accepts; a method is named with its class, as in Class.method."""
+    found = []
+
+    def visit(node: ast.AST, function: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = child.name
+                if isinstance(node, ast.ClassDef):
+                    name = f"{node.name}.{name}"
+                visit(child, name)
+                continue
+            if is_site(child):
+                found.append((child.lineno, function))
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), "<module>")
+    return found
+
+
+def true_divisions(path: Path) -> "list[tuple[int, str]]":
+    """(line, innermost enclosing function) of every '/' and '/='."""
+    return sites_by_function(
+        path, lambda node: isinstance(node, (ast.BinOp, ast.AugAssign))
+        and isinstance(node.op, ast.Div))
+
+
+def test_rationals_divide_in_one_place():
+    modules = sorted(PACKAGE_DIR.rglob("*.py"))
+    sites = [f"{path.relative_to(PACKAGE_DIR).as_posix()}: {function}"
+             for path in modules for _, function in true_divisions(path)]
+    assert sites == ["exactlin.py: PrimeField.parse", "exactlin.py: exact_quotient"]
+
+
+def test_the_scan_sees_true_division(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text(
+        "half = 1 / 2\n"
+        "class Field:\n"
+        "    def parse(self, a, b):\n"
+        "        def inner(x):\n"
+        "            x /= b\n"
+        "            return x\n"
+        "        return inner(a) / b\n"
+        "def divide(a, b):\n"
+        "    return a // b, a % b, divmod(a, b), '1/2', a * b\n")
+    assert true_divisions(module) == [(1, "<module>"), (5, "inner"), (7, "Field.parse")]
+
+
 def _is_add_or_pop(node: ast.If) -> bool:
     """Is node 'if v: d[k] = v' with 'else: d.pop(k, None)'?"""
     if len(node.body) != 1 or len(node.orelse) != 1:
@@ -88,19 +140,8 @@ def _is_add_or_pop(node: ast.If) -> bool:
 
 def add_or_pop_blocks(path: Path) -> "list[tuple[int, str]]":
     """(line, innermost enclosing function) of every add-or-pop block."""
-    found = []
-
-    def visit(node: ast.AST, function: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
-                continue
-            if isinstance(child, ast.If) and _is_add_or_pop(child):
-                found.append((child.lineno, function))
-            visit(child, function)
-
-    visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), "<module>")
-    return found
+    return sites_by_function(
+        path, lambda node: isinstance(node, ast.If) and _is_add_or_pop(node))
 
 
 def test_zero_sums_are_dropped_in_one_place():

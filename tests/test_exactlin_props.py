@@ -3,9 +3,11 @@
 The seeded loop runs the documented 500-pair battery over the rationals
 and GF(7); the hypothesis properties re-explore the same laws with
 shrinking.  The sparse-matrix properties check that every operation that
-builds its basis without ``Subspace.span`` still returns the canonical one.
-The last property checks that rational parsing reads what ``Fraction``
-reads, and refuses at once an exponent too large to write out.
+builds its basis without ``Subspace.span`` still returns the canonical one,
+and that ``_rref`` returns the rows of the reference elimination, which
+scans every pivot row.  The last property checks that rational parsing
+reads what ``Fraction`` reads, as an ``int`` exactly when the value is
+integral, and refuses at once an exponent too large to write out.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import rref_full_scan
 
 from qcalg.exactlin import (
     GF,
@@ -24,6 +27,8 @@ from qcalg.exactlin import (
     QQ,
     Matrix,
     Subspace,
+    _freeze_row,
+    _rref,
     kernel,
     kernel_on,
     preimage,
@@ -234,6 +239,40 @@ def test_preimage_basis_is_canonical(data):
         assert w.contains_vector(f.apply(v))
 
 
+@st.composite
+def rows_to_reduce(draw):
+    """Sparse rows in a shuffled order: random ones, rows already in
+    reduced form, duplicates and multiples of earlier rows, a dense row
+    and a chain of neighbouring pairs that fill in, and explicit zeros."""
+    field = draw(st.sampled_from(FIELDS))
+    cols = draw(st.integers(min_value=1, max_value=8))
+    rows = sparse_matrix(draw, field, draw(st.integers(0, 6)), cols).row_dicts()
+    rows += rref_full_scan(rows[:draw(st.integers(0, len(rows)))])
+    rows += [{j: field.one} for j in draw(st.lists(st.integers(0, cols - 1), max_size=3))]
+    if rows:
+        for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3)):
+            c = field.parse(draw(st.sampled_from(("1", "-1", "2", "1/3"))))
+            rows.append({j: c * v for j, v in rows[i].items()})
+    if draw(st.booleans()):
+        rows.append({j: field.parse(draw(st.sampled_from(SCALES[3:]))) for j in range(cols)})
+    if draw(st.booleans()):
+        rows += [{j: field.one, j + 1: field.from_int(-2)} for j in range(cols - 1)]
+    for i, j in draw(st.lists(st.tuples(st.integers(0, max(len(rows) - 1, 0)),
+                                        st.integers(0, cols - 1)), max_size=3)):
+        if rows:
+            rows[i].setdefault(j, field.zero)
+    return [rows[i] for i in draw(st.permutations(range(len(rows))))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows_to_reduce(), st.sampled_from([min, max]))
+@example([{0: QQ.one, 1: QQ.one}, {1: QQ.one, 2: QQ.one}, {0: QQ.one}, {2: QQ.one}], max)
+def test_rref_is_the_full_scan_elimination(rows, lead_of):
+    want = rref_full_scan([dict(r) for r in rows], lead_of=lead_of)
+    got = _rref([dict(r) for r in rows], lead_of=lead_of)
+    assert [_freeze_row(r) for r in got] == [_freeze_row(r) for r in want]
+
+
 def _outcome(parse, text):
     try:
         return parse(text)
@@ -275,4 +314,7 @@ def _fraction_or_refusal(text):
 @example("1e999999999")
 @example("3/4E-99_999_999")
 def test_rational_parse_reads_what_fraction_reads(text):
-    assert _outcome(QQ.parse, text) == _outcome(_fraction_or_refusal, text)
+    parsed = _outcome(QQ.parse, text)
+    assert parsed == _outcome(_fraction_or_refusal, text)
+    if not isinstance(parsed, type):
+        assert type(parsed) is (int if Fraction(text).denominator == 1 else Fraction)

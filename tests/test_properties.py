@@ -17,6 +17,7 @@ from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import vstack
 from test_coalg import LADDER_ALL, change_basis
 from test_comod import loewy_by_preimages
 from test_quiverlab import _record_calls
@@ -34,14 +35,16 @@ from qcalg.coalg import (
 )
 from qcalg.comod import (
     dual_action,
+    hom_space,
     is_subcoalgebra,
     loewy_series,
     quotient,
     regular_comodule,
+    simple_comodule,
     socle,
     socle_annihilator_check,
 )
-from qcalg.exactlin import GF, QQ, Matrix, Subspace, kernel
+from qcalg.exactlin import GF, QQ, Matrix, Subspace, kernel, kernel_on
 from qcalg.quiverlab import compile_truncation, parse_spec
 from qcalg.quiverlab.registry import EX1, EX2
 from qcalg.textfmt import dumps_coalgebra, loads
@@ -222,7 +225,36 @@ def test_socle_series_is_the_meet_of_preimages(case, seed, max_den, prime, side,
         g = grouplikes[vertex % len(grouplikes)]
         m = quotient(m, c.span_of_labels([c.labels[g]]))
     _, j = dual_and_radical(c)
-    actions = Matrix.vstack([dual_action(f, m) for f in j.basis_dicts()])
+    actions = vstack([dual_action(f, m) for f in j.basis_dicts()])
     assert loewy_series(m) == loewy_by_preimages(m)
     assert socle(m) == kernel(dict(enumerate(actions.row_dicts())), actions.cols, c.field)
     assert socle_annihilator_check(m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([("ex1", 1), ("ex1", 2), ("ex1", 3), ("ex2", 1), ("ex2", 2),
+                        ("ex2", 3)]),
+       st.sampled_from([0, 1, 2]))
+def test_rational_scalars_are_ints_or_fractions(case, seed):
+    # Over QQ an integral scalar is an int and any other a Fraction: a
+    # float would be an inexact quotient, a bool a comparison taken for a
+    # number.  The changed basis puts denominators up to 3 into Delta.
+    c = changed_truncation(case, seed, 3, False)
+    assert c.field == QQ
+    c0, c1 = coradical_filtration(c).terms[:2]
+    j = radical(dual_algebra(c))
+    m = regular_comodule(c, "right")
+    spaces = [
+        j,
+        kernel(dict(enumerate(j.basis_dicts())), c.dim, QQ),
+        kernel_on(c1, [c0.reduce_vector(b) for b in c1.basis_dicts()]),
+        wedge(c0, c0, c).intersect(c1),
+        wedge(c0, c1, c),
+        *loewy_series(m).terms,
+    ]
+    scalars = [v for space in spaces for row in space.basis for _, v in row]
+    for g in c.grouplike_indices():
+        _, maps = hom_space(simple_comodule(c, g, "right"), m)
+        scalars.extend(v for f in maps for v in f.entries.values())
+    assert scalars
+    assert {type(v) for v in scalars} <= {int, F}
