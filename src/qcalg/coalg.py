@@ -29,7 +29,6 @@ from typing import Iterable, Iterator
 
 from .exactlin import (
     Field,
-    Matrix,
     Scalar,
     Subspace,
     drop_zeros,
@@ -103,15 +102,6 @@ class Coalgebra:
         and zeros dropped.  The table of every i is built once per
         coalgebra and shared: read the dict, never mutate it."""
         return self._delta_dicts[i]
-
-    def delta_matrix(self) -> Matrix:
-        """Delta as a dim^2 x dim matrix in flattened coordinates."""
-        n = self.dim
-        entries: dict = {}
-        for i in range(n):
-            for (j, k), c in self.delta_dict(i).items():
-                entries[(flatten_index(j, k, n), i)] = c
-        return Matrix(n * n, n, entries)
 
     def is_grouplike(self, i: int) -> bool:
         one = self.field.one
@@ -377,38 +367,6 @@ class DualAlgebra:
     labels: "tuple[str, ...]"
     mult: "dict[int, dict[int, tuple[tuple[int, Scalar], ...]]]"
     unit: "tuple[Scalar, ...]"
-
-    def multiply(self, u: dict, v: dict) -> dict:
-        zero = self.field.zero
-        out: dict = {}
-        for i, ui in u.items():
-            row = self.mult.get(i)
-            if row is None or not ui:
-                continue
-            for j, vj in v.items():
-                terms = row.get(j)
-                if terms is None or not vj:
-                    continue
-                w = ui * vj
-                for k, c in terms:
-                    out[k] = out.get(k, zero) + w * c
-        return drop_zeros(out)
-
-    def unit_dict(self) -> dict:
-        return {i: v for i, v in enumerate(self.unit) if v}
-
-    def left_mult_matrix(self, u: dict) -> Matrix:
-        """Matrix of v -> u*v on dual coordinates."""
-        zero = self.field.zero
-        entries: dict = {}
-        for i, ui in u.items():
-            row = self.mult.get(i)
-            if row is None or not ui:
-                continue
-            for j, terms in row.items():
-                for k, c in terms:
-                    entries[(k, j)] = entries.get((k, j), zero) + ui * c
-        return Matrix.from_entries(self.dim, self.dim, entries)
 
 
 def dual_algebra(c: Coalgebra) -> DualAlgebra:

@@ -1,5 +1,5 @@
 """Side-tagged finite-dimensional comodules, their dual-algebra action,
-and the coideal predicates.
+and coaction stability.
 
 Convention table (the single source of truth for sides):
 
@@ -97,30 +97,6 @@ def simple_comodule(c: Coalgebra, g: int, side: str) -> Comodule:
     return Comodule(side=side, dim=1, over=c, coaction=(term,), labels=(c.labels[g],))
 
 
-def direct_sum(parts: "list[Comodule]") -> Comodule:
-    if not parts:
-        raise ValueError("direct sum of nothing")
-    side, base = parts[0].side, parts[0].over
-    if any(p.side != side or p.over != base for p in parts):
-        raise ValueError("direct sum needs one side and one base coalgebra")
-    coaction: list = []
-    labels: list[str] = []
-    offset = 0
-    for n, p in enumerate(parts):
-        for i in range(p.dim):
-            terms = []
-            for j, k, c in p.coaction[i]:
-                if side == "right":
-                    terms.append((j + offset, k, c))
-                else:
-                    terms.append((j, k + offset, c))
-            coaction.append(tuple(terms))
-        labels.extend(f"{lab}#{n}" for lab in p.labels)
-        offset += p.dim
-    return Comodule(side=side, dim=offset, over=base,
-                    coaction=tuple(coaction), labels=tuple(labels))
-
-
 # -- axioms --------------------------------------------------------------------
 
 def check_comodule(m: Comodule) -> AxiomReport:
@@ -159,30 +135,10 @@ def _comodule_failures(m: Comodule) -> "Iterator[AxiomFailure]":
 
 # -- the dual-algebra action ----------------------------------------------------
 
-def dual_action(f: dict, m: Comodule) -> Matrix:
-    """Endomorphism of M given by a dual vector f.
-
-    Right comodules: f.v = v_0 f(v_1), an algebra representation of the
-    convolution dual.  Left comodules: v.f = f(v_-1) v_0, an
-    anti-representation (composition order flips with convolution).
-    """
-    for k in f:
-        if k < 0 or k >= m.over.dim:
-            raise ValueError("dual vector does not live on the base coalgebra")
-    zero = m.field.zero
-    entries: dict = {}
-    for i in range(m.dim):
-        for (j, k), c in m.module_coalg_pairs(i).items():
-            fk = f.get(k)
-            if fk:
-                entries[(j, i)] = entries.get((j, i), zero) + c * fk
-    return Matrix.from_entries(m.dim, m.dim, entries)
-
-
 def _radical_action(m: Comodule) -> "dict[tuple[int, int], dict]":
     """The radical's action on M, stacked as rows: row (r, j) holds
     (f_r . e_i)_j at column i for the basis rows f_r of J, so the rows
-    (r, *) are dual_action(f_r, m) and their kernel is soc M =
+    (r, *) are the matrix of f_r's action on M and their kernel is soc M =
     {v : J.v = 0}.  A row may hold a zero sum.
 
     One pass over the coaction.  J's basis rows are indexed once by column,
@@ -369,39 +325,6 @@ def is_stable(m: Comodule, x: Subspace) -> bool:
         raise ValueError("subspace does not live in the comodule's coordinates")
     return all(x.contains_vector(piece)
                for u in x.basis_dicts() for piece in _coaction_slices(m, u).values())
-
-
-def is_right_coideal(x: Subspace, c: Coalgebra) -> bool:
-    """Delta(X) <= X (x) C, i.e. X is a right subcomodule of C."""
-    return is_stable(regular_comodule(c, "right"), x)
-
-
-def is_left_coideal(x: Subspace, c: Coalgebra) -> bool:
-    """Delta(X) <= C (x) X, i.e. X is a left subcomodule of C."""
-    return is_stable(regular_comodule(c, "left"), x)
-
-
-def is_subcoalgebra(x: Subspace, c: Coalgebra) -> bool:
-    """Delta(X) <= X (x) X, which is (X (x) C) meet (C (x) X)."""
-    return is_right_coideal(x, c) and is_left_coideal(x, c)
-
-
-def sub_comodule(m: Comodule, x: Subspace, name: str = "sub") -> Comodule:
-    """Restrict the coaction to a validated coaction-stable subspace."""
-    if not is_stable(m, x):
-        raise ValueError("subspace is not coaction-stable")
-    basis = x.basis_dicts()
-    coaction: list = []
-    for u in basis:
-        slices = _coaction_slices(m, u)
-        terms = []
-        for k in sorted(slices):
-            for r, c in sorted(x.coordinates_of(slices[k]).items()):
-                terms.append((r, k, c) if m.side == "right" else (k, r, c))
-        coaction.append(tuple(terms))
-    labels = tuple(f"{name}{t}" for t in range(len(basis)))
-    return Comodule(side=m.side, dim=len(basis), over=m.over,
-                    coaction=tuple(coaction), labels=labels)
 
 
 def quotient_with_projection(m: Comodule, x: Subspace) -> "tuple[Comodule, Matrix]":

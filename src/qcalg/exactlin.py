@@ -11,9 +11,8 @@ subspaces have identical stored bases and equality is a plain comparison.
 
 Sparse rows, vectors and matrices store no zeros.  Code that builds one by
 summing terms sums into a plain dict and drops the zeros once, at the end,
-with :func:`drop_zeros`; ``Matrix.from_entries`` is the constructor for
-such accumulated entries, and ``_rref`` and ``Subspace.span`` drop zeros
-from their input themselves.  ``row_add`` is the one eager primitive.
+with :func:`drop_zeros`; ``_rref`` and ``Subspace.span`` drop zeros from
+their input themselves.  ``row_add`` is the one eager primitive.
 
 ``_rref`` is the one elimination, and each of ``Subspace.span``,
 ``Subspace.intersect``, ``kernel``, ``kernel_on``, ``perp`` and
@@ -28,6 +27,10 @@ last column, so its null-space generators come out in RREF as they are
 built; with the pivot at the last column, reverse order makes less
 fill-in on the basis-changed inputs.  ``Matrix`` is the value type of
 linear maps, not of systems: no solver builds one.
+
+No route of the package calls ``preimage`` or ``Subspace.intersect``.
+Both are kept because the benchmark tracer times them, and ``preimage``
+is the tests' reference for the wedge and the socle series.
 """
 
 from __future__ import annotations
@@ -42,8 +45,14 @@ class FieldMismatchError(ValueError):
     """Operands belong to different ground fields."""
 
 
+# Miller-Rabin with the twelve bases 2..37 decides primality exactly below
+# this bound, the least composite that passes every one of them:
+# 318665857834031151167461 = 399165290221 * 798330580441.
+MAX_PRIME_MODULUS = 318665857834031151167461
+
+
 def _is_prime(n: int) -> bool:
-    # Deterministic Miller-Rabin, valid for n < 3.3e24.
+    # Deterministic Miller-Rabin, exact for n < MAX_PRIME_MODULUS only.
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -169,6 +178,9 @@ class PrimeField:
     """GF(p) for a prime p; scalars are :class:`GFElement`."""
 
     def __init__(self, p: int):
+        if p >= MAX_PRIME_MODULUS:
+            raise ValueError(f"modulus {p} is past the range where primality is "
+                             f"decided exactly (p < {MAX_PRIME_MODULUS})")
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
@@ -222,7 +234,11 @@ def field_named(name: str) -> Field:
     for prefix, suffix in (("gf(", ")"), ("gf:", "")):
         if name.startswith(prefix) and name.endswith(suffix):
             body = name[len(prefix):len(name) - len(suffix) if suffix else len(name)]
-            return GF(int(body))
+            try:
+                p = int(body)
+            except ValueError:
+                break
+            return GF(p)
     raise ValueError(f"unknown field {name!r}")
 
 
@@ -319,24 +335,13 @@ def _thaw_row(row: tuple) -> dict:
 class Matrix:
     """Sparse exact matrix; absent entries are zero, stored entries are not.
 
-    Entries summed term by term may hold zeros: build those matrices with
-    ``from_entries``, which drops them.  The plain constructor takes
-    entries that are already zero-free.
+    The constructor takes entries that are already zero-free: drop the
+    zeros of entries summed term by term with :func:`drop_zeros` first.
     """
 
     rows: int
     cols: int
     entries: "dict[tuple[int, int], Scalar]"
-
-    @classmethod
-    def from_entries(cls, rows: int, cols: int, entries: dict) -> "Matrix":
-        return cls(rows, cols, drop_zeros(entries))
-
-    def row_dicts(self) -> list[dict]:
-        out: list[dict] = [dict() for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            out[i][j] = v
-        return out
 
     def apply(self, vec: dict) -> dict:
         """Matrix times column vector (vector as sparse dict)."""
@@ -460,35 +465,12 @@ class Subspace:
     def contains_vector(self, vec: dict) -> bool:
         return not self.reduce_vector(vec)
 
-    def contains(self, other: "Subspace") -> bool:
-        self._require_compatible(other)
-        return all(self.contains_vector(v) for v in other.basis_dicts())
-
-    def quotient_dim(self, other: "Subspace") -> int:
-        """dim(self/other); other must be contained in self."""
-        if not self.contains(other):
-            raise ValueError("quotient_dim: second argument is not a subspace of the first")
-        return self.dim - other.dim
-
     def perp(self) -> "Subspace":
         """Annihilator in the dual coordinate space (same coordinates)."""
         return kernel(dict(enumerate(self.basis_dicts())), self.ambient_dim, self.field)
 
     def pivot_columns(self) -> list[int]:
         return [lead for lead, _ in self._pivot_rows]
-
-    def coordinates_of(self, vec: dict) -> dict:
-        """Coefficients of vec in the stored basis; raises if not a member."""
-        vec = dict(vec)
-        coeffs: dict = {}
-        for idx, (lead, row) in enumerate(self._pivot_rows):
-            c = vec.get(lead)
-            if c:
-                coeffs[idx] = c
-                vec = row_add(vec, row, -c)
-        if vec:
-            raise ValueError("vector not in subspace")
-        return coeffs
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim}, field={self.field})"
@@ -556,6 +538,10 @@ def preimage(f: Matrix, w: Subspace, field: Field) -> Subspace:
 
     Linear because reduction by a fixed echelon basis is linear: v maps to
     the residual of f(v), and the preimage is that composite's kernel.
+
+    No route of the package calls it.  It stays because the benchmark
+    tracer wraps it, and it is the tests' reference wedge (the pullback of
+    X (x) C + C (x) Y through Delta) and reference socle series.
     """
     if w.ambient_dim != f.rows:
         raise ValueError(f"codomain mismatch: matrix has {f.rows} rows, subspace ambient {w.ambient_dim}")

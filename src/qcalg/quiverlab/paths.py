@@ -119,13 +119,6 @@ class PathBasis:
     def vertices(self) -> "list[Vertex]":
         return [p.source for p in self.paths if p.length == 0]
 
-    def serialize(self) -> str:
-        lines = []
-        for p in self.paths:
-            chain = ".".join(a.label for a in p.arrows) if p.arrows else "(trivial)"
-            lines.append(f"{p.label}: {p.source.label} -> {p.target.label} = {chain}")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class QuiverInstance:

@@ -2,7 +2,7 @@
 
 Identical inputs and flags produce byte-identical JSON: keys are sorted,
 insertion orders are canonical, and every number is exact (integers, or
-num/den strings for scalars).  ``from_json(to_json(doc)) == doc``.
+num/den strings for scalars).
 """
 
 from __future__ import annotations
@@ -52,9 +52,3 @@ class ReportDocument:
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True, indent=2,
                           ensure_ascii=False) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "ReportDocument":
-        obj = json.loads(text)
-        return cls(schema=obj["schema"], tool=obj["tool"], input=obj["input"],
-                   options=obj["options"], results=obj["results"])

@@ -12,7 +12,6 @@ from test_coalg import change_basis
 
 from qcalg.cli import main
 from qcalg.quiverlab.registry import EX1, EX2
-from qcalg.report import ReportDocument
 from qcalg.textfmt import dumps_coalgebra
 
 
@@ -81,8 +80,8 @@ class TestAnalyze:
 
     def test_report_round_trips(self, capsys):
         _, out, _ = run(capsys, "analyze", "ex2", "--N", "2", "--json")
-        doc = ReportDocument.from_json(out)
-        assert doc.to_json() == out
+        assert json.dumps(json.loads(out), sort_keys=True, indent=2,
+                          ensure_ascii=False) + "\n" == out
 
     def test_expect_match_and_mismatch(self, tmp_path, capsys):
         good = tmp_path / "good.json"
@@ -351,6 +350,17 @@ class TestInputFaults:
          "--quotient-by 'x1'"),
         (None, ["compute", "ex1", "mult", "--s", "x1", "--N", "1"],
          "--s 'x1': 'x[1]' is not grouplike"),
+        (None, ["analyze", "ex1", "--N", "1", "--field", "gf:318665857834031151167461"],
+         "modulus 318665857834031151167461 is past the range where primality "
+         "is decided exactly"),
+        (None, ["analyze", "ex1", "--N", "1", "--field", "gf(abc)"],
+         "error: unknown field 'gf(abc)'"),
+        (None, ["analyze", "ex1", "--N", "1", "--field", "gf:"],
+         "error: unknown field 'gf:'"),
+        ("coalgebra t\nfield gf(318665857834031151167461)\nvertex v\n", ["check"],
+         "line 2, col 1: modulus 318665857834031151167461 is past the range"),
+        ("coalgebra t\nfield gf()\nvertex v\n", ["check"],
+         "line 2, col 1: unknown field 'gf()'"),
     ], ids=["delta-index", "rho-index", "label-index", "mdim", "scalar",
             "zero-denominator", "negative-mdim", "negative-mdim-with-rho",
             "label-out-of-range", "mlabel-out-of-range", "delta-out-of-range",
@@ -359,7 +369,8 @@ class TestInputFaults:
             "axioms-epsilon-line", "comodule-rho-line", "comodule-epsilon-line",
             "repeated-label", "repeated-mlabel", "repeated-epsilon", "repeated-side",
             "repeated-dim", "repeated-mdim", "repeated-coalgebra",
-            "quotient-by", "mult-simple"])
+            "quotient-by", "mult-simple", "gf-pseudoprime-flag", "gf-not-integer-flag",
+            "gf-empty-flag", "gf-pseudoprime-dsl", "gf-empty-dsl"])
     def test_fault_names_the_line_or_flag(self, tmp_path, capsys, text, argv, phrase):
         if text is not None:
             path = tmp_path / "bad.sc"

@@ -6,6 +6,16 @@ from fractions import Fraction as F
 from math import lcm
 
 import pytest
+from reference import (
+    contains,
+    delta_matrix,
+    is_left_coideal,
+    is_right_coideal,
+    is_subcoalgebra,
+    left_mult_matrix,
+    multiply,
+    unit_dict,
+)
 
 from qcalg.coalg import (
     MAX_FAILURES,
@@ -24,9 +34,6 @@ from qcalg.coalg import (
 )
 from qcalg.comod import (
     check_comodule,
-    is_left_coideal,
-    is_right_coideal,
-    is_subcoalgebra,
     regular_comodule,
 )
 from qcalg.exactlin import GF, QQ, GFElement, PrimeField, Rationals, Subspace, preimage
@@ -86,21 +93,21 @@ class TestAxioms:
 class TestDualAlgebra:
     def test_grouplike_dual_is_the_field(self):
         d = dual_algebra(grouplike_coalgebra())
-        one = d.unit_dict()
-        assert d.multiply(one, one) == one
+        one = unit_dict(d)
+        assert multiply(d, one, one) == one
 
     def test_primitive_dual_square_zero(self):
         d = dual_algebra(primitive_pair_coalgebra())
         x = {1: F(1)}
-        assert d.multiply(x, x) == {}
-        assert d.multiply(d.unit_dict(), x) == x
+        assert multiply(d, x, x) == {}
+        assert multiply(d, unit_dict(d), x) == x
 
     def test_ex1_concatenation_convolution(self, ex1_n1):
         c, basis = ex1_n1
         d = dual_algebra(c)
         x1, y1, p1 = ({basis.index_of_label(l): F(1)} for l in ("x[1]", "y[1]", "p[1]"))
-        assert d.multiply(x1, y1) == p1
-        assert d.multiply(y1, x1) == {}
+        assert multiply(d, x1, y1) == p1
+        assert multiply(d, y1, x1) == {}
 
     def test_grouplike_idempotents_diagonal(self, ex1_n1):
         c, basis = ex1_n1
@@ -108,22 +115,22 @@ class TestDualAlgebra:
         gls = c.grouplike_indices()
         for g in gls:
             for h in gls:
-                prod = d.multiply({g: F(1)}, {h: F(1)})
+                prod = multiply(d, {g: F(1)}, {h: F(1)})
                 assert prod == ({g: F(1)} if g == h else {})
 
     def test_associativity_and_unit_on_random_vectors(self, ex1_n2):
         c, _ = ex1_n2
         d = dual_algebra(c)
         rng = random.Random(5)
-        unit = d.unit_dict()
+        unit = unit_dict(d)
         for _ in range(60):
             def rv():
                 out = {rng.randrange(c.dim): F(rng.randint(-3, 3)) for _ in range(3)}
                 return {k: v for k, v in out.items() if v}
             f, g, h = rv(), rv(), rv()
-            assert d.multiply(d.multiply(f, g), h) == d.multiply(f, d.multiply(g, h))
-            assert d.multiply(unit, f) == f
-            assert d.multiply(f, unit) == f
+            assert multiply(d, multiply(d, f, g), h) == multiply(d, f, multiply(d, g, h))
+            assert multiply(d, unit, f) == f
+            assert multiply(d, f, unit) == f
 
 
 class TestRadical:
@@ -180,7 +187,7 @@ class TestCoradicalFiltration:
         c, _ = ex1_n2
         chain = coradical_filtration(c)
         for lo, hi in zip(chain.terms, chain.terms[1:]):
-            assert hi.contains(lo)
+            assert contains(hi, lo)
         for term in chain.terms:
             assert is_subcoalgebra(term, c)
 
@@ -218,10 +225,10 @@ class TestWedge:
         for u in pieces:
             for w in pieces:
                 joined = wedge(u, w, c)
-                assert joined.contains(u + w)
+                assert contains(joined, u + w)
                 for bigger in pieces:
-                    if bigger.contains(w):
-                        assert wedge(u, bigger, c).contains(joined)
+                    if contains(bigger, w):
+                        assert contains(wedge(u, bigger, c), joined)
 
     def test_ambient_mismatch(self, ex1_n1):
         c, _ = ex1_n1
@@ -400,7 +407,7 @@ def wedge_by_pullback(x, y, c):
     for u in y.basis_dicts():
         for t in range(n):
             rows.append({t * n + k: v for k, v in u.items()})
-    return preimage(c.delta_matrix(), Subspace.span(c.field, n * n, rows), c.field)
+    return preimage(delta_matrix(c), Subspace.span(c.field, n * n, rows), c.field)
 
 
 def multiply_all_pairs(c, u, v, deltas=None):
@@ -513,10 +520,9 @@ class TestWedgeEquivalence:
             for y in spaces:
                 assert wedge(x, y, c) == wedge_by_pullback(x, y, c)
 
-    def test_never_builds_the_pullback(self, ex1_n1, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("wedge built the dim^2 Delta matrix")
-        monkeypatch.setattr(Coalgebra, "delta_matrix", forbidden)
+    def test_never_builds_the_pullback(self, ex1_n1):
+        # The dim^2 Delta matrix lives only in the tests' reference module.
+        assert not hasattr(Coalgebra, "delta_matrix")
         c, _ = ex1_n1
         c0 = c.span_of_labels(["a", "b[1]"])
         assert wedge(c0, c0, c).dim == 4
@@ -530,7 +536,7 @@ class TestMultiplyEquivalence:
         rng = random.Random(11)
         for _ in range(40):
             u, v = random_vector(rng, c), random_vector(rng, c)
-            assert d.multiply(u, v) == multiply_all_pairs(c, u, v)
+            assert multiply(d, u, v) == multiply_all_pairs(c, u, v)
 
     def test_matches_the_all_pairs_loop_in_an_integer_basis(self, ex1_n2):
         c = change_basis(ex1_n2[0], seed=7)
@@ -539,10 +545,10 @@ class TestMultiplyEquivalence:
         basis_vectors = [{i: F(1)} for i in range(c.dim)]
         for u in basis_vectors:
             for v in basis_vectors:
-                assert d.multiply(u, v) == multiply_all_pairs(c, u, v)
+                assert multiply(d, u, v) == multiply_all_pairs(c, u, v)
         for _ in range(40):
             u, v = random_vector(rng, c), random_vector(rng, c)
-            assert d.multiply(u, v) == multiply_all_pairs(c, u, v)
+            assert multiply(d, u, v) == multiply_all_pairs(c, u, v)
 
     def test_left_mult_matrix_agrees_with_multiply(self, ex1_n2):
         c = change_basis(ex1_n2[0], seed=5)
@@ -550,7 +556,7 @@ class TestMultiplyEquivalence:
         rng = random.Random(17)
         for _ in range(20):
             u, v = random_vector(rng, c), random_vector(rng, c)
-            assert d.left_mult_matrix(u).apply(v) == multiply_all_pairs(c, u, v)
+            assert left_mult_matrix(d, u).apply(v) == multiply_all_pairs(c, u, v)
 
 
 def ideal_product_by_pairs(x, y, c):
@@ -587,7 +593,7 @@ class TestIdealProductEquivalence:
         d = dual_algebra(c)
         full = Subspace.full(c.field, c.dim)
         # some operands are not one-sided ideals of the dual
-        assert any(not x.contains(ideal_product(full, x, d)) for x in spaces)
+        assert any(not contains(x, ideal_product(full, x, d)) for x in spaces)
         for x in spaces:
             for y in spaces:
                 assert ideal_product(x, y, d) == ideal_product_by_pairs(x, y, c)

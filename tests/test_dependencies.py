@@ -2,14 +2,17 @@
 its scalars stay exact: no float literal and no float() or round(), and
 no true division outside ``exactlin.exact_quotient`` and
 ``PrimeField.parse``, since an integral rational is an ``int`` and
-``int / int`` is a float; and zero sums are dropped in one place: no
-hand-written add-or-pop block outside ``exactlin.row_add``."""
+``int / int`` is a float; zero sums are dropped in one place: no
+hand-written add-or-pop block outside ``exactlin.row_add``; every
+definition has a caller; and the public names stay as they are."""
 
 from __future__ import annotations
 
 import ast
 import sys
 from pathlib import Path
+
+from test_tracer_targets import TRACER, tracer_targets
 
 import qcalg
 
@@ -178,3 +181,128 @@ def test_the_scan_sees_add_or_pop_blocks(tmp_path):
         "    else:\n"
         "        out.pop(other, None)\n")
     assert add_or_pop_blocks(module) == [(4, "add"), (8, "outer")]
+
+
+def definitions(path: Path) -> "list[tuple[str, ast.AST]]":
+    """(qualified name, node) of every module-level function and class and
+    every method in one module, dunders skipped; a method is named with
+    its class, as in Class.method."""
+    found = []
+    for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            found.extend((f"{node.name}.{child.name}", child) for child in node.body
+                         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    return [(name, node) for name, node in found
+            if not (name.rpartition(".")[2].startswith("__")
+                    and name.endswith("__"))]
+
+
+def name_uses(path: Path) -> "dict[str, list[int]]":
+    """{name: lines} of every ast.Name and ast.Attribute in one module."""
+    uses: dict = {}
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Name):
+            uses.setdefault(node.id, []).append(node.lineno)
+        elif isinstance(node, ast.Attribute):
+            uses.setdefault(node.attr, []).append(node.lineno)
+    return uses
+
+
+def uncalled_definitions(root: Path, kept: "set[str]" = frozenset()) -> "list[str]":
+    """'module.py: name' of every definition under root whose name no module
+    under root uses outside the definition's own lines, and that is not in
+    kept (the same 'module.py: name' form) nor imported by a package
+    ``__init__.py`` under root."""
+    modules = sorted(root.rglob("*.py"))
+    uses = {path: name_uses(path) for path in modules}
+    exported = {alias.name for path in modules if path.name == "__init__.py"
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    dead = []
+    for path in modules:
+        where = path.relative_to(root).as_posix()
+        for qualname, node in definitions(path):
+            name = qualname.rpartition(".")[2]
+            own = range(node.lineno, node.end_lineno + 1)
+            called = any(other != path or line not in own
+                         for other in modules for line in uses[other].get(name, ()))
+            key = f"{where}: {qualname}"
+            if not called and key not in kept and qualname not in exported:
+                dead.append(key)
+    return dead
+
+
+# Definitions that the package does not call and keeps anyway.  Exported
+# names pass on their own: the public API, quotient, coefficient_coalgebra,
+# hom_image_sum and socle_annihilator_check among them.  So do tracer
+# targets: the benchmark times exactlin.preimage and Subspace.intersect,
+# and preimage is the tests' reference wedge and socle series.
+KEPT_WITHOUT_A_CALLER = {
+    "coalg.py: Coalgebra.span_of_labels":
+        "public API: the subspace spanned by named basis vectors",
+    "textfmt.py: dumps_comodule":
+        "writes the comodule format that loads reads, so the format stays in one module",
+}
+
+
+def test_every_definition_has_a_caller():
+    """Every function, class and method under src/qcalg is used by the
+    package, exported, wrapped by the benchmark tracer or kept for a stated
+    reason.
+
+    The scan matches by name, not by binding: a dead helper whose name is
+    also used elsewhere in the package goes unflagged, but a helper the
+    package does call is never flagged.
+    """
+    traced = {f"{'/'.join(module.split('.')[1:])}.py: {attr}"
+              for module, attr in tracer_targets(TRACER)}
+    assert uncalled_definitions(PACKAGE_DIR, traced | set(KEPT_WITHOUT_A_CALLER)) == []
+
+
+def test_the_scan_sees_a_definition_without_a_caller(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("from .mod import Public\n")
+    (package / "mod.py").write_text(
+        "class Public:\n"
+        "    def recurse(self, n):\n"
+        "        return self.recurse(n - 1) if n else self.reached()\n"
+        "    def reached(self):\n"
+        "        return 1\n"
+        "    def __repr__(self):\n"
+        "        return 'Public'\n"
+        "def helper():\n"
+        "    return Public()\n"
+        "def kept():\n"
+        "    pass\n")
+    assert uncalled_definitions(package) == [
+        "mod.py: Public.recurse", "mod.py: helper", "mod.py: kept"]
+    assert uncalled_definitions(package, {"mod.py: kept"}) == [
+        "mod.py: Public.recurse", "mod.py: helper"]
+
+
+def test_the_public_names_are_pinned():
+    init = ast.parse((PACKAGE_DIR / "__init__.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in init.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert imported == {
+        "GF", "QQ", "Matrix", "Subspace",
+        "Coalgebra", "DualAlgebra", "FiltrationChain", "check_axioms",
+        "coradical_filtration", "dual_algebra", "ideal_product", "radical",
+        "skew_primitives", "wedge",
+        "Comodule", "check_comodule", "coefficient_coalgebra", "hom_image_sum",
+        "hom_space", "loewy_series", "multiplicity", "quotient",
+        "regular_comodule", "socle", "socle_annihilator_check",
+        "compile_truncation", "enumerate_paths", "parse_spec",
+    }
+    assert all(hasattr(qcalg, name) for name in imported)
+    assert isinstance(qcalg.__version__, str)
+    assert set(qcalg.quiverlab.__all__) == {
+        "ClosureError", "DslError", "QuiverSpec", "parse_spec",
+        "PathBasis", "compile_truncation", "enumerate_paths", "instantiate",
+        "builtin_kind", "builtin_names", "builtin_text",
+    }
+    assert len(qcalg.quiverlab.__all__) == 11
+    assert all(hasattr(qcalg.quiverlab, name) for name in qcalg.quiverlab.__all__)
