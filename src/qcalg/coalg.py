@@ -70,6 +70,15 @@ def coefficient_rows(pairs: "list[dict]") -> dict:
     return rows
 
 
+class PairTable(dict):
+    """A {(g, h): space} table over ordered pairs of grouplike indices whose
+    row g is cut from one space solved once per g, kept as shared[g]."""
+
+    def __init__(self):
+        super().__init__()
+        self.shared: "dict[int, Subspace]" = {}
+
+
 @dataclass(frozen=True)
 class Coalgebra:
     """A coalgebra by structure constants: Delta(e_i) = sum c e_j (x) e_k."""
@@ -111,7 +120,7 @@ class Coalgebra:
         return tuple(i for i in range(self.dim) if self.is_grouplike(i))
 
     @cached_property
-    def grouplike_wedges(self) -> "dict[tuple[int, int], Subspace]":
+    def grouplike_wedges(self) -> "PairTable":
         """The wedge kg ^ kh for every ordered pair (g, h) of grouplike
         indices, g = h included, computed once per coalgebra.
 
@@ -125,29 +134,17 @@ class Coalgebra:
         subcoalgebra spanned by basis vectors (kg ^_D kh = (kg ^ kh) meet D).
 
         One wedge per vertex: K_g = kg ^ kG holds every kg ^ kh, as kh lies
-        in kG.  On K_g the entries (j, t) of (pi_g (x) id)Delta with t
-        outside G vanish already, so kg ^ kh is the kernel of the entries
-        with j != g and t in G, t != h.  Those images of K_g's basis are
-        built once per g.
+        in kG, and each kg ^ kh is restrict_wedge's cut of it.  K_g is kept
+        as the table's shared[g]; the oracle reads it as (span{g}, C0).
         """
         grouplikes = self.grouplike_indices()
-        grouplike_set = set(grouplikes)
         span_g = Subspace.coordinates(self.field, self.dim, grouplikes)
-        table: dict = {}
+        table = PairTable()
         for g in grouplikes:
-            shared = wedge(Subspace.coordinates(self.field, self.dim, [g]), span_g, self)
-            images = []
-            for b in shared.basis:
-                image: dict = {}
-                for i, bi in b:
-                    for key, c in self.delta_dict(i).items():
-                        if key[0] != g and key[1] in grouplike_set:
-                            image[key] = image[key] + bi * c if key in image else bi * c
-                images.append(drop_zeros(image))
-            for h in grouplikes:
-                table[(g, h)] = kernel_on(
-                    shared, [{key: v for key, v in image.items() if key[1] != h}
-                             for image in images])
+            line = Subspace.coordinates(self.field, self.dim, [g])
+            shared = table.shared[g] = wedge(line, span_g, self)
+            for h, space in restrict_wedge(shared, line, self, grouplikes, 1).items():
+                table[(g, h)] = space
         return table
 
     def span_of_labels(self, names: "list[str]") -> Subspace:
@@ -469,40 +466,63 @@ def _basis_products(i: Subspace, j: Subspace,
 
 
 def grouplike_product_perps(a: DualAlgebra, grouplikes: "Iterable[int]"
-                            ) -> "dict[tuple[int, int], Subspace]":
+                            ) -> PairTable:
     """(I_g * I_h)^perp for I_g = (kg)^perp and every ordered pair (g, h)
     of the given grouplike indices: the ideal side of the wedge duality
     kg ^ kh = (I_g * I_h)^perp, read from the dual algebra alone.
 
-    One ideal product per vertex: I_h is (kG)^perp plus the span of the
-    e_t^* for grouplike t != h, so (I_g * I_h)^perp is the part of
-    P_g = (I_g * (kG)^perp)^perp that annihilates every u * e_t^*, u in
-    I_g's basis and t != h.  Those pairings with P_g's basis are built once
-    per g.
+    One ideal product per vertex: P_g = (I_g * (kG)^perp)^perp holds every
+    (I_g * I_h)^perp, and each is restrict_product_perp's cut of it.  P_g
+    is kept as the table's shared[g]; the oracle reads it as (span{g}, C0).
+    """
+    grouplikes = sorted(grouplikes)
+    off_units = Subspace.coordinates(a.field, a.dim, set(range(a.dim)) - set(grouplikes))
+    table = PairTable()
+    for g in grouplikes:
+        ideal = Subspace.coordinates(a.field, a.dim, set(range(a.dim)) - {g})
+        shared = table.shared[g] = ideal_product(ideal, off_units, a).perp()
+        for h, space in restrict_product_perp(shared, ideal, a, grouplikes, 1).items():
+            table[(g, h)] = space
+    return table
+
+
+def restrict_product_perp(shared: Subspace, fixed: Subspace, a: DualAlgebra,
+                          grouplikes: "Iterable[int]", slot: int
+                          ) -> "dict[int, Subspace]":
+    """(F * I_g)^perp for every grouplike g, cut from shared =
+    (F * (kG)^perp)^perp when slot is 1, or (I_g * F)^perp, cut from
+    shared = ((kG)^perp * F)^perp when slot is 0.  F is the ideal fixed,
+    I_g = (kg)^perp, kG the coordinate span of the grouplikes and slot the
+    factor I_g fills.
+
+    I_g is (kG)^perp plus the span of the e_t^* for grouplike t != g, and
+    the product is bilinear, so (F * I_g)^perp is the part of shared that
+    annihilates every u * e_t^*, u in F's basis and t != g.  The pairings
+    of those products with shared's basis are built once, with
+    _basis_products, and each g solves one kernel_on of them.
     """
     grouplikes = sorted(grouplikes)
     units = Subspace.coordinates(a.field, a.dim, grouplikes)
-    off_units = Subspace.coordinates(a.field, a.dim, set(range(a.dim)) - set(grouplikes))
-    table: dict = {}
-    for g in grouplikes:
-        ideal = Subspace.coordinates(a.field, a.dim, set(range(a.dim)) - {g})
-        shared = ideal_product(ideal, off_units, a).perp()
-        columns: dict[int, list] = {}
-        for r, row in enumerate(shared.basis):
-            for k, v in row:
-                columns.setdefault(k, []).append((r, v))
-        pairings: list[dict] = [{} for _ in shared.basis]
-        for u, b, product in _basis_products(ideal, units, a):
-            for k, c in product.items():
-                for r, v in columns.get(k, ()):
-                    out = pairings[r]
-                    out[(u, b)] = out[(u, b)] + c * v if (u, b) in out else c * v
-        pairings = [drop_zeros(p) for p in pairings]
-        for b, h in enumerate(grouplikes):
-            table[(g, h)] = kernel_on(
-                shared, [{key: v for key, v in p.items() if key[1] != b}
-                         for p in pairings])
-    return table
+    columns: dict[int, list] = {}
+    for r, row in enumerate(shared.basis):
+        for k, v in row:
+            columns.setdefault(k, []).append((r, v))
+    pairings: list[dict] = [{} for _ in shared.basis]
+    if slot:
+        products = (((u, grouplikes[b]), p)
+                    for u, b, p in _basis_products(fixed, units, a))
+    else:
+        products = (((grouplikes[b], u), p)
+                    for b, u, p in _basis_products(units, fixed, a))
+    for key, product in products:
+        for k, c in product.items():
+            for r, v in columns.get(k, ()):
+                out = pairings[r]
+                out[key] = out[key] + c * v if key in out else c * v
+    pairings = [drop_zeros(p) for p in pairings]
+    return {g: kernel_on(shared, [{key: v for key, v in p.items() if key[slot] != g}
+                                  for p in pairings])
+            for g in grouplikes}
 
 
 # -- filtrations ---------------------------------------------------------------
@@ -559,6 +579,45 @@ def wedge(x: Subspace, y: Subspace, c: Coalgebra) -> Subspace:
                     row = rows.setdefault((a, b), {})
                     row[i] = row[i] + w * vb if i in row else w * vb
     return kernel(rows, c.dim, c.field)
+
+
+def restrict_wedge(shared: Subspace, fixed: Subspace, c: Coalgebra,
+                   grouplikes: "Iterable[int]", slot: int) -> "dict[int, Subspace]":
+    """X ^ kg for every grouplike g, cut from shared = X ^ kG when slot is
+    1, or kg ^ X, cut from shared = kG ^ X when slot is 0.  X is fixed, kG
+    the coordinate span of the grouplikes and slot the tensor slot kg fills.
+
+    For slot 1 (slot 0 mirrors it): the wedge is monotone, so X ^ kg lies
+    in X ^ kG.  pi_g keeps every e_t with t != g, and on shared the entries
+    (a, t) of (pi_X (x) id)Delta with t outside G vanish already; so X ^ kg
+    is the kernel, on shared, of the entries with t in G, t != g.  Those
+    images of shared's basis are built once, and each g solves one
+    kernel_on of them.  Off X's pivots pi_X keeps e_j as it is, so only a
+    pivot's residual is multiplied in.
+    """
+    grouplikes = tuple(grouplikes)
+    grouplike_set = set(grouplikes)
+    pivots = set(fixed.pivot_columns())
+    images = []
+    for b in shared.basis:
+        image: dict = {}
+        for i, bi in b:
+            for (j, k), coeff in c.delta_dict(i).items():
+                t, o = (j, k) if slot == 0 else (k, j)
+                if t not in grouplike_set:
+                    continue
+                w = bi * coeff
+                if o in pivots:
+                    parts = [(r, w * v) for r, v in fixed.residuals[o].items()]
+                else:
+                    parts = ((o, w),)
+                for r, x in parts:
+                    key = (t, r) if slot == 0 else (r, t)
+                    image[key] = image[key] + x if key in image else x
+        images.append(drop_zeros(image))
+    return {g: kernel_on(shared, [{key: v for key, v in image.items() if key[slot] != g}
+                                  for image in images])
+            for g in grouplikes}
 
 
 def skew_primitives(g: int, h: int, c: Coalgebra) -> Subspace:

@@ -21,7 +21,12 @@ each probe bound once and calls each stage once: ``degree_tables``,
 ``fnoetherian_sweep`` (one enumeration per probe instance, one truncation
 per sweep bound, the analyzed one at N), and the duality oracle.  The
 cross-check and the oracle read vertex pairs from one table per
-truncation, ``Coalgebra.grouplike_wedges``.  The sweep reads every bound
+truncation, ``Coalgebra.grouplike_wedges``.  The oracle solves a full
+wedge and a full ideal product only for the pairs of two coradical
+filtration terms; it cuts each pair of a vertex line with C0 or C1 from
+those, or reads it from the pair tables' shared spaces, with the helpers
+the tables use themselves (``coalg.restrict_wedge`` and
+``coalg.restrict_product_perp``).  The sweep reads every bound
 from one reference table, that of the analyzed truncation or, past N, of
 its largest bound: a bound checked to embed in the reference truncation
 reads its entries from it, and one that does not builds its own.
@@ -41,6 +46,8 @@ from ..coalg import (
     dual_and_radical,
     grouplike_product_perps,
     ideal_product,
+    restrict_product_perp,
+    restrict_wedge,
     wedge,
 )
 from ..comod import loewy_series, regular_comodule
@@ -408,32 +415,88 @@ def fnoetherian_sweep(spec: QuiverSpec, sweep: "list[int]", depth: "int | None",
 
 # -- the rule chain ---------------------------------------------------------------
 
-def _duality_oracle(coalgebra: Coalgebra, chain: FiltrationChain) -> dict:
-    """Exact wedge vs perp-of-ideal-product agreement on standard pairs;
-    chain is the coalgebra's coradical filtration.  For two grouplike
-    spans the wedge comes from the coalgebra's grouplike_wedges table,
-    the one the local-finiteness cross-check read, and the ideal side from
-    grouplike_product_perps on the dual: each table solves one shared
-    kernel per vertex."""
-    subspaces: dict[str, Subspace] = {"C0": chain.terms[0]}
-    if len(chain.terms) > 1:
-        subspaces["C1"] = chain.terms[1]
-    lines = {f"span{{{coalgebra.labels[g]}}}": g for g in coalgebra.grouplike_indices()}
+def _duality_sides(coalgebra: Coalgebra, chain: FiltrationChain
+                   ) -> "tuple[dict[str, Subspace], dict, dict]":
+    """The oracle's subspaces by name (C0, C1 when the chain has it, and
+    each grouplike line span{g}), then the wedge side X ^ Y and the ideal
+    side (X^perp * Y^perp)^perp of every ordered pair of them, each keyed
+    by the pair of names.  chain is the coalgebra's coradical filtration.
+
+    Only the pairs of two filtration terms are solved here, each as one
+    full wedge and one full ideal product; each of those wedges is also
+    checked against the chain, C_i ^ C_j = C_{i+j+1} (the last term past
+    the end).  Every other pair is cut from a space already solved:
+    * two lines: the grouplike-pair tables, grouplike_wedges on the
+      coalgebra and grouplike_product_perps on the dual;
+    * (span{g}, C0): the shared spaces of those tables, K_g = kg ^ kG and
+      P_g = (I_g * (kG)^perp)^perp;
+    * (span{g}, C1), (C0, span{g}) and (C1, span{g}): restrict_wedge of
+      C0 ^ C1, C0 ^ C0 and C1 ^ C0, and restrict_product_perp of those
+      pairs' ideal sides, the line's slot cut per g.
+    The cuts hold because C0 = kG, a theorem for path coalgebras that is
+    checked here against the grouplike coordinates.  The wedge side reads
+    only Delta and the ideal side only the dual, so each pair still sets
+    two independent routes against each other.
+    """
+    field, dim = coalgebra.field, coalgebra.dim
+    grouplikes = coalgebra.grouplike_indices()
+    if chain.terms[0] != Subspace.coordinates(field, dim, grouplikes):
+        raise InternalCheckError(
+            "coradical filtration term C0 is not the span of the grouplikes")
+    terms = {f"C{i}": term for i, term in enumerate(chain.terms[:2])}
+    lines = {f"span{{{coalgebra.labels[g]}}}": g for g in grouplikes}
+    subspaces = dict(terms)
     for name, g in lines.items():
-        subspaces[name] = Subspace.coordinates(coalgebra.field, coalgebra.dim, [g])
+        subspaces[name] = Subspace.coordinates(field, dim, [g])
     dual, _ = dual_and_radical(coalgebra)
-    perps = {name: s.perp() for name, s in subspaces.items()}
-    products = grouplike_product_perps(dual, lines.values())
+    perps = {name: term.perp() for name, term in terms.items()}
+    last = len(chain.terms) - 1
+    left: dict = {}
+    right: dict = {}
+    for i, (xname, x) in enumerate(terms.items()):
+        for j, (yname, y) in enumerate(terms.items()):
+            pair = (xname, yname)
+            left[pair] = wedge(x, y, coalgebra)
+            n = min(i + j + 1, last)
+            if left[pair] != chain.terms[n]:
+                raise InternalCheckError(
+                    f"the wedge {xname} ^ {yname} is not the coradical "
+                    f"filtration term C{n}")
+            right[pair] = ideal_product(perps[xname], perps[yname], dual).perp()
+    wedges = coalgebra.grouplike_wedges
+    products = grouplike_product_perps(dual, grouplikes)
+    for uname, g in lines.items():
+        for wname, h in lines.items():
+            left[(uname, wname)] = wedges[(g, h)]
+            right[(uname, wname)] = products[(g, h)]
+    for yname, y in terms.items():
+        if yname == "C0":
+            after_w, after_p = wedges.shared, products.shared
+        else:
+            after_w = restrict_wedge(left[("C0", yname)], y, coalgebra, grouplikes, 0)
+            after_p = restrict_product_perp(right[("C0", yname)], perps[yname],
+                                            dual, grouplikes, 0)
+        before_w = restrict_wedge(left[(yname, "C0")], y, coalgebra, grouplikes, 1)
+        before_p = restrict_product_perp(right[(yname, "C0")], perps[yname],
+                                         dual, grouplikes, 1)
+        for name, g in lines.items():
+            left[(name, yname)], right[(name, yname)] = after_w[g], after_p[g]
+            left[(yname, name)], right[(yname, name)] = before_w[g], before_p[g]
+    return subspaces, left, right
+
+
+def _duality_oracle(coalgebra: Coalgebra, chain: FiltrationChain) -> dict:
+    """Exact wedge vs perp-of-ideal-product agreement on every ordered pair
+    of the standard subspaces, compared as canonical subspaces; chain is
+    the coalgebra's coradical filtration.  _duality_sides builds both sides
+    of every pair, solving a full wedge and a full ideal product only for
+    the pairs of two filtration terms and cutting every pair with a
+    grouplike line from a space already solved."""
+    subspaces, left, right = _duality_sides(coalgebra, chain)
     checked = 0
-    for uname, u in subspaces.items():
-        for wname, w in subspaces.items():
-            if uname in lines and wname in lines:
-                pair = (lines[uname], lines[wname])
-                left, right = coalgebra.grouplike_wedges[pair], products[pair]
-            else:
-                left = wedge(u, w, coalgebra)
-                right = ideal_product(perps[uname], perps[wname], dual).perp()
-            if left != right:
+    for uname in subspaces:
+        for wname in subspaces:
+            if left[(uname, wname)] != right[(uname, wname)]:
                 raise InternalCheckError(
                     f"wedge/ideal-product duality broke on ({uname}, {wname})")
             checked += 1
@@ -443,12 +506,19 @@ def _duality_oracle(coalgebra: Coalgebra, chain: FiltrationChain) -> dict:
 def filtration_report(coalgebra: Coalgebra, chain: FiltrationChain) -> dict:
     """Report entries for the coradical filtration and the socle (Loewy)
     series of the regular right comodule.  The two are independent routes
-    to the same dimensions, so a disagreement raises."""
+    to the same terms (the socle series of C_C is its coradical
+    filtration), so a disagreement, in a dimension or in a term compared
+    as a subspace, raises."""
     loewy = loewy_series(regular_comodule(coalgebra, "right"))
     if loewy.dims() != chain.dims():
         raise InternalCheckError(
             f"coradical filtration dims {chain.dims()} disagree with the "
             f"regular right comodule's socle series dims {loewy.dims()}")
+    for n, (term, socle) in enumerate(zip(chain.terms, loewy.terms)):
+        if term != socle:
+            raise InternalCheckError(
+                f"coradical filtration term C{n} differs from the regular "
+                f"right comodule's socle series term {n}")
     return {
         "filtration": {"dims": list(chain.dims()),
                        "stabilized_at": chain.stabilized_at},

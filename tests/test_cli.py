@@ -11,6 +11,7 @@ from test_coalg import LADDER_ALL as LADDER
 from test_coalg import change_basis
 
 from qcalg.cli import main
+from qcalg.exactlin import Subspace
 from qcalg.quiverlab.registry import EX1, EX2
 from qcalg.textfmt import dumps_coalgebra
 
@@ -19,6 +20,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def moved(term):
+    """A subspace of term's dimension, term not being the whole space,
+    that is not term: its last basis row traded for a unit vector off
+    term's pivots, which term does not hold."""
+    outside = min(set(range(term.ambient_dim)) - set(term.pivot_columns()))
+    rows = term.basis_dicts()[:-1] + [{outside: term.field.one}]
+    space = Subspace.span(term.field, term.ambient_dim, rows)
+    assert space.dim == term.dim and space != term
+    return space
 
 
 class TestExample:
@@ -790,6 +802,101 @@ class TestInternalErrorHandling:
         assert code == 3
         assert out == ""
         assert f"wedge/ideal-product duality broke on {broken[-1]}" in err
+
+    def test_line_with_filtration_term_duality_mismatch_exits_3(
+            self, capsys, monkeypatch, ex1_spec):
+        # The oracle cuts kg ^ C1 from C0 ^ C1, the one call of
+        # restrict_wedge with the line in slot 0; a zero space for the line
+        # of a is not a ^ C1, so the two routes disagree on that pair.
+        from qcalg.quiverlab import analyze
+        from qcalg.quiverlab.analyze import InternalCheckError
+        original = analyze.restrict_wedge
+
+        def one_wrong(shared, fixed, c, grouplikes, slot):
+            table = original(shared, fixed, c, grouplikes, slot)
+            if slot == 0:
+                table[c.label_index("a")] = Subspace.zero(c.field, c.dim)
+            return table
+
+        monkeypatch.setattr(analyze, "restrict_wedge", one_wrong)
+        message = "wedge/ideal-product duality broke on (span{a}, C1)"
+        with pytest.raises(InternalCheckError, match=re.escape(message)):
+            analyze.analyze_spec(ex1_spec, 2)
+        code, out, err = run(capsys, "analyze", "ex1", "--N", "2")
+        assert code == 3
+        assert out == ""
+        assert message in err
+
+    def test_coradical_other_than_the_grouplike_span_exits_3(
+            self, capsys, monkeypatch, ex1_spec):
+        # The oracle cuts its line pairs on C0 = kG; a C0 that lacks one
+        # grouplike stops it before any pair is compared.
+        from qcalg.coalg import FiltrationChain
+        from qcalg.quiverlab import analyze
+        from qcalg.quiverlab.analyze import InternalCheckError
+        original = analyze.coradical_filtration
+
+        def short_c0(c):
+            chain = original(c)
+            c0 = Subspace.coordinates(c.field, c.dim, c.grouplike_indices()[1:])
+            return FiltrationChain((c0,) + chain.terms[1:], chain.stabilized_at)
+
+        monkeypatch.setattr(analyze, "coradical_filtration", short_c0)
+        message = "coradical filtration term C0 is not the span of the grouplikes"
+        with pytest.raises(InternalCheckError, match=message):
+            analyze.analyze_spec(ex1_spec, 2)
+        code, out, err = run(capsys, "analyze", "ex1", "--N", "2")
+        assert code == 3
+        assert out == ""
+        assert message in err
+
+    def test_wedge_of_filtration_terms_mismatch_exits_3(
+            self, capsys, monkeypatch, ex1_spec):
+        # C0 ^ C0 = C1 (Sweedler 9.1); a C1 of the right dimension that is
+        # not the wedge fails that check, and names the term.
+        from qcalg.coalg import FiltrationChain
+        from qcalg.quiverlab import analyze
+        from qcalg.quiverlab.analyze import InternalCheckError
+        original = analyze.coradical_filtration
+
+        def moved_c1(c):
+            chain = original(c)
+            terms = list(chain.terms)
+            terms[1] = moved(terms[1])
+            return FiltrationChain(tuple(terms), chain.stabilized_at)
+
+        monkeypatch.setattr(analyze, "coradical_filtration", moved_c1)
+        message = "the wedge C0 ^ C0 is not the coradical filtration term C1"
+        with pytest.raises(InternalCheckError, match=re.escape(message)):
+            analyze.analyze_spec(ex1_spec, 2)
+        code, out, err = run(capsys, "analyze", "ex1", "--N", "2")
+        assert code == 3
+        assert out == ""
+        assert message in err
+
+    def test_socle_series_term_mismatch_exits_3(self, capsys, monkeypatch, ex1_spec):
+        # The socle series of C_C is the coradical filtration term by term;
+        # a term of the right dimension that differs is named.
+        from qcalg.coalg import FiltrationChain
+        from qcalg.quiverlab import analyze
+        from qcalg.quiverlab.analyze import InternalCheckError
+        original = analyze.loewy_series
+
+        def moved_term(m):
+            chain = original(m)
+            terms = list(chain.terms)
+            terms[1] = moved(terms[1])
+            return FiltrationChain(tuple(terms), chain.stabilized_at)
+
+        monkeypatch.setattr(analyze, "loewy_series", moved_term)
+        message = ("coradical filtration term C1 differs from the regular "
+                   "right comodule's socle series term 1")
+        with pytest.raises(InternalCheckError, match=re.escape(message)):
+            analyze.analyze_spec(ex1_spec, 2)
+        code, out, err = run(capsys, "analyze", "ex1", "--N", "2")
+        assert code == 3
+        assert out == ""
+        assert message in err
 
     def test_unexpected_exception_exits_3(self, capsys, monkeypatch):
         from qcalg import cli as climod

@@ -38,6 +38,7 @@ from qcalg.comod import (
 )
 from qcalg.exactlin import GF, QQ, GFElement, PrimeField, Rationals, Subspace, preimage
 from qcalg.quiverlab import compile_truncation, parse_spec
+from qcalg.quiverlab.analyze import _duality_sides
 from qcalg.quiverlab.registry import EX1, EX2
 from qcalg.textfmt import dumps_coalgebra, loads
 
@@ -352,6 +353,28 @@ def assert_pair_tables_match(c):
     for g, h in pairs:
         assert c.grouplike_wedges[(g, h)] == wedge(lines[g], lines[h], c)
         assert products[(g, h)] == ideal_product(perps[g], perps[h], dual).perp()
+    # The shared space each row is cut from: K_g = kg ^ kG and
+    # P_g = (I_g * (kG)^perp)^perp.
+    span_g = Subspace.coordinates(c.field, c.dim, grouplikes)
+    assert set(c.grouplike_wedges.shared) == set(products.shared) == set(grouplikes)
+    for g in grouplikes:
+        assert c.grouplike_wedges.shared[g] == wedge(lines[g], span_g, c)
+        assert products.shared[g] == ideal_product(perps[g], span_g.perp(), dual).perp()
+
+
+def assert_oracle_sides_match(c):
+    """Both sides of every pair of the duality oracle, the pairs of a
+    grouplike line with C0 or C1 in both orders included, equal the wedge
+    and the perp of the ideal product computed for that pair alone."""
+    subspaces, wedges, products = _duality_sides(c, coradical_filtration(c))
+    lines = {f"span{{{c.labels[g]}}}" for g in c.grouplike_indices()}
+    assert set(subspaces) == {"C0", "C1"} | lines
+    assert set(wedges) == set(products) == {(u, w) for u in subspaces for w in subspaces}
+    dual = dual_algebra(c)
+    perps = {name: space.perp() for name, space in subspaces.items()}
+    for (u, w), space in wedges.items():
+        assert space == wedge(subspaces[u], subspaces[w], c), (u, w)
+        assert products[(u, w)] == ideal_product(perps[u], perps[w], dual).perp(), (u, w)
 
 
 class TestGrouplikeWedges:
@@ -386,6 +409,34 @@ class TestGrouplikeWedges:
     def test_the_table_is_built_once(self, ex1_n1):
         c, _ = ex1_n1
         assert c.grouplike_wedges is c.grouplike_wedges
+
+
+class TestOracleSides:
+    """The oracle solves only the pairs of two filtration terms; every pair
+    with a grouplike line is cut from a space already solved."""
+
+    @pytest.mark.parametrize("text", [EX1, EX2, LADDER_ALL, LOOPS_ALL],
+                             ids=["ex1", "ex2", "ladder", "loops"])
+    @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
+    def test_entries_equal_the_pairwise_wedge_and_product(self, text, field):
+        checked = 0
+        for c in grid_truncations(text, field):
+            # The coradical filtration reads the radical, which needs
+            # characteristic 0 or p > dim.
+            if field.char and field.char <= c.dim:
+                with pytest.raises(RadicalRangeError):
+                    coradical_filtration(c)
+                continue
+            assert_oracle_sides_match(c)
+            checked += 1
+        assert checked >= 8
+
+    @pytest.mark.parametrize("seed,max_den", [(5, 1), (7, 3)])
+    def test_entries_match_with_coefficients_other_than_0_and_1(
+            self, seed, max_den, ex1_n2):
+        c = change_basis(ex1_n2[0], seed, max_den, keep_grouplikes=True)
+        assert {x for terms in c.delta for _, _, x in terms} - {F(0), F(1)}
+        assert_oracle_sides_match(c)
 
 
 def test_ideal_product_ambient_mismatch(ex1_n1):

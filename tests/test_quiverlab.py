@@ -791,17 +791,20 @@ class TestEachStepOnce:
         assert len(compiles) == count
         assert all(compiles.count(call) == 1 for call in compiles)
 
-    @pytest.mark.parametrize("text,wedges", [(EX1, 28), (EX2, 24)], ids=["ex1", "ex2"])
+    @pytest.mark.parametrize("text,wedges", [(EX1, 12), (EX2, 8)], ids=["ex1", "ex2"])
     def test_grouplike_pair_spaces_come_from_one_table(self, text, wedges,
                                                        patch_everywhere):
-        # Six oracle subspaces (C0, C1 and four vertex spans) give 36 pairs,
-        # 16 of them read from the grouplike-pair table the cross-check
-        # read, so the oracle makes 20 wedges.  The table makes one wedge
-        # kg ^ kG per vertex: 4.  ex1's cross-check also probes depth 1, a
-        # distinct truncation without the paths p[n], which builds its own
-        # table with 4 more: 24 for ex2 and 28 for ex1.  The sweep's bounds
-        # 1 and 2 embed in the analyzed truncation and read its table, so
-        # they add none.
+        # Six oracle subspaces (C0, C1 and four vertex spans) give 36 pairs.
+        # Only the 4 pairs of two filtration terms are full wedges: the 16
+        # pairs of two lines come from the grouplike-pair table the
+        # cross-check read, and the 16 pairs of a line with C0 or C1 are
+        # the table's K_g or cuts of C0 ^ C0, C0 ^ C1 and C1 ^ C0.  The
+        # table makes one wedge kg ^ kG per vertex: 4, so 4 + 4 = 8 for
+        # ex2.  ex1's cross-check also probes depth 1, a distinct
+        # truncation without the paths p[n], which builds its own table
+        # with 4 more: 8 + 4 = 12 for ex1.  The sweep's bounds 1 and 2
+        # embed in the analyzed truncation and read its table, so they add
+        # none.
         spec = parse_spec(text)
         wedge_calls = _record_calls(patch_everywhere, coalg, "wedge")
         skew_calls = _record_calls(patch_everywhere, coalg, "skew_primitives")
@@ -810,11 +813,13 @@ class TestEachStepOnce:
         assert len(wedge_calls) == wedges
 
     def test_each_wedge_operand_is_projected_once(self, monkeypatch, patch_everywhere):
-        # ex2's 24 wedges read 48 residual tables, of 11 operands: the
-        # table's four grouplike lines and their span kG, and the oracle's
-        # six subspaces (C0, C1 and four vertex spans), each built once, on
-        # its first read.  The sweep reads its bounds 1 and 2 from that
-        # table and adds no operand.
+        # ex2's 8 wedges read 16 residual tables, of 7 operands: the
+        # table's four grouplike lines and their span kG (4 wedges), and the
+        # oracle's C0 and C1 (4 wedges, C_i ^ C_j for i, j in {0, 1}), each
+        # built once, on its first read.  The cuts of the line pairs, in
+        # the table and in the oracle, reread these tables and build none.
+        # The sweep reads its bounds 1 and 2 from the pair table and adds
+        # no operand.
         residuals = Subspace.__dict__["residuals"]
         build = residuals.func
         builds: list = []
@@ -827,7 +832,7 @@ class TestEachStepOnce:
         wedge_calls = _record_calls(patch_everywhere, coalg, "wedge")
         analyze_spec(parse_spec(EX2), 3, [1, 2], None)
         operands = {id(s): s for call in wedge_calls for s in call[:2]}
-        assert (len(wedge_calls), len(operands)) == (24, 11)
+        assert (len(wedge_calls), len(operands)) == (8, 7)
         assert sorted(id(s) for s in builds if id(s) in operands) == sorted(operands)
 
     @pytest.mark.parametrize("text,tables", [(EX1, 2), (EX2, 1)], ids=["ex1", "ex2"])
