@@ -213,40 +213,49 @@ def _resolve_label(coalgebra: Coalgebra, token: str) -> int:
     raise InputError(f"unknown basis label {token!r}")
 
 
-def _resolve_subspace(coalgebra: Coalgebra, text: str,
-                      basis=None) -> Subspace:
-    """Span named by labels and the special tokens full, zero, C<k>, V<k>.
+def _resolve_subspaces(coalgebra: Coalgebra, texts: "list[str]",
+                       basis=None) -> "list[Subspace]":
+    """The span named by each text's labels and special tokens full, zero,
+    C<k>, V<k>.
 
-    C<k> is the k-th coradical filtration term; V<k> (quiver inputs only)
-    spans the basis paths whose family indices are all at most k.
+    C<k> is the k-th coradical filtration term, computed at most once for
+    all the texts; V<k> (quiver inputs only) spans the basis paths whose
+    family indices are all at most k.
     """
-    rows: list[dict] = []
-    for token in _split_toplevel_commas(text):
-        token = token.strip()
-        if not token:
-            continue
-        if token == "full":
-            return Subspace.full(coalgebra.field, coalgebra.dim)
-        if token in ("zero", "0"):
-            continue
-        if token not in coalgebra.labels:
-            m = _CTERM.fullmatch(token)
-            if m:
-                chain = coradical_filtration(coalgebra)
-                k = min(int(m.group(1)), len(chain.terms) - 1)
-                rows.extend(chain.terms[k].basis_dicts())
+    chain = None
+
+    def span(text: str) -> Subspace:
+        nonlocal chain
+        rows: list[dict] = []
+        for token in _split_toplevel_commas(text):
+            token = token.strip()
+            if not token:
                 continue
-            m = _VTERM.fullmatch(token)
-            if m:
-                if basis is None:
-                    raise InputError("V<k> spans need a quiver input")
-                k = int(m.group(1))
-                for idx, p in enumerate(basis.paths):
-                    if all(i <= k for i in p.family_indices()):
-                        rows.append({idx: coalgebra.field.one})
+            if token == "full":
+                return Subspace.full(coalgebra.field, coalgebra.dim)
+            if token in ("zero", "0"):
                 continue
-        rows.append({_resolve_label(coalgebra, token): coalgebra.field.one})
-    return Subspace.span(coalgebra.field, coalgebra.dim, rows)
+            if token not in coalgebra.labels:
+                m = _CTERM.fullmatch(token)
+                if m:
+                    if chain is None:
+                        chain = coradical_filtration(coalgebra)
+                    k = min(int(m.group(1)), len(chain.terms) - 1)
+                    rows.extend(chain.terms[k].basis_dicts())
+                    continue
+                m = _VTERM.fullmatch(token)
+                if m:
+                    if basis is None:
+                        raise InputError("V<k> spans need a quiver input")
+                    k = int(m.group(1))
+                    for idx, p in enumerate(basis.paths):
+                        if all(i <= k for i in p.family_indices()):
+                            rows.append({idx: coalgebra.field.one})
+                    continue
+            rows.append({_resolve_label(coalgebra, token): coalgebra.field.one})
+        return Subspace.span(coalgebra.field, coalgebra.dim, rows)
+
+    return [span(text) for text in texts]
 
 
 # -- commands -----------------------------------------------------------------------
@@ -375,7 +384,7 @@ def cmd_analyze(args) -> int:
 def _comodule_for(args, coalgebra: Coalgebra, basis) -> Comodule:
     m = regular_comodule(coalgebra, args.side)
     if getattr(args, "quotient_by", None):
-        x = _resolve_subspace(coalgebra, args.quotient_by, basis)
+        (x,) = _resolve_subspaces(coalgebra, [args.quotient_by], basis)
         try:
             m, _ = quotient_with_projection(m, x)
         except ValueError as exc:
@@ -399,8 +408,7 @@ def cmd_compute(args) -> int:
     if op == "wedge":
         if not (args.x and args.y):
             raise InputError("wedge needs --x and --y")
-        x = _resolve_subspace(coalgebra, args.x, basis)
-        y = _resolve_subspace(coalgebra, args.y, basis)
+        x, y = _resolve_subspaces(coalgebra, [args.x, args.y], basis)
         w = wedge(x, y, coalgebra)
         rendered = [coalgebra.format_vector(v) for v in w.basis_dicts()]
         results.update({"dim": w.dim, "basis": rendered})

@@ -70,15 +70,6 @@ def coefficient_rows(pairs: "list[dict]") -> dict:
     return rows
 
 
-class PairTable(dict):
-    """A {(g, h): space} table over ordered pairs of grouplike indices whose
-    row g is cut from one space solved once per g, kept as shared[g]."""
-
-    def __init__(self):
-        super().__init__()
-        self.shared: "dict[int, Subspace]" = {}
-
-
 @dataclass(frozen=True)
 class Coalgebra:
     """A coalgebra by structure constants: Delta(e_i) = sum c e_j (x) e_k."""
@@ -120,7 +111,7 @@ class Coalgebra:
         return tuple(i for i in range(self.dim) if self.is_grouplike(i))
 
     @cached_property
-    def grouplike_wedges(self) -> "PairTable":
+    def grouplike_wedges(self) -> "dict[tuple[int, int], Subspace]":
         """The wedge kg ^ kh for every ordered pair (g, h) of grouplike
         indices, g = h included, computed once per coalgebra.
 
@@ -134,15 +125,14 @@ class Coalgebra:
         subcoalgebra spanned by basis vectors (kg ^_D kh = (kg ^ kh) meet D).
 
         One wedge per vertex: K_g = kg ^ kG holds every kg ^ kh, as kh lies
-        in kG, and each kg ^ kh is restrict_wedge's cut of it.  K_g is kept
-        as the table's shared[g]; the oracle reads it as (span{g}, C0).
+        in kG, and each kg ^ kh is restrict_wedge's cut of it.
         """
         grouplikes = self.grouplike_indices()
         span_g = Subspace.coordinates(self.field, self.dim, grouplikes)
-        table = PairTable()
+        table = {}
         for g in grouplikes:
             line = Subspace.coordinates(self.field, self.dim, [g])
-            shared = table.shared[g] = wedge(line, span_g, self)
+            shared = wedge(line, span_g, self)
             for h, space in restrict_wedge(shared, line, self, grouplikes, 1).items():
                 table[(g, h)] = space
         return table
@@ -463,27 +453,6 @@ def _basis_products(i: Subspace, j: Subspace,
             product = drop_zeros(by_row[b])
             if product:
                 yield r, b, product
-
-
-def grouplike_product_perps(a: DualAlgebra, grouplikes: "Iterable[int]"
-                            ) -> PairTable:
-    """(I_g * I_h)^perp for I_g = (kg)^perp and every ordered pair (g, h)
-    of the given grouplike indices: the ideal side of the wedge duality
-    kg ^ kh = (I_g * I_h)^perp, read from the dual algebra alone.
-
-    One ideal product per vertex: P_g = (I_g * (kG)^perp)^perp holds every
-    (I_g * I_h)^perp, and each is restrict_product_perp's cut of it.  P_g
-    is kept as the table's shared[g]; the oracle reads it as (span{g}, C0).
-    """
-    grouplikes = sorted(grouplikes)
-    off_units = Subspace.coordinates(a.field, a.dim, set(range(a.dim)) - set(grouplikes))
-    table = PairTable()
-    for g in grouplikes:
-        ideal = Subspace.coordinates(a.field, a.dim, set(range(a.dim)) - {g})
-        shared = table.shared[g] = ideal_product(ideal, off_units, a).perp()
-        for h, space in restrict_product_perp(shared, ideal, a, grouplikes, 1).items():
-            table[(g, h)] = space
-    return table
 
 
 def restrict_product_perp(shared: Subspace, fixed: Subspace, a: DualAlgebra,

@@ -34,7 +34,7 @@ from .coalg import (
     dual_and_radical,
     merged_terms,
 )
-from .exactlin import Matrix, Scalar, Subspace, drop_zeros, kernel
+from .exactlin import Matrix, Scalar, Subspace, drop_zeros, kernel, kernel_on
 
 SIDES = ("left", "right")
 
@@ -268,11 +268,11 @@ def multiplicity_table(m: Comodule) -> "dict[str, int]":
 
     Every system weight_space(m, g) shares the rows at non-grouplike
     coalgebra indices, so those are solved once: K = {v : rho(v) lies in
-    M (x) kG}.  Each W_g is then the kernel, on the coordinates of K's
-    basis b_r, of the rows (h, j) for grouplike h with entries
-    rho_h(b_r)_j - delta_hg (b_r)_j; this is weight_space's own system
-    restricted to K, so no comodule axiom is assumed.  Reads neither the
-    socle nor the radical.  ``compute socle`` is its one reader.
+    M (x) kG}.  Each W_g is then kernel_on(K, images_g), where the image
+    of K's basis vector b holds rho_h(b)_j - delta_hg b_j at (h, j) for
+    grouplike h; this is weight_space's own system restricted to K, so no
+    comodule axiom is assumed.  Reads neither the socle nor the radical.
+    ``compute socle`` is its one reader.
     """
     grouplikes = m.over.grouplike_indices()
     if not grouplikes:
@@ -280,26 +280,23 @@ def multiplicity_table(m: Comodule) -> "dict[str, int]":
     grouplike_set = set(grouplikes)
     shared = {key: row for key, row in coefficient_rows(m._pairs).items()
               if key[1] not in grouplike_set}
-    k_basis = kernel(shared, m.dim, m.field).basis_dicts()
-    # Row (h_pos, j) holds rho_h(b_r)_j at column r: the rows common to
-    # every g.  Row j of minus holds -(b_r)_j at column r.
-    common: dict = {}
-    minus: dict = {}
-    for r, b in enumerate(k_basis):
+    space = kernel(shared, m.dim, m.field)
+    # common[r] holds rho_h(b_r)_j at (h, j): the entries shared by every g.
+    common = []
+    for b in space.basis_dicts():
         slices = _coaction_slices(m, b)
-        for h_pos, h in enumerate(grouplikes):
-            for j, c in slices.get(h, {}).items():
-                common.setdefault((h_pos, j), {})[r] = c
-        for j, c in b.items():
-            minus.setdefault(j, {})[r] = -c
+        common.append({(h, j): c for h in grouplikes
+                       for j, c in slices.get(h, {}).items()})
     table: dict[str, int] = {}
-    for g_pos, g in enumerate(grouplikes):
-        rows = dict(common)
-        for j, subtrahend in minus.items():
-            row = rows[(g_pos, j)] = dict(common.get((g_pos, j), {}))
-            for r, v in subtrahend.items():
-                row[r] = row[r] + v if r in row else v
-        table[m.over.labels[g]] = kernel(rows, len(k_basis), m.field).dim
+    for g in grouplikes:
+        images = []
+        for entries, b in zip(common, space.basis):
+            image = dict(entries)
+            for j, v in b:
+                key = (g, j)
+                image[key] = image[key] - v if key in image else -v
+            images.append(drop_zeros(image))
+        table[m.over.labels[g]] = kernel_on(space, images).dim
     return table
 
 

@@ -23,13 +23,14 @@ per sweep bound, the analyzed one at N), and the duality oracle.  The
 cross-check and the oracle read vertex pairs from one table per
 truncation, ``Coalgebra.grouplike_wedges``.  The oracle solves a full
 wedge and a full ideal product only for the pairs of two coradical
-filtration terms; it cuts each pair of a vertex line with C0 or C1 from
-those, or reads it from the pair tables' shared spaces, with the helpers
-the tables use themselves (``coalg.restrict_wedge`` and
-``coalg.restrict_product_perp``).  The sweep reads every bound
-from one reference table, that of the analyzed truncation or, past N, of
-its largest bound: a bound checked to embed in the reference truncation
-reads its entries from it, and one that does not builds its own.
+filtration terms.  It cuts each pair of a vertex line with C0 or C1 from
+those, and the ideal side of each pair of two lines from that of the
+line with C0 (``coalg.restrict_wedge``, ``coalg.restrict_product_perp``);
+the wedge side of a pair of two lines is the table's entry.  The sweep
+reads every bound from one reference table, that of the analyzed
+truncation or, past N, of its largest bound: a bound checked to embed in
+the reference truncation reads its entries from it, and one that does
+not builds its own.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from ..coalg import (
     check_axioms,
     coradical_filtration,
     dual_and_radical,
-    grouplike_product_perps,
     ideal_product,
     restrict_product_perp,
     restrict_wedge,
@@ -426,13 +426,13 @@ def _duality_sides(coalgebra: Coalgebra, chain: FiltrationChain
     full wedge and one full ideal product; each of those wedges is also
     checked against the chain, C_i ^ C_j = C_{i+j+1} (the last term past
     the end).  Every other pair is cut from a space already solved:
-    * two lines: the grouplike-pair tables, grouplike_wedges on the
-      coalgebra and grouplike_product_perps on the dual;
-    * (span{g}, C0): the shared spaces of those tables, K_g = kg ^ kG and
-      P_g = (I_g * (kG)^perp)^perp;
-    * (span{g}, C1), (C0, span{g}) and (C1, span{g}): restrict_wedge of
-      C0 ^ C1, C0 ^ C0 and C1 ^ C0, and restrict_product_perp of those
-      pairs' ideal sides, the line's slot cut per g.
+    * (span{g}, Y) and (Y, span{g}) for a filtration term Y:
+      restrict_wedge of C0 ^ Y and Y ^ C0, and restrict_product_perp of
+      those pairs' ideal sides, the line's slot cut per g.  For Y = C0 the
+      ideal side is P_g = (I_g * (kG)^perp)^perp, with I_g = (kg)^perp;
+    * two lines (kg, kh): the wedge side from grouplike_wedges, the table
+      the cross-check and the sweep read, and the ideal side
+      (I_g * I_h)^perp as restrict_product_perp's cut of P_g.
     The cuts hold because C0 = kG, a theorem for path coalgebras that is
     checked here against the grouplike coordinates.  The wedge side reads
     only Delta and the ideal side only the dual, so each pair still sets
@@ -463,25 +463,23 @@ def _duality_sides(coalgebra: Coalgebra, chain: FiltrationChain
                     f"the wedge {xname} ^ {yname} is not the coradical "
                     f"filtration term C{n}")
             right[pair] = ideal_product(perps[xname], perps[yname], dual).perp()
-    wedges = coalgebra.grouplike_wedges
-    products = grouplike_product_perps(dual, grouplikes)
-    for uname, g in lines.items():
-        for wname, h in lines.items():
-            left[(uname, wname)] = wedges[(g, h)]
-            right[(uname, wname)] = products[(g, h)]
     for yname, y in terms.items():
-        if yname == "C0":
-            after_w, after_p = wedges.shared, products.shared
-        else:
-            after_w = restrict_wedge(left[("C0", yname)], y, coalgebra, grouplikes, 0)
-            after_p = restrict_product_perp(right[("C0", yname)], perps[yname],
-                                            dual, grouplikes, 0)
+        after_w = restrict_wedge(left[("C0", yname)], y, coalgebra, grouplikes, 0)
+        after_p = restrict_product_perp(right[("C0", yname)], perps[yname],
+                                        dual, grouplikes, 0)
         before_w = restrict_wedge(left[(yname, "C0")], y, coalgebra, grouplikes, 1)
         before_p = restrict_product_perp(right[(yname, "C0")], perps[yname],
                                          dual, grouplikes, 1)
         for name, g in lines.items():
             left[(name, yname)], right[(name, yname)] = after_w[g], after_p[g]
             left[(yname, name)], right[(yname, name)] = before_w[g], before_p[g]
+    wedges = coalgebra.grouplike_wedges
+    for uname, g in lines.items():
+        ideal = Subspace.coordinates(field, dim, set(range(dim)) - {g})
+        products = restrict_product_perp(right[(uname, "C0")], ideal, dual, grouplikes, 1)
+        for wname, h in lines.items():
+            left[(uname, wname)] = wedges[(g, h)]
+            right[(uname, wname)] = products[h]
     return subspaces, left, right
 
 

@@ -154,6 +154,22 @@ class TestCompute:
         doc = json.loads(out)
         assert doc["results"]["dim"] == 4
 
+    @pytest.mark.parametrize("x,y", [("C0", "C1"), ("C0,C1", "a")],
+                             ids=["x-and-y", "one-list"])
+    def test_wedge_computes_the_filtration_once(self, capsys, patch_everywhere, x, y):
+        from qcalg.coalg import coradical_filtration
+        calls: list = []
+
+        def recorder(c):
+            calls.append(c)
+            return coradical_filtration(c)
+
+        patch_everywhere(coradical_filtration, recorder)
+        code, _, _ = run(capsys, "compute", "ex1", "wedge",
+                         "--x", x, "--y", y, "--N", "2")
+        assert code == 0
+        assert len(calls) == 1
+
     def test_multiplicity_oracle_value(self, capsys):
         code, out, _ = run(capsys, "compute", "ex2", "mult",
                            "--quotient-by", "a", "--s", "b3", "--N", "3")
@@ -778,20 +794,24 @@ class TestInternalErrorHandling:
     def test_vertex_pair_duality_mismatch_exits_3(self, capsys, monkeypatch, ex1_spec):
         # One vertex pair's ideal-side entry is the zero space, which no
         # wedge kg ^ kh is: the oracle's two routes disagree on that pair.
-        from qcalg.exactlin import Subspace
+        # The ideal side of the pairs (kg, kh) is the one cut of
+        # restrict_product_perp that fixes I_g = (kg)^perp, of codimension 1.
         from qcalg.quiverlab import analyze
         from qcalg.quiverlab.analyze import InternalCheckError
-        original = analyze.grouplike_product_perps
+        original = analyze.restrict_product_perp
         broken: list = []
 
-        def one_wrong(dual, grouplikes):
-            table = original(dual, grouplikes)
-            g, h = sorted(table)[1]
-            table[(g, h)] = Subspace.zero(dual.field, dual.dim)
-            broken.append(f"(span{{{dual.labels[g]}}}, span{{{dual.labels[h]}}})")
+        def one_wrong(shared, fixed, a, grouplikes, slot):
+            table = original(shared, fixed, a, grouplikes, slot)
+            if slot == 1 and fixed.dim == a.dim - 1:
+                (g,) = set(range(a.dim)) - set(fixed.pivot_columns())
+                if g == min(grouplikes):
+                    h = sorted(table)[1]
+                    table[h] = Subspace.zero(a.field, a.dim)
+                    broken.append(f"(span{{{a.labels[g]}}}, span{{{a.labels[h]}}})")
             return table
 
-        monkeypatch.setattr(analyze, "grouplike_product_perps", one_wrong)
+        monkeypatch.setattr(analyze, "restrict_product_perp", one_wrong)
         with pytest.raises(InternalCheckError,
                            match=re.escape("wedge/ideal-product duality broke on (span{")
                            ) as raised:
@@ -805,8 +825,8 @@ class TestInternalErrorHandling:
 
     def test_line_with_filtration_term_duality_mismatch_exits_3(
             self, capsys, monkeypatch, ex1_spec):
-        # The oracle cuts kg ^ C1 from C0 ^ C1, the one call of
-        # restrict_wedge with the line in slot 0; a zero space for the line
+        # The oracle cuts kg ^ C1 from C0 ^ C1, the call of restrict_wedge
+        # with the line in slot 0 and C1 fixed; a zero space for the line
         # of a is not a ^ C1, so the two routes disagree on that pair.
         from qcalg.quiverlab import analyze
         from qcalg.quiverlab.analyze import InternalCheckError
@@ -814,12 +834,38 @@ class TestInternalErrorHandling:
 
         def one_wrong(shared, fixed, c, grouplikes, slot):
             table = original(shared, fixed, c, grouplikes, slot)
-            if slot == 0:
+            if slot == 0 and fixed != Subspace.coordinates(c.field, c.dim, grouplikes):
                 table[c.label_index("a")] = Subspace.zero(c.field, c.dim)
             return table
 
         monkeypatch.setattr(analyze, "restrict_wedge", one_wrong)
         message = "wedge/ideal-product duality broke on (span{a}, C1)"
+        with pytest.raises(InternalCheckError, match=re.escape(message)):
+            analyze.analyze_spec(ex1_spec, 2)
+        code, out, err = run(capsys, "analyze", "ex1", "--N", "2")
+        assert code == 3
+        assert out == ""
+        assert message in err
+
+    def test_line_with_coradical_duality_mismatch_exits_3(
+            self, capsys, monkeypatch, ex1_spec):
+        # The oracle cuts the ideal side of (kg, C0), P_g =
+        # (I_g * (kG)^perp)^perp, from that of (C0, C0), the call of
+        # restrict_product_perp with the line in slot 0 and C0^perp fixed;
+        # a zero space for the line of a is not a ^ C0.
+        from qcalg.quiverlab import analyze
+        from qcalg.quiverlab.analyze import InternalCheckError
+        original = analyze.restrict_product_perp
+
+        def one_wrong(shared, fixed, a, grouplikes, slot):
+            table = original(shared, fixed, a, grouplikes, slot)
+            c0 = Subspace.coordinates(a.field, a.dim, grouplikes)
+            if slot == 0 and fixed == c0.perp():
+                table[a.labels.index("a")] = Subspace.zero(a.field, a.dim)
+            return table
+
+        monkeypatch.setattr(analyze, "restrict_product_perp", one_wrong)
+        message = "wedge/ideal-product duality broke on (span{a}, C0)"
         with pytest.raises(InternalCheckError, match=re.escape(message)):
             analyze.analyze_spec(ex1_spec, 2)
         code, out, err = run(capsys, "analyze", "ex1", "--N", "2")

@@ -798,19 +798,32 @@ class TestEachStepOnce:
         # Only the 4 pairs of two filtration terms are full wedges: the 16
         # pairs of two lines come from the grouplike-pair table the
         # cross-check read, and the 16 pairs of a line with C0 or C1 are
-        # the table's K_g or cuts of C0 ^ C0, C0 ^ C1 and C1 ^ C0.  The
-        # table makes one wedge kg ^ kG per vertex: 4, so 4 + 4 = 8 for
-        # ex2.  ex1's cross-check also probes depth 1, a distinct
-        # truncation without the paths p[n], which builds its own table
-        # with 4 more: 8 + 4 = 12 for ex1.  The sweep's bounds 1 and 2
-        # embed in the analyzed truncation and read its table, so they add
-        # none.
+        # cuts of C0 ^ C0, C0 ^ C1 and C1 ^ C0.  The table makes one wedge
+        # kg ^ kG per vertex: 4, so 4 + 4 = 8 for ex2.  ex1's cross-check
+        # also probes depth 1, a distinct truncation without the paths
+        # p[n], which builds its own table with 4 more: 8 + 4 = 12 for
+        # ex1.  The sweep's bounds 1 and 2 embed in the analyzed truncation
+        # and read its table, so they add none.
         spec = parse_spec(text)
         wedge_calls = _record_calls(patch_everywhere, coalg, "wedge")
         skew_calls = _record_calls(patch_everywhere, coalg, "skew_primitives")
         analyze_spec(spec, 3, [1, 2], None)
         assert skew_calls == []
         assert len(wedge_calls) == wedges
+
+    @pytest.mark.parametrize("text", [EX1, EX2], ids=["ex1", "ex2"])
+    def test_the_oracle_makes_one_ideal_product_per_pair_of_terms(
+            self, text, patch_everywhere):
+        # The oracle's only full ideal products are those of the 4 pairs
+        # (C_i, C_j), i, j in {0, 1}.  Every pair with a vertex line, two
+        # lines included, is cut from their perps: P_g from that of
+        # (C0, C0), and each (I_g * I_h)^perp from P_g.
+        c, _ = compile_truncation(parse_spec(text), 3)
+        chain = coradical_filtration(c)
+        products = _record_calls(patch_everywhere, coalg, "ideal_product")
+        analyze._duality_oracle(c, chain)
+        perps = [term.perp() for term in chain.terms[:2]]
+        assert [call[:2] for call in products] == [(x, y) for x in perps for y in perps]
 
     def test_each_wedge_operand_is_projected_once(self, monkeypatch, patch_everywhere):
         # ex2's 8 wedges read 16 residual tables, of 7 operands: the
