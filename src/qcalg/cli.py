@@ -42,7 +42,6 @@ from .exactlin import Field, PrimeField, QQ, Subspace, field_named
 from .quiverlab import builtin_kind, builtin_names, builtin_text, compile_truncation, parse_spec
 from .quiverlab.analyze import (
     CRITERIA,
-    InternalCheckError,
     VerdictEntry,
     analyze_spec,
     filtration_report,
@@ -554,10 +553,7 @@ def main(argv: "list[str] | None" = None) -> int:
             FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except InternalCheckError as exc:
-        _bug_dump(exc)
-        return EXIT_INTERNAL
-    except Exception as exc:  # last resort: anything unexpected is a bug
+    except Exception as exc:  # an InternalCheckError, or anything unexpected: a bug
         _bug_dump(exc)
         return EXIT_INTERNAL
 

@@ -43,9 +43,6 @@ def flatten_index(j: int, k: int, dim: int) -> int:
     return j * dim + k
 
 
-DeltaTerm = "tuple[int, int, Scalar]"
-
-
 def merged_terms(table, swap: bool = False) -> "list[dict]":
     """Each (j, k, c) term list of table as one {(j, k): c} dict, keyed
     (k, j) when swap is set: repeated pairs summed, zero sums dropped."""
@@ -429,21 +426,18 @@ def _basis_products(i: Subspace, j: Subspace,
     """(r, b, u_r * v_b) for the basis rows u_r of I and v_b of J whose
     product is not zero, in order of r, then b.
 
-    J's basis rows are indexed once by column, as {t: [(b, v_b[t])]}.
-    For each u in I's basis the products u * v_b, for every b, are
-    accumulated together: the walk over a.mult[s] for s in u visits, for
-    each right factor t, only the rows of J with t in their support.  So
-    only structure constants that can contribute are read.
+    J's basis is read by column, as J.columns.  For each u in I's basis
+    the products u * v_b, for every b, are accumulated together: the walk
+    over a.mult[s] for s in u visits, for each right factor t, only the
+    rows of J with t in their support.  So only structure constants that
+    can contribute are read.
     """
-    columns: dict[int, list] = {}
-    for b, row in enumerate(j.basis):
-        for t, v in row:
-            columns.setdefault(t, []).append((b, v))
+    columns = j.columns
     for r, u in enumerate(i.basis):
         by_row: dict[int, dict] = {}
         for s, us in u:
             for t, terms in a.mult.get(s, {}).items():
-                for b, vt in columns.get(t, ()):
+                for b, vt in columns.get(t, {}).items():
                     w = us * vt
                     out = by_row.setdefault(b, {})
                     for k, c in terms:
@@ -466,31 +460,30 @@ def restrict_product_perp(shared: Subspace, fixed: Subspace, a: DualAlgebra,
 
     I_g is (kG)^perp plus the span of the e_t^* for grouplike t != g, and
     the product is bilinear, so (F * I_g)^perp is the part of shared that
-    annihilates every u * e_t^*, u in F's basis and t != g.  The pairings
-    of those products with shared's basis are built once, with
-    _basis_products, and each g solves one kernel_on of them.
+    annihilates every u * e_t^*, u in F's basis and t != g.  Those
+    products, from _basis_products, pair with shared's basis as the rows
+    of one system, keyed by the product (u, t) or (t, u) with column r for
+    shared's basis row r.  It is built once, and each g solves kernel_on
+    of the rows whose t is not g.
     """
     grouplikes = sorted(grouplikes)
     units = Subspace.coordinates(a.field, a.dim, grouplikes)
-    columns: dict[int, list] = {}
-    for r, row in enumerate(shared.basis):
-        for k, v in row:
-            columns.setdefault(k, []).append((r, v))
-    pairings: list[dict] = [{} for _ in shared.basis]
+    columns = shared.columns
     if slot:
         products = (((u, grouplikes[b]), p)
                     for u, b, p in _basis_products(fixed, units, a))
     else:
         products = (((grouplikes[b], u), p)
                     for b, u, p in _basis_products(units, fixed, a))
+    rows: dict = {}
     for key, product in products:
+        row: dict = {}
         for k, c in product.items():
-            for r, v in columns.get(k, ()):
-                out = pairings[r]
-                out[key] = out[key] + c * v if key in out else c * v
-    pairings = [drop_zeros(p) for p in pairings]
-    return {g: kernel_on(shared, [{key: v for key, v in p.items() if key[slot] != g}
-                                  for p in pairings])
+            for r, v in columns.get(k, {}).items():
+                row[r] = row[r] + c * v if r in row else c * v
+        if row:
+            rows[key] = row
+    return {g: kernel_on(shared, {key: row for key, row in rows.items() if key[slot] != g})
             for g in grouplikes}
 
 
@@ -560,17 +553,17 @@ def restrict_wedge(shared: Subspace, fixed: Subspace, c: Coalgebra,
     in X ^ kG.  pi_g keeps every e_t with t != g, and on shared the entries
     (a, t) of (pi_X (x) id)Delta with t outside G vanish already; so X ^ kg
     is the kernel, on shared, of the entries with t in G, t != g.  Those
-    images of shared's basis are built once, and each g solves one
-    kernel_on of them.  Off X's pivots pi_X keeps e_j as it is, so only a
-    pivot's residual is multiplied in.
+    entries form one system, keyed by the entry (t, r) or (r, t) with
+    column b for shared's basis row b.  It is built once, and each g
+    solves kernel_on of the rows whose t is not g.  Off X's pivots pi_X
+    keeps e_j as it is, so only a pivot's residual is multiplied in.
     """
     grouplikes = tuple(grouplikes)
     grouplike_set = set(grouplikes)
     pivots = set(fixed.pivot_columns())
-    images = []
-    for b in shared.basis:
-        image: dict = {}
-        for i, bi in b:
+    rows: dict = {}
+    for b, basis_row in enumerate(shared.basis):
+        for i, bi in basis_row:
             for (j, k), coeff in c.delta_dict(i).items():
                 t, o = (j, k) if slot == 0 else (k, j)
                 if t not in grouplike_set:
@@ -581,11 +574,9 @@ def restrict_wedge(shared: Subspace, fixed: Subspace, c: Coalgebra,
                 else:
                     parts = ((o, w),)
                 for r, x in parts:
-                    key = (t, r) if slot == 0 else (r, t)
-                    image[key] = image[key] + x if key in image else x
-        images.append(drop_zeros(image))
-    return {g: kernel_on(shared, [{key: v for key, v in image.items() if key[slot] != g}
-                                  for image in images])
+                    row = rows.setdefault((t, r) if slot == 0 else (r, t), {})
+                    row[b] = row[b] + x if b in row else x
+    return {g: kernel_on(shared, {key: row for key, row in rows.items() if key[slot] != g})
             for g in grouplikes}
 
 

@@ -34,7 +34,7 @@ from .coalg import (
     dual_and_radical,
     merged_terms,
 )
-from .exactlin import Matrix, Scalar, Subspace, drop_zeros, kernel, kernel_on
+from .exactlin import Matrix, Scalar, Subspace, drop_zeros, kernel, kernel_on, row_add
 
 SIDES = ("left", "right")
 
@@ -141,19 +141,16 @@ def _radical_action(m: Comodule) -> "dict[tuple[int, int], dict]":
     (r, *) are the matrix of f_r's action on M and their kernel is soc M =
     {v : J.v = 0}.  A row may hold a zero sum.
 
-    One pass over the coaction.  J's basis rows are indexed once by column,
-    as {k: [(r, f_r[k])]}, so a coaction term (j, k, c) of e_i visits only
-    the rows of J with k in their support.
+    One pass over the coaction.  J's basis is read by column, as
+    J.columns, so a coaction term (j, k, c) of e_i visits only the rows of
+    J with k in their support.
     """
     _, rad = dual_and_radical(m.over)
-    columns: dict[int, list] = {}
-    for r, row in enumerate(rad.basis):
-        for k, v in row:
-            columns.setdefault(k, []).append((r, v))
+    columns = rad.columns
     rows: dict = {}
     for i in range(m.dim):
         for (j, k), c in m.module_coalg_pairs(i).items():
-            for r, v in columns.get(k, ()):
+            for r, v in columns.get(k, {}).items():
                 row = rows.setdefault((r, j), {})
                 row[i] = row[i] + c * v if i in row else c * v
     return rows
@@ -268,11 +265,13 @@ def multiplicity_table(m: Comodule) -> "dict[str, int]":
 
     Every system weight_space(m, g) shares the rows at non-grouplike
     coalgebra indices, so those are solved once: K = {v : rho(v) lies in
-    M (x) kG}.  Each W_g is then kernel_on(K, images_g), where the image
-    of K's basis vector b holds rho_h(b)_j - delta_hg b_j at (h, j) for
-    grouplike h; this is weight_space's own system restricted to K, so no
-    comodule axiom is assumed.  Reads neither the socle nor the radical.
-    ``compute socle`` is its one reader.
+    M (x) kG}.  Each W_g is then kernel_on of K's system, whose row (h, j)
+    for grouplike h holds rho_h(b_r)_j - delta_hg (b_r)_j at column r for
+    K's basis rows b_r; this is weight_space's own system restricted to K,
+    so no comodule axiom is assumed.  The rows rho_h(b_r)_j are built once,
+    and each g only replaces the rows (g, j) by them minus K's columns.
+    Reads neither the socle nor the radical.  ``compute socle`` is its one
+    reader.
     """
     grouplikes = m.over.grouplike_indices()
     if not grouplikes:
@@ -281,22 +280,20 @@ def multiplicity_table(m: Comodule) -> "dict[str, int]":
     shared = {key: row for key, row in coefficient_rows(m._pairs).items()
               if key[1] not in grouplike_set}
     space = kernel(shared, m.dim, m.field)
-    # common[r] holds rho_h(b_r)_j at (h, j): the entries shared by every g.
-    common = []
-    for b in space.basis_dicts():
+    # common[(h, j)] holds rho_h(b_r)_j at r: the rows shared by every g.
+    common: dict = {}
+    for r, b in enumerate(space.basis_dicts()):
         slices = _coaction_slices(m, b)
-        common.append({(h, j): c for h in grouplikes
-                       for j, c in slices.get(h, {}).items()})
+        for h in grouplikes:
+            for j, c in slices.get(h, {}).items():
+                common.setdefault((h, j), {})[r] = c
+    one = m.field.one
     table: dict[str, int] = {}
     for g in grouplikes:
-        images = []
-        for entries, b in zip(common, space.basis):
-            image = dict(entries)
-            for j, v in b:
-                key = (g, j)
-                image[key] = image[key] - v if key in image else -v
-            images.append(drop_zeros(image))
-        table[m.over.labels[g]] = kernel_on(space, images).dim
+        rows = dict(common)
+        for j, col in space.columns.items():
+            rows[(g, j)] = row_add(common.get((g, j), {}), col, -one)
+        table[m.over.labels[g]] = kernel_on(space, rows).dim
     return table
 
 

@@ -16,14 +16,17 @@ their input themselves.  ``row_add`` is the one eager primitive.
 
 ``_rref`` is the one elimination, and each of ``Subspace.span``,
 ``Subspace.intersect``, ``kernel``, ``kernel_on``, ``perp`` and
-``preimage`` runs it exactly once (``kernel_on`` not at all when every
-image is empty): only ``span`` takes vectors in no particular form, and
-the others build their canonical bases directly.
-``kernel`` takes its system as keyed rows, {key: {col: scalar}}, each
-keyed by what it means to its caller (a tensor coordinate (j, k), a
-radical row and module coordinate (r, j), an equation (i, l, k)), and
-eliminates them in reverse key order.  It puts each pivot at its row's
-last column, so its null-space generators come out in RREF as they are
+``preimage`` runs it exactly once (``kernel_on`` not at all when handed
+no rows): only ``span`` takes vectors in no particular form, and the
+others build their canonical bases directly.
+Both kernels take their system as keyed rows, {key: {col: scalar}},
+each keyed by what it means to its caller (a tensor coordinate (j, k), a
+radical row and module coordinate (r, j), an equation (i, l, k)); a row
+may hold zero sums.  ``kernel`` has one column per coordinate and
+eliminates its rows in reverse key order; ``kernel_on`` has one column
+per basis row of a subspace and eliminates its rows, whose keys need not
+sort, in the reverse of the order given.  The pivot sits at each row's
+last column, so the null-space generators come out in RREF as they are
 built; with the pivot at the last column, reverse order makes less
 fill-in on the basis-changed inputs.  ``Matrix`` is the value type of
 linear maps, not of systems: no solver builds one.
@@ -406,6 +409,17 @@ class Subspace:
         return [(r[0][0], _thaw_row(r)) for r in self.basis]
 
     @cached_property
+    def columns(self) -> "dict[int, dict]":
+        """{j: {r: (b_r)_j}} for the basis rows b_r: the basis read by
+        column, built once and never mutated.  Only columns some row holds
+        are keys, and each column's rows are in order of r."""
+        table: dict[int, dict] = {}
+        for r, row in enumerate(self.basis):
+            for j, v in row:
+                table.setdefault(j, {})[r] = v
+        return table
+
+    @cached_property
     def residuals(self) -> "list[dict]":
         """reduce_vector({j: 1}) for every coordinate j, built once and
         never mutated: the projection of e_j onto the non-pivot coordinates.
@@ -501,28 +515,23 @@ def kernel(rows: dict, cols: int, field: Field) -> Subspace:
     return Subspace(field, cols, tuple(_freeze_row(g) for g in gens.values()))
 
 
-def kernel_on(space: Subspace, images: "list[dict]") -> Subspace:
-    """{sum_r x_r b_r : sum_r x_r images[r] = 0} for space's basis rows b_r,
-    as a canonical subspace of space's ambient space.
+def kernel_on(space: Subspace, rows: dict) -> Subspace:
+    """{sum_r x_r b_r : sum_r row[r] x_r = 0 for every row} for space's
+    basis rows b_r, as a canonical subspace of space's ambient space.
 
-    images[r] is the image of b_r under a linear map, a zero-free dict whose
-    keys are any hashable codomain coordinates.  The system has one column
+    rows is a system in kernel's form, {key: {r: scalar}}, with one column
     per basis row of space, so a map known on a small subspace is solved
-    in that subspace's coordinates.
+    in that subspace's coordinates; the keys are any hashables, and the
+    rows are eliminated in the reverse of the order given.
 
     The lifts are canonical as they stand.  Each kernel vector x leads at
     some r with x_r = 1 and every other x is zero at r.  Since space's
     basis is in RREF, sum_r x_r b_r leads at b_r's pivot with a 1, where
-    every other lift is zero.  With every image empty the kernel vectors
-    are the unit vectors, so the lifts are space's basis and no system is
-    solved.
+    every other lift is zero.  With no rows the kernel vectors are the
+    unit vectors, so the lifts are space's basis and no system is solved.
     """
-    if not any(images):
+    if not rows:
         return space
-    rows: dict = {}
-    for r, image in enumerate(images):
-        for key, v in image.items():
-            rows.setdefault(key, {})[r] = v
     lifts: list[tuple] = []
     for x in kernel(dict(enumerate(rows.values())), space.dim, space.field).basis:
         vec: dict = {}

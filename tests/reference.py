@@ -40,6 +40,17 @@ def row_dicts(m: Matrix) -> "list[dict]":
         out[i][j] = v
     return out
 
+def image_rows(images: "list[dict]") -> dict:
+    """The images images[r] of a subspace's basis rows, transposed into
+    kernel_on's system: {key: {r: images[r][key]}}, one row per codomain
+    key in order of first appearance."""
+    rows: dict = {}
+    for r, image in enumerate(images):
+        for key, v in image.items():
+            rows.setdefault(key, {})[r] = v
+    return rows
+
+
 def contains(space: Subspace, other: Subspace) -> bool:
     """Is other a subspace of space?"""
     space._require_compatible(other)

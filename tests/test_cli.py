@@ -409,6 +409,59 @@ class TestInputFaults:
         assert phrase in err
         assert out == ""
 
+    # Faults that no other test reaches, by flag, by DSL line and by
+    # structure-constants line; the DSL cases declare a vertex past the
+    # header below.
+    DSL_HEADER = "coalgebra t\nfield rational\nparam N = 2\nvertex a\n"
+
+    @pytest.mark.parametrize("text,suffix,argv,phrase", [
+        (None, None, ["analyze", "ex2", "--sweep", "3..1"], "bad sweep range 3..1"),
+        (None, None, ["compute", "ex1", "mult"], "mult needs --s <simple label>"),
+        (None, None, ["compute", "ex1", "skew", "--g", "a"], "skew needs --g and --h"),
+        (None, None, ["compute", "ex1", "hom"], "hom needs --simple <grouplike label>"),
+        (None, None, ["compute", "ex1", "hom", "--simple", "x1"],
+         "'x[1]' is not grouplike"),
+        (DSL_HEADER + "vertex b[k], k=1..M\n", ".quiver", ["check"],
+         "line 5, col 1: unknown name 'M' in index expression"),
+        (DSL_HEADER + "vertex b[k], k=1..4/2\n", ".quiver", ["check"],
+         "line 5, col 1: unsupported construct in index expression '4/2'"),
+        (DSL_HEADER + "vertex b[k], k=1..2**3\n", ".quiver", ["check"],
+         "line 5, col 1: unsupported construct in index expression '2**3'"),
+        (DSL_HEADER + "vertex v[k,k], k=1..2, k=1..2\n", ".quiver", ["check"],
+         "line 5, col 1: duplicate range variable"),
+        (DSL_HEADER + "arrow x: a -> a\npath p x . x\n", ".quiver", ["check"],
+         "line 6, col 1: expected 'path <name> = <arrow> . <arrow> ...'"),
+        (DSL_HEADER + "arrow x: a -> a\npath p = x\n", ".quiver", ["check"],
+         "line 6, col 1: a declared path needs at least two arrows"),
+        ("field rational\nvertex a\n", ".quiver", ["check"],
+         "line 1, col 1: missing 'coalgebra <name>' declaration"),
+        ("dim -1\nepsilon:\n", ".sc", ["check"], "line 1: dimension must be nonnegative"),
+        ("dim 1\ndelta 0 0 0 1\nepsilon: 1\n", ".sc", ["check"],
+         "line 2: expected 'delta <i>: ...'"),
+        ("dim 1\ndelta 0: 0 0 1\n", ".sc", ["check"], "line 1: missing 'epsilon' line"),
+    ], ids=["sweep-range", "mult-without-s", "skew-without-h", "hom-without-simple",
+            "hom-simple-not-grouplike", "range-unknown-name", "range-division",
+            "range-power", "duplicate-range-variable", "path-without-equals",
+            "path-of-one-arrow", "no-coalgebra-line", "negative-dim",
+            "delta-without-colon", "no-epsilon-line"])
+    def test_each_fault_exits_2_with_its_message(self, tmp_path, capsys, text, suffix,
+                                                 argv, phrase):
+        if text is not None:
+            path = tmp_path / f"bad{suffix}"
+            path.write_text(text)
+            argv = [argv[0], str(path), *argv[1:]]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert f"error: {phrase}" in err
+        assert out == ""
+
+    def test_unary_minus_in_an_index_expression(self, tmp_path, capsys):
+        path = tmp_path / "unary.quiver"
+        path.write_text(self.DSL_HEADER + "vertex b[k], k=1..-(-N)\n")
+        code, out, err = run(capsys, "compute", str(path), "filtration", "--N", "4")
+        assert code == 0, err
+        assert out == "filtration dims: 5 (stabilized at 0)\n"
+
     def test_zero_depth_is_still_accepted(self, capsys):
         code, out, _ = run(capsys, "check", "ex1", "--N", "2", "--depth", "0")
         assert code == 0

@@ -184,13 +184,18 @@ def test_the_scan_sees_add_or_pop_blocks(tmp_path):
 
 
 def definitions(path: Path) -> "list[tuple[str, ast.AST]]":
-    """(qualified name, node) of every module-level function and class and
-    every method in one module, dunders skipped; a method is named with
-    its class, as in Class.method."""
+    """(qualified name, node) of every module-level function, class and
+    assignment target and every method in one module, dunders skipped; a
+    method is named with its class, as in Class.method, and a target with
+    its bare name, its node the whole assignment."""
     found = []
     for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             found.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.extend((name.id, node) for target in targets for name in ast.walk(target)
+                         if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store))
         if isinstance(node, ast.ClassDef):
             found.extend((f"{node.name}.{child.name}", child) for child in node.body
                          if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)))
@@ -248,9 +253,9 @@ KEPT_WITHOUT_A_CALLER = {
 
 
 def test_every_definition_has_a_caller():
-    """Every function, class and method under src/qcalg is used by the
-    package, exported, wrapped by the benchmark tracer or kept for a stated
-    reason.
+    """Every function, class, method and module-level name under src/qcalg
+    is used by the package, exported, wrapped by the benchmark tracer or
+    kept for a stated reason.
 
     The scan matches by name, not by binding: a dead helper whose name is
     also used elsewhere in the package goes unflagged, but a helper the
@@ -276,11 +281,17 @@ def test_the_scan_sees_a_definition_without_a_caller(tmp_path):
         "def helper():\n"
         "    return Public()\n"
         "def kept():\n"
-        "    pass\n")
+        "    pass\n"
+        "__all__ = ['Public']\n"
+        "Alias = 'tuple[int, int]'\n"
+        "LIMIT: int = 3\n"
+        "low, high = 0, LIMIT\n"
+        "TABLE = {}\n"
+        "TABLE[low] = high\n")
     assert uncalled_definitions(package) == [
-        "mod.py: Public.recurse", "mod.py: helper", "mod.py: kept"]
+        "mod.py: Public.recurse", "mod.py: helper", "mod.py: kept", "mod.py: Alias"]
     assert uncalled_definitions(package, {"mod.py: kept"}) == [
-        "mod.py: Public.recurse", "mod.py: helper"]
+        "mod.py: Public.recurse", "mod.py: helper", "mod.py: Alias"]
 
 
 def test_the_public_names_are_pinned():

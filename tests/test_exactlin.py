@@ -4,7 +4,8 @@ import re
 from fractions import Fraction as F
 
 import pytest
-from reference import compose, contains, coordinates_of, from_entries, row_dicts, vstack
+from reference import (compose, contains, coordinates_of, from_entries, image_rows, row_dicts,
+                       vstack)
 from test_quiverlab import _record_calls
 
 from qcalg import exactlin
@@ -189,16 +190,16 @@ class TestKernelOn:
     ])
     def test_is_the_kernel_met_with_the_subspace(self, vectors):
         x = span(4, *vectors)
-        images = [self.F_MAP.apply(b) for b in x.basis_dicts()]
+        rows = image_rows([self.F_MAP.apply(b) for b in x.basis_dicts()])
         f = self.F_MAP
-        assert kernel_on(x, images) == x & kernel(dict(enumerate(row_dicts(f))), f.cols, QQ)
+        assert kernel_on(x, rows) == x & kernel(dict(enumerate(row_dicts(f))), f.cols, QQ)
 
     def test_codomain_keys_are_any_hashables(self):
         x = span(3, (1, 0, 1), (0, 1, 1))
-        images = [{("u", 0): F(1)}, {("u", 0): F(-2), "v": F(3)}]
-        assert kernel_on(x, images) == Subspace.zero(QQ, 3)
-        assert kernel_on(x, [{"v": F(1)}, {"v": F(1)}]) == span(3, (1, -1, 0))
-        assert kernel_on(x, [{}, {}]) == x
+        rows = {("u", 0): {0: F(1), 1: F(-2)}, "v": {1: F(3)}}
+        assert kernel_on(x, rows) == Subspace.zero(QQ, 3)
+        assert kernel_on(x, {"v": {0: F(1), 1: F(1)}}) == span(3, (1, -1, 0))
+        assert kernel_on(x, {}) == x
 
     def test_coordinates(self):
         assert Subspace.coordinates(QQ, 4, [3, 1, 3]) == span(4, (0, 1, 0, 0), (0, 0, 0, 1))
@@ -212,19 +213,19 @@ class TestOneElimination:
     def test_kernel_and_kernel_on_eliminate_once(self, patch_everywhere):
         f = TestKernelOn.F_MAP
         x = span(4, (1, 1, 0, 0), (0, 0, 1, 0), (0, 1, 0, 3))
-        images = [f.apply(b) for b in x.basis_dicts()]
+        rows = image_rows([f.apply(b) for b in x.basis_dicts()])
         rrefs = _record_calls(patch_everywhere, exactlin, "_rref")
         k = kernel(dict(enumerate(row_dicts(f))), f.cols, QQ)
         assert len(rrefs) == 1
-        on = kernel_on(x, images)
+        on = kernel_on(x, rows)
         assert len(rrefs) == 2
         assert k == span(4, (1, 1, 0, 0), (0, 0, 2, -1))
         assert on == span(4, (1, 1, 0, 0))
 
-    def test_kernel_on_empty_images_eliminates_nothing(self, patch_everywhere):
+    def test_kernel_on_no_rows_eliminates_nothing(self, patch_everywhere):
         x = span(4, (1, 2, 3, 4), (0, 1, 1, 1))
         rrefs = _record_calls(patch_everywhere, exactlin, "_rref")
-        assert kernel_on(x, [{}, {}]) is x
+        assert kernel_on(x, {}) is x
         assert rrefs == []
 
     def test_perp_preimage_and_intersect_eliminate_once(self, patch_everywhere):

@@ -4,14 +4,16 @@ The seeded loop runs the documented 500-pair battery over the rationals
 and GF(7); the hypothesis properties re-explore the same laws with
 shrinking.  The sparse-matrix properties check that every operation that
 builds its basis without ``Subspace.span`` still returns the canonical one,
-and that ``_rref`` returns the rows of the reference elimination, which
-scans every pivot row.  The last property checks that rational parsing
+that ``_rref`` returns the rows of the reference elimination, which
+scans every pivot row, and that ``Subspace.columns`` is the basis read by
+column, which neither kernel writes, nor the rows it is handed.  The last property checks that rational parsing
 reads what ``Fraction`` reads, as an ``int`` exactly when the value is
 integral, and refuses at once an exponent too large to write out.
 """
 
 from __future__ import annotations
 
+import copy
 import random
 import re
 
@@ -19,7 +21,7 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import contains, row_dicts, rref_full_scan
+from reference import contains, image_rows, row_dicts, rref_full_scan
 
 from qcalg.exactlin import (
     GF,
@@ -32,6 +34,7 @@ from qcalg.exactlin import (
     kernel,
     kernel_on,
     preimage,
+    row_add,
 )
 
 FIELDS = (QQ, GF(7))
@@ -212,9 +215,40 @@ def test_kernel_of_keyed_rows_is_the_perp_of_their_span(data):
 @given(matrix_and_domain_subspace())
 def test_kernel_on_basis_is_canonical(data):
     field, m, x = data
-    on = kernel_on(x, [m.apply(b) for b in x.basis_dicts()])
+    on = kernel_on(x, image_rows([m.apply(b) for b in x.basis_dicts()]))
     assert_canonical(on)
     assert on == x.intersect(kernel(dict(enumerate(row_dicts(m))), m.cols, field))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_and_domain_subspace(), st.sets(st.integers(min_value=0, max_value=6)))
+def test_columns_read_the_basis_and_no_kernel_writes_its_rows(data, kept):
+    # Subspace.columns is the basis by column, each column's rows in
+    # order; as a system it is solved by no nonzero x, and cut to the
+    # coordinates outside kept it gives the meet with their span.  Neither
+    # kernel writes the columns or the rows it is handed.
+    field, m, x = data
+    rows = x.basis_dicts()
+    assert x.columns == {j: {r: row[j] for r, row in enumerate(rows) if j in row}
+                         for j in sorted({j for row in rows for j in row})}
+    assert all(list(col) == sorted(col) for col in x.columns.values())
+    assert x.columns is x.columns
+    columns = copy.deepcopy(x.columns)
+    system = image_rows([m.apply(b) for b in rows])
+    handed = copy.deepcopy(system)
+    kept = [j for j in kept if j < x.ambient_dim]
+    outside = {j: col for j, col in x.columns.items() if j not in kept}
+    assert kernel_on(x, outside) == x.intersect(
+        Subspace.coordinates(field, x.ambient_dim, kept))
+    assert kernel(x.columns, x.dim, field) == Subspace.zero(field, x.dim)
+    lifts = []
+    for y in kernel(system, x.dim, field).basis_dicts():
+        lift: dict = {}
+        for r, yr in y.items():
+            lift = row_add(lift, rows[r], yr)
+        lifts.append(lift)
+    assert kernel_on(x, system) == Subspace.span(field, x.ambient_dim, lifts)
+    assert x.columns == columns and system == handed
 
 
 @settings(max_examples=150, deadline=None)

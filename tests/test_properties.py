@@ -9,20 +9,23 @@ ex1, ex2 and the ladder, whose structure constants are no longer 0/1.
 
 from __future__ import annotations
 
+import copy
 import random
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
+from dataclasses import replace
 from functools import lru_cache
 from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import dual_action, is_subcoalgebra, left_mult_matrix, row_dicts, vstack
+from reference import (dual_action, image_rows, is_subcoalgebra, left_mult_matrix, row_dicts,
+                       vstack)
 from test_coalg import LADDER_ALL, change_basis
 from test_comod import loewy_by_preimages
 from test_quiverlab import _record_calls
 
-from qcalg import coalg, exactlin
+from qcalg import coalg, comod, exactlin
 from qcalg.coalg import (
     DualAlgebra,
     check_axioms,
@@ -36,14 +39,16 @@ from qcalg.coalg import (
 from qcalg.comod import (
     hom_space,
     loewy_series,
+    multiplicity_table,
     quotient,
     regular_comodule,
     simple_comodule,
     socle,
     socle_annihilator_check,
+    weight_space,
 )
 from qcalg.exactlin import GF, QQ, Matrix, Subspace, kernel, kernel_on
-from qcalg.quiverlab import compile_truncation, parse_spec
+from qcalg.quiverlab import analyze, compile_truncation, parse_spec
 from qcalg.quiverlab.registry import EX1, EX2
 from qcalg.textfmt import dumps_coalgebra, loads
 
@@ -244,7 +249,7 @@ def test_rational_scalars_are_ints_or_fractions(case, seed):
     spaces = [
         j,
         kernel(dict(enumerate(j.basis_dicts())), c.dim, QQ),
-        kernel_on(c1, [c0.reduce_vector(b) for b in c1.basis_dicts()]),
+        kernel_on(c1, image_rows([c0.reduce_vector(b) for b in c1.basis_dicts()])),
         wedge(c0, c0, c).intersect(c1),
         wedge(c0, c1, c),
         *loewy_series(m).terms,
@@ -255,3 +260,50 @@ def test_rational_scalars_are_ints_or_fractions(case, seed):
         scalars.extend(v for f in maps for v in f.entries.values())
     assert scalars
     assert {type(v) for v in scalars} <= {int, F}
+
+
+def recording_kernel_on(reads: list):
+    """kernel_on, appending to reads, per call, its space, its rows, and
+    deep copies of the space's columns and of the rows as the call starts."""
+    def recorder(space, rows):
+        reads.append((space, copy.deepcopy(space.columns), rows, copy.deepcopy(rows)))
+        return exactlin.kernel_on(space, rows)
+    return recorder
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([("ex1", 1), ("ex1", 2), ("ex2", 1), ("ex2", 2)]),
+       st.sampled_from([QQ, GF(7)]),
+       st.sampled_from(["right", "left"]),
+       st.integers(min_value=0, max_value=3))
+def test_the_cuts_write_no_columns_and_no_rows(case, field, side, vertex):
+    # The weight table's shared rows and a sweep bound's reads of the
+    # reference table are handed to kernel_on once per grouplike or pair:
+    # neither the rows nor the columns they are cut from may change.
+    name, bound = case
+    spec = replace(parse_spec({"ex1": EX1, "ex2": EX2}[name]), field=field)
+    sub = compile_truncation(spec, bound)[0]
+    reference = compile_truncation(spec, bound + 1)[0]
+    grouplikes = sub.grouplike_indices()
+    g = grouplikes[vertex % len(grouplikes)]
+    m = quotient(regular_comodule(sub, side), sub.span_of_labels([sub.labels[g]]))
+    reads: list = []
+    with mock.patch.object(comod, "kernel_on", recording_kernel_on(reads)):
+        table = multiplicity_table(m)
+    assert table == {sub.labels[h]: weight_space(m, h).dim for h in grouplikes}
+    table_columns = {pair: copy.deepcopy(space.columns)
+                     for pair, space in reference.grouplike_wedges.items()}
+    read = analyze._pair_wedges(sub, reference)
+    with mock.patch.object(analyze, "kernel_on", recording_kernel_on(reads)):
+        wedges = {(u, w): read((u, w)) for u in grouplikes for w in grouplikes}
+    place = [reference.label_index(label) for label in sub.labels]
+    for (u, w), space in wedges.items():
+        own = sub.grouplike_wedges[(u, w)]
+        assert space == Subspace.span(field, reference.dim,
+                                      [{place[j]: c for j, c in row}
+                                       for row in own.basis])
+    assert len(reads) == len(grouplikes) + len(wedges)
+    for space, columns, rows, handed in reads:
+        assert space.columns == columns and rows == handed
+    assert {pair: space.columns for pair, space in reference.grouplike_wedges.items()} \
+        == table_columns
