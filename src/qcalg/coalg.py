@@ -105,6 +105,12 @@ class Coalgebra:
         return self.delta_dict(i) == {(i, i): one} and self.epsilon[i] == one
 
     def grouplike_indices(self) -> "tuple[int, ...]":
+        """The indices of the grouplike basis elements, found once per
+        coalgebra."""
+        return self._grouplikes
+
+    @cached_property
+    def _grouplikes(self) -> "tuple[int, ...]":
         return tuple(i for i in range(self.dim) if self.is_grouplike(i))
 
     @cached_property

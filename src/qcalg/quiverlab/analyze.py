@@ -16,21 +16,24 @@ as witnessed, never as proof of infinitude.  A verdict of holds cites the
 rule chain that produced it; a verdict of fails carries a concrete witness.
 
 ``analyze_spec`` is the one route through the analyzer.  It instantiates
-each probe bound once and calls each stage once: ``degree_tables``,
-``locally_finite_verdict``, the two-sided ``semiperfect_verdict`` and
-``fnoetherian_sweep`` (one enumeration per probe instance, one truncation
-per sweep bound, the analyzed one at N), and the duality oracle.  The
-cross-check and the oracle read vertex pairs from one table per
-truncation, ``Coalgebra.grouplike_wedges``.  The oracle solves a full
-wedge and a full ideal product only for the pairs of two coradical
-filtration terms.  It cuts each pair of a vertex line with C0 or C1 from
-those, and the ideal side of each pair of two lines from that of the
-line with C0 (``coalg.restrict_wedge``, ``coalg.restrict_product_perp``);
-the wedge side of a pair of two lines is the table's entry.  The sweep
-reads every bound from one reference table, that of the analyzed
-truncation or, past N, of its largest bound: a bound checked to embed in
-the reference truncation reads its entries from it, and one that does
-not builds its own.
+each bound once, N for the truncation and the probes alike, and calls
+each stage once: ``degree_tables``, ``locally_finite_verdict`` (which
+compiles a cross-check depth from the instance at N only when it differs
+from the analyzed truncation), the two-sided ``semiperfect_verdict``
+(which counts each probe's paths per vertex and enumerates a probe only
+for a growth witness or a refusal) and ``fnoetherian_sweep``, and the
+duality oracle.  The cross-check and the oracle read vertex pairs from
+one table per truncation, ``Coalgebra.grouplike_wedges``.  The oracle
+solves a full wedge and a full ideal product only for the pairs of two
+coradical filtration terms.  It cuts each pair of a vertex line with C0
+or C1 from those, and the ideal side of each pair of two lines from that
+of the line with C0 (``coalg.restrict_wedge``,
+``coalg.restrict_product_perp``); the wedge side of a pair of two lines
+is the table's entry.  The sweep reads every bound from one reference
+table, that of the analyzed truncation or, past N, of its largest bound:
+a bound whose enumerated paths lie in the reference truncation
+(``PathBasis.place_in``) is not compiled and reads its entries from the
+reference, and one that does not is compiled and builds its own.
 """
 
 from __future__ import annotations
@@ -53,8 +56,8 @@ from ..coalg import (
 from ..comod import loewy_series, regular_comodule
 from ..exactlin import Subspace, kernel_on
 from .dsl import QuiverSpec
-from .paths import (QuiverInstance, compile_truncation, cycle_vertices,
-                    enumerate_instance, instantiate, reachability)
+from .paths import (SIZE_BUDGET, PathBasis, QuiverInstance, compile_truncation,
+                    cycle_vertices, enumerate_instance, instantiate, reachability)
 
 
 class InternalCheckError(RuntimeError):
@@ -147,38 +150,87 @@ def degree_tables(n: int, probes: "list[QuiverInstance]") -> dict:
     return {"N": n, "probes": list(_probe_bounds(n)), "vertices": table, "pairs": pairs}
 
 
-def _paths_by_vertex(spec: QuiverSpec, probes: "list[QuiverInstance]"
-                     ) -> "dict[str, list[dict[str, list[str]]]]":
-    """For each side, at each probe instance of spec, the labels of the
-    basis paths ending at (left) or starting at (right) each vertex: the
-    bases of the injective indecomposables on that side.  Each probe
-    instance is enumerated once for both sides."""
-    groups: dict[str, list] = {"left": [], "right": []}
-    for inst in probes:
-        into: dict[str, list[str]] = {}
-        out_of: dict[str, list[str]] = {}
-        for p in enumerate_instance(spec, inst).paths:
-            into.setdefault(p.target.label, []).append(p.label)
-            out_of.setdefault(p.source.label, []).append(p.label)
-        groups["left"].append(into)
-        groups["right"].append(out_of)
-    return groups
+def _declared_list_sound(inst: QuiverInstance) -> bool:
+    """Whether enumeration accepts inst's declared list: no path coincides
+    with an arrow or another path, no label repeats, and the prefix and the
+    tail of each path are in the list, which closes it under subpaths."""
+    chains = {(a.label,) for a in inst.arrows}
+    labels = {v.label for v in inst.vertices} | {a.label for a in inst.arrows}
+    for q in inst.declared_paths:
+        chain = tuple(a.label for a in q.arrows)
+        if chain in chains or q.label in labels:
+            return False
+        chains.add(chain)
+        labels.add(q.label)
+    return all(len(c) < 2 or {c[:-1], c[1:]} <= chains for c in chains)
+
+
+def _path_counts(spec: QuiverSpec, inst: QuiverInstance) -> "dict[str, dict[str, int]]":
+    """For each side, the number of admissible paths of inst ending at
+    (left) or starting at (right) each vertex label: the dimensions of the
+    injective indecomposables on that side.
+
+    Declared mode counts its list.  All mode counts by dynamic programming
+    over the arrows in topological order: the paths into v are v and each
+    path into u followed by an arrow u -> v, and dually out of v.  An
+    instance enumeration would refuse is enumerated instead, which refuses
+    it with the message and line of the compile: a cyclic one, one whose
+    count passes the size budget, or a declared list that is not sound
+    (_declared_list_sound).
+    """
+    into = {v.label: 1 for v in inst.vertices}
+    out_of = dict(into)
+    if spec.path_mode == "declared":
+        if _declared_list_sound(inst):
+            ends = [(a.src, a.dst) for a in inst.arrows]
+            ends += [(q.source, q.target) for q in inst.declared_paths]
+            for src, dst in ends:
+                out_of[src.label] += 1
+                into[dst.label] += 1
+            return {"left": into, "right": out_of}
+    else:
+        arrows_out: dict[str, list[str]] = {v: [] for v in into}
+        indegree = dict.fromkeys(into, 0)
+        for a in inst.arrows:
+            arrows_out[a.src.label].append(a.dst.label)
+            indegree[a.dst.label] += 1
+        order = [v for v, d in indegree.items() if d == 0]
+        for v in order:
+            for w in arrows_out[v]:
+                indegree[w] -= 1
+                if indegree[w] == 0:
+                    order.append(w)
+        if len(order) == len(into):
+            for v in order:
+                for w in arrows_out[v]:
+                    into[w] += into[v]
+            for v in reversed(order):
+                out_of[v] += sum(out_of[w] for w in arrows_out[v])
+            if sum(into.values()) <= SIZE_BUDGET:
+                return {"left": into, "right": out_of}
+    basis = enumerate_instance(spec, inst)
+    return {"left": dict(Counter(q.target.label for q in basis.paths)),
+            "right": dict(Counter(q.source.label for q in basis.paths))}
 
 
 # -- individual verdicts ---------------------------------------------------------
 
 def locally_finite_verdict(spec: QuiverSpec, n: int, tables: dict,
-                           truncation: Coalgebra) -> VerdictEntry:
+                           truncation: "tuple[Coalgebra, PathBasis]") -> VerdictEntry:
     """Bounded arrow multiplicity for every ordered vertex pair.
 
     tables is degree_tables at n and truncation the analyzed truncation
-    at n.  Cross-validated on compiled truncations at two depths: the
-    (g, h)-skew-primitive space of a vertex pair must have
-    dimension (arrow count) + 1 for distinct vertices and (loop count)
-    for g = h.  Its dimension is read as dim(kg ^ kh) - 1 from the
-    coalgebra's table of grouplike-pair wedges (Taft-Wilson: kg ^ kh =
-    kg + kh + P_{g,h}).  A probed depth that compiles to the truncation
+    at n, as compile_truncation returns it.  Cross-validated on compiled
+    truncations at two depths: the (g, h)-skew-primitive space of a
+    vertex pair must have dimension (arrow count) + 1 for distinct
+    vertices and (loop count) for g = h.  Its dimension is read as
+    dim(kg ^ kh) - 1 from the coalgebra's table of grouplike-pair wedges
+    (Taft-Wilson: kg ^ kh = kg + kh + P_{g,h}).  A probed depth is the
+    truncation itself when it is the truncation's depth, or when the
+    truncation holds every path of the instance (no depth, or none as
+    long as its depth) and none longer than the probed depth; it then
     uses that object, so the sweep and the oracle read the same table.
+    Any other depth is compiled from the truncation's instance.
     """
     for info in tables["pairs"]:
         if info["growing"]:
@@ -195,9 +247,15 @@ def locally_finite_verdict(spec: QuiverSpec, n: int, tables: dict,
     max_declared = max((len(p.segments) for p in spec.extra_paths), default=1)
     if spec.path_mode == "all":
         max_declared = max(max_declared, 2)
+    held = truncation[1]
+    longest = max((len(p.arrows) for p in held.paths), default=0)
+    complete = held.depth is None or longest < held.depth
     for depth in sorted({1, max_declared}):
-        coalgebra, basis = compile_truncation(spec, n, depth)
-        wedges = (truncation if coalgebra == truncation else coalgebra).grouplike_wedges
+        if depth == held.depth or (complete and longest <= depth):
+            coalgebra, basis = truncation
+        else:
+            coalgebra, basis = compile_truncation(spec, n, depth, instance=held.instance)
+        wedges = coalgebra.grouplike_wedges
         verts = [(v, basis.index_of_label(v.label)) for v in basis.vertices()]
         for u, gi in verts:
             for w, hi in verts:
@@ -237,43 +295,60 @@ def _cycle_witness(reach: "dict[str, set[str]]", side: str) -> "dict | None":
     return None
 
 
-def _path_growth(groups: "list[dict[str, list[str]]]", vertices: list,
-                 n: int) -> "dict | None":
-    """A witness at the first vertex whose path family grows over the probes."""
+def _path_growth(counts: "list[dict[str, int]]", side: str, vertices: list, n: int,
+                 probe_paths) -> "dict | None":
+    """A witness at the first vertex whose path family on side grows over
+    the probes; counts holds the side's path counts at each probe, and
+    probe_paths(k) enumerates probe k, read only for the witness's paths."""
     for v in vertices:
-        touching = [g.get(v.label, []) for g in groups]
-        counts = [len(t) for t in touching]
-        if _grows(counts):
-            known = set(touching[0])
-            fresh = [lab for lab in touching[1] if lab not in known]
+        at_probes = [c.get(v.label, 0) for c in counts]
+        if _grows(at_probes):
+            def touching(basis: PathBasis) -> "list[str]":
+                return [p.label for p in basis.paths
+                        if (p.target if side == "left" else p.source).label == v.label]
+            known = set(touching(probe_paths(0)))
+            fresh = [lab for lab in touching(probe_paths(1)) if lab not in known]
             return {"vertex": v.label,
-                    "path_probe_counts": counts,
+                    "path_probe_counts": at_probes,
                     "probes": list(_probe_bounds(n)),
                     "new_paths_at_next_bound": fresh[:4]}
     return None
 
 
-def semiperfect_verdict(spec: QuiverSpec, n: int, probes: "list[QuiverInstance]"
-                        ) -> "dict[str, VerdictEntry]":
+def semiperfect_verdict(spec: QuiverSpec, n: int, probes: "list[QuiverInstance]",
+                        known: "PathBasis | None" = None) -> "dict[str, VerdictEntry]":
     """Right semiperfect: bounded path families into every vertex (left
     injective indecomposables finite-dimensional); left mirrors with
     paths out of every vertex.
 
     probes holds spec's instances at n, n+1, n+2; both sides read the
-    reachability map of the first and one enumeration of each.  A cycle
-    fails both sides, so the probes are enumerated only when some side has
-    no cycle witness (an all-paths cyclic quiver has no unbounded
-    enumeration).
+    reachability map of the first and the path counts of each
+    (_path_counts).  A cycle fails both sides, so the paths are counted
+    only when some side has no cycle witness (an all-paths cyclic quiver
+    has no unbounded enumeration).  A growing count's witness names paths
+    new at n+1, so only then are the first two probes enumerated, once
+    each; known, an enumeration the caller holds, stands for the first
+    when it is that instance's at depth None.
     """
     reach = reachability(probes[0]) if spec.path_mode == "all" else {}
     cycles = {side: _cycle_witness(reach, side) for side in ("right", "left")}
-    groups = _paths_by_vertex(spec, probes) if None in cycles.values() else None
+    counts = ([_path_counts(spec, inst) for inst in probes]
+              if None in cycles.values() else None)
+
+    @cache
+    def probe_paths(k: int) -> PathBasis:
+        if k == 0 and known is not None and known.instance is probes[0] \
+                and known.depth is None:
+            return known
+        return enumerate_instance(spec, probes[k])
+
     ordered = sorted(probes[0].vertices, key=lambda v: (v.name, v.indices))
     verdicts: dict[str, VerdictEntry] = {}
     for side, cycle in cycles.items():
         criterion = f"{side}_semiperfect"
         hull_side = "left" if side == "right" else "right"
-        witness = cycle or _path_growth(groups[hull_side], ordered, n)
+        witness = cycle or _path_growth([c[hull_side] for c in counts], hull_side,
+                                        ordered, n, probe_paths)
         if witness is not None:
             verdicts[side] = VerdictEntry(criterion, "fails", witness=witness,
                                           rule_chain=())
@@ -301,51 +376,23 @@ def _growth_witness(columns: "dict[str, list[dict]]") -> "dict | None":
     return None
 
 
-def _basis_embedding(sub: Coalgebra, reference: Coalgebra) -> "list[int] | None":
-    """reference's index of each basis element of sub when sub is the
-    subcoalgebra of reference spanned by those basis vectors, else None.
+def _pair_wedges(reference: Coalgebra, place: "list[int]"):
+    """The wedge kg ^ kh of the grouplikes of D, as a function of the pair
+    (g, h) of D's indices, as a subspace of reference, where D is the
+    subcoalgebra of reference spanned by the basis vectors place
+    (PathBasis.place_in).
 
-    Checked, not assumed: one field, every label of sub a label of reference
-    with the same epsilon, and Delta_sub(x) = Delta_reference(x) label for
-    label.  An arrow whose endpoint moves with the bound keeps its label and
-    changes its Delta, so it fails the check.
+    C = D + E with E spanned by the other basis vectors of C = reference.
+    Then C (x) C splits as D(x)D + D(x)E + E(x)D + E(x)E, and for X, Y in D
+    the space X(x)C + C(x)Y = (X(x)D + D(x)Y) + X(x)E + E(x)Y is graded by
+    it, so (X(x)C + C(x)Y) meets D(x)D in X(x)D + D(x)Y.  For x in D,
+    Delta_C(x) = Delta_D(x) lies in D(x)D, so x is in X ^_C Y exactly when
+    it is in X ^_D Y: X ^_D Y = (X ^_C Y) meet D.  Each entry is therefore
+    the kernel, on C's entry, of its coordinates outside D, and its system
+    is the entry's columns there (Subspace.columns); only the entries read
+    are solved, each once: the right side reads (v, h) and the left side
+    (h, v), so pairs repeat.
     """
-    if sub.field != reference.field:
-        return None
-    index = {label: i for i, label in enumerate(reference.labels)}
-    place = [index.get(label) for label in sub.labels]
-    if None in place:
-        return None
-    for i, j in enumerate(place):
-        image = {(place[a], place[b]): c for (a, b), c in sub.delta_dict(i).items()}
-        if sub.epsilon[i] != reference.epsilon[j] or image != reference.delta_dict(j):
-            return None
-    return place
-
-
-def _pair_wedges(coalgebra: Coalgebra, reference: Coalgebra):
-    """The wedge kg ^ kh of coalgebra's grouplikes, as a function of the
-    pair (g, h), read from reference's grouplike_wedges when coalgebra
-    embeds in reference (then as a subspace of reference), and from
-    coalgebra's own table when it does not.
-
-    Let D embed in C by _basis_embedding: D is a subcoalgebra spanned by
-    basis vectors of C, and C = D + E with E spanned by the other basis
-    vectors.  Then C (x) C splits as D(x)D + D(x)E + E(x)D + E(x)E, and for
-    X, Y in D the space X(x)C + C(x)Y = (X(x)D + D(x)Y) + X(x)E + E(x)Y is
-    graded by it, so (X(x)C + C(x)Y) meets D(x)D in X(x)D + D(x)Y.  For x in
-    D, Delta_C(x) = Delta_D(x) lies in D(x)D, so x is in X ^_C Y exactly
-    when it is in X ^_D Y: X ^_D Y = (X ^_C Y) meet D.  Each entry is
-    therefore the kernel, on C's entry, of its coordinates outside D, and
-    its system is the entry's columns there (Subspace.columns); only the
-    entries read are solved, each once: the right side reads (v, h)
-    and the left side (h, v), so pairs repeat.
-    """
-    if coalgebra is reference:
-        return reference.grouplike_wedges.__getitem__
-    place = _basis_embedding(coalgebra, reference)
-    if place is None:
-        return coalgebra.grouplike_wedges.__getitem__
     inside = set(place)
 
     @cache
@@ -357,46 +404,68 @@ def _pair_wedges(coalgebra: Coalgebra, reference: Coalgebra):
 
 
 def fnoetherian_sweep(spec: QuiverSpec, sweep: "list[int]", depth: "int | None",
-                      n: int, truncation: Coalgebra) -> dict:
+                      n: int, truncation: "tuple[Coalgebra, PathBasis]") -> dict:
     """Socle-multiplicity growth tables for single-vertex quotients, per side.
 
-    truncation is the analyzed truncation at (n, depth), read at bound n;
-    each other bound is compiled once, the smallest first and the largest,
-    when it exceeds n, right after it (so an over-budget sweep fails before
-    any bound in between is built).  Per side, the column of a vertex v
-    (a grouplike at the smallest bound) holds the maximal socle multiplicity
-    of C/kv over the grouplike simples and the first simple reaching it.  A
-    vertex of the smallest bound that is not a grouplike label at every
-    sweep bound (a family whose vertex set shifts with the bound) gets no
-    column.  A growing column refutes; absence of growth never proves the
-    property.
+    truncation is the analyzed truncation at (n, depth), as
+    compile_truncation returns it, read at bound n.  Per side, the column
+    of a vertex v (a grouplike at the smallest bound) holds the maximal
+    socle multiplicity of C/kv over the grouplike simples and the first
+    simple reaching it.  A vertex of the smallest bound that is not a
+    grouplike label at every sweep bound (a family whose vertex set shifts
+    with the bound) gets no column.  A growing column refutes; absence of
+    growth never proves the property.
 
     The counts are grouplike-pair wedges, all read from one reference
     table: the grouplike_wedges of the truncation at max(n, largest bound),
-    at n the table the cross-check and the oracle read.  A bound that embeds
-    in the reference reads its entries from it (_pair_wedges); one that does
-    not builds its own table.  Right weight-h vectors of C/kv lift to the c
-    with (pi_v (x) id)Delta c = pi_v(c) (x) h: inside kv ^ kh by definition,
-    and all of it, as id (x) epsilon turns (pi_v (x) id)Delta c = w (x) h
-    into w = pi_v(c) (counit law, epsilon(h) = 1).  The lifts hold
-    kv = ker pi_v, so [soc(C/kv) : S_h] = dim(kv ^ kh) - 1, and
-    dim(kh ^ kv) - 1 on the left.
+    at n the table the cross-check and the oracle read.  The smallest bound
+    is instantiated and enumerated first and the largest, when it exceeds
+    n, compiled right after it (so an over-budget sweep fails before any
+    bound in between is built).  Every other bound is instantiated and
+    enumerated once.  A bound whose paths all lie in the reference's
+    (PathBasis.place_in) spans a subcoalgebra of it and is not compiled:
+    it reads its entries from the reference (_pair_wedges).  One that does
+    not is compiled and builds its own table.  Right weight-h vectors of
+    C/kv lift to the c with (pi_v (x) id)Delta c = pi_v(c) (x) h: inside
+    kv ^ kh by definition, and all of it, as id (x) epsilon turns
+    (pi_v (x) id)Delta c = w (x) h into w = pi_v(c) (counit law,
+    epsilon(h) = 1).  The lifts hold kv = ker pi_v, so
+    [soc(C/kv) : S_h] = dim(kv ^ kh) - 1, and dim(kh ^ kv) - 1 on the left.
     """
     if not sweep:
         raise ValueError("empty sweep")
     smallest, top = min(sweep), max(max(sweep), n)
-    held = {n: truncation}
-    for bound in (smallest, top):
-        if bound not in held:
-            held[bound] = compile_truncation(spec, bound, depth)[0]
-    first, reference = held[smallest], held[top]
-    vertices = sorted(first.labels[g] for g in first.grouplike_indices())
+    bases = {n: truncation[1]}
+    if smallest not in bases:
+        bases[smallest] = enumerate_instance(spec, instantiate(spec, smallest), depth)
+    reference = truncation
+    if top != n:
+        inst = bases[top].instance if top in bases else instantiate(spec, top)
+        reference = compile_truncation(spec, top, depth, instance=inst)
+    grouplike_set = set(reference[0].grouplike_indices())
+
+    @cache
+    def at_bound(bound: int):
+        """(labels, grouplikes, pair wedges) of the truncation at bound."""
+        if bound == top:
+            c = reference[0]
+            return c.labels, c.grouplike_indices(), c.grouplike_wedges.__getitem__
+        basis = bases[bound] if bound in bases else enumerate_instance(
+            spec, instantiate(spec, bound), depth)
+        place = basis.place_in(reference[1])
+        if place is None:
+            c = truncation[0] if bound == n else compile_truncation(
+                spec, bound, depth, instance=basis.instance)[0]
+            return c.labels, c.grouplike_indices(), c.grouplike_wedges.__getitem__
+        grouplikes = tuple(i for i, j in enumerate(place) if j in grouplike_set)
+        return basis.labels(), grouplikes, _pair_wedges(reference[0], place)
+
+    labels, grouplikes, _ = at_bound(smallest)
+    vertices = sorted(labels[g] for g in grouplikes)
     tables = {side: {v: [] for v in vertices} for side in ("left", "right")}
     for bound in sweep:
-        coalgebra = held.get(bound) or compile_truncation(spec, bound, depth)[0]
-        wedges = _pair_wedges(coalgebra, reference)
-        grouplikes = coalgebra.grouplike_indices()
-        at = {coalgebra.labels[g]: g for g in grouplikes}
+        labels, grouplikes, wedges = at_bound(bound)
+        at = {labels[g]: g for g in grouplikes}
         vertices = [vlabel for vlabel in vertices if vlabel in at]
         for side, columns in tables.items():
             for vlabel in vertices:
@@ -405,7 +474,7 @@ def fnoetherian_sweep(spec: QuiverSpec, sweep: "list[int]", depth: "int | None",
                 for h in grouplikes:
                     mult = wedges((v, h) if side == "right" else (h, v)).dim - 1
                     if mult > best:
-                        best, best_simple = mult, coalgebra.labels[h]
+                        best, best_simple = mult, labels[h]
                 columns[vlabel].append(
                     {"N": bound, "max_multiplicity": best, "at_simple": best_simple})
     tables = {side: {v: columns[v] for v in vertices} for side, columns in tables.items()}
@@ -530,29 +599,31 @@ def analyze_spec(spec: QuiverSpec, n: int, sweep: "list[int] | None" = None,
                  depth: "int | None" = None) -> dict:
     """Everything the analyze command reports, as one JSON-friendly dict.
 
-    The analyzer's one route: it compiles the (n, depth) truncation and
-    instantiates each probe bound once, then runs each verdict stage once
-    on them (the two-sided stages answer both sides).  sweep None means
-    the bounds 1..max(2, n).
+    The analyzer's one route: it instantiates each probe bound once and
+    compiles the (n, depth) truncation from the instance at n, then runs
+    each verdict stage once on them (the two-sided stages answer both
+    sides).  sweep None means the bounds 1..max(2, n).
 
     holds conclusions only ever come from the structural rules; growth
     sweeps can only refute.  Conflicts between the two routes raise.
     """
-    coalgebra, basis = compile_truncation(spec, n, depth)
+    instance = instantiate(spec, n)
+    truncation = compile_truncation(spec, n, depth, instance=instance)
+    coalgebra, basis = truncation
     axioms = check_axioms(coalgebra)
     if not axioms.ok:
         raise InternalCheckError(
             f"compiled truncation violates the coalgebra axioms: {axioms.first()}")
     filtration = coradical_filtration(coalgebra)
     sweep = sweep or list(range(1, max(2, n) + 1))
-    probes = [instantiate(spec, bound) for bound in _probe_bounds(n)]
+    probes = [instance] + [instantiate(spec, bound) for bound in _probe_bounds(n)[1:]]
     tables = degree_tables(n, probes)
-    lf = locally_finite_verdict(spec, n, tables, coalgebra)
-    semiperfect = semiperfect_verdict(spec, n, probes)
+    lf = locally_finite_verdict(spec, n, tables, truncation)
+    semiperfect = semiperfect_verdict(spec, n, probes, basis)
     right_sp, left_sp = semiperfect["right"], semiperfect["left"]
     in_bounded = all(not v["in_growing"] for v in tables["vertices"].values())
     out_bounded = all(not v["out_growing"] for v in tables["vertices"].values())
-    sweeps = fnoetherian_sweep(spec, sweep, depth, n, coalgebra)
+    sweeps = fnoetherian_sweep(spec, sweep, depth, n, truncation)
 
     entries = [lf, right_sp, left_sp]
 

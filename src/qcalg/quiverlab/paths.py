@@ -6,10 +6,14 @@ contiguous subpaths, which is exactly what makes its span a subcoalgebra
 of the full path coalgebra; closure is validated on declared paths (all-mode
 walks grow from enumerated walks) and violations name the missing subpath.
 
-Compilation splits each basis path at every position, with the trivial
-source/target vertex paths at the ends, and sets the counit to 1 on
-vertices and 0 on longer paths.  Increasing the truncation only adds
-basis elements; the comultiplication of an existing path never changes.
+The basis is a path trie: each path records the index of its prefix (its
+last arrow dropped) and of its tail (its first arrow dropped), and an
+all-mode walk takes its label from its prefix's.  Compilation splits each
+basis path at every position along those links: the cut after c of its L
+arrows is (prefix^(L-c) p, tail^c p), the trivial source/target vertex
+paths at the ends, so Delta costs O(L) per path.  The counit is 1 on
+vertices and 0 on longer paths.  Increasing the truncation only adds basis
+elements; the comultiplication of an existing path never changes.
 """
 
 from __future__ import annotations
@@ -89,14 +93,26 @@ class Path:
 
 
 @dataclass(frozen=True)
+class QuiverInstance:
+    vertices: "tuple[Vertex, ...]"
+    arrows: "tuple[Arrow, ...]"
+    declared_paths: "tuple[Path, ...]"
+
+
+@dataclass(frozen=True)
 class PathBasis:
-    """Basis paths in the canonical order: by length, then lexicographic."""
+    """Basis paths in the canonical order: by length, then lexicographic.
+
+    prefix[i] and tail[i] index path i with its last and with its first
+    arrow dropped; a vertex is its own prefix and tail.  instance and depth
+    are the instance the paths were enumerated from and the length bound.
+    """
 
     paths: "tuple[Path, ...]"
-
-    @cached_property
-    def _by_key(self) -> "dict[tuple, int]":
-        return {p.key(): i for i, p in enumerate(self.paths)}
+    prefix: "tuple[int, ...]"
+    tail: "tuple[int, ...]"
+    instance: "QuiverInstance | None" = field(default=None, compare=False)
+    depth: "int | None" = field(default=None, compare=False)
 
     @cached_property
     def _by_label(self) -> "dict[str, int]":
@@ -104,9 +120,6 @@ class PathBasis:
 
     def __len__(self) -> int:
         return len(self.paths)
-
-    def index_of_key(self, key: tuple) -> int:
-        return self._by_key[key]
 
     def index_of_label(self, label: str) -> int:
         if label not in self._by_label:
@@ -119,12 +132,29 @@ class PathBasis:
     def vertices(self) -> "list[Vertex]":
         return [p.source for p in self.paths if p.length == 0]
 
+    def place_in(self, other: "PathBasis") -> "list[int] | None":
+        """other's index of each path of self when every path of self is a
+        path of other, equal label, endpoints and arrows, else None.
 
-@dataclass(frozen=True)
-class QuiverInstance:
-    vertices: "tuple[Vertex, ...]"
-    arrows: "tuple[Arrow, ...]"
-    declared_paths: "tuple[Path, ...]"
+        A vertex or an arrow is compared whole; a longer path by its links,
+        as it is the one path with that prefix and that tail, both placed
+        already (the order is by length).  A basis placed so spans a
+        subcoalgebra of other's, with the same Delta: Delta splits a path
+        into its subpaths, which the basis holds."""
+        by_label = other._by_label
+        place: list[int] = []
+        for i, p in enumerate(self.paths):
+            j = by_label.get(p.label)
+            if j is None:
+                return None
+            if len(p.arrows) < 2:
+                if other.paths[j] != p:
+                    return None
+            elif (other.prefix[j] != place[self.prefix[i]]
+                  or other.tail[j] != place[self.tail[i]]):
+                return None
+            place.append(j)
+        return place
 
 
 # The most values one index range, the most vertices, arrows and declared
@@ -297,44 +327,24 @@ def enumerate_instance(spec: QuiverSpec, inst: QuiverInstance,
     graph and therefore refuses cyclic instances unless a depth bound is
     given.
     """
-    candidates: list[Path] = [Path(v.label, v, v, ()) for v in inst.vertices]
-    if depth is None or depth >= 1:
-        candidates.extend(Path(a.label, a.src, a.dst, (a,)) for a in inst.arrows)
-
+    vertices = [Path(v.label, v, v, ()) for v in inst.vertices]
+    arrows = ([Path(a.label, a.src, a.dst, (a,)) for a in inst.arrows]
+              if depth is None or depth >= 1 else [])
     if spec.path_mode == "declared":
-        for p in inst.declared_paths:
-            if depth is None or p.length <= depth:
-                candidates.append(p)
+        declared = [p for p in inst.declared_paths if depth is None or p.length <= depth]
+        ordered = _declared_order(vertices + arrows + declared)
+        prefix, tail = _links(ordered)
     else:
-        if depth is None:
-            reach = reachability(inst)
-            cyclic = cycle_vertices(reach)
-            if cyclic:
-                v = cyclic[0]
-                # The first declared arrow out of v whose target leads back to v.
-                on_cycle = next(a for a in inst.arrows if a.src.label == v
-                                and (a.dst.label == v or v in reach[a.dst.label]))
-                raise DslError("all-paths mode on a cyclic quiver needs a depth "
-                               f"bound (cycle through {v})", on_cycle.line)
-        adjacency: dict[Vertex, list[Arrow]] = {}
-        for a in inst.arrows:
-            adjacency.setdefault(a.src, []).append(a)
-        frontier = [p for p in candidates if p.length == 1]
-        while frontier:
-            longer: list[Path] = []
-            for p in frontier:
-                if depth is not None and p.length + 1 > depth:
-                    continue
-                for a in adjacency.get(p.target, []):
-                    if len(candidates) + len(longer) >= SIZE_BUDGET:
-                        raise DslError(f"more than {SIZE_BUDGET} paths in all-paths "
-                                       "mode: past the size budget", a.line)
-                    chain = p.arrows + (a,)
-                    label = ".".join(x.label for x in chain)
-                    longer.append(Path(label, p.source, a.dst, chain))
-            candidates.extend(longer)
-            frontier = longer
+        ordered, prefix, tail = _walks(inst, vertices, arrows, depth)
+    labels = [p.label for p in ordered]
+    if len(set(labels)) != len(labels):
+        raise DslError("duplicate path labels after instantiation", 1)
+    return PathBasis(tuple(ordered), tuple(prefix), tuple(tail), inst, depth)
 
+
+def _declared_order(candidates: "list[Path]") -> "list[Path]":
+    """The declared-mode candidates in canonical order, refused where two
+    coincide or where a subpath is missing."""
     unique: dict[tuple, Path] = {}
     for p in candidates:
         key = p.key()
@@ -343,12 +353,111 @@ def enumerate_instance(spec: QuiverSpec, inst: QuiverInstance,
                            max(unique[key].line, p.line))
         unique[key] = p
     ordered = sorted(unique.values(), key=Path.sort_key)
-    if spec.path_mode == "declared":
-        _closure_check(ordered)
-    labels = [p.label for p in ordered]
-    if len(set(labels)) != len(labels):
-        raise DslError("duplicate path labels after instantiation", 1)
-    return PathBasis(tuple(ordered))
+    _closure_check(ordered)
+    return ordered
+
+
+def _links(ordered: "list[Path]") -> "tuple[list[int], list[int]]":
+    """The prefix and tail index of each path of a subpath-closed basis in
+    canonical order, by walking its arrows from its source vertex and from
+    its second vertex through the paths placed before it."""
+    vertex_at: dict[str, int] = {}
+    step: dict[tuple, int] = {}  # (path, arrow label) -> that path extended
+    prefix: list[int] = []
+    tail: list[int] = []
+    for i, p in enumerate(ordered):
+        if not p.arrows:
+            vertex_at[p.source.label] = i
+            prefix.append(i)
+            tail.append(i)
+            continue
+        head = vertex_at[p.source.label]
+        for a in p.arrows[:-1]:
+            head = step[(head, a.label)]
+        rest = vertex_at[p.arrows[0].dst.label]
+        for a in p.arrows[1:]:
+            rest = step[(rest, a.label)]
+        step[(head, p.arrows[-1].label)] = i
+        prefix.append(head)
+        tail.append(rest)
+    return prefix, tail
+
+
+def _walks(inst: QuiverInstance, vertices: "list[Path]", arrows: "list[Path]",
+           depth: "int | None") -> "tuple[list[Path], list[int], list[int]]":
+    """Every walk of inst up to depth in canonical order, with the prefix
+    and tail index of each.
+
+    Walks grow one length at a time, each walk by the arrows out of its
+    target in declared order, so the size budget refuses at the arrow that
+    passes it.  A walk's tail is its prefix's tail extended by the same
+    arrow.  Each length is then ordered by its prefix's position and its
+    last arrow, which is the canonical order.
+    """
+    if depth is None:
+        reach = reachability(inst)
+        cyclic = cycle_vertices(reach)
+        if cyclic:
+            v = cyclic[0]
+            # The first declared arrow out of v whose target leads back to v.
+            on_cycle = next(a for a in inst.arrows if a.src.label == v
+                            and (a.dst.label == v or v in reach[a.dst.label]))
+            raise DslError("all-paths mode on a cyclic quiver needs a depth "
+                           f"bound (cycle through {v})", on_cycle.line)
+    rank = {a.label: r for r, a in enumerate(sorted(inst.arrows,
+                                                    key=lambda a: (a.name, a.indices)))}
+    paths = vertices + arrows
+    vertex_at = {p.source.label: i for i, p in enumerate(vertices)}
+    prefix = list(range(len(vertices)))
+    tail = list(prefix)
+    target = list(vertex_at)  # each walk's target label
+    last = [-1] * len(vertices)  # each walk's last arrow, by rank
+    step: dict[tuple, int] = {}  # (walk, arrow label) -> that walk extended
+    out: dict[str, list[tuple]] = {}  # source label -> (arrow, label, target label)
+    for i, p in enumerate(arrows, len(vertices)):
+        a = p.arrows[0]
+        label, src, dst = p.label, a.src.label, a.dst.label
+        prefix.append(vertex_at[src])
+        tail.append(vertex_at[dst])
+        target.append(dst)
+        last.append(rank[label])
+        step[(prefix[i], label)] = i
+        out.setdefault(src, []).append((a, label, dst))
+    levels = [list(range(len(vertices))), list(range(len(vertices), len(paths)))]
+    while levels[-1] and (depth is None or len(levels) <= depth):
+        longer: list[int] = []
+        for w in levels[-1]:
+            p = paths[w]
+            for a, label, dst in out.get(target[w], ()):
+                if len(paths) >= SIZE_BUDGET:
+                    raise DslError(f"more than {SIZE_BUDGET} paths in all-paths "
+                                   "mode: past the size budget", a.line)
+                i = len(paths)
+                paths.append(Path(f"{p.label}.{label}", p.source, a.dst, p.arrows + (a,)))
+                prefix.append(w)
+                tail.append(step[(tail[w], label)])
+                target.append(dst)
+                last.append(rank[label])
+                step[(w, label)] = i
+                longer.append(i)
+        levels.append(longer)
+
+    position = [0] * len(paths)
+
+    def canonical(i: int) -> tuple:
+        p = paths[i]
+        if not p.arrows:
+            return (p.source.name, p.source.indices)
+        # A longer walk's arrows but the last are its prefix's, placed already.
+        return (position[prefix[i]] if len(p.arrows) > 1 else -1, last[i])
+
+    order: list[int] = []
+    for level in levels:
+        for i in sorted(level, key=canonical):
+            position[i] = len(order)
+            order.append(i)
+    return ([paths[i] for i in order], [position[prefix[i]] for i in order],
+            [position[tail[i]] for i in order])
 
 
 def dry_run_validate(spec: QuiverSpec) -> None:
@@ -365,33 +474,29 @@ def dry_run_validate(spec: QuiverSpec) -> None:
 
 
 def compile_truncation(spec: QuiverSpec, n_bound: "int | None" = None,
-                       depth: "int | None" = None) -> "tuple[Coalgebra, PathBasis]":
-    """Compile a truncation into a coalgebra by concatenation splitting."""
-    basis = enumerate_paths(spec, n_bound, depth)
-    field = spec.field
-    one = field.one
+                       depth: "int | None" = None, *,
+                       instance: "QuiverInstance | None" = None
+                       ) -> "tuple[Coalgebra, PathBasis]":
+    """Compile a truncation into a coalgebra by concatenation splitting.
+
+    instance, when given, is spec's instance at n_bound, built already;
+    otherwise the bound is instantiated here.  The cut of a path p of
+    length L after c arrows is (prefix^(L-c) p, tail^c p), read along the
+    basis's links.
+    """
+    if instance is None:
+        instance = instantiate(spec, n_bound)
+    basis = enumerate_instance(spec, instance, depth)
+    one, zero = spec.field.one, spec.field.zero
+    prefix, tail = basis.prefix, basis.tail
     delta: list = []
-    epsilon: list = []
-    for p in basis.paths:
-        if p.length == 0:
-            i = basis.index_of_key(p.key())
-            delta.append(((i, i, one),))
-            epsilon.append(one)
-            continue
-        terms = []
-        for cut in range(p.length + 1):
-            if cut == 0:
-                left_key = (("vertex", p.source.name, p.source.indices),)
-            else:
-                left_key = tuple(("arrow", a.name, a.indices) for a in p.arrows[:cut])
-            if cut == p.length:
-                right_key = (("vertex", p.target.name, p.target.indices),)
-            else:
-                right_key = tuple(("arrow", a.name, a.indices) for a in p.arrows[cut:])
-            terms.append((basis.index_of_key(left_key),
-                          basis.index_of_key(right_key), one))
-        delta.append(tuple(terms))
-        epsilon.append(field.zero)
-    coalgebra = Coalgebra(field=field, dim=len(basis), labels=basis.labels(),
-                          delta=tuple(delta), epsilon=tuple(epsilon))
+    for i, p in enumerate(basis.paths):
+        lefts, rights = [i], [i]
+        for _ in p.arrows:
+            lefts.append(prefix[lefts[-1]])
+            rights.append(tail[rights[-1]])
+        delta.append(tuple((j, k, one) for j, k in zip(reversed(lefts), rights)))
+    epsilon = tuple(zero if p.arrows else one for p in basis.paths)
+    coalgebra = Coalgebra(field=spec.field, dim=len(basis), labels=basis.labels(),
+                          delta=tuple(delta), epsilon=epsilon)
     return coalgebra, basis

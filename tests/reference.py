@@ -6,8 +6,10 @@ or a construction only the tests need: matrices of Delta, of left
 multiplication in the dual and of a dual vector's action on a comodule;
 products in the dual; direct sums, subcomodules and the coideal
 predicates; subspace containment and coordinates; stacking and composing
-sparse matrices; and echelon form by back-elimination through every
-pivot row.  The package itself never imports this module.
+sparse matrices; echelon form by back-elimination through every pivot
+row; the compile of a quiver truncation by key tuples; and the check that
+one compiled coalgebra embeds in another, label for label.  The package
+itself never imports this module.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from qcalg.exactlin import (
     exact_quotient,
     row_add,
 )
+from qcalg.quiverlab.dsl import QuiverSpec
+from qcalg.quiverlab.paths import Path, instantiate
 
 
 # -- sparse matrices and subspaces -------------------------------------------
@@ -258,3 +262,75 @@ def sub_comodule(m: Comodule, x: Subspace, name: str = "sub") -> Comodule:
     labels = tuple(f"{name}{t}" for t in range(len(basis)))
     return Comodule(side=m.side, dim=len(basis), over=m.over,
                     coaction=tuple(coaction), labels=labels)
+
+
+# -- quiver truncations ------------------------------------------------------
+
+def _key(p: Path) -> tuple:
+    if not p.arrows:
+        return (("vertex", p.source.name, p.source.indices),)
+    return tuple(("arrow", a.name, a.indices) for a in p.arrows)
+
+
+def reference_compile(spec: QuiverSpec, n_bound: "int | None" = None,
+                      depth: "int | None" = None) -> Coalgebra:
+    """The truncation at (n_bound, depth) of a valid spec: every walk
+    grown arrow by arrow in all mode or the declared set, sorted by
+    Path.sort_key, and each Delta term looked up by the key tuples of its
+    two halves, O(L^2) per path of length L."""
+    inst = instantiate(spec, n_bound)
+    paths = [Path(v.label, v, v, ()) for v in inst.vertices]
+    if depth is None or depth >= 1:
+        paths.extend(Path(a.label, a.src, a.dst, (a,)) for a in inst.arrows)
+    if spec.path_mode == "declared":
+        paths.extend(p for p in inst.declared_paths if depth is None or p.length <= depth)
+    else:
+        frontier = [p for p in paths if p.length == 1]
+        while frontier and (depth is None or frontier[0].length < depth):
+            frontier = [Path(".".join(x.label for x in p.arrows + (a,)), p.source, a.dst,
+                             p.arrows + (a,))
+                        for p in frontier for a in inst.arrows if a.src == p.target]
+            paths.extend(frontier)
+    paths.sort(key=Path.sort_key)
+    index = {_key(p): i for i, p in enumerate(paths)}
+    field = spec.field
+    delta, epsilon = [], []
+    for i, p in enumerate(paths):
+        if not p.arrows:
+            delta.append(((i, i, field.one),))
+            epsilon.append(field.one)
+            continue
+        terms = []
+        for cut in range(p.length + 1):
+            left = (_key(Path("", p.source, p.source, ())) if cut == 0
+                    else tuple(("arrow", a.name, a.indices) for a in p.arrows[:cut]))
+            right = (_key(Path("", p.target, p.target, ())) if cut == p.length
+                     else tuple(("arrow", a.name, a.indices) for a in p.arrows[cut:]))
+            terms.append((index[left], index[right], field.one))
+        delta.append(tuple(terms))
+        epsilon.append(field.zero)
+    return Coalgebra(field=field, dim=len(paths), labels=tuple(p.label for p in paths),
+                     delta=tuple(delta), epsilon=tuple(epsilon))
+
+
+def basis_embedding(sub: Coalgebra, reference: Coalgebra) -> "list[int] | None":
+    """reference's index of each basis element of sub when sub is the
+    subcoalgebra of reference spanned by those basis vectors, else None.
+
+    Checked from the structure constants alone: one field, every label of
+    sub a label of reference with the same epsilon, and
+    Delta_sub(x) = Delta_reference(x) label for label.  An arrow whose
+    endpoint moves with the bound keeps its label and changes its Delta,
+    so it fails the check.
+    """
+    if sub.field != reference.field:
+        return None
+    index = {label: i for i, label in enumerate(reference.labels)}
+    place = [index.get(label) for label in sub.labels]
+    if None in place:
+        return None
+    for i, j in enumerate(place):
+        image = {(place[a], place[b]): c for (a, b), c in sub.delta_dict(i).items()}
+        if sub.epsilon[i] != reference.epsilon[j] or image != reference.delta_dict(j):
+            return None
+    return place

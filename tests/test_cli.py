@@ -785,24 +785,30 @@ class TestSizeBudget:
 
     def test_an_over_budget_sweep_fails_before_its_middle_bounds(
             self, capsys, patch_everywhere):
-        # The sweep compiles its smallest bound and then its largest, which
-        # is past the budget; no bound in between is built.
+        # The sweep instantiates its smallest bound and then its largest,
+        # which is past the budget; no bound in between is built.
         from qcalg.quiverlab import paths
-        original = paths.compile_truncation
-        compiles: list = []
+        built: list = []
+        for name in ("instantiate", "compile_truncation"):
+            original = getattr(paths, name)
 
-        def recorder(spec, n_bound=None, depth=None):
-            compiles.append((n_bound, depth))
-            return original(spec, n_bound, depth)
+            def recorder(spec, n_bound=None, *args, _name=name, _original=original,
+                         **kwargs):
+                built.append((_name, n_bound))
+                return _original(spec, n_bound, *args, **kwargs)
 
-        patch_everywhere(original, recorder)
+            patch_everywhere(original, recorder)
         code, out, err = run(capsys, "analyze", "ex2", "--N", "3", "--sweep", "1..5000")
         assert code == 2
         assert out == ""
         assert ("line 6, col 1: more than 100000 vertices, arrows and declared "
                 "paths: past the size budget") in err
-        # The analyzed truncation, the cross-check's depth 1, then the sweep.
-        assert compiles == [(3, None), (3, 1), (1, None), (5000, None)]
+        # The parse-time check at the declared defaults, the instance at N
+        # and the truncation compiled from it, the probes N+1 and N+2 (the
+        # cross-check's depth 1 is the truncation), then the sweep.
+        assert built == [("instantiate", None), ("instantiate", 3),
+                         ("compile_truncation", 3), ("instantiate", 4),
+                         ("instantiate", 5), ("instantiate", 1), ("instantiate", 5000)]
 
     @pytest.mark.parametrize("name", ["ex1", "ex2"])
     def test_builtins_at_thirty_are_within_it(self, capsys, name):

@@ -316,6 +316,17 @@ arrow x[k,i]: v[k-1] -> v[k], k=1..N, i=1..2
 mode all
 """
 
+# The wide regime: a hub v[0] with an arrow to each of N vertices, which
+# a chain y[k] joins, so dim is N^2 + N + 1 with few vertices per path.
+STAR_ALL = """\
+coalgebra star
+param N = 3
+vertex v[k], k=0..N
+arrow x[k]: v[0] -> v[k], k=1..N
+arrow y[k]: v[k] -> v[k+1], k=1..N-1
+mode all
+"""
+
 # Loops at every vertex, k of them at b[k], so P_{g,g} is not zero.
 LOOPS_ALL = """\
 coalgebra loops

@@ -11,19 +11,21 @@ from __future__ import annotations
 
 import copy
 import random
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 from dataclasses import replace
 from functools import lru_cache
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import (dual_action, image_rows, is_subcoalgebra, left_mult_matrix, row_dicts,
-                       vstack)
-from test_coalg import LADDER_ALL, change_basis
+from reference import (basis_embedding, dual_action, image_rows, is_subcoalgebra,
+                       left_mult_matrix, reference_compile, row_dicts, vstack)
+from test_coalg import LADDER_ALL, STAR_ALL, change_basis
 from test_comod import loewy_by_preimages
-from test_quiverlab import _record_calls
+from test_quiverlab import GROWING, MOVING, _record_calls
 
 from qcalg import coalg, comod, exactlin
 from qcalg.coalg import (
@@ -48,7 +50,9 @@ from qcalg.comod import (
     weight_space,
 )
 from qcalg.exactlin import GF, QQ, Matrix, Subspace, kernel, kernel_on
-from qcalg.quiverlab import analyze, compile_truncation, parse_spec
+from qcalg.quiverlab import analyze, compile_truncation, enumerate_paths, parse_spec
+from qcalg.quiverlab.analyze import _path_counts, fnoetherian_sweep
+from qcalg.quiverlab.paths import enumerate_instance, instantiate
 from qcalg.quiverlab.registry import EX1, EX2
 from qcalg.textfmt import dumps_coalgebra, loads
 
@@ -65,6 +69,115 @@ def random_dag_spec(rng: random.Random) -> str:
                 arrow_id += 1
                 lines.append(f"arrow e{arrow_id}: v{i} -> v{j}")
     return "\n".join(lines) + "\n"
+
+
+def declared_dag_spec(rng: random.Random) -> str:
+    """random_dag_spec in declared mode: a random set of its walks of
+    length two or more, closed under subpaths, each declared as a path."""
+    text = random_dag_spec(rng)
+    walks = [p.arrows for p in enumerate_paths(parse_spec(text)).paths if p.length >= 2]
+    chosen = {w for w in walks if rng.random() < 0.4}
+    for w in list(chosen):
+        chosen.update(w[i:j] for i in range(len(w)) for j in range(i + 2, len(w) + 1))
+    lines = text.replace("mode all", "mode declared").splitlines()
+    for k, w in enumerate(sorted(chosen, key=lambda w: [a.label for a in w])):
+        lines.append(f"path w{k} = {' . '.join(a.label for a in w)}")
+    return "\n".join(lines) + "\n"
+
+
+def counted_paths_match_the_enumeration(spec, inst) -> bool:
+    """_path_counts of an instance against its enumeration, per side and
+    vertex."""
+    basis = enumerate_instance(spec, inst)
+    counts = _path_counts(spec, inst)
+    for side, end in (("left", "target"), ("right", "source")):
+        enumerated = Counter(getattr(p, end).label for p in basis.paths)
+        if counts[side] != dict(enumerated):
+            return False
+    return True
+
+
+class TestTrieCompileMatchesTheKeyTupleCompile:
+    """compile_truncation walks the prefix and tail links of the path
+    trie; reference_compile looks every Delta term up by key tuples.  Both
+    must give the same labels, Delta and epsilon."""
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+    @pytest.mark.parametrize("mode", ["all", "declared"])
+    def test_random_dags(self, mode, field):
+        rng = random.Random(2024)
+        make = random_dag_spec if mode == "all" else declared_dag_spec
+        for _ in range(15):
+            spec = replace(parse_spec(make(rng)), field=field)
+            assert spec.path_mode == mode
+            for depth in (None, 0, 1, 2):
+                assert compile_truncation(spec, depth=depth)[0] == \
+                    reference_compile(spec, depth=depth)
+            assert counted_paths_match_the_enumeration(spec, instantiate(spec))
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+    @pytest.mark.parametrize("depth", [None, 0, 1, 2])
+    @pytest.mark.parametrize("name", ["ex1", "ex2"])
+    def test_ex1_and_ex2(self, name, depth, field):
+        spec = replace(parse_spec({"ex1": EX1, "ex2": EX2}[name]), field=field)
+        for n in range(9):
+            assert compile_truncation(spec, n, depth)[0] == reference_compile(spec, n, depth)
+            assert counted_paths_match_the_enumeration(spec, instantiate(spec, n))
+
+    @pytest.mark.parametrize("depth", [None, 0, 1, 2])
+    @pytest.mark.parametrize("text", [LADDER_ALL, STAR_ALL], ids=["ladder", "star"])
+    def test_the_ladder_and_the_star(self, text, depth):
+        spec = replace(parse_spec(text), field=GF(7))
+        for n in range(6):
+            assert compile_truncation(spec, n, depth)[0] == reference_compile(spec, n, depth)
+            assert counted_paths_match_the_enumeration(spec, instantiate(spec, n))
+
+
+def own_table_columns(spec, sweep, depth) -> dict:
+    """The sweep's columns with every bound compiled and read from its own
+    grouplike_wedges, the route before bounds were placed in a reference."""
+    first, _ = compile_truncation(spec, min(sweep), depth)
+    vertices = sorted(first.labels[g] for g in first.grouplike_indices())
+    tables = {side: {v: [] for v in vertices} for side in ("left", "right")}
+    for bound in sweep:
+        c, _ = compile_truncation(spec, bound, depth)
+        at = {c.labels[g]: g for g in c.grouplike_indices()}
+        vertices = [v for v in vertices if v in at]
+        for side, columns in tables.items():
+            for v in vertices:
+                best, best_simple = 0, None
+                for h in c.grouplike_indices():
+                    pair = (at[v], h) if side == "right" else (h, at[v])
+                    if c.grouplike_wedges[pair].dim - 1 > best:
+                        best, best_simple = c.grouplike_wedges[pair].dim - 1, c.labels[h]
+                columns[v].append({"N": bound, "max_multiplicity": best,
+                                   "at_simple": best_simple})
+    return {side: {v: columns[v] for v in vertices} for side, columns in tables.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["dag", "declared-dag", "moving", "growing"]),
+       st.integers(min_value=0, max_value=10**6),
+       st.sampled_from([QQ, GF(7)]),
+       st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4),
+       st.integers(min_value=1, max_value=4),
+       st.sampled_from([None, 0, 1, 2]))
+def test_a_placed_sweep_bound_reads_what_its_compile_gives(family, seed, field, sweep,
+                                                           n, depth):
+    # On every sweep bound, the instance test (PathBasis.place_in) agrees
+    # with basis_embedding of the compiled bound, and the sweep's tables
+    # equal those of the route that compiles every bound.
+    text = {"dag": lambda: random_dag_spec(random.Random(seed)),
+            "declared-dag": lambda: declared_dag_spec(random.Random(seed)),
+            "moving": lambda: MOVING, "growing": lambda: GROWING}[family]()
+    spec = replace(parse_spec(text), field=field)
+    top = max(max(sweep), n)
+    reference, reference_basis = compile_truncation(spec, top, depth)
+    for bound in sweep:
+        sub, basis = compile_truncation(spec, bound, depth)
+        assert basis.place_in(reference_basis) == basis_embedding(sub, reference)
+    got = fnoetherian_sweep(spec, sweep, depth, n, compile_truncation(spec, n, depth))
+    assert {side: got[side]["tables"] for side in got} == own_table_columns(spec, sweep, depth)
 
 
 def test_random_dags_satisfy_the_package_invariants():
@@ -282,8 +395,8 @@ def test_the_cuts_write_no_columns_and_no_rows(case, field, side, vertex):
     # neither the rows nor the columns they are cut from may change.
     name, bound = case
     spec = replace(parse_spec({"ex1": EX1, "ex2": EX2}[name]), field=field)
-    sub = compile_truncation(spec, bound)[0]
-    reference = compile_truncation(spec, bound + 1)[0]
+    sub, sub_basis = compile_truncation(spec, bound)
+    reference, reference_basis = compile_truncation(spec, bound + 1)
     grouplikes = sub.grouplike_indices()
     g = grouplikes[vertex % len(grouplikes)]
     m = quotient(regular_comodule(sub, side), sub.span_of_labels([sub.labels[g]]))
@@ -293,10 +406,11 @@ def test_the_cuts_write_no_columns_and_no_rows(case, field, side, vertex):
     assert table == {sub.labels[h]: weight_space(m, h).dim for h in grouplikes}
     table_columns = {pair: copy.deepcopy(space.columns)
                      for pair, space in reference.grouplike_wedges.items()}
-    read = analyze._pair_wedges(sub, reference)
+    place = sub_basis.place_in(reference_basis)
+    assert place == [reference.label_index(label) for label in sub.labels]
+    read = analyze._pair_wedges(reference, place)
     with mock.patch.object(analyze, "kernel_on", recording_kernel_on(reads)):
         wedges = {(u, w): read((u, w)) for u in grouplikes for w in grouplikes}
-    place = [reference.label_index(label) for label in sub.labels]
     for (u, w), space in wedges.items():
         own = sub.grouplike_wedges[(u, w)]
         assert space == Subspace.span(field, reference.dim,

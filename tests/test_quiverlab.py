@@ -6,7 +6,8 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from test_coalg import LADDER_ALL, LOOPS_ALL
+from reference import basis_embedding
+from test_coalg import LADDER_ALL, LOOPS_ALL, STAR_ALL
 
 from qcalg import coalg, comod, exactlin
 from qcalg.coalg import Coalgebra, check_axioms, coradical_filtration, wedge
@@ -28,7 +29,7 @@ from qcalg.quiverlab import (
 )
 from qcalg.quiverlab import analyze, paths
 from qcalg.quiverlab.analyze import (
-    _paths_by_vertex,
+    _path_counts,
     analyze_spec,
     degree_tables,
     fnoetherian_sweep,
@@ -342,9 +343,15 @@ class TestDegreeTables:
 
 def hull_bases(spec, side: str, vertex: str, n: int) -> "list[list[str]]":
     """The basis of the side's injective indecomposable at a vertex, at
-    each probe bound, from the path groups the semiperfect verdict reads."""
-    return [g.get(vertex, [])
-            for g in _paths_by_vertex(spec, probe_instances(spec, n))[side]]
+    each probe bound, from the probe's enumeration; the count the
+    semiperfect verdict reads must be its length."""
+    bases = []
+    for inst in probe_instances(spec, n):
+        basis = [p.label for p in paths.enumerate_instance(spec, inst).paths
+                 if (p.target if side == "left" else p.source).label == vertex]
+        assert _path_counts(spec, inst)[side][vertex] == len(basis)
+        bases.append(basis)
+    return bases
 
 
 class TestInjectives:
@@ -365,18 +372,18 @@ class TestInjectives:
 class TestLocallyFinite:
     def test_ex1_holds(self, ex1_spec, ex1_n3):
         entry = locally_finite_verdict(
-            ex1_spec, 3, degree_tables(3, probe_instances(ex1_spec, 3)), ex1_n3[0])
+            ex1_spec, 3, degree_tables(3, probe_instances(ex1_spec, 3)), ex1_n3)
         assert entry.verdict == "holds"
 
     def test_ex2_holds(self, ex2_spec, ex2_n3):
         entry = locally_finite_verdict(
-            ex2_spec, 3, degree_tables(3, probe_instances(ex2_spec, 3)), ex2_n3[0])
+            ex2_spec, 3, degree_tables(3, probe_instances(ex2_spec, 3)), ex2_n3)
         assert entry.verdict == "holds"
 
     def test_unbounded_pair_fails_with_witness(self):
         spec = parse_spec(UNBOUNDED)
         entry = locally_finite_verdict(spec, 2, degree_tables(2, probe_instances(spec, 2)),
-                                       compile_truncation(spec, 2)[0])
+                                       compile_truncation(spec, 2))
         assert entry.verdict == "fails"
         assert entry.witness["pair"] == ["a", "b"]
         assert entry.witness["arrow_probe_counts"] == [2, 3, 4]
@@ -403,6 +410,29 @@ class TestSemiperfect:
         assert list(verdicts) == ["right", "left"]
         assert all(entry.verdict == "holds" for entry in verdicts.values())
 
+    @pytest.mark.parametrize("paths_text,error,line", [
+        # At the probe N + 2 = 4, q runs through x[3] and y[3], as p does.
+        ("path p = x[3] . y[3]\npath q = x[N-1] . y[N-1]\n",
+         "paths p and q coincide", 8),
+        # At the probe N + 1 = 3, q needs the subpath y[3].x[3], which s
+        # does not declare.
+        ("path r[k] = x[k] . y[k], k=1..5\npath s[k] = y[k] . x[k], k=1..2\n"
+         "path q = x[N] . y[N] . x[N]\n", "subpath y[3].x[3] of q is not declared", 9),
+    ], ids=["coincide", "closure"])
+    def test_a_probe_that_enumeration_refuses_is_refused(self, paths_text, error, line):
+        # Valid at N = 2, and the counts stay fixed over the probes, so no
+        # witness enumerates them: the declared list is checked before it
+        # is counted, and refused by the enumeration at its line.
+        text = ("coalgebra refused\nparam N = 2\nvertex a\nvertex b[k], k=1..5\n"
+                "arrow x[k]: a -> b[k], k=1..5\narrow y[k]: b[k] -> a, k=1..5\n"
+                + paths_text)
+        spec = parse_spec(text)
+        probes = probe_instances(spec, 2)
+        with pytest.raises(DslError) as err:
+            semiperfect_verdict(spec, 2, probes)
+        assert err.value.line == line
+        assert error in str(err.value)
+
     def test_cycle_makes_path_families_infinite(self):
         spec = parse_spec(LOOP)
         entry = semiperfect_verdict(spec, 1, probe_instances(spec, 1))["right"]
@@ -424,7 +454,7 @@ class TestSemiperfect:
 def sweep_tables(spec, sweep):
     """The sweep as analyze_spec runs it, analyzed at the last bound."""
     n = sweep[-1]
-    return fnoetherian_sweep(spec, sweep, None, n, compile_truncation(spec, n)[0])
+    return fnoetherian_sweep(spec, sweep, None, n, compile_truncation(spec, n))
 
 
 class TestFNoetherianSweep:
@@ -457,14 +487,19 @@ class TestFNoetherianSweep:
 
     def test_an_empty_sweep_is_refused(self, ex2_spec):
         with pytest.raises(ValueError, match="empty sweep"):
-            fnoetherian_sweep(ex2_spec, [], None, 1, compile_truncation(ex2_spec, 1)[0])
+            fnoetherian_sweep(ex2_spec, [], None, 1, compile_truncation(ex2_spec, 1))
 
     def test_reads_the_analyzed_truncation_at_its_bound(self, ex2_spec,
                                                          patch_everywhere):
-        truncation, _ = compile_truncation(ex2_spec, 2)
+        # Only the reference at bound 3 is compiled: bounds 1 and 2 embed
+        # in it, bound 2 as the analyzed truncation and bound 1 from its
+        # instance alone.
+        truncation = compile_truncation(ex2_spec, 2)
         compiles = _record_calls(patch_everywhere, paths, "compile_truncation")
+        instantiations = _record_calls(patch_everywhere, paths, "instantiate")
         sweeps = fnoetherian_sweep(ex2_spec, [1, 2, 3], None, 2, truncation)
-        assert [call[1:] for call in compiles] == [(1, None), (3, None)]
+        assert [call[1:3] for call in compiles] == [(3, None)]
+        assert [call[1] for call in instantiations] == [1, 3]
         assert sweeps == sweep_tables(ex2_spec, [1, 2, 3])
 
 
@@ -509,7 +544,7 @@ class TestSweepReadsThePairTable:
     def test_columns_match_the_quotient_route(self, text, depth, field):
         spec = replace(parse_spec(text), field=field)
         sweep = [1, 2, 3]
-        truncation, _ = compile_truncation(spec, 2, depth)
+        truncation = compile_truncation(spec, 2, depth)
         got = fnoetherian_sweep(spec, sweep, depth, 2, truncation)
         assert {side: got[side]["tables"] for side in got} == \
             quotient_route_columns(spec, sweep, depth)
@@ -562,10 +597,27 @@ def _pair_tables_built(monkeypatch) -> list:
     return owners
 
 
+# The declared path p keeps its label but runs through b[N], so its links
+# differ between bounds while its vertices and arrows at bound 1 are all
+# in the truncation at bound 2.
+SHIFTING_PATH = """\
+coalgebra shiftpath
+param N = 2
+vertex a
+vertex b[k], k=1..N
+vertex c
+arrow x[k]: a -> b[k], k=1..N
+arrow y[k]: b[k] -> c, k=1..N
+path p = x[N] . y[N]
+mode declared
+"""
+
+
 class TestSweepReadsOneReferenceTable:
-    """A bound D that embeds in the reference truncation C reads
-    X ^_D Y = (X ^_C Y) meet D from C's table; one that does not reads its
-    own.  TestSweepReadsThePairTable stays the end-to-end reference."""
+    """A bound D whose paths lie in the reference truncation C
+    (PathBasis.place_in) reads X ^_D Y = (X ^_C Y) meet D from C's table;
+    one that does not reads its own.  TestSweepReadsThePairTable stays the
+    end-to-end reference."""
 
     GRID = {"ex1": (EX1, None), "ex2": (EX2, None), "ladder": (LADDER_ALL, None),
             "ladder-depth1": (LADDER_ALL, 1), "ladder-depth0": (LADDER_ALL, 0),
@@ -577,13 +629,14 @@ class TestSweepReadsOneReferenceTable:
     def test_each_entry_read_through_the_reference_is_the_bounds_own(
             self, text, depth, field):
         spec = replace(parse_spec(text), field=field)
-        reference, _ = compile_truncation(spec, 4, depth)
+        reference, reference_basis = compile_truncation(spec, 4, depth)
         for bound in (1, 2, 3):
-            sub, _ = compile_truncation(spec, bound, depth)
-            place = analyze._basis_embedding(sub, reference)
+            sub, basis = compile_truncation(spec, bound, depth)
+            place = basis.place_in(reference_basis)
             assert place is not None
+            assert place == basis_embedding(sub, reference)
             back = {j: i for i, j in enumerate(place)}
-            read = analyze._pair_wedges(sub, reference)
+            read = analyze._pair_wedges(reference, place)
             for pair, own in sub.grouplike_wedges.items():
                 within = read(pair)
                 assert within.ambient_dim == reference.dim
@@ -594,9 +647,9 @@ class TestSweepReadsOneReferenceTable:
         # The right side reads (v, h) and the left side (h, v): a second
         # read of either is the first one's subspace, with no solve.
         spec = parse_spec(EX2)
-        reference, _ = compile_truncation(spec, 4)
-        sub, _ = compile_truncation(spec, 2)
-        read = analyze._pair_wedges(sub, reference)
+        reference, reference_basis = compile_truncation(spec, 4)
+        sub, basis = compile_truncation(spec, 2)
+        read = analyze._pair_wedges(reference, basis.place_in(reference_basis))
         reference.grouplike_wedges  # built once, before the count
         solves = _record_calls(patch_everywhere, exactlin, "kernel_on")
         g, h = sub.grouplike_indices()[:2]
@@ -608,34 +661,52 @@ class TestSweepReadsOneReferenceTable:
     @pytest.mark.parametrize("text,tables", [(MOVING, 3), (GROWING, 1)],
                              ids=["moving", "growing"])
     def test_a_bound_that_does_not_embed_builds_its_own_table(
-            self, text, tables, field, monkeypatch):
+            self, text, tables, field, monkeypatch, patch_everywhere):
+        # MOVING's bounds 1 and 2 do not embed, so each is compiled; the
+        # truncation at 3 is the reference.  GROWING's embed and only the
+        # reference builds a table.
         spec = replace(parse_spec(text), field=field)
         sweep = [1, 2, 3]
-        truncation, _ = compile_truncation(spec, 3)
-        embeds = [analyze._basis_embedding(compile_truncation(spec, bound)[0],
-                                           truncation) is not None
-                  for bound in (1, 2)]
-        assert embeds == [text == GROWING] * 2
+        truncation = compile_truncation(spec, 3)
+        for bound in (1, 2):
+            sub, basis = compile_truncation(spec, bound)
+            place = basis.place_in(truncation[1])
+            assert (place is not None) == (text == GROWING)
+            assert place == basis_embedding(sub, truncation[0])
         owners = _pair_tables_built(monkeypatch)
+        compiles = _record_calls(patch_everywhere, paths, "compile_truncation")
         got = fnoetherian_sweep(spec, sweep, None, 3, truncation)
-        assert len(owners) == tables and owners[-1] is truncation
+        assert len(owners) == tables and owners[-1] is truncation[0]
+        assert [call[1] for call in compiles] == ([] if text == GROWING else [1, 2])
         assert {side: got[side]["tables"] for side in got} == \
             quotient_route_columns(spec, sweep, None)
 
-    def test_the_embedding_is_checked_label_for_label(self, ex1_spec):
+    def test_a_path_is_placed_by_its_links(self):
+        # At bound 1 every vertex and arrow is one of bound 2's, and p
+        # keeps its label, but its prefix x[1] is not the prefix x[2] of
+        # p at bound 2: p is not placed, and Delta tells the same.
+        spec = parse_spec(SHIFTING_PATH)
+        sub, basis = compile_truncation(spec, 1)
+        reference, reference_basis = compile_truncation(spec, 2)
+        assert {p.label for p in basis.paths} <= {p.label for p in reference_basis.paths}
+        assert basis.place_in(reference_basis) is None
+        assert basis_embedding(sub, reference) is None
+        assert reference_basis.place_in(reference_basis) == list(range(reference.dim))
+
+    def test_the_reference_embedding_is_checked_label_for_label(self, ex1_spec):
         # Same labels, one Delta changed: every right factor of p[1] is b[1].
         sub, _ = compile_truncation(ex1_spec, 1)
         reference, _ = compile_truncation(ex1_spec, 2)
-        assert analyze._basis_embedding(sub, reference) is not None
+        assert basis_embedding(sub, reference) is not None
         p, b1 = sub.label_index("p[1]"), sub.label_index("b[1]")
         delta = list(sub.delta)
         delta[p] = tuple((j, b1, c) for j, k, c in delta[p])
         broken = replace(sub, delta=tuple(delta))
-        assert analyze._basis_embedding(broken, reference) is None
+        assert basis_embedding(broken, reference) is None
         counit = replace(sub, epsilon=(sub.field.zero,) * sub.dim)
-        assert analyze._basis_embedding(counit, reference) is None
+        assert basis_embedding(counit, reference) is None
         over_gf = replace(sub, field=GF(101))
-        assert analyze._basis_embedding(over_gf, reference) is None
+        assert basis_embedding(over_gf, reference) is None
 
 
 def verdict_entries(spec, n: int, sweep: "list[int]") -> "dict[str, dict]":
@@ -751,45 +822,56 @@ class TestEachStepOnce:
         radicals = _record_calls(patch_everywhere, coalg, "radical")
         tables = _record_calls(patch_everywhere, analyze, "degree_tables")
         verdicts = _record_calls(patch_everywhere, analyze, "locally_finite_verdict")
-        # The sweep leaves out N: it compiles its own bounds.
+        # The sweep leaves out N: it reads its own bounds.
         analyze_spec(spec, 3, [1, 2], None)
         assert len(filtrations) == 1
         assert len(radicals) == 1
-        assert compiles.count((spec, 3, None)) == 1
+        assert [call[:3] for call in compiles].count((spec, 3, None)) == 1
         probes = probe_instances(spec, 3)
         assert tables == [(3, probes)]
         # The bundle calls the public verdict, on the one set of tables and
         # the analyzed truncation.
-        truncation, _ = compile_truncation(spec, 3)
+        truncation = compile_truncation(spec, 3)
         assert verdicts == [(spec, 3, degree_tables(3, probes), truncation)]
 
-    @pytest.mark.parametrize("text,count", [(EX1, 5), (EX2, 4)], ids=["ex1", "ex2"])
+    @pytest.mark.parametrize("text,count", [(EX1, 2), (EX2, 1)], ids=["ex1", "ex2"])
     def test_analyze_compiles_each_truncation_once(self, text, count,
                                                    patch_everywhere):
-        # The analyzed truncation, one per cross-check depth (ex1 probes
-        # depths 1 and 2, ex2 depth 1) and one per sweep bound, which
-        # serves both sides.
+        # The analyzed truncation, and a cross-check depth only where it
+        # drops a path of it: ex1's depth 1 drops the paths p[n], and its
+        # depth 2 and ex2's depth 1 are the truncation.  The sweep bounds
+        # 1 and 2 embed in the truncation at N and are not compiled.
         spec = parse_spec(text)
         compiles = _record_calls(patch_everywhere, paths, "compile_truncation")
         stages = [_record_calls(patch_everywhere, analyze, name)
                   for name in ("semiperfect_verdict", "fnoetherian_sweep")]
         analyze_spec(spec, 3, [1, 2], None)
-        assert len(compiles) == count
-        assert all(compiles.count(call) == 1 for call in compiles)
-        truncation, _ = compile_truncation(spec, 3)
-        assert stages == [[(spec, 3, probe_instances(spec, 3))],
+        assert [call[1:3] for call in compiles] == [(3, None), (3, 1)][:count]
+        probes = probe_instances(spec, 3)
+        assert all(call[3] is compiles[0][3] for call in compiles)
+        truncation = compile_truncation(spec, 3)
+        assert stages == [[(spec, 3, probes, truncation[1])],
                           [(spec, [1, 2], None, 3, truncation)]]
 
-    @pytest.mark.parametrize("text,count", [(EX1, 5), (EX2, 4)], ids=["ex1", "ex2"])
+    @pytest.mark.parametrize("text,count", [(EX1, 2), (EX2, 1)], ids=["ex1", "ex2"])
     def test_the_default_sweep_compiles_each_truncation_once(self, text, count,
                                                              patch_everywhere):
-        # The default sweep 1..N reads the analyzed truncation at N, so its
-        # bounds 1 and 2 are the only compiles it adds.
+        # The default sweep 1..N reads the analyzed truncation at N, and
+        # its bounds 1 and 2 embed in it, so it adds no compile.
         spec = parse_spec(text)
         compiles = _record_calls(patch_everywhere, paths, "compile_truncation")
         analyze_spec(spec, 3)
         assert len(compiles) == count
         assert all(compiles.count(call) == 1 for call in compiles)
+
+    def test_the_default_sweep_of_the_star_compiles_no_bound(self, patch_everywhere):
+        # Every bound of the star's default sweep 1..N embeds in the
+        # truncation at N.  The compiles are the analyzed truncation and
+        # the cross-check's depths 1 and 2, which drop its longer walks.
+        spec = parse_spec(STAR_ALL)
+        compiles = _record_calls(patch_everywhere, paths, "compile_truncation")
+        analyze_spec(spec, 6)
+        assert [call[1:3] for call in compiles] == [(6, None), (6, 1), (6, 2)]
 
     @pytest.mark.parametrize("text,wedges", [(EX1, 12), (EX2, 8)], ids=["ex1", "ex2"])
     def test_grouplike_pair_spaces_come_from_one_table(self, text, wedges,
@@ -909,34 +991,36 @@ class TestEachStepOnce:
         assert others == [[], [], []]
         assert not hasattr(comod, "dual_action")
 
-    @pytest.mark.parametrize("text,bounds", [
-        (EX1, [1, 2, 3, 3, 3, 3, 4, 5]),
-        (EX2, [1, 2, 3, 3, 3, 4, 5]),
-    ], ids=["ex1", "ex2"])
-    def test_analyze_instantiates_each_probe_bound_once(self, text, bounds,
-                                                        patch_everywhere):
-        # N+1 and N+2 are the probes alone.  N is instantiated by the probes,
-        # the analyzed truncation and each cross-check depth (ex1 probes
-        # depths 1 and 2, ex2 depth 1); the sweep compiles its bounds 1, 2.
+    @pytest.mark.parametrize("text", [EX1, EX2], ids=["ex1", "ex2"])
+    def test_analyze_instantiates_each_bound_once(self, text, patch_everywhere):
+        # N is instantiated once for the analyzed truncation, the probes and
+        # the cross-check; N+1 and N+2 are the probes alone, and the sweep
+        # instantiates its bounds 1 and 2 to place them in the truncation.
         spec = parse_spec(text)
         calls = _record_calls(patch_everywhere, paths, "instantiate")
         analyze_spec(spec, 3)
-        instantiated = [call[1] for call in calls]
-        assert instantiated.count(4) == instantiated.count(5) == 1
-        assert len(instantiated) == len(bounds)
-        assert sorted(instantiated) == bounds
+        assert [call[1] for call in calls] == [3, 4, 5, 1, 2]
 
     @pytest.mark.parametrize("n", [1, 3, 5])
-    def test_semiperfect_enumerates_each_probe_once(self, n, ex2_spec,
-                                                    patch_everywhere):
-        specs = (ex2_spec, parse_spec(SINGLE))
+    def test_semiperfect_enumerates_only_for_a_witness(self, n, ex2_spec,
+                                                       patch_everywhere):
+        # Every probe is counted.  ex2's paths out of a grow, so the left
+        # witness reads the paths new at n+1: probes n and n+1 are
+        # enumerated, once each, and probe n at depth None is the
+        # analyzed truncation's basis when the caller hands it in.
+        # SINGLE grows on neither side and enumerates nothing.
+        single = parse_spec(SINGLE)
         enumerations = _record_calls(patch_everywhere, paths, "enumerate_instance")
         instantiations = _record_calls(patch_everywhere, paths, "instantiate")
-        for spec in specs:
-            enumerations.clear()
-            probes = probe_instances(spec, n)
-            semiperfect_verdict(spec, n, probes)
-            assert [call[1:] for call in enumerations] == [
-                (probes[0], None), (probes[1], None), (probes[2], None)]
-            assert all(call[1] is probe for call, probe in zip(enumerations, probes))
-            assert instantiations == []
+        probes = probe_instances(ex2_spec, n)
+        verdicts = semiperfect_verdict(ex2_spec, n, probes)
+        assert [call[1:] for call in enumerations] == [(probes[0], None), (probes[1], None)]
+        assert all(call[1] is probe for call, probe in zip(enumerations, probes))
+        known = paths.enumerate_instance(ex2_spec, probes[0])
+        enumerations.clear()
+        assert semiperfect_verdict(ex2_spec, n, probes, known) == verdicts
+        assert [call[1] for call in enumerations] == [probes[1]]
+        enumerations.clear()
+        semiperfect_verdict(single, n, probe_instances(single, n))
+        assert enumerations == []
+        assert instantiations == []
