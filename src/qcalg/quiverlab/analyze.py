@@ -56,8 +56,8 @@ from ..coalg import (
 from ..comod import loewy_series, regular_comodule
 from ..exactlin import Subspace, kernel_on
 from .dsl import QuiverSpec
-from .paths import (SIZE_BUDGET, PathBasis, QuiverInstance, compile_truncation,
-                    cycle_vertices, enumerate_instance, instantiate, reachability)
+from .paths import (PathBasis, QuiverInstance, compile_truncation, cycle_vertices,
+                    enumerate_instance, instantiate, path_counts, reachability)
 
 
 class InternalCheckError(RuntimeError):
@@ -148,69 +148,6 @@ def degree_tables(n: int, probes: "list[QuiverInstance]") -> dict:
                     "growing": _grows(pair),
                 })
     return {"N": n, "probes": list(_probe_bounds(n)), "vertices": table, "pairs": pairs}
-
-
-def _declared_list_sound(inst: QuiverInstance) -> bool:
-    """Whether enumeration accepts inst's declared list: no path coincides
-    with an arrow or another path, no label repeats, and the prefix and the
-    tail of each path are in the list, which closes it under subpaths."""
-    chains = {(a.label,) for a in inst.arrows}
-    labels = {v.label for v in inst.vertices} | {a.label for a in inst.arrows}
-    for q in inst.declared_paths:
-        chain = tuple(a.label for a in q.arrows)
-        if chain in chains or q.label in labels:
-            return False
-        chains.add(chain)
-        labels.add(q.label)
-    return all(len(c) < 2 or {c[:-1], c[1:]} <= chains for c in chains)
-
-
-def _path_counts(spec: QuiverSpec, inst: QuiverInstance) -> "dict[str, dict[str, int]]":
-    """For each side, the number of admissible paths of inst ending at
-    (left) or starting at (right) each vertex label: the dimensions of the
-    injective indecomposables on that side.
-
-    Declared mode counts its list.  All mode counts by dynamic programming
-    over the arrows in topological order: the paths into v are v and each
-    path into u followed by an arrow u -> v, and dually out of v.  An
-    instance enumeration would refuse is enumerated instead, which refuses
-    it with the message and line of the compile: a cyclic one, one whose
-    count passes the size budget, or a declared list that is not sound
-    (_declared_list_sound).
-    """
-    into = {v.label: 1 for v in inst.vertices}
-    out_of = dict(into)
-    if spec.path_mode == "declared":
-        if _declared_list_sound(inst):
-            ends = [(a.src, a.dst) for a in inst.arrows]
-            ends += [(q.source, q.target) for q in inst.declared_paths]
-            for src, dst in ends:
-                out_of[src.label] += 1
-                into[dst.label] += 1
-            return {"left": into, "right": out_of}
-    else:
-        arrows_out: dict[str, list[str]] = {v: [] for v in into}
-        indegree = dict.fromkeys(into, 0)
-        for a in inst.arrows:
-            arrows_out[a.src.label].append(a.dst.label)
-            indegree[a.dst.label] += 1
-        order = [v for v, d in indegree.items() if d == 0]
-        for v in order:
-            for w in arrows_out[v]:
-                indegree[w] -= 1
-                if indegree[w] == 0:
-                    order.append(w)
-        if len(order) == len(into):
-            for v in order:
-                for w in arrows_out[v]:
-                    into[w] += into[v]
-            for v in reversed(order):
-                out_of[v] += sum(out_of[w] for w in arrows_out[v])
-            if sum(into.values()) <= SIZE_BUDGET:
-                return {"left": into, "right": out_of}
-    basis = enumerate_instance(spec, inst)
-    return {"left": dict(Counter(q.target.label for q in basis.paths)),
-            "right": dict(Counter(q.source.label for q in basis.paths))}
 
 
 # -- individual verdicts ---------------------------------------------------------
@@ -323,16 +260,18 @@ def semiperfect_verdict(spec: QuiverSpec, n: int, probes: "list[QuiverInstance]"
 
     probes holds spec's instances at n, n+1, n+2; both sides read the
     reachability map of the first and the path counts of each
-    (_path_counts).  A cycle fails both sides, so the paths are counted
-    only when some side has no cycle witness (an all-paths cyclic quiver
-    has no unbounded enumeration).  A growing count's witness names paths
+    (paths.path_counts, which holds every rule for which paths an instance
+    has, and refuses a probe as its enumeration would).  A cycle fails
+    both sides, so the paths are counted only when some side has no cycle
+    witness (an all-paths cyclic quiver has no unbounded enumeration).
+    A growing count's witness names paths
     new at n+1, so only then are the first two probes enumerated, once
     each; known, an enumeration the caller holds, stands for the first
     when it is that instance's at depth None.
     """
     reach = reachability(probes[0]) if spec.path_mode == "all" else {}
     cycles = {side: _cycle_witness(reach, side) for side in ("right", "left")}
-    counts = ([_path_counts(spec, inst) for inst in probes]
+    counts = ([path_counts(spec, inst) for inst in probes]
               if None in cycles.values() else None)
 
     @cache
@@ -615,7 +554,8 @@ def analyze_spec(spec: QuiverSpec, n: int, sweep: "list[int] | None" = None,
         raise InternalCheckError(
             f"compiled truncation violates the coalgebra axioms: {axioms.first()}")
     filtration = coradical_filtration(coalgebra)
-    sweep = sweep or list(range(1, max(2, n) + 1))
+    if sweep is None:
+        sweep = list(range(1, max(2, n) + 1))
     probes = [instance] + [instantiate(spec, bound) for bound in _probe_bounds(n)[1:]]
     tables = degree_tables(n, probes)
     lf = locally_finite_verdict(spec, n, tables, truncation)

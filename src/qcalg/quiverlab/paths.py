@@ -3,8 +3,12 @@
 A truncation is selected by a family bound (every parameter set to N) and
 an optional maximum path length.  The enumerated basis is closed under
 contiguous subpaths, which is exactly what makes its span a subcoalgebra
-of the full path coalgebra; closure is validated on declared paths (all-mode
-walks grow from enumerated walks) and violations name the missing subpath.
+of the full path coalgebra.  All-mode walks grow from enumerated walks.  A
+declared list is closed when each path's prefix and tail are listed, so
+closure is checked through the links the compile reads (declared_paths),
+and a missing subpath is looked for only to name it.  The probes' path
+counts (path_counts) read the same check and cycle test, so they refuse
+an instance where enumeration does.
 
 The basis is a path trie: each path records the index of its prefix (its
 last arrow dropped) and of its tail (its first arrow dropped), and an
@@ -18,6 +22,7 @@ elements; the comultiplication of an existing path never changes.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -323,17 +328,23 @@ def enumerate_instance(spec: QuiverSpec, inst: QuiverInstance,
                        depth: "int | None" = None) -> PathBasis:
     """All admissible paths of an instance of spec, up to an optional length.
 
-    Declared mode takes the declared set; all mode walks the instantiated
-    graph and therefore refuses cyclic instances unless a depth bound is
-    given.
+    Declared mode takes the sorted vertices and arrows and the declared
+    list that declared_paths checks, linked by key: a vertex to itself, an
+    arrow to its endpoints and a declared path to its prefix and tail.  All
+    mode walks the instantiated graph and therefore refuses cyclic
+    instances unless a depth bound is given.
     """
     vertices = [Path(v.label, v, v, ()) for v in inst.vertices]
     arrows = ([Path(a.label, a.src, a.dst, (a,)) for a in inst.arrows]
               if depth is None or depth >= 1 else [])
     if spec.path_mode == "declared":
-        declared = [p for p in inst.declared_paths if depth is None or p.length <= depth]
-        ordered = _declared_order(vertices + arrows + declared)
-        prefix, tail = _links(ordered)
+        ordered = sorted(vertices + arrows, key=Path.sort_key) + declared_paths(inst, depth)
+        keys = [p.key() for p in ordered]
+        at = {key: i for i, key in enumerate(keys)}
+        # The key of each vertex, for the empty prefix and tail of a vertex or an arrow.
+        own = {p.source: key for p, key in zip(ordered, keys) if not p.arrows}
+        prefix = [at[key[:-1] or own[p.source]] for p, key in zip(ordered, keys)]
+        tail = [at[key[1:] or own[p.target]] for p, key in zip(ordered, keys)]
     else:
         ordered, prefix, tail = _walks(inst, vertices, arrows, depth)
     labels = [p.label for p in ordered]
@@ -342,45 +353,71 @@ def enumerate_instance(spec: QuiverSpec, inst: QuiverInstance,
     return PathBasis(tuple(ordered), tuple(prefix), tuple(tail), inst, depth)
 
 
-def _declared_order(candidates: "list[Path]") -> "list[Path]":
-    """The declared-mode candidates in canonical order, refused where two
-    coincide or where a subpath is missing."""
+def declared_paths(inst: QuiverInstance, depth: "int | None" = None) -> "list[Path]":
+    """inst's declared paths up to depth in canonical order, refused as
+    enumeration refuses them.
+
+    Two paths that coincide are refused first, in declaration order, at the
+    later line; a declared path has two arrows or more, so it never
+    coincides with an arrow.  Then each path's prefix and tail are looked
+    up by key: the list is closed under subpaths when every prefix and tail
+    is listed (by induction on the length), and only on a miss does
+    _closure_check name the first path in canonical order that is not
+    closed, and its missing subpath, at its line.
+    """
     unique: dict[tuple, Path] = {}
-    for p in candidates:
+    for p in inst.declared_paths:
+        if depth is not None and p.length > depth:
+            continue
         key = p.key()
         if key in unique:
             raise DslError(f"paths {unique[key].label} and {p.label} coincide",
                            max(unique[key].line, p.line))
         unique[key] = p
     ordered = sorted(unique.values(), key=Path.sort_key)
-    _closure_check(ordered)
+    known = set(unique) | {(("arrow", a.name, a.indices),) for a in inst.arrows}
+    if any(key[:-1] not in known or key[1:] not in known for key in unique):
+        _closure_check([Path(a.label, a.src, a.dst, (a,)) for a in inst.arrows] + ordered)
     return ordered
 
 
-def _links(ordered: "list[Path]") -> "tuple[list[int], list[int]]":
-    """The prefix and tail index of each path of a subpath-closed basis in
-    canonical order, by walking its arrows from its source vertex and from
-    its second vertex through the paths placed before it."""
-    vertex_at: dict[str, int] = {}
-    step: dict[tuple, int] = {}  # (path, arrow label) -> that path extended
-    prefix: list[int] = []
-    tail: list[int] = []
-    for i, p in enumerate(ordered):
-        if not p.arrows:
-            vertex_at[p.source.label] = i
-            prefix.append(i)
-            tail.append(i)
-            continue
-        head = vertex_at[p.source.label]
-        for a in p.arrows[:-1]:
-            head = step[(head, a.label)]
-        rest = vertex_at[p.arrows[0].dst.label]
-        for a in p.arrows[1:]:
-            rest = step[(rest, a.label)]
-        step[(head, p.arrows[-1].label)] = i
-        prefix.append(head)
-        tail.append(rest)
-    return prefix, tail
+def path_counts(spec: QuiverSpec, inst: QuiverInstance) -> "dict[str, dict[str, int]]":
+    """For each side, the number of paths of enumerate_instance(spec, inst)
+    ending at (left) or starting at (right) each vertex label, the
+    dimensions of the injective indecomposables on that side, or its
+    refusal.
+
+    Declared mode counts the vertices, the arrows and the list that
+    declared_paths checks.  The duplicate-label refusal cannot meet a
+    count: parse_spec refuses a name declared twice, and a declaration's
+    binders are exactly its range variables.  All mode counts along the
+    arrows, the paths into v being v and each path into u followed by an
+    arrow u -> v, and dually out of v, taking each arrow u -> v after those
+    into u: with no cycle (cycle_vertices), |reach(u)| > |reach(v)|.  A
+    cyclic instance, or one whose count passes the size budget, is
+    enumerated, which refuses it with its message and line.
+    """
+    into = {v.label: 1 for v in inst.vertices}
+    out_of = dict(into)
+    if spec.path_mode == "declared":
+        ends = [(a.src, a.dst) for a in inst.arrows]
+        ends += [(q.source, q.target) for q in declared_paths(inst)]
+        for src, dst in ends:
+            out_of[src.label] += 1
+            into[dst.label] += 1
+        return {"left": into, "right": out_of}
+    reach = reachability(inst)
+    if not cycle_vertices(reach):
+        by_reach = sorted(inst.arrows, key=lambda a: len(reach[a.src.label]))
+        for a in reversed(by_reach):
+            into[a.dst.label] += into[a.src.label]
+        for a in by_reach:
+            out_of[a.src.label] += out_of[a.dst.label]
+        if sum(into.values()) <= SIZE_BUDGET:
+            return {"left": into, "right": out_of}
+    basis = enumerate_instance(spec, inst)
+    return {"left": dict(Counter(q.target.label for q in basis.paths)),
+            "right": dict(Counter(q.source.label for q in basis.paths))}
 
 
 def _walks(inst: QuiverInstance, vertices: "list[Path]", arrows: "list[Path]",

@@ -7,8 +7,10 @@ multiplication in the dual and of a dual vector's action on a comodule;
 products in the dual; direct sums, subcomodules and the coideal
 predicates; subspace containment and coordinates; stacking and composing
 sparse matrices; echelon form by back-elimination through every pivot
-row; the compile of a quiver truncation by key tuples; and the check that
-one compiled coalgebra embeds in another, label for label.  The package
+row; the compile of a quiver truncation by key tuples; the declared-mode
+basis checked for closure by the key tuple of every subpath and linked by
+walking each path's arrows; and the check that one compiled coalgebra
+embeds in another, label for label.  The package
 itself never imports this module.
 """
 
@@ -26,8 +28,8 @@ from qcalg.exactlin import (
     exact_quotient,
     row_add,
 )
-from qcalg.quiverlab.dsl import QuiverSpec
-from qcalg.quiverlab.paths import Path, instantiate
+from qcalg.quiverlab.dsl import ClosureError, DslError, QuiverSpec
+from qcalg.quiverlab.paths import Path, PathBasis, QuiverInstance, instantiate
 
 
 # -- sparse matrices and subspaces -------------------------------------------
@@ -311,6 +313,72 @@ def reference_compile(spec: QuiverSpec, n_bound: "int | None" = None,
         epsilon.append(field.zero)
     return Coalgebra(field=field, dim=len(paths), labels=tuple(p.label for p in paths),
                      delta=tuple(delta), epsilon=tuple(epsilon))
+
+
+def _closure_check(paths: "list[Path]") -> None:
+    """Refuse the first path, in list order, with a contiguous subpath not
+    in the list, naming the first such subpath by its start and end."""
+    keys = {_key(p) for p in paths}
+    for p in paths:
+        for i in range(p.length):
+            for j in range(i + 1, p.length + 1):
+                if (i, j) == (0, p.length):
+                    continue
+                if tuple(("arrow", a.name, a.indices) for a in p.arrows[i:j]) not in keys:
+                    missing = ".".join(a.label for a in p.arrows[i:j])
+                    raise ClosureError(
+                        f"subpath {missing} of {p.label} is not declared", p.line)
+
+
+def reference_declared_basis(inst: QuiverInstance, depth: "int | None" = None
+                             ) -> PathBasis:
+    """The declared-mode basis of inst up to depth, built as enumeration
+    built it before declared lists were checked through their links.
+
+    The vertices, the arrows (unless depth is 0) and the declared paths up
+    to depth are refused where two coincide, at the later line, then
+    sorted by Path.sort_key and refused where one misses a subpath, by the
+    key tuple of every subpath, O(L^2) per path of length L.  Each path is
+    then linked by walking its arrows from its source vertex (its prefix)
+    and from its second vertex (its tail) through the paths before it, and
+    repeated labels are refused last.
+    """
+    candidates = [Path(v.label, v, v, ()) for v in inst.vertices]
+    if depth is None or depth >= 1:
+        candidates.extend(Path(a.label, a.src, a.dst, (a,)) for a in inst.arrows)
+    candidates.extend(p for p in inst.declared_paths if depth is None or p.length <= depth)
+    unique: dict = {}
+    for p in candidates:
+        if _key(p) in unique:
+            first = unique[_key(p)]
+            raise DslError(f"paths {first.label} and {p.label} coincide",
+                           max(first.line, p.line))
+        unique[_key(p)] = p
+    ordered = sorted(unique.values(), key=Path.sort_key)
+    _closure_check(ordered)
+    vertex_at: dict = {}
+    step: dict = {}  # (path index, arrow label) -> that path extended
+    prefix: list = []
+    tail: list = []
+    for i, p in enumerate(ordered):
+        if not p.arrows:
+            vertex_at[p.source.label] = i
+            prefix.append(i)
+            tail.append(i)
+            continue
+        head = vertex_at[p.source.label]
+        for a in p.arrows[:-1]:
+            head = step[(head, a.label)]
+        rest = vertex_at[p.arrows[0].dst.label]
+        for a in p.arrows[1:]:
+            rest = step[(rest, a.label)]
+        step[(head, p.arrows[-1].label)] = i
+        prefix.append(head)
+        tail.append(rest)
+    labels = [p.label for p in ordered]
+    if len(set(labels)) != len(labels):
+        raise DslError("duplicate path labels after instantiation", 1)
+    return PathBasis(tuple(ordered), tuple(prefix), tuple(tail), inst, depth)
 
 
 def basis_embedding(sub: Coalgebra, reference: Coalgebra) -> "list[int] | None":

@@ -22,7 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import (basis_embedding, dual_action, image_rows, is_subcoalgebra,
-                       left_mult_matrix, reference_compile, row_dicts, vstack)
+                       left_mult_matrix, reference_compile, reference_declared_basis,
+                       row_dicts, vstack)
 from test_coalg import LADDER_ALL, STAR_ALL, change_basis
 from test_comod import loewy_by_preimages
 from test_quiverlab import GROWING, MOVING, _record_calls
@@ -50,9 +51,10 @@ from qcalg.comod import (
     weight_space,
 )
 from qcalg.exactlin import GF, QQ, Matrix, Subspace, kernel, kernel_on
-from qcalg.quiverlab import analyze, compile_truncation, enumerate_paths, parse_spec
-from qcalg.quiverlab.analyze import _path_counts, fnoetherian_sweep
-from qcalg.quiverlab.paths import enumerate_instance, instantiate
+from qcalg.quiverlab import DslError, analyze, compile_truncation, enumerate_paths, parse_spec
+from qcalg.quiverlab.analyze import fnoetherian_sweep
+from qcalg.quiverlab.paths import (Path, PathBasis, enumerate_instance, instantiate,
+                                   path_counts)
 from qcalg.quiverlab.registry import EX1, EX2
 from qcalg.textfmt import dumps_coalgebra, loads
 
@@ -85,16 +87,102 @@ def declared_dag_spec(rng: random.Random) -> str:
     return "\n".join(lines) + "\n"
 
 
+def outcome(route, *args):
+    """What route(*args) returns, or the type, message and line of the
+    DslError it raises."""
+    try:
+        return route(*args)
+    except DslError as err:
+        return (type(err), str(err), err.line)
+
+
 def counted_paths_match_the_enumeration(spec, inst) -> bool:
-    """_path_counts of an instance against its enumeration, per side and
-    vertex."""
-    basis = enumerate_instance(spec, inst)
-    counts = _path_counts(spec, inst)
+    """path_counts of an instance against its enumeration, per side and
+    vertex, or, where the enumeration refuses the instance, the same
+    refusal: one type, message and line."""
+    basis = outcome(enumerate_instance, spec, inst)
+    counts = outcome(path_counts, spec, inst)
+    if not isinstance(basis, PathBasis):
+        return counts == basis
     for side, end in (("left", "target"), ("right", "source")):
         enumerated = Counter(getattr(p, end).label for p in basis.paths)
         if counts[side] != dict(enumerated):
             return False
     return True
+
+
+@st.composite
+def drawn_quivers(draw, mode: str):
+    """A spec in mode of up to four vertices and two to six arrows, loops and
+    cycles allowed, over QQ or GF(7), and its instance."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    ends = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)),
+                         min_size=2, max_size=6))
+    lines = ["coalgebra drawn", f"mode {mode}"]
+    lines += [f"vertex v{i}" for i in range(1, n + 1)]
+    lines += [f"arrow e{k}: v{i} -> v{j}" for k, (i, j) in enumerate(ends)]
+    spec = replace(parse_spec("\n".join(lines) + "\n"),
+                   field=draw(st.sampled_from([QQ, GF(7)])))
+    return spec, instantiate(spec)
+
+
+@st.composite
+def declared_lists(draw):
+    """A declared-mode spec and its instance with a drawn declared list:
+    one to four walks of up to four arrows, closed under subpaths and
+    listed in a drawn order, then perhaps broken by up to three faults.  A
+    fault drops the prefix, the tail or the middle of a listed chain, one
+    of two arrows or more, or lists a chain twice.  Labels are
+    distinct and lines drawn from 1..9, so coinciding paths may share one."""
+    spec, inst = draw(drawn_quivers("declared"))
+    chains: set = set()
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        chain = [draw(st.sampled_from(inst.arrows))]
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            after = [a for a in inst.arrows if a.src == chain[-1].dst]
+            if not after:
+                break
+            chain.append(draw(st.sampled_from(after)))
+        chains.update(tuple(chain[i:j]) for i in range(len(chain))
+                      for j in range(i + 2, len(chain) + 1))
+    listed = list(draw(st.permutations(sorted(chains, key=lambda c: [a.label for a in c]))))
+    faults = draw(st.lists(st.sampled_from(["prefix", "tail", "middle", "twice"]),
+                           max_size=3))
+    for fault in faults:
+        # The cut has two arrows or more, so it is a listed chain.
+        fit = [c for c in listed if len(c) >= (4 if fault == "middle" else 3)
+               or fault == "twice"]
+        if not fit:
+            continue
+        chain = draw(st.sampled_from(fit))
+        if fault == "twice":
+            listed.insert(draw(st.integers(min_value=0, max_value=len(listed))), chain)
+        else:
+            cut = {"prefix": chain[:-1], "tail": chain[1:], "middle": chain[1:-1]}[fault]
+            listed = [c for c in listed if c != cut]
+    declared = tuple(Path(f"w{k}", c[0].src, c[-1].dst, c,
+                          draw(st.integers(min_value=1, max_value=9)))
+                     for k, c in enumerate(listed))
+    return spec, replace(inst, declared_paths=declared)
+
+
+@settings(max_examples=300, deadline=None)
+@given(declared_lists(), st.sampled_from([None, 1, 2]))
+def test_a_declared_list_is_checked_and_linked_as_by_every_subpath(drawn, depth):
+    # Checking each path's prefix and tail in canonical order refuses what
+    # checking every subpath refuses, with the same message and line, and
+    # linking by key gives the links that walking each path's arrows gives.
+    spec, inst = drawn
+    assert outcome(enumerate_instance, spec, inst, depth) == \
+        outcome(reference_declared_basis, inst, depth)
+    assert counted_paths_match_the_enumeration(spec, inst)
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn_quivers("all"))
+def test_counts_refuse_a_cyclic_all_mode_instance_as_enumeration_does(drawn):
+    spec, inst = drawn
+    assert counted_paths_match_the_enumeration(spec, inst)
 
 
 class TestTrieCompileMatchesTheKeyTupleCompile:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import inspect
 import re
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -29,7 +30,6 @@ from qcalg.quiverlab import (
 )
 from qcalg.quiverlab import analyze, paths
 from qcalg.quiverlab.analyze import (
-    _path_counts,
     analyze_spec,
     degree_tables,
     fnoetherian_sweep,
@@ -188,14 +188,45 @@ class TestParsing:
 
 
 class TestEnumeration:
-    def test_all_mode_walks_skip_the_closure_check(self, monkeypatch):
+    def test_all_mode_walks_skip_the_closure_check(self, monkeypatch, ex1_spec):
         spec = parse_spec(LADDER_ALL)
 
         def forbidden(candidates):
-            raise AssertionError("the closure check ran on all-mode walks")
+            raise AssertionError("the closure check ran on valid paths")
         monkeypatch.setattr(paths, "_closure_check", forbidden)
         # 5 vertices and 2^l walks of each length l from each of 5 - l vertices.
         assert len(enumerate_paths(spec, 4)) == 5 + 4 * 2 + 3 * 4 + 2 * 8 + 16
+        # A valid declared list is closed by the check of each path's prefix
+        # and tail, so the subpath search runs only to name a fault.  ex1 at
+        # 6: 7 vertices, 12 arrows x[k], y[k] and 6 paths p[k] = x[k] . y[k].
+        assert len(enumerate_paths(ex1_spec, 6)) == 7 + 12 + 6
+        for inst in probe_instances(ex1_spec, 6):
+            # Into a: a, each y[k] and each p[k]; out of a: a, each x[k] and each p[k].
+            counts, k = paths.path_counts(ex1_spec, inst), len(inst.declared_paths)
+            assert counts["left"]["a"] == counts["right"]["a"] == 1 + 2 * k
+
+    @pytest.mark.parametrize("budget", [56, 57])
+    def test_counts_and_enumeration_read_one_budget(self, budget, monkeypatch):
+        # The all-mode ladder at N=4 has 57 paths: past a budget of 56, and
+        # within one of 57.  Both routes refuse it, with one message and
+        # line, or both accept it with the same counts.
+        spec = parse_spec(LADDER_ALL)
+        inst = instantiate(spec, 4)
+        monkeypatch.setattr(paths, "SIZE_BUDGET", budget)
+
+        def outcome(route):
+            try:
+                return route(spec, inst)
+            except DslError as err:
+                return (str(err), err.line)
+        counts, basis = outcome(paths.path_counts), outcome(paths.enumerate_instance)
+        if budget == 56:
+            assert counts == basis
+            assert "more than 56 paths in all-paths mode" in basis[0]
+        else:
+            assert len(basis) == 57
+            assert counts["left"] == dict(Counter(p.target.label for p in basis.paths))
+            assert counts["right"] == dict(Counter(p.source.label for p in basis.paths))
 
     def test_ex1_bound1_depth2(self):
         basis = enumerate_paths(parse_spec(EX1), 1, 2)
@@ -349,7 +380,7 @@ def hull_bases(spec, side: str, vertex: str, n: int) -> "list[list[str]]":
     for inst in probe_instances(spec, n):
         basis = [p.label for p in paths.enumerate_instance(spec, inst).paths
                  if (p.target if side == "left" else p.source).label == vertex]
-        assert _path_counts(spec, inst)[side][vertex] == len(basis)
+        assert paths.path_counts(spec, inst)[side][vertex] == len(basis)
         bases.append(basis)
     return bases
 
@@ -488,6 +519,9 @@ class TestFNoetherianSweep:
     def test_an_empty_sweep_is_refused(self, ex2_spec):
         with pytest.raises(ValueError, match="empty sweep"):
             fnoetherian_sweep(ex2_spec, [], None, 1, compile_truncation(ex2_spec, 1))
+        # Only None means the default sweep.
+        with pytest.raises(ValueError, match="empty sweep"):
+            analyze_spec(ex2_spec, 3, sweep=[])
 
     def test_reads_the_analyzed_truncation_at_its_bound(self, ex2_spec,
                                                          patch_everywhere):
