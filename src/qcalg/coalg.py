@@ -121,11 +121,11 @@ class Coalgebra:
         By Taft-Wilson, kg ^ kh = kg + kh + P_{g,h}, where P_{g,h} is the
         space of (g, h)-skew-primitives (Montgomery 1993, 5.4), and g is not
         in P_{g,h}; so dim P_{g,h} = dim(kg ^ kh) - 1 whether or not g = h.
-        Three readers share the table: the local-finiteness cross-check
-        reads those dimensions, the duality oracle checks these same wedges
-        for its span pairs, and the F-Noetherian sweep reads its reference
-        truncation's table, at every bound that embeds in it as a
-        subcoalgebra spanned by basis vectors (kg ^_D kh = (kg ^ kh) meet D).
+        The duality oracle checks these same wedges for its span pairs.
+        The local-finiteness cross-check (those dimensions, per depth) and
+        the F-Noetherian sweep (per bound) read a truncation D that embeds
+        in this one as a subcoalgebra spanned by basis vectors from this
+        table, as kg ^_D kh = (kg ^ kh) meet D, and build no table for D.
 
         One wedge per vertex: K_g = kg ^ kG holds every kg ^ kh, as kh lies
         in kG, and each kg ^ kh is restrict_wedge's cut of it.

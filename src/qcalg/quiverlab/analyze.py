@@ -17,23 +17,23 @@ rule chain that produced it; a verdict of fails carries a concrete witness.
 
 ``analyze_spec`` is the one route through the analyzer.  It instantiates
 each bound once, N for the truncation and the probes alike, and calls
-each stage once: ``degree_tables``, ``locally_finite_verdict`` (which
-compiles a cross-check depth from the instance at N only when it differs
-from the analyzed truncation), the two-sided ``semiperfect_verdict``
-(which counts each probe's paths per vertex and enumerates a probe only
-for a growth witness or a refusal) and ``fnoetherian_sweep``, and the
-duality oracle.  The cross-check and the oracle read vertex pairs from
-one table per truncation, ``Coalgebra.grouplike_wedges``.  The oracle
-solves a full wedge and a full ideal product only for the pairs of two
-coradical filtration terms.  It cuts each pair of a vertex line with C0
-or C1 from those, and the ideal side of each pair of two lines from that
-of the line with C0 (``coalg.restrict_wedge``,
-``coalg.restrict_product_perp``); the wedge side of a pair of two lines
-is the table's entry.  The sweep reads every bound from one reference
-table, that of the analyzed truncation or, past N, of its largest bound:
-a bound whose enumerated paths lie in the reference truncation
-(``PathBasis.place_in``) is not compiled and reads its entries from the
-reference, and one that does not is compiled and builds its own.
+each stage once: ``degree_tables``, ``locally_finite_verdict``, the
+two-sided ``semiperfect_verdict`` (which counts each probe's paths per
+vertex and enumerates a probe only for a growth witness or a refusal) and
+``fnoetherian_sweep``, and the duality oracle.  The oracle solves a full
+wedge and a full ideal product only for the pairs of two coradical
+filtration terms.  It cuts each pair of a vertex line with C0 or C1 from
+those, and the ideal side of each pair of two lines from that of the line
+with C0 (``coalg.restrict_wedge``, ``coalg.restrict_product_perp``); the
+wedge side of a pair of two lines is the entry of the truncation's table
+of grouplike-pair wedges, ``Coalgebra.grouplike_wedges``.
+
+Every other truncation the analyzer reads (the cross-check's depths, the
+sweep's bounds) goes by one rule, ``_pairs_at``: its enumerated paths are
+placed (``PathBasis.place_in``) in a truncation already compiled, the
+analyzed one or, for a sweep past N, that of its largest bound, and each
+pair wedge is cut from that truncation's table; only a truncation that
+no compiled one holds is compiled, and builds its own table.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from ..comod import loewy_series, regular_comodule
 from ..exactlin import Subspace, kernel_on
 from .dsl import QuiverSpec
 from .paths import (PathBasis, QuiverInstance, compile_truncation, cycle_vertices,
-                    enumerate_instance, instantiate, path_counts, reachability)
+                    enumerate_instance, instantiate, path_counts)
 
 
 class InternalCheckError(RuntimeError):
@@ -162,12 +162,11 @@ def locally_finite_verdict(spec: QuiverSpec, n: int, tables: dict,
     vertex pair must have dimension (arrow count) + 1 for distinct
     vertices and (loop count) for g = h.  Its dimension is read as
     dim(kg ^ kh) - 1 from the coalgebra's table of grouplike-pair wedges
-    (Taft-Wilson: kg ^ kh = kg + kh + P_{g,h}).  A probed depth is the
-    truncation itself when it is the truncation's depth, or when the
-    truncation holds every path of the instance (no depth, or none as
-    long as its depth) and none longer than the probed depth; it then
-    uses that object, so the sweep and the oracle read the same table.
-    Any other depth is compiled from the truncation's instance.
+    (Taft-Wilson: kg ^ kh = kg + kh + P_{g,h}).  Each probed depth is
+    enumerated from the truncation's instance and read through _pairs_at:
+    placed in the truncation, its entries are cut from the table the sweep
+    and the oracle read, and it is compiled only when it holds a path the
+    truncation lacks.  Either way the wedges read only Delta.
     """
     for info in tables["pairs"]:
         if info["growing"]:
@@ -184,21 +183,15 @@ def locally_finite_verdict(spec: QuiverSpec, n: int, tables: dict,
     max_declared = max((len(p.segments) for p in spec.extra_paths), default=1)
     if spec.path_mode == "all":
         max_declared = max(max_declared, 2)
-    held = truncation[1]
-    longest = max((len(p.arrows) for p in held.paths), default=0)
-    complete = held.depth is None or longest < held.depth
     for depth in sorted({1, max_declared}):
-        if depth == held.depth or (complete and longest <= depth):
-            coalgebra, basis = truncation
-        else:
-            coalgebra, basis = compile_truncation(spec, n, depth, instance=held.instance)
-        wedges = coalgebra.grouplike_wedges
+        basis = enumerate_instance(spec, truncation[1].instance, depth)
+        _, _, wedges = _pairs_at(spec, n, basis, [truncation])
         verts = [(v, basis.index_of_label(v.label)) for v in basis.vertices()]
         for u, gi in verts:
             for w, hi in verts:
                 expected = pair_counts.get((u.label, w.label), 0)
                 expected += 1 if u != w else 0
-                got = wedges[(gi, hi)].dim - 1
+                got = wedges((gi, hi)).dim - 1
                 if got != expected:
                     raise InternalCheckError(
                         f"skew-primitive dimension {got} for ({u.label}, {w.label}) "
@@ -269,7 +262,7 @@ def semiperfect_verdict(spec: QuiverSpec, n: int, probes: "list[QuiverInstance]"
     each; known, an enumeration the caller holds, stands for the first
     when it is that instance's at depth None.
     """
-    reach = reachability(probes[0]) if spec.path_mode == "all" else {}
+    reach = probes[0].reachability if spec.path_mode == "all" else {}
     cycles = {side: _cycle_witness(reach, side) for side in ("right", "left")}
     counts = ([path_counts(spec, inst) for inst in probes]
               if None in cycles.values() else None)
@@ -342,6 +335,22 @@ def _pair_wedges(reference: Coalgebra, place: "list[int]"):
     return within
 
 
+def _pairs_at(spec: QuiverSpec, bound: int, basis: PathBasis,
+              held: "list[tuple[Coalgebra, PathBasis]]"):
+    """(labels, grouplikes, pair wedges) of the truncation whose paths are
+    basis, enumerated at bound: placed in the first truncation of held that
+    holds it, each entry cut from that one's table (_pair_wedges), and
+    compiled from basis's instance at its depth only when none does."""
+    for coalgebra, reference in held:
+        place = basis.place_in(reference)
+        if place is not None:
+            kept = set(coalgebra.grouplike_indices())
+            grouplikes = tuple(i for i, j in enumerate(place) if j in kept)
+            return basis.labels(), grouplikes, _pair_wedges(coalgebra, place)
+    c, _ = compile_truncation(spec, bound, basis.depth, instance=basis.instance)
+    return c.labels, c.grouplike_indices(), c.grouplike_wedges.__getitem__
+
+
 def fnoetherian_sweep(spec: QuiverSpec, sweep: "list[int]", depth: "int | None",
                       n: int, truncation: "tuple[Coalgebra, PathBasis]") -> dict:
     """Socle-multiplicity growth tables for single-vertex quotients, per side.
@@ -355,16 +364,14 @@ def fnoetherian_sweep(spec: QuiverSpec, sweep: "list[int]", depth: "int | None",
     with the bound) gets no column.  A growing column refutes; absence of
     growth never proves the property.
 
-    The counts are grouplike-pair wedges, all read from one reference
-    table: the grouplike_wedges of the truncation at max(n, largest bound),
-    at n the table the cross-check and the oracle read.  The smallest bound
-    is instantiated and enumerated first and the largest, when it exceeds
-    n, compiled right after it (so an over-budget sweep fails before any
-    bound in between is built).  Every other bound is instantiated and
-    enumerated once.  A bound whose paths all lie in the reference's
-    (PathBasis.place_in) spans a subcoalgebra of it and is not compiled:
-    it reads its entries from the reference (_pair_wedges).  One that does
-    not is compiled and builds its own table.  Right weight-h vectors of
+    The counts are grouplike-pair wedges, each bound's read by _pairs_at
+    from the truncations held: the one at the largest bound, when it
+    exceeds n, then the analyzed one, whose table the cross-check and the
+    oracle read.  The smallest bound is instantiated and enumerated first
+    and the largest, when it exceeds n, compiled right after it (so an
+    over-budget sweep fails before any bound in between is built).  Every
+    other bound is instantiated and enumerated once, and compiled only
+    when no held truncation holds its paths.  Right weight-h vectors of
     C/kv lift to the c with (pi_v (x) id)Delta c = pi_v(c) (x) h: inside
     kv ^ kh by definition, and all of it, as id (x) epsilon turns
     (pi_v (x) id)Delta c = w (x) h into w = pi_v(c) (counit law,
@@ -377,27 +384,18 @@ def fnoetherian_sweep(spec: QuiverSpec, sweep: "list[int]", depth: "int | None",
     bases = {n: truncation[1]}
     if smallest not in bases:
         bases[smallest] = enumerate_instance(spec, instantiate(spec, smallest), depth)
-    reference = truncation
+    held = [truncation]
     if top != n:
         inst = bases[top].instance if top in bases else instantiate(spec, top)
-        reference = compile_truncation(spec, top, depth, instance=inst)
-    grouplike_set = set(reference[0].grouplike_indices())
+        held = [compile_truncation(spec, top, depth, instance=inst), truncation]
+        bases[top] = held[0][1]
 
     @cache
     def at_bound(bound: int):
         """(labels, grouplikes, pair wedges) of the truncation at bound."""
-        if bound == top:
-            c = reference[0]
-            return c.labels, c.grouplike_indices(), c.grouplike_wedges.__getitem__
         basis = bases[bound] if bound in bases else enumerate_instance(
             spec, instantiate(spec, bound), depth)
-        place = basis.place_in(reference[1])
-        if place is None:
-            c = truncation[0] if bound == n else compile_truncation(
-                spec, bound, depth, instance=basis.instance)[0]
-            return c.labels, c.grouplike_indices(), c.grouplike_wedges.__getitem__
-        grouplikes = tuple(i for i, j in enumerate(place) if j in grouplike_set)
-        return basis.labels(), grouplikes, _pair_wedges(reference[0], place)
+        return _pairs_at(spec, bound, basis, held)
 
     labels, grouplikes, _ = at_bound(smallest)
     vertices = sorted(labels[g] for g in grouplikes)

@@ -103,6 +103,26 @@ class QuiverInstance:
     arrows: "tuple[Arrow, ...]"
     declared_paths: "tuple[Path, ...]"
 
+    @cached_property
+    def reachability(self) -> "dict[str, set[str]]":
+        """For each vertex label, the labels reachable by a walk of one or
+        more arrows, found once per instance; a vertex lies on a cycle
+        exactly when it reaches itself."""
+        successors: dict[str, set[str]] = {v.label: set() for v in self.vertices}
+        for a in self.arrows:
+            successors[a.src.label].add(a.dst.label)
+        reach: dict[str, set[str]] = {}
+        for v, first in successors.items():
+            seen: set[str] = set()
+            stack = list(first)
+            while stack:
+                w = stack.pop()
+                if w not in seen:
+                    seen.add(w)
+                    stack.extend(successors[w])
+            reach[v] = seen
+        return reach
+
 
 @dataclass(frozen=True)
 class PathBasis:
@@ -294,25 +314,6 @@ def _closure_check(paths: "list[Path]") -> None:
                         f"subpath {missing} of {p.label} is not declared", p.line)
 
 
-def reachability(inst: QuiverInstance) -> "dict[str, set[str]]":
-    """For each vertex label, the labels reachable by a walk of one or more
-    arrows; a vertex lies on a cycle exactly when it reaches itself."""
-    successors: dict[str, set[str]] = {v.label: set() for v in inst.vertices}
-    for a in inst.arrows:
-        successors[a.src.label].add(a.dst.label)
-    reach: dict[str, set[str]] = {}
-    for v, first in successors.items():
-        seen: set[str] = set()
-        stack = list(first)
-        while stack:
-            w = stack.pop()
-            if w not in seen:
-                seen.add(w)
-                stack.extend(successors[w])
-        reach[v] = seen
-    return reach
-
-
 def cycle_vertices(reach: "dict[str, set[str]]") -> "list[str]":
     """The sorted labels that lie on a cycle, from a reachability map."""
     return sorted(v for v, seen in reach.items() if v in seen)
@@ -406,7 +407,7 @@ def path_counts(spec: QuiverSpec, inst: QuiverInstance) -> "dict[str, dict[str, 
             out_of[src.label] += 1
             into[dst.label] += 1
         return {"left": into, "right": out_of}
-    reach = reachability(inst)
+    reach = inst.reachability
     if not cycle_vertices(reach):
         by_reach = sorted(inst.arrows, key=lambda a: len(reach[a.src.label]))
         for a in reversed(by_reach):
@@ -432,7 +433,7 @@ def _walks(inst: QuiverInstance, vertices: "list[Path]", arrows: "list[Path]",
     last arrow, which is the canonical order.
     """
     if depth is None:
-        reach = reachability(inst)
+        reach = inst.reachability
         cyclic = cycle_vertices(reach)
         if cyclic:
             v = cyclic[0]

@@ -805,7 +805,7 @@ class TestSizeBudget:
                 "paths: past the size budget") in err
         # The parse-time check at the declared defaults, the instance at N
         # and the truncation compiled from it, the probes N+1 and N+2 (the
-        # cross-check's depth 1 is the truncation), then the sweep.
+        # cross-check's depth 1 embeds in the truncation), then the sweep.
         assert built == [("instantiate", None), ("instantiate", 3),
                          ("compile_truncation", 3), ("instantiate", 4),
                          ("instantiate", 5), ("instantiate", 1), ("instantiate", 5000)]
@@ -849,6 +849,36 @@ class TestInternalErrorHandling:
         assert code == 3
         assert out == ""
         assert "skew-primitive dimension" in err
+
+    def test_a_broken_cut_exits_3_through_the_cross_check(self, capsys, monkeypatch,
+                                                          ex1_spec):
+        # The cut of one vertex pair, (a, b[1]), loses a dimension: the
+        # cross-check reads each depth through the cut of the analyzed
+        # truncation's table, so that pair no longer matches its arrow x[1]
+        # plus one, and the first depth probed, 1, raises.
+        from qcalg.quiverlab import analyze
+        from qcalg.quiverlab.analyze import InternalCheckError
+        original = analyze._pair_wedges
+
+        def one_short(reference, place):
+            within = original(reference, place)
+
+            def read(pair):
+                space = within(pair)
+                if pair == (0, 1):
+                    return Subspace(space.field, space.ambient_dim, space.basis[:-1])
+                return space
+            return read
+
+        monkeypatch.setattr(analyze, "_pair_wedges", one_short)
+        message = ("skew-primitive dimension 1 for (a, b[1]) at depth 1 does not "
+                   "match arrow count 2")
+        with pytest.raises(InternalCheckError, match=re.escape(message)):
+            analyze.analyze_spec(ex1_spec, 2)
+        code, out, err = run(capsys, "analyze", "ex1", "--N", "2")
+        assert code == 3
+        assert out == ""
+        assert message in err
 
     def test_vertex_pair_duality_mismatch_exits_3(self, capsys, monkeypatch, ex1_spec):
         # One vertex pair's ideal-side entry is the zero space, which no

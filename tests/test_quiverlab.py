@@ -662,10 +662,14 @@ class TestSweepReadsOneReferenceTable:
     @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
     def test_each_entry_read_through_the_reference_is_the_bounds_own(
             self, text, depth, field):
+        # With no depth bound, the truncations at (4, 1) and (4, 2), which
+        # the cross-check reads, are placed in the reference at (4, None).
         spec = replace(parse_spec(text), field=field)
         reference, reference_basis = compile_truncation(spec, 4, depth)
-        for bound in (1, 2, 3):
-            sub, basis = compile_truncation(spec, bound, depth)
+        subs = [(bound, depth) for bound in (1, 2, 3)]
+        subs += [(4, 1), (4, 2)] if depth is None else []
+        for bound, sub_depth in subs:
+            sub, basis = compile_truncation(spec, bound, sub_depth)
             place = basis.place_in(reference_basis)
             assert place is not None
             assert place == basis_embedding(sub, reference)
@@ -868,64 +872,60 @@ class TestEachStepOnce:
         truncation = compile_truncation(spec, 3)
         assert verdicts == [(spec, 3, degree_tables(3, probes), truncation)]
 
-    @pytest.mark.parametrize("text,count", [(EX1, 2), (EX2, 1)], ids=["ex1", "ex2"])
-    def test_analyze_compiles_each_truncation_once(self, text, count,
-                                                   patch_everywhere):
-        # The analyzed truncation, and a cross-check depth only where it
-        # drops a path of it: ex1's depth 1 drops the paths p[n], and its
-        # depth 2 and ex2's depth 1 are the truncation.  The sweep bounds
-        # 1 and 2 embed in the truncation at N and are not compiled.
+    @pytest.mark.parametrize("text", [EX1, EX2], ids=["ex1", "ex2"])
+    def test_analyze_compiles_each_truncation_once(self, text, patch_everywhere):
+        # Only the analyzed truncation: ex1's cross-check depth 1, which
+        # drops the paths p[n], its depth 2 and ex2's depth 1 all embed in
+        # it, and so do the sweep bounds 1 and 2; none is compiled.
         spec = parse_spec(text)
         compiles = _record_calls(patch_everywhere, paths, "compile_truncation")
         stages = [_record_calls(patch_everywhere, analyze, name)
                   for name in ("semiperfect_verdict", "fnoetherian_sweep")]
         analyze_spec(spec, 3, [1, 2], None)
-        assert [call[1:3] for call in compiles] == [(3, None), (3, 1)][:count]
+        assert [call[1:3] for call in compiles] == [(3, None)]
         probes = probe_instances(spec, 3)
         assert all(call[3] is compiles[0][3] for call in compiles)
         truncation = compile_truncation(spec, 3)
         assert stages == [[(spec, 3, probes, truncation[1])],
                           [(spec, [1, 2], None, 3, truncation)]]
 
-    @pytest.mark.parametrize("text,count", [(EX1, 2), (EX2, 1)], ids=["ex1", "ex2"])
-    def test_the_default_sweep_compiles_each_truncation_once(self, text, count,
+    @pytest.mark.parametrize("text", [EX1, EX2], ids=["ex1", "ex2"])
+    def test_the_default_sweep_compiles_each_truncation_once(self, text,
                                                              patch_everywhere):
         # The default sweep 1..N reads the analyzed truncation at N, and
-        # its bounds 1 and 2 embed in it, so it adds no compile.
+        # its bounds 1 and 2 embed in it, as do the cross-check's depths,
+        # so the one compile is the analyzed truncation's.
         spec = parse_spec(text)
         compiles = _record_calls(patch_everywhere, paths, "compile_truncation")
         analyze_spec(spec, 3)
-        assert len(compiles) == count
-        assert all(compiles.count(call) == 1 for call in compiles)
+        assert [call[1:3] for call in compiles] == [(3, None)]
 
     def test_the_default_sweep_of_the_star_compiles_no_bound(self, patch_everywhere):
         # Every bound of the star's default sweep 1..N embeds in the
-        # truncation at N.  The compiles are the analyzed truncation and
-        # the cross-check's depths 1 and 2, which drop its longer walks.
+        # truncation at N, and so do the cross-check's depths 1 and 2,
+        # which drop its longer walks: the one compile is the analyzed
+        # truncation.
         spec = parse_spec(STAR_ALL)
         compiles = _record_calls(patch_everywhere, paths, "compile_truncation")
         analyze_spec(spec, 6)
-        assert [call[1:3] for call in compiles] == [(6, None), (6, 1), (6, 2)]
+        assert [call[1:3] for call in compiles] == [(6, None)]
 
-    @pytest.mark.parametrize("text,wedges", [(EX1, 12), (EX2, 8)], ids=["ex1", "ex2"])
-    def test_grouplike_pair_spaces_come_from_one_table(self, text, wedges,
-                                                       patch_everywhere):
+    @pytest.mark.parametrize("text", [EX1, EX2], ids=["ex1", "ex2"])
+    def test_grouplike_pair_spaces_come_from_one_table(self, text, patch_everywhere):
         # Six oracle subspaces (C0, C1 and four vertex spans) give 36 pairs.
         # Only the 4 pairs of two filtration terms are full wedges: the 16
         # pairs of two lines come from the grouplike-pair table the
         # cross-check read, and the 16 pairs of a line with C0 or C1 are
         # cuts of C0 ^ C0, C0 ^ C1 and C1 ^ C0.  The table makes one wedge
-        # kg ^ kG per vertex: 4, so 4 + 4 = 8 for ex2.  ex1's cross-check
-        # also probes depth 1, a distinct truncation without the paths
-        # p[n], which builds its own table with 4 more: 8 + 4 = 12 for
-        # ex1.  The sweep's bounds 1 and 2 embed in the analyzed truncation
-        # and read its table, so they add none.
+        # kg ^ kG per vertex: 4, so 4 + 4 = 8.  ex1's cross-check depth 1,
+        # without the paths p[n], and the sweep's bounds 1 and 2 embed in
+        # the analyzed truncation and read its table, so they add none.
         spec = parse_spec(text)
         wedge_calls = _record_calls(patch_everywhere, coalg, "wedge")
         skew_calls = _record_calls(patch_everywhere, coalg, "skew_primitives")
         analyze_spec(spec, 3, [1, 2], None)
         assert skew_calls == []
-        assert len(wedge_calls) == wedges
+        assert len(wedge_calls) == 8
 
     @pytest.mark.parametrize("text", [EX1, EX2], ids=["ex1", "ex2"])
     def test_the_oracle_makes_one_ideal_product_per_pair_of_terms(
@@ -964,17 +964,16 @@ class TestEachStepOnce:
         assert (len(wedge_calls), len(operands)) == (8, 7)
         assert sorted(id(s) for s in builds if id(s) in operands) == sorted(operands)
 
-    @pytest.mark.parametrize("text,tables", [(EX1, 2), (EX2, 1)], ids=["ex1", "ex2"])
-    def test_each_truncation_builds_one_pair_table(self, text, tables, monkeypatch):
+    @pytest.mark.parametrize("text", [EX1, EX2], ids=["ex1", "ex2"])
+    def test_each_truncation_builds_one_pair_table(self, text, monkeypatch):
         # One table at N=3 for the cross-check, the sweep and the oracle
-        # together, and for ex1 one at the cross-check's depth 1.  The sweep
-        # bounds 1 and 2 embed in the truncation at N=3 and build none.
+        # together: the cross-check's depths (ex1's depth 1 drops the paths
+        # p[n]) and the sweep bounds 1 and 2 embed in the truncation at N=3
+        # and build none.
         owners = _pair_tables_built(monkeypatch)
         spec = parse_spec(text)
         analyze_spec(spec, 3)
-        assert len(owners) == tables
-        assert len({id(c) for c in owners}) == len(set(owners)) == tables
-        assert compile_truncation(spec, 3)[0] in owners
+        assert owners == [compile_truncation(spec, 3)[0]]
 
     @pytest.mark.parametrize("text", [EX1, EX2], ids=["ex1", "ex2"])
     def test_analyze_builds_no_matrix(self, text, monkeypatch):
