@@ -127,16 +127,16 @@ class Coalgebra:
         in this one as a subcoalgebra spanned by basis vectors from this
         table, as kg ^_D kh = (kg ^ kh) meet D, and build no table for D.
 
-        One wedge per vertex: K_g = kg ^ kG holds every kg ^ kh, as kh lies
-        in kG, and each kg ^ kh is restrict_wedge's cut of it.
+        One wedge in all, kG ^ kG: each K_g = kg ^ kG and each kg ^ kh in
+        K_g are restrict_wedge's cuts, as the oracle cuts its line pairs.
         """
         grouplikes = self.grouplike_indices()
         span_g = Subspace.coordinates(self.field, self.dim, grouplikes)
+        cuts = restrict_wedge(wedge(span_g, span_g, self), span_g, self, grouplikes, 0)
         table = {}
         for g in grouplikes:
             line = Subspace.coordinates(self.field, self.dim, [g])
-            shared = wedge(line, span_g, self)
-            for h, space in restrict_wedge(shared, line, self, grouplikes, 1).items():
+            for h, space in restrict_wedge(cuts[g], line, self, grouplikes, 1).items():
                 table[(g, h)] = space
         return table
 

@@ -29,11 +29,11 @@ wedge side of a pair of two lines is the entry of the truncation's table
 of grouplike-pair wedges, ``Coalgebra.grouplike_wedges``.
 
 Every other truncation the analyzer reads (the cross-check's depths, the
-sweep's bounds) goes by one rule, ``_pairs_at``: its enumerated paths are
-placed (``PathBasis.place_in``) in a truncation already compiled, the
-analyzed one or, for a sweep past N, that of its largest bound, and each
-pair wedge is cut from that truncation's table; only a truncation that
-no compiled one holds is compiled, and builds its own table.
+sweep's bounds) goes by one rule, ``_pairs_at``: a truncation already
+compiled (the analyzed one or, for a sweep past N, its largest bound's)
+hands over its own table when its paths are the enumerated ones, or cuts
+each pair wedge from it when it holds them (``PathBasis.place_in``); only
+a truncation that no compiled one holds is compiled, with its own table.
 """
 
 from __future__ import annotations
@@ -338,16 +338,18 @@ def _pair_wedges(reference: Coalgebra, place: "list[int]"):
 def _pairs_at(spec: QuiverSpec, bound: int, basis: PathBasis,
               held: "list[tuple[Coalgebra, PathBasis]]"):
     """(labels, grouplikes, pair wedges) of the truncation whose paths are
-    basis, enumerated at bound: placed in the first truncation of held that
-    holds it, each entry cut from that one's table (_pair_wedges), and
-    compiled from basis's instance at its depth only when none does."""
-    for coalgebra, reference in held:
+    basis, enumerated at bound: the first held one's own, or placed in it
+    and cut from its table (_pair_wedges), or compiled when none holds it."""
+    for c, reference in held:
+        if basis == reference:
+            break
         place = basis.place_in(reference)
         if place is not None:
-            kept = set(coalgebra.grouplike_indices())
+            kept = set(c.grouplike_indices())
             grouplikes = tuple(i for i, j in enumerate(place) if j in kept)
-            return basis.labels(), grouplikes, _pair_wedges(coalgebra, place)
-    c, _ = compile_truncation(spec, bound, basis.depth, instance=basis.instance)
+            return basis.labels(), grouplikes, _pair_wedges(c, place)
+    else:
+        c, _ = compile_truncation(spec, bound, basis.depth, instance=basis.instance)
     return c.labels, c.grouplike_indices(), c.grouplike_wedges.__getitem__
 
 

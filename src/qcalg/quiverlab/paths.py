@@ -298,8 +298,15 @@ def instantiate(spec: QuiverSpec, n_bound: "int | None" = None) -> QuiverInstanc
                           tuple(declared))
 
 
-def _closure_check(paths: "list[Path]") -> None:
-    keys = {p.key() for p in paths}
+def _refuse_unclosed(arrows: "tuple[Arrow, ...]", paths) -> None:
+    """_closure_check of declared paths, run only when some prefix or tail
+    is neither declared nor an arrow: else, by induction, every subpath is."""
+    keys = {p.key() for p in paths} | {(("arrow", a.name, a.indices),) for a in arrows}
+    if any(key[:-1] not in keys or key[1:] not in keys for key in keys if len(key) > 1):
+        _closure_check(keys, paths)
+
+
+def _closure_check(keys: "set[tuple]", paths) -> None:
     for p in paths:
         if p.length < 2:
             continue
@@ -360,8 +367,8 @@ def declared_paths(inst: QuiverInstance, depth: "int | None" = None) -> "list[Pa
 
     Two paths that coincide are refused first, in declaration order, at the
     later line; a declared path has two arrows or more, so it never
-    coincides with an arrow.  Then each path's prefix and tail are looked
-    up by key: the list is closed under subpaths when every prefix and tail
+    coincides with an arrow.  Then _refuse_unclosed looks each path's
+    prefix and tail up by key: the list is closed under subpaths when each
     is listed (by induction on the length), and only on a miss does
     _closure_check name the first path in canonical order that is not
     closed, and its missing subpath, at its line.
@@ -376,9 +383,7 @@ def declared_paths(inst: QuiverInstance, depth: "int | None" = None) -> "list[Pa
                            max(unique[key].line, p.line))
         unique[key] = p
     ordered = sorted(unique.values(), key=Path.sort_key)
-    known = set(unique) | {(("arrow", a.name, a.indices),) for a in inst.arrows}
-    if any(key[:-1] not in known or key[1:] not in known for key in unique):
-        _closure_check([Path(a.label, a.src, a.dst, (a,)) for a in inst.arrows] + ordered)
+    _refuse_unclosed(inst.arrows, ordered)
     return ordered
 
 
@@ -505,10 +510,7 @@ def dry_run_validate(spec: QuiverSpec) -> None:
     cyclic all-mode quivers, which only need a depth bound later.
     """
     inst = instantiate(spec)
-    candidates = [Path(v.label, v, v, ()) for v in inst.vertices]
-    candidates.extend(Path(a.label, a.src, a.dst, (a,)) for a in inst.arrows)
-    candidates.extend(inst.declared_paths)
-    _closure_check(candidates)
+    _refuse_unclosed(inst.arrows, inst.declared_paths)
 
 
 def compile_truncation(spec: QuiverSpec, n_bound: "int | None" = None,

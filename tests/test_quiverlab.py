@@ -140,6 +140,10 @@ class TestParsing:
         with pytest.raises(ClosureError) as err:
             parse_spec(base + "path long = e1 . e2 . e3\n")
         assert "e1.e2" in str(err.value) or "e2.e3" in str(err.value)
+        # Its prefix declared, its tail not.
+        with pytest.raises(ClosureError) as err:
+            parse_spec(base + "path m12 = e1 . e2\npath long = e1 . e2 . e3\n")
+        assert str(err.value) == "line 10, col 1: subpath e2.e3 of long is not declared"
         ok = parse_spec(base + "path m12 = e1 . e2\npath m23 = e2 . e3\n"
                                "path long = e1 . e2 . e3\n")
         basis = enumerate_paths(ok)
@@ -153,6 +157,23 @@ class TestParsing:
             parse_spec(text)
         assert err.value.line == 8
         assert "x.y" in str(err.value)
+
+    def test_a_closed_declared_list_parses_without_the_subpath_scan(self,
+                                                                    monkeypatch):
+        # A chain u0 -> ... -> u4 that declares each of its 6 paths of 2 to
+        # 4 arrows: every prefix and tail is listed, so parsing never scans
+        # for a missing subpath.
+        def forbidden(*args):
+            raise AssertionError("the subpath scan ran on a closed list")
+
+        monkeypatch.setattr(paths, "_closure_check", forbidden)
+        lines = ["coalgebra chain", "vertex u[i], i=0..4",
+                 "arrow e[i]: u[i-1] -> u[i], i=1..4"]
+        lines += [f"path p{i}{j} = " + " . ".join(f"e[{k}]" for k in range(i + 1, j + 1))
+                  for i in range(5) for j in range(i + 2, 5)]
+        spec = parse_spec("\n".join(lines) + "\n")
+        assert len(spec.extra_paths) == 6
+        assert len(enumerate_paths(spec)) == 5 + 4 + 3 + 2 + 1
 
     def test_duplicate_name_rejected(self):
         with pytest.raises(DslError):
@@ -916,16 +937,44 @@ class TestEachStepOnce:
         # Only the 4 pairs of two filtration terms are full wedges: the 16
         # pairs of two lines come from the grouplike-pair table the
         # cross-check read, and the 16 pairs of a line with C0 or C1 are
-        # cuts of C0 ^ C0, C0 ^ C1 and C1 ^ C0.  The table makes one wedge
-        # kg ^ kG per vertex: 4, so 4 + 4 = 8.  ex1's cross-check depth 1,
-        # without the paths p[n], and the sweep's bounds 1 and 2 embed in
-        # the analyzed truncation and read its table, so they add none.
+        # cuts of C0 ^ C0, C0 ^ C1 and C1 ^ C0.  The table makes one wedge,
+        # kG ^ kG, and cuts each kg ^ kG from it: 1 + 4 = 5.  ex1's
+        # cross-check depth 1, without the paths p[n], and the sweep's
+        # bounds 1 and 2 embed in the analyzed truncation and read its
+        # table, so they add none.
         spec = parse_spec(text)
         wedge_calls = _record_calls(patch_everywhere, coalg, "wedge")
         skew_calls = _record_calls(patch_everywhere, coalg, "skew_primitives")
         analyze_spec(spec, 3, [1, 2], None)
         assert skew_calls == []
-        assert len(wedge_calls) == 8
+        assert len(wedge_calls) == 5
+
+    def test_the_pair_table_solves_one_wedge(self, patch_everywhere):
+        # The star at N=6 has 7 grouplikes.  Its 49 entries are cut from
+        # kG ^ kG, each kg ^ kG first, so kG is the one operand.
+        c, _ = compile_truncation(parse_spec(STAR_ALL), 6)
+        wedge_calls = _record_calls(patch_everywhere, coalg, "wedge")
+        assert len(c.grouplike_wedges) == 49
+        span = Subspace.coordinates(c.field, c.dim, c.grouplike_indices())
+        assert [call[:2] for call in wedge_calls] == [(span, span)]
+
+    @pytest.mark.parametrize("text,placed", [(EX1, 3), (EX2, 2)], ids=["ex1", "ex2"])
+    def test_a_held_truncations_own_paths_are_not_placed(self, text, placed,
+                                                         monkeypatch):
+        # The sweep's bound 3 is the analyzed truncation, and so are ex1's
+        # cross-check depth 2 and ex2's depth 1: each reads the table as
+        # it stands.  Only the bounds 1 and 2, and ex1's depth 1, which
+        # drops the paths p[n], are placed.
+        place_in = paths.PathBasis.place_in
+        calls: list = []
+
+        def recorder(basis, other):
+            calls.append(len(basis))
+            return place_in(basis, other)
+
+        monkeypatch.setattr(paths.PathBasis, "place_in", recorder)
+        analyze_spec(parse_spec(text), 3, [1, 2, 3])
+        assert len(calls) == placed
 
     @pytest.mark.parametrize("text", [EX1, EX2], ids=["ex1", "ex2"])
     def test_the_oracle_makes_one_ideal_product_per_pair_of_terms(
@@ -942,8 +991,8 @@ class TestEachStepOnce:
         assert [call[:2] for call in products] == [(x, y) for x in perps for y in perps]
 
     def test_each_wedge_operand_is_projected_once(self, monkeypatch, patch_everywhere):
-        # ex2's 8 wedges read 16 residual tables, of 7 operands: the
-        # table's four grouplike lines and their span kG (4 wedges), and the
+        # ex2's 5 wedges read 10 residual tables, of 3 operands: the
+        # table's span kG of the grouplikes (1 wedge, kG ^ kG), and the
         # oracle's C0 and C1 (4 wedges, C_i ^ C_j for i, j in {0, 1}), each
         # built once, on its first read.  The cuts of the line pairs, in
         # the table and in the oracle, reread these tables and build none.
@@ -961,7 +1010,7 @@ class TestEachStepOnce:
         wedge_calls = _record_calls(patch_everywhere, coalg, "wedge")
         analyze_spec(parse_spec(EX2), 3, [1, 2], None)
         operands = {id(s): s for call in wedge_calls for s in call[:2]}
-        assert (len(wedge_calls), len(operands)) == (8, 7)
+        assert (len(wedge_calls), len(operands)) == (5, 3)
         assert sorted(id(s) for s in builds if id(s) in operands) == sorted(operands)
 
     @pytest.mark.parametrize("text", [EX1, EX2], ids=["ex1", "ex2"])
