@@ -34,7 +34,7 @@ from .exactlin import (
     drop_zeros,
     exact_quotient,
     kernel,
-    kernel_on,
+    kernels_without,
 )
 
 
@@ -470,7 +470,7 @@ def restrict_product_perp(shared: Subspace, fixed: Subspace, a: DualAlgebra,
     products, from _basis_products, pair with shared's basis as the rows
     of one system, keyed by the product (u, t) or (t, u) with column r for
     shared's basis row r.  It is built once, and each g solves kernel_on
-    of the rows whose t is not g.
+    of the rows whose t is not g (exactlin.kernels_without).
     """
     grouplikes = sorted(grouplikes)
     units = Subspace.coordinates(a.field, a.dim, grouplikes)
@@ -489,8 +489,7 @@ def restrict_product_perp(shared: Subspace, fixed: Subspace, a: DualAlgebra,
                 row[r] = row[r] + c * v if r in row else c * v
         if row:
             rows[key] = row
-    return {g: kernel_on(shared, {key: row for key, row in rows.items() if key[slot] != g})
-            for g in grouplikes}
+    return kernels_without(shared, rows, grouplikes, lambda key: key[slot])
 
 
 # -- filtrations ---------------------------------------------------------------
@@ -561,7 +560,8 @@ def restrict_wedge(shared: Subspace, fixed: Subspace, c: Coalgebra,
     is the kernel, on shared, of the entries with t in G, t != g.  Those
     entries form one system, keyed by the entry (t, r) or (r, t) with
     column b for shared's basis row b.  It is built once, and each g
-    solves kernel_on of the rows whose t is not g.  Off X's pivots pi_X
+    solves kernel_on of the rows whose t is not g
+    (exactlin.kernels_without).  Off X's pivots pi_X
     keeps e_j as it is, so only a pivot's residual is multiplied in.
     """
     grouplikes = tuple(grouplikes)
@@ -582,8 +582,7 @@ def restrict_wedge(shared: Subspace, fixed: Subspace, c: Coalgebra,
                 for r, x in parts:
                     row = rows.setdefault((t, r) if slot == 0 else (r, t), {})
                     row[b] = row[b] + x if b in row else x
-    return {g: kernel_on(shared, {key: row for key, row in rows.items() if key[slot] != g})
-            for g in grouplikes}
+    return kernels_without(shared, rows, grouplikes, lambda key: key[slot])
 
 
 def skew_primitives(g: int, h: int, c: Coalgebra) -> Subspace:

@@ -11,8 +11,9 @@ subspaces have identical stored bases and equality is a plain comparison.
 
 Sparse rows, vectors and matrices store no zeros.  Code that builds one by
 summing terms sums into a plain dict and drops the zeros once, at the end,
-with :func:`drop_zeros`; ``_rref`` and ``Subspace.span`` drop zeros from
-their input themselves.  ``row_add`` is the one eager primitive.
+with :func:`drop_zeros`; ``_rref``, and through it ``Subspace.span``,
+copies only rows that hold a zero.  ``row_add`` is the one eager
+primitive.
 
 ``_rref`` is the one elimination, and each of ``Subspace.span``,
 ``Subspace.intersect``, ``kernel``, ``kernel_on``, ``perp`` and
@@ -41,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Union
+from typing import Callable, Hashable, Iterable, Union
 
 
 class FieldMismatchError(ValueError):
@@ -78,12 +79,28 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class GFElement:
-    """Residue modulo a prime; arithmetic stays in the field."""
+    """Residue modulo a prime; arithmetic stays in the field.
 
-    val: int
-    p: int
+    A plain ``__slots__`` class, as every field operation builds one.
+    Equality and the hash read (val, p) only, and an element equals
+    nothing but an element, not even an int.  No code writes an element's
+    slots after it is built.
+    """
+
+    __slots__ = ("val", "p")
+
+    def __init__(self, val: int, p: int):
+        self.val = val
+        self.p = p
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not GFElement:
+            return NotImplemented
+        return self.val == other.val and self.p == other.p
+
+    def __hash__(self) -> int:
+        return hash((self.val, self.p))
 
     def _check(self, other: "GFElement") -> None:
         if self.p != other.p:
@@ -290,6 +307,8 @@ def _rref(rows: Iterable[dict], lead_of: Callable[[dict], int] = min) -> list[di
 
     Each row's pivot is its first column, or its last with lead_of=max;
     either way the pivot is 1 and every other pivot row is zero there.
+    No input row is written, but a zero-free input row that needs no
+    elimination may be returned as it is, so callers only read the result.
 
     A new pivot row is eliminated only from the pivot rows listed under
     its lead column in ``holders``, which maps each column to the pivot
@@ -302,7 +321,10 @@ def _rref(rows: Iterable[dict], lead_of: Callable[[dict], int] = min) -> list[di
     pivots: dict[int, dict] = {}  # pivot column -> normalized row
     holders: dict[int, set] = {}  # column -> pivot columns whose row may hold it
     for row in rows:
-        row = drop_zeros(row)
+        # The rows are the caller's: copy only one that holds a zero, as
+        # every step below that changes a row builds a new dict.
+        if not all(row.values()):
+            row = drop_zeros(row)
         # Pivot rows carry no other pivot columns, so one sweep suffices.
         for j in [c for c in row if c in pivots]:
             v = row.get(j)
@@ -506,13 +528,14 @@ def kernel(rows: dict, cols: int, field: Field) -> Subspace:
     echelon = _rref([rows[key] for key in sorted(rows, reverse=True)
                      if any(rows[key].values())], lead_of=max)
     pivots = {max(r): r for r in echelon}
-    one = field.one
-    gens = {f: {f: one} for f in range(cols) if f not in pivots}
+    tails: dict[int, list] = {f: [] for f in range(cols) if f not in pivots}
     for p, r in pivots.items():
         for f, c in r.items():
             if f != p:
-                gens[f][p] = -c
-    return Subspace(field, cols, tuple(_freeze_row(g) for g in gens.values()))
+                tails[f].append((p, -c))
+    one = field.one
+    return Subspace(field, cols, tuple(((f, one), *sorted(tail))
+                                       for f, tail in tails.items()))
 
 
 def kernel_on(space: Subspace, rows: dict) -> Subspace:
@@ -527,19 +550,46 @@ def kernel_on(space: Subspace, rows: dict) -> Subspace:
     The lifts are canonical as they stand.  Each kernel vector x leads at
     some r with x_r = 1 and every other x is zero at r.  Since space's
     basis is in RREF, sum_r x_r b_r leads at b_r's pivot with a 1, where
-    every other lift is zero.  With no rows the kernel vectors are the
-    unit vectors, so the lifts are space's basis and no system is solved.
+    every other lift is zero.  A unit kernel vector e_r lifts to b_r
+    itself, so that basis row is taken as it stands.  With no rows the
+    kernel vectors are the unit vectors, so the lifts are space's basis
+    and no system is solved.
     """
     if not rows:
         return space
     lifts: list[tuple] = []
     for x in kernel(dict(enumerate(rows.values())), space.dim, space.field).basis:
+        if len(x) == 1:
+            lifts.append(space.basis[x[0][0]])
+            continue
         vec: dict = {}
         for r, xr in x:
             for j, v in space.basis[r]:
                 vec[j] = vec[j] + xr * v if j in vec else xr * v
         lifts.append(_freeze_row(drop_zeros(vec)))
     return Subspace(space.field, space.ambient_dim, tuple(lifts))
+
+
+def kernels_without(space: Subspace, rows: dict, groups: "Iterable[Hashable]",
+                    group_of: "Callable[[Hashable], Hashable]") -> "dict[Hashable, Subspace]":
+    """{g: kernel_on(space, the rows whose key's group_of is not g)} for
+    every g in groups, with the rows kept in the order given.
+
+    A g that owns no row drops nothing, so every such g shares one solve
+    of the whole system.
+    """
+    owners = {group_of(key) for key in rows}
+    whole = None
+    out: dict = {}
+    for g in groups:
+        if g in owners:
+            out[g] = kernel_on(space, {key: row for key, row in rows.items()
+                                       if group_of(key) != g})
+        else:
+            if whole is None:
+                whole = kernel_on(space, rows)
+            out[g] = whole
+    return out
 
 
 def preimage(f: Matrix, w: Subspace, field: Field) -> Subspace:

@@ -31,9 +31,10 @@ of grouplike-pair wedges, ``Coalgebra.grouplike_wedges``.
 Every other truncation the analyzer reads (the cross-check's depths, the
 sweep's bounds) goes by one rule, ``_pairs_at``: a truncation already
 compiled (the analyzed one or, for a sweep past N, its largest bound's)
-hands over its own table when its paths are the enumerated ones, or cuts
-each pair wedge from it when it holds them (``PathBasis.place_in``); only
-a truncation that no compiled one holds is compiled, with its own table.
+hands over its own table when its paths are the enumerated ones, whichever
+one it is, or else cuts each pair wedge from the first that holds them
+(``PathBasis.place_in``); only a truncation that no compiled one holds is
+compiled, with its own table.
 """
 
 from __future__ import annotations
@@ -338,19 +339,19 @@ def _pair_wedges(reference: Coalgebra, place: "list[int]"):
 def _pairs_at(spec: QuiverSpec, bound: int, basis: PathBasis,
               held: "list[tuple[Coalgebra, PathBasis]]"):
     """(labels, grouplikes, pair wedges) of the truncation whose paths are
-    basis, enumerated at bound: the first held one's own, or placed in it
-    and cut from its table (_pair_wedges), or compiled when none holds it."""
-    for c, reference in held:
-        if basis == reference:
-            break
-        place = basis.place_in(reference)
-        if place is not None:
-            kept = set(c.grouplike_indices())
-            grouplikes = tuple(i for i, j in enumerate(place) if j in kept)
-            return basis.labels(), grouplikes, _pair_wedges(c, place)
-    else:
-        c, _ = compile_truncation(spec, bound, basis.depth, instance=basis.instance)
-    return c.labels, c.grouplike_indices(), c.grouplike_wedges.__getitem__
+    basis, enumerated at bound: a held one's own when its paths are basis,
+    else placed in the first held one that holds it and cut from its table
+    (_pair_wedges), else compiled."""
+    own = next((c for c, reference in held if basis == reference), None)
+    if own is None:
+        for c, reference in held:
+            place = basis.place_in(reference)
+            if place is not None:
+                kept = set(c.grouplike_indices())
+                grouplikes = tuple(i for i, j in enumerate(place) if j in kept)
+                return basis.labels(), grouplikes, _pair_wedges(c, place)
+        own, _ = compile_truncation(spec, bound, basis.depth, instance=basis.instance)
+    return own.labels, own.grouplike_indices(), own.grouplike_wedges.__getitem__
 
 
 def fnoetherian_sweep(spec: QuiverSpec, sweep: "list[int]", depth: "int | None",

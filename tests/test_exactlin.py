@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction as F
 
@@ -51,8 +52,19 @@ class TestFields:
             GF(6)
 
     def test_gf_mismatch(self):
-        with pytest.raises(FieldMismatchError):
-            GFElement(1, 5) + GFElement(1, 7)
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(FieldMismatchError):
+                op(GFElement(1, 5), GFElement(1, 7))
+
+    def test_gf_equality_and_hash_read_value_and_prime(self):
+        a, b = GF(7).from_int(10), GFElement(3, 7)
+        assert a == b and not a != b and hash(a) == hash(b) == hash((3, 7))
+        assert len({a, b}) == 1 and {a: "x"}[b] == "x"
+        assert GFElement(3, 7) != GFElement(3, 11)
+        assert GFElement(3, 7) != GFElement(4, 7)
+        assert GFElement(1, 7) != 1 and 1 != GFElement(1, 7)
+        assert GFElement.__eq__(GFElement(1, 7), 1) is NotImplemented
+        assert repr(a) == str(a) == "3"
 
     def test_integral_rationals_are_ints(self):
         assert [type(x) for x in (QQ.zero, QQ.one, QQ.from_int(5))] == [int, int, int]

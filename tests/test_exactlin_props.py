@@ -6,7 +6,9 @@ shrinking.  The sparse-matrix properties check that every operation that
 builds its basis without ``Subspace.span`` still returns the canonical one,
 that ``_rref`` returns the rows of the reference elimination, which
 scans every pivot row, and that ``Subspace.columns`` is the basis read by
-column, which neither kernel writes, nor the rows it is handed.  The last property checks that rational parsing
+column, which neither kernel writes, nor the rows it is handed; neither
+does ``_rref``.  ``kernels_without`` must give, per group, ``kernel_on``
+of the rows the group does not own.  The last property checks that rational parsing
 reads what ``Fraction`` reads, as an ``int`` exactly when the value is
 integral, and refuses at once an exponent too large to write out.
 """
@@ -33,6 +35,7 @@ from qcalg.exactlin import (
     _rref,
     kernel,
     kernel_on,
+    kernels_without,
     preimage,
     row_add,
 )
@@ -206,9 +209,11 @@ def keyed_rows(draw):
 @given(keyed_rows())
 def test_kernel_of_keyed_rows_is_the_perp_of_their_span(data):
     field, m, rows = data
+    handed = copy.deepcopy(rows)
     k = kernel(rows, m.cols, field)
     assert_canonical(k)
     assert k == row_space(field, m).perp()
+    assert rows == handed
 
 
 @settings(max_examples=150, deadline=None)
@@ -249,6 +254,46 @@ def test_columns_read_the_basis_and_no_kernel_writes_its_rows(data, kept):
         lifts.append(lift)
     assert kernel_on(x, system) == Subspace.span(field, x.ambient_dim, lifts)
     assert x.columns == columns and system == handed
+
+
+@st.composite
+def grouped_systems(draw):
+    """A random span and a system on its basis rows keyed (group, i), with
+    the groups to leave out: groups 0..7 are asked for and rows own only
+    0..4, so some own no row.  Some rows' entries sum to zero, and some
+    hold explicit zeros."""
+    field = draw(st.sampled_from(FIELDS))
+    space = sparse_span(draw, field, draw(st.integers(min_value=1, max_value=7)))
+    rows = row_dicts(sparse_matrix(draw, field, draw(st.integers(0, 6)), space.dim))
+    for _ in range(draw(st.integers(0, 2)) if space.dim > 1 else 0):
+        r, s = draw(st.lists(st.integers(0, space.dim - 1), min_size=2, max_size=2,
+                             unique=True))
+        c = field.parse(draw(st.sampled_from(SCALES[3:])))
+        rows.append({r: c, s: -c})
+    for i, j in draw(st.lists(st.tuples(st.integers(0, max(len(rows) - 1, 0)),
+                                        st.integers(0, max(space.dim - 1, 0))), max_size=3)):
+        if rows and space.dim:
+            rows[i].setdefault(j, field.zero)
+    owners = draw(st.lists(st.integers(0, 4), min_size=len(rows), max_size=len(rows)))
+    groups = draw(st.lists(st.integers(0, 7), unique=True))
+    return space, {(g, i): row for i, (g, row) in enumerate(zip(owners, rows))}, groups
+
+
+@settings(max_examples=200, deadline=None)
+@given(grouped_systems())
+@example((Subspace.span(QQ, 3, [{0: 1, 1: 1}, {1: 1, 2: -1}]),
+          {(0, 0): {0: 1, 1: -1}, (2, 1): {1: 0}}, [0, 1, 2, 3]))
+@example((Subspace.span(GF(7), 3, [{0: GF(7).one, 2: GF(7).from_int(3)},
+                                   {1: GF(7).one, 2: GF(7).one}]),
+          {(1, 0): {0: GF(7).from_int(2), 1: GF(7).from_int(5)}}, [4, 1, 0]))
+def test_kernels_without_cuts_each_group(data):
+    space, rows, groups = data
+    handed = copy.deepcopy(rows)
+    cut = kernels_without(space, rows, groups, lambda key: key[0])
+    assert list(cut) == groups
+    for g in groups:
+        assert cut[g] == kernel_on(space, {k: r for k, r in rows.items() if k[0] != g})
+    assert rows == handed
 
 
 @settings(max_examples=150, deadline=None)
@@ -303,8 +348,10 @@ def rows_to_reduce(draw):
 @example([{0: QQ.one, 1: QQ.one}, {1: QQ.one, 2: QQ.one}, {0: QQ.one}, {2: QQ.one}], max)
 def test_rref_is_the_full_scan_elimination(rows, lead_of):
     want = rref_full_scan([dict(r) for r in rows], lead_of=lead_of)
-    got = _rref([dict(r) for r in rows], lead_of=lead_of)
+    handed = copy.deepcopy(rows)
+    got = _rref(rows, lead_of=lead_of)
     assert [_freeze_row(r) for r in got] == [_freeze_row(r) for r in want]
+    assert rows == handed
 
 
 def _outcome(parse, text):

@@ -958,13 +958,17 @@ class TestEachStepOnce:
         span = Subspace.coordinates(c.field, c.dim, c.grouplike_indices())
         assert [call[:2] for call in wedge_calls] == [(span, span)]
 
-    @pytest.mark.parametrize("text,placed", [(EX1, 3), (EX2, 2)], ids=["ex1", "ex2"])
-    def test_a_held_truncations_own_paths_are_not_placed(self, text, placed,
+    @pytest.mark.parametrize("text,top,placed", [(EX1, 3, 3), (EX2, 3, 2),
+                                                 (EX1, 5, 4), (EX2, 5, 3)],
+                             ids=["ex1", "ex2", "ex1-past-N", "ex2-past-N"])
+    def test_a_held_truncations_own_paths_are_not_placed(self, text, top, placed,
                                                          monkeypatch):
         # The sweep's bound 3 is the analyzed truncation, and so are ex1's
         # cross-check depth 2 and ex2's depth 1: each reads the table as
         # it stands.  Only the bounds 1 and 2, and ex1's depth 1, which
-        # drops the paths p[n], are placed.
+        # drops the paths p[n], are placed.  A sweep past N holds its top
+        # bound's truncation before the analyzed one; its bound 4 is placed
+        # there, but bound 3 still reads the analyzed truncation's table.
         place_in = paths.PathBasis.place_in
         calls: list = []
 
@@ -973,7 +977,7 @@ class TestEachStepOnce:
             return place_in(basis, other)
 
         monkeypatch.setattr(paths.PathBasis, "place_in", recorder)
-        analyze_spec(parse_spec(text), 3, [1, 2, 3])
+        analyze_spec(parse_spec(text), 3, list(range(1, top + 1)))
         assert len(calls) == placed
 
     @pytest.mark.parametrize("text", [EX1, EX2], ids=["ex1", "ex2"])
