@@ -537,6 +537,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once, at import: a parse builds a fresh namespace, so no state
+# passes from one main() call to the next.
+_PARSER = _build_parser()
+
+
 def _bug_dump(exc: Exception) -> None:
     print("internal invariant violation; this is a bug in qcalg. "
           "Please report the dump below.", file=sys.stderr)
@@ -544,7 +549,7 @@ def _bug_dump(exc: Exception) -> None:
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if getattr(args, "depth", None) is not None and args.depth < 0:
             raise InputError("--depth must be nonnegative")

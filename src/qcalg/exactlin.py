@@ -11,15 +11,24 @@ subspaces have identical stored bases and equality is a plain comparison.
 
 Sparse rows, vectors and matrices store no zeros.  Code that builds one by
 summing terms sums into a plain dict and drops the zeros once, at the end,
-with :func:`drop_zeros`; ``_rref``, and through it ``Subspace.span``,
-copies only rows that hold a zero.  ``row_add`` is the one eager
-primitive.
+with :func:`drop_zeros`; ``_Echelon.add``, and through it ``_rref`` and
+``Subspace.span``, copies only rows that hold a zero.  ``row_add`` is the
+one eager primitive.
 
-``_rref`` is the one elimination, and each of ``Subspace.span``,
-``Subspace.intersect``, ``kernel``, ``kernel_on``, ``perp`` and
-``preimage`` runs it exactly once (``kernel_on`` not at all when handed
-no rows): only ``span`` takes vectors in no particular form, and the
-others build their canonical bases directly.
+``_Echelon`` is the one elimination: a reduced echelon form that takes
+rows one at a time and can be copied to go on apart.  ``_rref`` feeds it
+its rows, and each of ``Subspace.span``, ``Subspace.intersect``,
+``kernel``, ``kernel_on``, ``perp`` and ``preimage`` runs ``_rref``
+exactly once (``kernel_on`` not at all when handed no rows): only
+``span`` takes vectors in no particular form, and the others build their
+canonical bases directly.  ``kernels_without``, which solves one system
+once per group of rows left out, feeds its rows to copied echelon states
+by divide and conquer instead, so each row is eliminated about log2 m
+times for m groups rather than m - 1 times.  ``kernel`` and
+``kernels_without`` read the null space off an echelon the same way
+(``_null_space``), and ``kernel_on`` and ``kernels_without`` lift it to
+their subspace the same way (``_lift``).
+
 Both kernels take their system as keyed rows, {key: {col: scalar}},
 each keyed by what it means to its caller (a tensor coordinate (j, k), a
 radical row and module coordinate (r, j), an equation (i, l, k)); a row
@@ -302,13 +311,14 @@ def exact_quotient(a: Scalar, b: Scalar) -> Scalar:
     return a / b
 
 
-def _rref(rows: Iterable[dict], lead_of: Callable[[dict], int] = min) -> list[dict]:
-    """Reduced row echelon form of sparse rows; canonical and unique.
+class _Echelon:
+    """A reduced row echelon form that takes its rows one at a time.
 
     Each row's pivot is its first column, or its last with lead_of=max;
     either way the pivot is 1 and every other pivot row is zero there.
-    No input row is written, but a zero-free input row that needs no
-    elimination may be returned as it is, so callers only read the result.
+    ``pivots`` maps each pivot column to its row.  No row handed to
+    ``add`` is written, but a zero-free row that needs no elimination may
+    be stored as it is, so callers only read the rows.
 
     A new pivot row is eliminated only from the pivot rows listed under
     its lead column in ``holders``, which maps each column to the pivot
@@ -317,11 +327,22 @@ def _rref(rows: Iterable[dict], lead_of: Callable[[dict], int] = min) -> list[di
     gains columns of the rows added into it, so the lists stay a superset
     of the true holders and are never shrunk: an entry whose row has since
     lost the column is skipped.
+
+    ``copy`` gives a state that takes rows apart from this one.  Rows are
+    replaced, never written in place, so the copy shares them; the
+    ``holders`` sets grow in place, so each is copied.
     """
-    pivots: dict[int, dict] = {}  # pivot column -> normalized row
-    holders: dict[int, set] = {}  # column -> pivot columns whose row may hold it
-    for row in rows:
-        # The rows are the caller's: copy only one that holds a zero, as
+
+    __slots__ = ("lead_of", "pivots", "holders")
+
+    def __init__(self, lead_of: Callable[[dict], int]):
+        self.lead_of = lead_of
+        self.pivots: dict[int, dict] = {}
+        self.holders: dict[int, set] = {}
+
+    def add(self, row: dict) -> None:
+        pivots, holders = self.pivots, self.holders
+        # The row is the caller's: copy it only if it holds a zero, as
         # every step below that changes a row builds a new dict.
         if not all(row.values()):
             row = drop_zeros(row)
@@ -331,8 +352,8 @@ def _rref(rows: Iterable[dict], lead_of: Callable[[dict], int] = min) -> list[di
             if v:
                 row = row_add(row, pivots[j], -v)
         if not row:
-            continue
-        lead = lead_of(row)
+            return
+        lead = self.lead_of(row)
         inv = row[lead]
         if not _is_one(inv):
             row = {j: exact_quotient(v, inv) for j, v in row.items()}
@@ -345,6 +366,27 @@ def _rref(rows: Iterable[dict], lead_of: Callable[[dict], int] = min) -> list[di
         pivots[lead] = row
         for j in row:
             holders.setdefault(j, set()).update(touched)
+
+    def copy(self) -> "_Echelon":
+        other = _Echelon(self.lead_of)
+        other.pivots = dict(self.pivots)
+        other.holders = {j: set(cols) for j, cols in self.holders.items()}
+        return other
+
+
+def _rref(rows: Iterable[dict], lead_of: Callable[[dict], int] = min) -> list[dict]:
+    """Reduced row echelon form of sparse rows; canonical and unique.
+
+    The rows are fed, in the order given, to one :class:`_Echelon`, and
+    its pivot rows come back in order of pivot column.  No input row is
+    written, but one may be returned as it is, so callers only read the
+    result.
+    """
+    echelon = _Echelon(lead_of)
+    add = echelon.add
+    for row in rows:
+        add(row)
+    pivots = echelon.pivots
     return [pivots[c] for c in sorted(pivots)]
 
 
@@ -512,22 +554,16 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim}, field={self.field})"
 
 
-def kernel(rows: dict, cols: int, field: Field) -> Subspace:
-    """Null space {v in field^cols : sum_j row[j] v_j = 0 for every row}
-    as a canonical subspace, for rows mapping sortable keys to sparse rows
-    {col: scalar}; a row may hold zeros.
+def _null_space(pivots: "dict[int, dict]", cols: int, field: Field) -> Subspace:
+    """The null space of an echelon system in field^cols, as a canonical
+    subspace, for {pivot column: row} with each pivot at its row's last
+    column (an echelon built with lead_of=max).
 
-    Only the rows with a nonzero entry reach the elimination, in
-    descending key order: a wedge or skew-primitive system is keyed by the
-    dim^2 tensor coordinates, nearly all of them empty.  Each pivot sits
-    at its row's last column, so R[p][f] is nonzero only for f < p.  The
-    generator e_f - sum_p R[p][f] e_p of a free column f therefore leads
-    at f with a 1, and no other generator has an entry at f, a free
-    column: the generators are the canonical basis as they stand.
+    R[p][f] is nonzero only for f < p.  The generator
+    e_f - sum_p R[p][f] e_p of a free column f therefore leads at f with
+    a 1, and no other generator has an entry at f, a free column: the
+    generators are the canonical basis as they stand.
     """
-    echelon = _rref([rows[key] for key in sorted(rows, reverse=True)
-                     if any(rows[key].values())], lead_of=max)
-    pivots = {max(r): r for r in echelon}
     tails: dict[int, list] = {f: [] for f in range(cols) if f not in pivots}
     for p, r in pivots.items():
         for f, c in r.items():
@@ -538,27 +574,19 @@ def kernel(rows: dict, cols: int, field: Field) -> Subspace:
                                        for f, tail in tails.items()))
 
 
-def kernel_on(space: Subspace, rows: dict) -> Subspace:
-    """{sum_r x_r b_r : sum_r row[r] x_r = 0 for every row} for space's
-    basis rows b_r, as a canonical subspace of space's ambient space.
+def _lift(space: Subspace, solutions: Subspace) -> Subspace:
+    """{sum_r x_r b_r : x in solutions} for space's basis rows b_r, given
+    solutions as a canonical subspace of field^space.dim; the lifts are
+    canonical as they stand.
 
-    rows is a system in kernel's form, {key: {r: scalar}}, with one column
-    per basis row of space, so a map known on a small subspace is solved
-    in that subspace's coordinates; the keys are any hashables, and the
-    rows are eliminated in the reverse of the order given.
-
-    The lifts are canonical as they stand.  Each kernel vector x leads at
-    some r with x_r = 1 and every other x is zero at r.  Since space's
-    basis is in RREF, sum_r x_r b_r leads at b_r's pivot with a 1, where
-    every other lift is zero.  A unit kernel vector e_r lifts to b_r
-    itself, so that basis row is taken as it stands.  With no rows the
-    kernel vectors are the unit vectors, so the lifts are space's basis
-    and no system is solved.
+    Each basis vector x of solutions leads at some r with x_r = 1, and
+    every other is zero at r.  Since space's basis is in RREF,
+    sum_r x_r b_r leads at b_r's pivot with a 1, where every other lift
+    is zero.  A unit vector e_r lifts to b_r itself, so that basis row is
+    taken as it stands.
     """
-    if not rows:
-        return space
     lifts: list[tuple] = []
-    for x in kernel(dict(enumerate(rows.values())), space.dim, space.field).basis:
+    for x in solutions.basis:
         if len(x) == 1:
             lifts.append(space.basis[x[0][0]])
             continue
@@ -570,26 +598,93 @@ def kernel_on(space: Subspace, rows: dict) -> Subspace:
     return Subspace(space.field, space.ambient_dim, tuple(lifts))
 
 
+def kernel(rows: dict, cols: int, field: Field) -> Subspace:
+    """Null space {v in field^cols : sum_j row[j] v_j = 0 for every row}
+    as a canonical subspace, for rows mapping sortable keys to sparse rows
+    {col: scalar}; a row may hold zeros.
+
+    Only the rows with a nonzero entry reach the elimination, in
+    descending key order: a wedge or skew-primitive system is keyed by the
+    dim^2 tensor coordinates, nearly all of them empty.  Each pivot sits
+    at its row's last column, so the null-space generators are the
+    canonical basis as they are built (:func:`_null_space`).
+    """
+    echelon = _rref([rows[key] for key in sorted(rows, reverse=True)
+                     if any(rows[key].values())], lead_of=max)
+    return _null_space({max(r): r for r in echelon}, cols, field)
+
+
+def kernel_on(space: Subspace, rows: dict) -> Subspace:
+    """{sum_r x_r b_r : sum_r row[r] x_r = 0 for every row} for space's
+    basis rows b_r, as a canonical subspace of space's ambient space.
+
+    rows is a system in kernel's form, {key: {r: scalar}}, with one column
+    per basis row of space, so a map known on a small subspace is solved
+    in that subspace's coordinates; the keys are any hashables, and the
+    rows are eliminated in the reverse of the order given.  The kernel
+    vectors lift to canonical rows as they stand (:func:`_lift`).  With no
+    rows the kernel vectors are the unit vectors, so the lifts are space's
+    basis and no system is solved.
+    """
+    if not rows:
+        return space
+    return _lift(space, kernel(dict(enumerate(rows.values())), space.dim, space.field))
+
+
 def kernels_without(space: Subspace, rows: dict, groups: "Iterable[Hashable]",
                     group_of: "Callable[[Hashable], Hashable]") -> "dict[Hashable, Subspace]":
     """{g: kernel_on(space, the rows whose key's group_of is not g)} for
-    every g in groups, with the rows kept in the order given.
+    every g in groups, in the order of groups.
 
-    A g that owns no row drops nothing, so every such g shares one solve
-    of the whole system.
+    The kernels are solved by divide and conquer over one resumable
+    elimination, not once per group.  The rows of no group in groups
+    seed a base state.  Each group that owns a row is a leaf, and the
+    groups that own no row share one more leaf, which drops nothing.  A
+    node's left half recurses on a copy of its state plus the right
+    half's rows, and its right half goes on with the state plus the left
+    half's rows; a leaf's state then holds every row but its own.  A
+    base row is eliminated once, and a leaf's row at most ceil(log2 m)
+    times for m leaves, not m - 1 times.  RREF is unique, so each kernel
+    is the one kernel_on gives, whatever the order in which the rows were
+    eliminated.  As in kernel_on, the base's rows and each leaf's are fed
+    in the reverse of the order given.
     """
-    owners = {group_of(key) for key in rows}
-    whole = None
-    out: dict = {}
-    for g in groups:
-        if g in owners:
-            out[g] = kernel_on(space, {key: row for key, row in rows.items()
-                                       if group_of(key) != g})
+    order = dict.fromkeys(groups)
+    base = _Echelon(max)
+    owned: dict = {}
+    for key in reversed(rows):
+        g = group_of(key)
+        if g in order:
+            owned.setdefault(g, []).append(rows[key])
         else:
-            if whole is None:
-                whole = kernel_on(space, rows)
-            out[g] = whole
-    return out
+            base.add(rows[key])
+    owners = [g for g in order if g in owned]
+    batches = [owned[g] for g in owners]
+    if len(owners) < len(order):
+        batches.append([])
+    if not batches:
+        return {}
+
+    def solve(state: _Echelon, leaves: list) -> "list[Subspace]":
+        # The kernel of state with each leaf's rows but its own added.
+        if len(leaves) == 1:
+            pivots = state.pivots
+            return [_lift(space, _null_space(pivots, space.dim, space.field))
+                    if pivots else space]
+        left, right = leaves[:len(leaves) // 2], leaves[len(leaves) // 2:]
+        ahead = state.copy()
+        for batch in right:
+            for row in batch:
+                ahead.add(row)
+        out = solve(ahead, left)
+        for batch in left:
+            for row in batch:
+                state.add(row)
+        return out + solve(state, right)
+
+    kernels = solve(base, batches)
+    by_owner = dict(zip(owners, kernels))
+    return {g: by_owner.get(g, kernels[-1]) for g in order}
 
 
 def preimage(f: Matrix, w: Subspace, field: Field) -> Subspace:

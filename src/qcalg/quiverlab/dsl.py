@@ -48,17 +48,27 @@ _HEAD_RE = re.compile(rf"({_NAME})\s*(?:\[([^\]]*)\])?\s*\Z")
 
 
 @lru_cache(maxsize=1024)
-def _parse_expr(src: str) -> ast.Expression:
-    """The syntax tree of an index expression, parsed once per source text."""
-    return ast.parse(src, mode="eval")
+def _expr_plan(src: str) -> "tuple[int, object]":
+    """How to evaluate an index expression, worked out once per source
+    text: (1, name) for a bare name, read from the environment as it
+    stands, and (0, tree) for any other expression, walked."""
+    tree = ast.parse(src, mode="eval")
+    if isinstance(tree.body, ast.Name):
+        return 1, tree.body.id
+    return 0, tree
 
 
 def _eval_expr(src: str, env: "dict[str, int]", line: int) -> int:
     try:
-        tree = _parse_expr(src.strip())
+        bare, plan = _expr_plan(src.strip())
     except SyntaxError as exc:
         raise DslError(f"bad index expression {src.strip()!r}", line,
                        getattr(exc, "offset", 1) or 1) from None
+    if bare:
+        try:
+            return env[plan]
+        except KeyError:
+            raise DslError(f"unknown name {plan!r} in index expression", line) from None
 
     def walk(node: ast.AST) -> int:
         if isinstance(node, ast.Expression):
@@ -81,7 +91,7 @@ def _eval_expr(src: str, env: "dict[str, int]", line: int) -> int:
             return env[node.id]
         raise DslError(f"unsupported construct in index expression {src.strip()!r}", line)
 
-    return walk(tree)
+    return walk(plan)
 
 
 @dataclass(frozen=True)

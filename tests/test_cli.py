@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import time
@@ -9,6 +10,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_coalg import LADDER_ALL as LADDER
 from test_coalg import change_basis
+from test_report_hashes import CASES as HASHED_CASES
+from test_report_hashes import inputs  # noqa: F401  (a fixture)
 
 from qcalg.cli import main
 from qcalg.exactlin import Subspace
@@ -1064,3 +1067,41 @@ class TestLeftSideCli:
         doc = json.loads(out)
         assert doc["results"]["dim"] == 3
         assert doc["results"]["multiplicities"] == {"a": 1, "b[1]": 1, "b[2]": 1}
+
+
+class TestOneParserPerProcess:
+    """main() parses with one parser built at import; a parse builds a
+    fresh namespace, so no option of one call reaches the next."""
+
+    @pytest.mark.parametrize("order", ["forward", "reverse"])
+    def test_pinned_reports_in_one_process(self, order, inputs, monkeypatch, capsys):
+        monkeypatch.chdir(inputs)
+        cases = HASHED_CASES if order == "forward" else HASHED_CASES[::-1]
+        for argv, code, digest in cases:
+            got = main(list(argv))
+            out = capsys.readouterr().out
+            assert (got, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (code, digest), argv
+
+    def test_side_does_not_outlive_its_call(self, inputs, monkeypatch, capsys):
+        monkeypatch.chdir(inputs)
+        socle = ["compute", "ex1-n2.sc", "socle", "--json"]
+        outs = []
+        for extra in (["--side", "left"], [], ["--side", "right"], ["--side", "left"]):
+            assert main(socle + extra) == 0
+            outs.append(capsys.readouterr().out)
+        left, default, right, again = outs
+        assert default == right != left == again
+        assert hashlib.sha256(left.encode("utf-8")).hexdigest() == \
+            "1f21e53c10c7850208a2e35ff797a2687a040aceb90d26fb594a2cf5c572fa98"
+
+    def test_version_and_usage_errors_exit_as_before(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--version"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out == "qcalg 1.0.0\n"
+            with pytest.raises(SystemExit) as exc:
+                main(["analyze"])
+            assert exc.value.code == 2
+            assert "the following arguments are required: input" in capsys.readouterr().err
+            assert run(capsys, "check", "ex1", "--N", "1")[0] == 0

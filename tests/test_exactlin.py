@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import math
 import operator
+import random
 import re
 from fractions import Fraction as F
 
@@ -23,6 +25,7 @@ from qcalg.exactlin import (
     field_named,
     kernel,
     kernel_on,
+    kernels_without,
     preimage,
 )
 
@@ -252,6 +255,62 @@ class TestOneElimination:
         assert len(rrefs) == 2
         x.intersect(y)
         assert len(rrefs) == 3
+
+
+class TestKernelsWithout:
+    """kernels_without eliminates a row once per level of its divide and
+    conquer, not once per other group, and an echelon state it copies
+    goes on apart from its source."""
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+    @pytest.mark.parametrize("m,k", [(1, 1), (2, 3), (3, 2), (5, 1), (8, 3), (13, 2)])
+    def test_rows_fed_grow_as_m_log_m(self, m, k, field, monkeypatch):
+        # m groups of k rows each, a group that owns no row (the shared
+        # leaf) and four rows of no group asked for.
+        rng = random.Random(100 * m + k)
+        dim = 8
+
+        def row():
+            return {j: field.from_int(rng.randint(1, 5)) for j in rng.sample(range(dim), 3)}
+
+        rows = {("in", g, i): row() for g in range(m) for i in range(k)}
+        rows.update({("out", i): row() for i in range(4)})
+
+        def group_of(key):
+            return key[1] if key[0] == "in" else None
+
+        space = Subspace.full(field, dim)
+        groups = list(range(m + 1))
+        want = {g: kernel_on(space, {key: r for key, r in rows.items() if group_of(key) != g})
+                for g in groups}
+        fed = []
+        add = exactlin._Echelon.add
+
+        def counting_add(self, r):
+            fed.append(id(r))
+            add(self, r)
+
+        monkeypatch.setattr(exactlin._Echelon, "add", counting_add)
+        cut = kernels_without(space, rows, groups, group_of)
+        outside = [id(r) for key, r in rows.items() if key[0] == "out"]
+        assert [fed.count(i) for i in outside] == [1] * len(outside)
+        assert len(fed) - len(outside) <= k * m * math.ceil(math.log2(m + 1))
+        assert cut == want
+
+    def test_a_copy_goes_on_apart_from_its_source(self):
+        source = exactlin._Echelon(max)
+        for r in ({0: F(1), 1: F(1)}, {1: F(1), 2: F(2)}):
+            source.add(r)
+        pivots = {c: dict(r) for c, r in source.pivots.items()}
+        holders = {j: set(cols) for j, cols in source.holders.items()}
+        copied = source.copy()
+        # Both rows fill in the source's pivot rows, and {2: 1} rewrites
+        # each of them.
+        for r in ({0: F(1), 2: F(1)}, {2: F(1)}):
+            copied.add(r)
+        assert (source.pivots, source.holders) == (pivots, holders)
+        assert sorted(copied.pivots) == [0, 1, 2]
+        assert all(r == {c: 1} for c, r in copied.pivots.items())
 
 
 class TestKeyedRows:

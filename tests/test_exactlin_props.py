@@ -8,8 +8,9 @@ that ``_rref`` returns the rows of the reference elimination, which
 scans every pivot row, and that ``Subspace.columns`` is the basis read by
 column, which neither kernel writes, nor the rows it is handed; neither
 does ``_rref``.  ``kernels_without`` must give, per group, ``kernel_on``
-of the rows the group does not own.  The last property checks that rational parsing
-reads what ``Fraction`` reads, as an ``int`` exactly when the value is
+of the rows the group does not own, with enough groups that its divide
+and conquer goes three levels deep.  The last property checks that
+rational parsing reads what ``Fraction`` reads, as an ``int`` exactly when the value is
 integral, and refuses at once an exponent too large to write out.
 """
 
@@ -259,12 +260,14 @@ def test_columns_read_the_basis_and_no_kernel_writes_its_rows(data, kept):
 @st.composite
 def grouped_systems(draw):
     """A random span and a system on its basis rows keyed (group, i), with
-    the groups to leave out: groups 0..7 are asked for and rows own only
-    0..4, so some own no row.  Some rows' entries sum to zero, and some
-    hold explicit zeros."""
+    the groups to leave out: groups 0..11 are asked for and rows own only
+    0..9, so some own no row.  Up to 14 rows in up to 10 groups put the
+    divide and conquer of kernels_without three and four levels deep,
+    with fill-in.  Some rows' entries sum to zero, and some hold explicit
+    zeros."""
     field = draw(st.sampled_from(FIELDS))
-    space = sparse_span(draw, field, draw(st.integers(min_value=1, max_value=7)))
-    rows = row_dicts(sparse_matrix(draw, field, draw(st.integers(0, 6)), space.dim))
+    space = sparse_span(draw, field, draw(st.integers(min_value=1, max_value=10)))
+    rows = row_dicts(sparse_matrix(draw, field, draw(st.integers(0, 12)), space.dim))
     for _ in range(draw(st.integers(0, 2)) if space.dim > 1 else 0):
         r, s = draw(st.lists(st.integers(0, space.dim - 1), min_size=2, max_size=2,
                              unique=True))
@@ -274,8 +277,8 @@ def grouped_systems(draw):
                                         st.integers(0, max(space.dim - 1, 0))), max_size=3)):
         if rows and space.dim:
             rows[i].setdefault(j, field.zero)
-    owners = draw(st.lists(st.integers(0, 4), min_size=len(rows), max_size=len(rows)))
-    groups = draw(st.lists(st.integers(0, 7), unique=True))
+    owners = draw(st.lists(st.integers(0, 9), min_size=len(rows), max_size=len(rows)))
+    groups = draw(st.lists(st.integers(0, 11), unique=True))
     return space, {(g, i): row for i, (g, row) in enumerate(zip(owners, rows))}, groups
 
 
@@ -286,6 +289,10 @@ def grouped_systems(draw):
 @example((Subspace.span(GF(7), 3, [{0: GF(7).one, 2: GF(7).from_int(3)},
                                    {1: GF(7).one, 2: GF(7).one}]),
           {(1, 0): {0: GF(7).from_int(2), 1: GF(7).from_int(5)}}, [4, 1, 0]))
+@example((Subspace.full(QQ, 4),
+          {(0, 0): {0: 1, 1: 1}, (1, 1): {1: 1, 2: 1}, (2, 2): {2: 1, 3: 1},
+           (3, 3): {0: 1, 3: -1}, (4, 4): {1: 1, 3: 2}, (5, 5): {0: 1, 2: 1}},
+          [5, 4, 3, 2, 1, 0, 6]))
 def test_kernels_without_cuts_each_group(data):
     space, rows, groups = data
     handed = copy.deepcopy(rows)

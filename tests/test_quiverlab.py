@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import inspect
 import re
 from collections import Counter
@@ -28,7 +29,7 @@ from qcalg.quiverlab import (
     instantiate,
     parse_spec,
 )
-from qcalg.quiverlab import analyze, paths
+from qcalg.quiverlab import analyze, dsl, paths
 from qcalg.quiverlab.analyze import (
     analyze_spec,
     degree_tables,
@@ -206,6 +207,36 @@ class TestParsing:
         inst = instantiate(spec)
         assert {a.label for a in inst.arrows} == {"e[1]", "e[2]"}
         assert {a.dst.label for a in inst.arrows} == {"v[2]", "v[3]"}
+
+    @pytest.mark.parametrize("src,want", [
+        ("n", 4), (" n ", 4), ("(n)", 4), ("n+1", 5), ("-n", -4), ("2*n-N", 5), ("7", 7),
+        ("M", "line 9, col 1: unknown name 'M' in index expression"),
+        (" M", "line 9, col 1: unknown name 'M' in index expression"),
+        ("M+1", "line 9, col 1: unknown name 'M' in index expression"),
+        ("None", "line 9, col 1: unsupported construct in index expression 'None'"),
+        ("n.real", "line 9, col 1: unsupported construct in index expression 'n.real'"),
+    ])
+    def test_index_expression_values_and_faults(self, src, want):
+        # A bare name is read from the environment without a walk of its
+        # tree; every other expression, and every fault, is as walked.
+        for _ in range(2):
+            if isinstance(want, int):
+                assert dsl._eval_expr(src, {"n": 4, "N": 3}, 9) == want
+            else:
+                with pytest.raises(DslError) as err:
+                    dsl._eval_expr(src, {"n": 4, "N": 3}, 9)
+                assert str(err.value) == want
+
+    def test_a_bad_index_expression_keeps_its_column_and_is_not_cached(self):
+        with pytest.raises(SyntaxError) as syntax:
+            ast.parse("n n", mode="eval")
+        held = dsl._expr_plan.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(DslError) as err:
+                dsl._eval_expr(" n n ", {"n": 4}, 9)
+            assert str(err.value) == \
+                f"line 9, col {syntax.value.offset}: bad index expression 'n n'"
+        assert dsl._expr_plan.cache_info().currsize == held
 
 
 class TestEnumeration:
