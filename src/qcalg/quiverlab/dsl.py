@@ -22,9 +22,10 @@ path segments are expressions.
 from __future__ import annotations
 
 import ast
+import operator
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from ..exactlin import Field, QQ, field_named
 
@@ -47,51 +48,65 @@ _NAME_RE = re.compile(_NAME + r"\Z")
 _HEAD_RE = re.compile(rf"({_NAME})\s*(?:\[([^\]]*)\])?\s*\Z")
 
 
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
+
+
+def _compile(node: ast.AST, src: str):
+    """node as an evaluator ``fn(env, line) -> int``, built from bare
+    names, int constants and ``+ - *`` nodes.  The operands of a node are
+    evaluated left to right, and a name missing from env or a construct
+    outside that set is refused at line only when it is reached."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        op = _BINARY[type(node.op)]
+        left, right = _compile(node.left, src), _compile(node.right, src)
+        return lambda env, line: op(left(env, line), right(env, line))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        operand = _compile(node.operand, src)
+        if isinstance(node.op, ast.UAdd):
+            return operand
+        return lambda env, line: -operand(env, line)
+    if isinstance(node, ast.Constant) and isinstance(node.value, int):
+        value = node.value
+        return lambda env, line: value
+    if isinstance(node, ast.Name):
+        name = node.id
+
+        def read(env: "dict[str, int]", line: int) -> int:
+            try:
+                return env[name]
+            except KeyError:
+                raise DslError(f"unknown name {name!r} in index expression", line) from None
+        return read
+
+    def refuse(env: "dict[str, int]", line: int) -> int:
+        raise DslError(f"unsupported construct in index expression {src!r}", line)
+    return refuse
+
+
 @lru_cache(maxsize=1024)
-def _expr_plan(src: str) -> "tuple[int, object]":
-    """How to evaluate an index expression, worked out once per source
-    text: (1, name) for a bare name, read from the environment as it
-    stands, and (0, tree) for any other expression, walked."""
-    tree = ast.parse(src, mode="eval")
-    if isinstance(tree.body, ast.Name):
-        return 1, tree.body.id
-    return 0, tree
+def _expr_plan(src: str):
+    """The evaluator of an index expression (_compile), compiled once per
+    source text; a syntax error is raised, so it is not kept."""
+    return _compile(ast.parse(src, mode="eval").body, src)
+
+
+def _evaluator(src: str):
+    """The evaluator of an index expression (_expr_plan); for one that does
+    not parse, an evaluator that refuses it, with its column, at the line
+    it is given.  The refusal is not kept in _expr_plan's cache."""
+    src = src.strip()
+    try:
+        return _expr_plan(src)
+    except SyntaxError as exc:
+        col = getattr(exc, "offset", 1) or 1
+
+        def refuse(env: "dict[str, int]", line: int) -> int:
+            raise DslError(f"bad index expression {src!r}", line, col)
+        return refuse
 
 
 def _eval_expr(src: str, env: "dict[str, int]", line: int) -> int:
-    try:
-        bare, plan = _expr_plan(src.strip())
-    except SyntaxError as exc:
-        raise DslError(f"bad index expression {src.strip()!r}", line,
-                       getattr(exc, "offset", 1) or 1) from None
-    if bare:
-        try:
-            return env[plan]
-        except KeyError:
-            raise DslError(f"unknown name {plan!r} in index expression", line) from None
-
-    def walk(node: ast.AST) -> int:
-        if isinstance(node, ast.Expression):
-            return walk(node.body)
-        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult)):
-            a, b = walk(node.left), walk(node.right)
-            if isinstance(node.op, ast.Add):
-                return a + b
-            if isinstance(node.op, ast.Sub):
-                return a - b
-            return a * b
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-            v = walk(node.operand)
-            return v if isinstance(node.op, ast.UAdd) else -v
-        if isinstance(node, ast.Constant) and isinstance(node.value, int):
-            return node.value
-        if isinstance(node, ast.Name):
-            if node.id not in env:
-                raise DslError(f"unknown name {node.id!r} in index expression", line)
-            return env[node.id]
-        raise DslError(f"unsupported construct in index expression {src.strip()!r}", line)
-
-    return walk(plan)
+    return _evaluator(src)(env, line)
 
 
 @dataclass(frozen=True)
@@ -110,8 +125,15 @@ class Ref:
     exprs: "tuple[str, ...]"
     line: int
 
+    @cached_property
+    def _evaluators(self) -> tuple:
+        return tuple(_evaluator(e) for e in self.exprs)
+
     def instantiate(self, env: "dict[str, int]") -> "tuple[str, tuple[int, ...]]":
-        return self.name, tuple(_eval_expr(e, env, self.line) for e in self.exprs)
+        """(name, indices) of the reference under env, its expressions
+        evaluated left to right."""
+        line = self.line
+        return self.name, tuple([fn(env, line) for fn in self._evaluators])
 
 
 @dataclass(frozen=True)
@@ -156,6 +178,14 @@ class QuiverSpec:
 
     def param_map(self) -> "dict[str, int]":
         return dict(self.params)
+
+    @cached_property
+    def table(self) -> "SpecTable":
+        """The vertices and arrows instantiate hands out at every bound of
+        this spec, one object each (paths.SpecTable), filled as bounds are
+        instantiated."""
+        from .paths import SpecTable
+        return SpecTable()
 
 
 def _split_toplevel_commas(text: str) -> "list[str]":

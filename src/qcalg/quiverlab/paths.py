@@ -10,6 +10,18 @@ and a missing subpath is looked for only to name it.  The probes' path
 counts (path_counts) read the same check and cycle test, so they refuse
 an instance where enumeration does.
 
+A spec keeps one table (QuiverSpec.table, a SpecTable) of the vertices
+and arrows instantiate hands out, so every bound of one spec shares one
+object per vertex, keyed by name and indices, and per arrow, keyed also
+by its endpoints' keys (in ``x[i]: a -> b[N]`` the arrow x[1] ends at
+b[N], elsewhere at each bound).  Each object builds its label and its
+one-element path once.  Each instance still builds its own dicts, so the
+duplicate, endpoint and size budget checks read that instance alone;
+index expressions are compiled once per source text (dsl._expr_plan).
+Declared-mode enumeration links an arrow to its endpoints by label and
+builds key tuples only for declared paths, and PathBasis.place_in
+compares shared objects, which a comparison settles by identity.
+
 The basis is a path trie: each path records the index of its prefix (its
 last arrow dropped) and of its tail (its first arrow dropped), and an
 all-mode walk takes its label from its prefix's.  Compilation splits each
@@ -25,6 +37,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter, itemgetter
 
 from ..coalg import Coalgebra
 from .dsl import ClosureError, DslError, QuiverSpec, _eval_expr
@@ -40,10 +53,15 @@ def format_label(name: str, indices: "tuple[int, ...]") -> str:
 class Vertex:
     name: str
     indices: "tuple[int, ...]"
+    label: str = field(init=False, compare=False, repr=False)
 
-    @property
-    def label(self) -> str:
-        return format_label(self.name, self.indices)
+    def __post_init__(self):
+        object.__setattr__(self, "label", format_label(self.name, self.indices))
+
+    @cached_property
+    def path(self) -> "Path":
+        """The vertex as a path of length 0."""
+        return Path(self.label, self, self, ())
 
 
 @dataclass(frozen=True)
@@ -55,10 +73,19 @@ class Arrow:
     src: Vertex
     dst: Vertex
     line: int = field(default=1, compare=False)
+    label: str = field(init=False, compare=False, repr=False)
 
-    @property
-    def label(self) -> str:
-        return format_label(self.name, self.indices)
+    def __post_init__(self):
+        object.__setattr__(self, "label", format_label(self.name, self.indices))
+
+    @cached_property
+    def path(self) -> "Path":
+        """The arrow as a path of length 1."""
+        return Path(self.label, self.src, self.dst, (self,))
+
+
+# The order of vertices, and of arrows, among the paths of one length.
+_BY_NAME = attrgetter("name", "indices")
 
 
 @dataclass(frozen=True)
@@ -76,10 +103,10 @@ class Path:
     def length(self) -> int:
         return len(self.arrows)
 
-    def key(self) -> tuple:
-        if not self.arrows:
-            return (("vertex", self.source.name, self.source.indices),)
-        return tuple(("arrow", a.name, a.indices) for a in self.arrows)
+    def key(self) -> "tuple[str, ...]":
+        """The labels of its arrows: a path of one arrow or more is the one
+        with that key, as a label names one arrow."""
+        return tuple(a.label for a in self.arrows)
 
     def sort_key(self) -> tuple:
         if not self.arrows:
@@ -95,6 +122,21 @@ class Path:
             seen.extend(a.src.indices)
             seen.extend(a.dst.indices)
         return tuple(seen)
+
+
+class SpecTable:
+    """The vertices and arrows that instantiate hands out for one spec
+    (QuiverSpec.table), one object each at every bound: a vertex keyed by
+    its name and indices, an arrow by those and its endpoints' (in a
+    family like ``x[i]: a -> b[N]`` an arrow ends elsewhere at each
+    bound).  Each object builds its label and its one-element path once.
+    Two threads may build one object at once: setdefault keeps the first,
+    and each instance holds the one kept.
+    """
+
+    def __init__(self):
+        self.vertices: "dict[tuple, Vertex]" = {}
+        self.arrows: "dict[tuple, Arrow]" = {}
 
 
 @dataclass(frozen=True)
@@ -189,97 +231,127 @@ class PathBasis:
 SIZE_BUDGET = 100_000
 
 
-def _iter_envs(ranges, params: "dict[str, int]"):
-    """All assignments of the range variables, nested left to right.
+def _iter_envs(decl, env: "dict[str, int]", counted: "list[int]", idx: int = 0,
+               walked: "list[int] | None" = None):
+    """All assignments of decl's range variables, nested left to right,
+    each set in env (which holds the parameters) when it is yielded; env
+    is as it was once they are all yielded.
 
-    Every value given to a range other than the innermost counts against
-    the size budget, so nested ranges that yield few or no assignments
-    still cannot walk without bound."""
-    walked = 0
-
-    def rec(idx: int, env: "dict[str, int]"):
-        nonlocal walked
-        if idx == len(ranges):
-            yield dict(env)
-            return
-        r = ranges[idx]
-        lo = _eval_expr(r.lo, {**params, **env}, r.line)
-        hi = _eval_expr(r.hi, {**params, **env}, r.line)
-        if hi - lo + 1 > SIZE_BUDGET:
-            raise DslError(f"range {r.var}={lo}..{hi} has {hi - lo + 1} values, "
-                           f"more than the size budget of {SIZE_BUDGET}", r.line)
+    Each assignment counts against the size budget, in counted[0], which
+    every declaration of one instance shares.  So does every value given
+    to a range other than the innermost, in walked[0], so nested ranges
+    that yield few or no assignments still cannot walk without bound."""
+    ranges = decl.ranges
+    if not ranges:
+        _count(decl, counted)
+        yield
+        return
+    r = ranges[idx]
+    lo = _eval_expr(r.lo, env, r.line)
+    hi = _eval_expr(r.hi, env, r.line)
+    if hi - lo + 1 > SIZE_BUDGET:
+        raise DslError(f"range {r.var}={lo}..{hi} has {hi - lo + 1} values, "
+                       f"more than the size budget of {SIZE_BUDGET}", r.line)
+    var, held = r.var, env.get(r.var, _UNSET)
+    if idx == len(ranges) - 1:
         for val in range(lo, hi + 1):
-            if idx < len(ranges) - 1:
-                walked += 1
-                if walked > SIZE_BUDGET:
-                    raise DslError(f"the ranges enclosing {ranges[-1].var} take "
-                                   f"more than {SIZE_BUDGET} values: past the size budget",
-                                   r.line)
-            env[r.var] = val
-            yield from rec(idx + 1, env)
-        env.pop(r.var, None)
-    yield from rec(0, {})
+            env[var] = val
+            _count(decl, counted)
+            yield
+    else:
+        walked = walked or [0]
+        for val in range(lo, hi + 1):
+            walked[0] += 1
+            if walked[0] > SIZE_BUDGET:
+                raise DslError(f"the ranges enclosing {ranges[-1].var} take "
+                               f"more than {SIZE_BUDGET} values: past the size budget",
+                               r.line)
+            env[var] = val
+            yield from _iter_envs(decl, env, counted, idx + 1, walked)
+    if held is _UNSET:
+        env.pop(var, None)
+    else:
+        env[var] = held
+
+
+_UNSET = object()
+
+
+def _count(decl, counted: "list[int]") -> None:
+    counted[0] += 1
+    if counted[0] > SIZE_BUDGET:
+        raise DslError(f"more than {SIZE_BUDGET} vertices, arrows and "
+                       "declared paths: past the size budget", decl.line)
+
+
+def _not_a_vertex(key: tuple, ref) -> DslError:
+    return DslError(f"endpoint {format_label(*key)} is not a declared vertex", ref.line)
+
+
+def _indices_of(binders: "tuple[str, ...]"):
+    """A function of env to the tuple of its values at binders."""
+    if len(binders) == 1:
+        (name,) = binders
+        return lambda env: (env[name],)
+    if not binders:
+        return lambda env: ()
+    return itemgetter(*binders)
 
 
 def instantiate(spec: QuiverSpec, n_bound: "int | None" = None) -> QuiverInstance:
     """Concrete vertices, arrows and declared paths at a family bound.
 
     ``n_bound`` overrides every parameter; None keeps the declared
-    defaults.
+    defaults.  The vertices and arrows are spec.table's, shared by every
+    bound; the checks (a duplicate, an endpoint that is not a vertex, the
+    size budget) are this instance's own.
     """
     params = spec.param_map()
     if n_bound is not None:
         if n_bound < 0:
             raise ValueError("family bound must be nonnegative")
         params = {k: n_bound for k in params}
-
-    size = 0
-
-    def envs(decl):
-        """The assignments of decl's ranges, each counted against the budget."""
-        nonlocal size
-        for env in _iter_envs(decl.ranges, params):
-            size += 1
-            if size > SIZE_BUDGET:
-                raise DslError(f"more than {SIZE_BUDGET} vertices, arrows and "
-                               "declared paths: past the size budget", decl.line)
-            yield env
+    table = spec.table
+    env = dict(params)
+    counted = [0]
 
     vertices: dict[tuple, Vertex] = {}
+    shared_vertices = table.vertices
     for decl in spec.vertices:
-        for env in envs(decl):
-            v = Vertex(decl.name, tuple(env[b] for b in decl.binders))
-            key = (v.name, v.indices)
+        name, indices_of = decl.name, _indices_of(decl.binders)
+        for _ in _iter_envs(decl, env, counted):
+            key = (name, indices_of(env))
             if key in vertices:
-                raise DslError(f"vertex {v.label} instantiated twice", decl.line)
-            vertices[key] = v
-
-    def vertex_ref(ref, env) -> Vertex:
-        key = ref.instantiate(env)
-        if key not in vertices:
-            raise DslError(
-                f"endpoint {format_label(*key)} is not a declared vertex", ref.line)
-        return vertices[key]
+                raise DslError(f"vertex {format_label(*key)} instantiated twice", decl.line)
+            vertices[key] = (shared_vertices.get(key)
+                             or shared_vertices.setdefault(key, Vertex(*key)))
 
     arrows: dict[tuple, Arrow] = {}
+    shared_arrows = table.arrows
     for decl in spec.arrows:
-        for env in envs(decl):
-            full_env = {**params, **env}
-            a = Arrow(decl.name, tuple(env[b] for b in decl.binders),
-                      vertex_ref(decl.src, full_env), vertex_ref(decl.dst, full_env),
-                      decl.line)
-            key = (a.name, a.indices)
+        name, indices_of = decl.name, _indices_of(decl.binders)
+        src_of, dst_of = decl.src.instantiate, decl.dst.instantiate
+        for _ in _iter_envs(decl, env, counted):
+            key = (name, indices_of(env))
+            src_key = src_of(env)
+            if src_key not in vertices:
+                raise _not_a_vertex(src_key, decl.src)
+            dst_key = dst_of(env)
+            if dst_key not in vertices:
+                raise _not_a_vertex(dst_key, decl.dst)
             if key in arrows:
-                raise DslError(f"arrow {a.label} instantiated twice", decl.line)
-            arrows[key] = a
+                raise DslError(f"arrow {format_label(*key)} instantiated twice", decl.line)
+            ends = (key, src_key, dst_key)
+            arrows[key] = shared_arrows.get(ends) or shared_arrows.setdefault(
+                ends, Arrow(*key, vertices[src_key], vertices[dst_key], decl.line))
 
     declared: list[Path] = []
     for decl in spec.extra_paths:
-        for env in envs(decl):
-            full_env = {**params, **env}
+        indices_of = _indices_of(decl.binders)
+        for _ in _iter_envs(decl, env, counted):
             chain: list[Arrow] = []
             for seg in decl.segments:
-                key = seg.instantiate(full_env)
+                key = seg.instantiate(env)
                 if key not in arrows:
                     raise ClosureError(
                         f"path {decl.name} uses undeclared arrow {format_label(*key)}",
@@ -290,9 +362,8 @@ def instantiate(spec: QuiverSpec, n_bound: "int | None" = None) -> QuiverInstanc
                     raise DslError(
                         f"path {decl.name}: {first.label} ends at {first.dst.label} "
                         f"but {second.label} starts at {second.src.label}", decl.line)
-            label = format_label(decl.name, tuple(env[b] for b in decl.binders))
-            declared.append(Path(label, chain[0].src, chain[-1].dst, tuple(chain),
-                                 decl.line))
+            declared.append(Path(format_label(decl.name, indices_of(env)), chain[0].src,
+                                 chain[-1].dst, tuple(chain), decl.line))
 
     return QuiverInstance(tuple(vertices.values()), tuple(arrows.values()),
                           tuple(declared))
@@ -301,22 +372,31 @@ def instantiate(spec: QuiverSpec, n_bound: "int | None" = None) -> QuiverInstanc
 def _refuse_unclosed(arrows: "tuple[Arrow, ...]", paths) -> None:
     """_closure_check of declared paths, run only when some prefix or tail
     is neither declared nor an arrow: else, by induction, every subpath is."""
-    keys = {p.key() for p in paths} | {(("arrow", a.name, a.indices),) for a in arrows}
-    if any(key[:-1] not in keys or key[1:] not in keys for key in keys if len(key) > 1):
-        _closure_check(keys, paths)
+    if not paths:
+        return
+    keys = {p.key() for p in paths}
+    labels = {a.label for a in arrows}
+    if not all(_listed(key[:-1], keys, labels) and _listed(key[1:], keys, labels)
+               for key in keys):
+        _closure_check(keys, labels, paths)
 
 
-def _closure_check(keys: "set[tuple]", paths) -> None:
+def _listed(key: "tuple[str, ...]", keys: "set[tuple]", labels: "set[str]") -> bool:
+    """Whether the path with key is an arrow (one of labels) or declared."""
+    return key[0] in labels if len(key) == 1 else key in keys
+
+
+def _closure_check(keys: "set[tuple]", labels: "set[str]", paths) -> None:
     for p in paths:
         if p.length < 2:
             continue
+        key = p.key()
         for i in range(p.length):
             for j in range(i + 1, p.length + 1):
                 if (i, j) == (0, p.length):
                     continue
-                sub = tuple(("arrow", a.name, a.indices) for a in p.arrows[i:j])
-                if sub not in keys:
-                    missing = ".".join(a.label for a in p.arrows[i:j])
+                if not _listed(key[i:j], keys, labels):
+                    missing = ".".join(key[i:j])
                     raise ClosureError(
                         f"subpath {missing} of {p.label} is not declared", p.line)
 
@@ -337,23 +417,32 @@ def enumerate_instance(spec: QuiverSpec, inst: QuiverInstance,
     """All admissible paths of an instance of spec, up to an optional length.
 
     Declared mode takes the sorted vertices and arrows and the declared
-    list that declared_paths checks, linked by key: a vertex to itself, an
-    arrow to its endpoints and a declared path to its prefix and tail.  All
-    mode walks the instantiated graph and therefore refuses cyclic
-    instances unless a depth bound is given.
+    list that declared_paths checks: a vertex is its own prefix and tail,
+    an arrow's are its endpoints, found by label, and a declared path's
+    are found by key.  All mode walks the instantiated graph and therefore
+    refuses cyclic instances unless a depth bound is given.
     """
-    vertices = [Path(v.label, v, v, ()) for v in inst.vertices]
-    arrows = ([Path(a.label, a.src, a.dst, (a,)) for a in inst.arrows]
-              if depth is None or depth >= 1 else [])
+    with_arrows = depth is None or depth >= 1
     if spec.path_mode == "declared":
-        ordered = sorted(vertices + arrows, key=Path.sort_key) + declared_paths(inst, depth)
-        keys = [p.key() for p in ordered]
-        at = {key: i for i, key in enumerate(keys)}
-        # The key of each vertex, for the empty prefix and tail of a vertex or an arrow.
-        own = {p.source: key for p, key in zip(ordered, keys) if not p.arrows}
-        prefix = [at[key[:-1] or own[p.source]] for p, key in zip(ordered, keys)]
-        tail = [at[key[1:] or own[p.target]] for p, key in zip(ordered, keys)]
+        vertices = sorted(inst.vertices, key=_BY_NAME)
+        arrows = sorted(inst.arrows, key=_BY_NAME) if with_arrows else []
+        declared = declared_paths(inst, depth)
+        ordered = [v.path for v in vertices] + [a.path for a in arrows] + declared
+        at = {v.label: i for i, v in enumerate(vertices)}
+        prefix = list(range(len(vertices)))
+        tail = list(prefix)
+        prefix += [at[a.src.label] for a in arrows]
+        tail += [at[a.dst.label] for a in arrows]
+        if declared:
+            # Each path of one arrow or more by its key, for its prefix and tail.
+            at = {(a.label,): i for i, a in enumerate(arrows, len(vertices))}
+            keys = [p.key() for p in declared]
+            at.update((key, i) for i, key in enumerate(keys, len(vertices) + len(arrows)))
+            prefix += [at[key[:-1]] for key in keys]
+            tail += [at[key[1:]] for key in keys]
     else:
+        vertices = [v.path for v in inst.vertices]
+        arrows = [a.path for a in inst.arrows] if with_arrows else []
         ordered, prefix, tail = _walks(inst, vertices, arrows, depth)
     labels = [p.label for p in ordered]
     if len(set(labels)) != len(labels):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import random
+import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
@@ -243,6 +244,66 @@ def own_table_columns(spec, sweep, depth) -> dict:
     return {side: {v: columns[v] for v in vertices} for side, columns in tables.items()}
 
 
+def family_text(family: str, seed: int) -> str:
+    """A seeded random DAG in all or declared mode, or the sweep families
+    whose arrows move (MOVING) or multiply (GROWING) with the bound."""
+    return {"dag": lambda: random_dag_spec(random.Random(seed)),
+            "declared-dag": lambda: declared_dag_spec(random.Random(seed)),
+            "moving": lambda: MOVING, "growing": lambda: GROWING}[family]()
+
+
+def instance_view(inst) -> tuple:
+    """What an instance tells apart: its vertices, its arrows with their
+    endpoints and lines, and its declared paths with their arrows and lines."""
+    return ([(v.name, v.indices, v.label) for v in inst.vertices],
+            [(a.label, a.src.label, a.dst.label, a.line) for a in inst.arrows],
+            [(p.label, p.source.label, p.target.label, tuple(a.label for a in p.arrows),
+              p.line) for p in inst.declared_paths])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["dag", "declared-dag", "moving", "growing"]),
+       st.integers(min_value=0, max_value=10**6),
+       st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=6),
+       st.sampled_from([None, 0, 1, 2]))
+def test_a_spec_instantiates_each_bound_as_a_fresh_spec_does(family, seed, bounds, depth):
+    # One spec hands out the same vertex and arrow objects at every bound
+    # (QuiverSpec.table); whatever the order of its bounds, each instance
+    # and its enumeration equal those of a spec parsed afresh for it.
+    text = family_text(family, seed)
+    spec = parse_spec(text)
+    for bound in bounds:
+        inst, fresh = instantiate(spec, bound), instantiate(parse_spec(text), bound)
+        assert inst == fresh and instance_view(inst) == instance_view(fresh)
+        basis = outcome(enumerate_instance, spec, inst, depth)
+        assert basis == outcome(enumerate_instance, spec, fresh, depth)
+        if isinstance(basis, PathBasis):
+            assert [p.line for p in basis.paths] == [
+                p.line for p in enumerate_instance(spec, fresh, depth).paths]
+
+
+@pytest.mark.parametrize("text", [MOVING, GROWING], ids=["moving", "growing"])
+def test_concurrent_instantiation_matches_serial(text):
+    # Four threads fill one spec's table with a short switch interval; each
+    # instance equals a serial one and holds the objects the table kept.
+    bounds = [4, 1, 3, 2, 4, 0, 3, 1, 5, 2, 5, 0] * 3
+    serial = [instance_view(instantiate(parse_spec(text), b)) for b in bounds]
+    spec = parse_spec(text)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            instances = list(pool.map(lambda b: instantiate(spec, b), bounds, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [instance_view(inst) for inst in instances] == serial
+    table = spec.table
+    for inst in instances:
+        assert all(table.vertices[(v.name, v.indices)] is v for v in inst.vertices)
+        assert all(table.arrows[((a.name, a.indices), (a.src.name, a.src.indices),
+                                 (a.dst.name, a.dst.indices))] is a for a in inst.arrows)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(["dag", "declared-dag", "moving", "growing"]),
        st.integers(min_value=0, max_value=10**6),
@@ -255,10 +316,7 @@ def test_a_placed_sweep_bound_reads_what_its_compile_gives(family, seed, field, 
     # On every sweep bound, the instance test (PathBasis.place_in) agrees
     # with basis_embedding of the compiled bound, and the sweep's tables
     # equal those of the route that compiles every bound.
-    text = {"dag": lambda: random_dag_spec(random.Random(seed)),
-            "declared-dag": lambda: declared_dag_spec(random.Random(seed)),
-            "moving": lambda: MOVING, "growing": lambda: GROWING}[family]()
-    spec = replace(parse_spec(text), field=field)
+    spec = replace(parse_spec(family_text(family, seed)), field=field)
     top = max(max(sweep), n)
     reference, reference_basis = compile_truncation(spec, top, depth)
     for bound in sweep:

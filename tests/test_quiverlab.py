@@ -30,6 +30,7 @@ from qcalg.quiverlab import (
     parse_spec,
 )
 from qcalg.quiverlab import analyze, dsl, paths
+from qcalg.quiverlab.paths import Arrow, Vertex
 from qcalg.quiverlab.analyze import (
     analyze_spec,
     degree_tables,
@@ -54,6 +55,16 @@ vertex b
 arrow f: a -> b
 arrow g: b -> a
 mode all
+"""
+
+# The endpoint b[M] names no parameter, but the range i=1..N-2 has no
+# values at the default N = 2.
+LAZY_ENDPOINT = """\
+coalgebra lazy
+param N = 2
+vertex a
+vertex b[n], n=1..N
+arrow x[i]: a -> b[M], i=1..N-2
 """
 
 CHAIN = """\
@@ -217,15 +228,23 @@ class TestParsing:
         ("n.real", "line 9, col 1: unsupported construct in index expression 'n.real'"),
     ])
     def test_index_expression_values_and_faults(self, src, want):
-        # A bare name is read from the environment without a walk of its
-        # tree; every other expression, and every fault, is as walked.
-        for _ in range(2):
-            if isinstance(want, int):
-                assert dsl._eval_expr(src, {"n": 4, "N": 3}, 9) == want
-            else:
-                with pytest.raises(DslError) as err:
-                    dsl._eval_expr(src, {"n": 4, "N": 3}, 9)
-                assert str(err.value) == want
+        # Each expression is compiled once into a closure over its names,
+        # constants and + - * nodes, and a fault is raised when the closure
+        # reaches it.  _eval_expr, the compiled evaluator itself and a
+        # reference, which keeps its evaluators, all give each value and
+        # each fault, every time.
+        ref = dsl.Ref("r", (src,), 9)
+        routes = [lambda env: dsl._eval_expr(src, env, 9),
+                  lambda env: dsl._expr_plan(src.strip())(env, 9),
+                  lambda env: ref.instantiate(env)[1][0]]
+        for route in routes:
+            for _ in range(2):
+                if isinstance(want, int):
+                    assert route({"n": 4, "N": 3}) == want
+                else:
+                    with pytest.raises(DslError) as err:
+                        route({"n": 4, "N": 3})
+                    assert str(err.value) == want
 
     def test_a_bad_index_expression_keeps_its_column_and_is_not_cached(self):
         with pytest.raises(SyntaxError) as syntax:
@@ -237,6 +256,53 @@ class TestParsing:
             assert str(err.value) == \
                 f"line 9, col {syntax.value.offset}: bad index expression 'n n'"
         assert dsl._expr_plan.cache_info().currsize == held
+
+    def test_a_reference_refuses_its_expressions_in_order(self):
+        # An unknown name before a syntax error is refused first, as each
+        # expression is evaluated in turn; the syntax error comes once the
+        # name is known, with its column, and is not cached.
+        with pytest.raises(SyntaxError) as syntax:
+            ast.parse("n n", mode="eval")
+        ref = dsl.Ref("b", ("M", "n n"), 9)
+        dsl._expr_plan("M")
+        held = dsl._expr_plan.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(DslError) as err:
+                ref.instantiate({"n": 4})
+            assert str(err.value) == "line 9, col 1: unknown name 'M' in index expression"
+            with pytest.raises(DslError) as err:
+                ref.instantiate({"n": 4, "M": 1})
+            assert str(err.value) == \
+                f"line 9, col {syntax.value.offset}: bad index expression 'n n'"
+        assert dsl._expr_plan.cache_info().currsize == held
+
+    def test_an_expression_on_a_range_with_no_values_is_never_evaluated(self):
+        # At N = 2 the range i=1..N-2 is empty, so b[M] is not evaluated
+        # and the text parses; at N = 3 it has a value and M is unknown.
+        spec = parse_spec(LAZY_ENDPOINT)
+        assert instantiate(spec).arrows == ()
+        for _ in range(2):
+            with pytest.raises(DslError) as err:
+                instantiate(spec, 3)
+            assert str(err.value) == "line 5, col 1: unknown name 'M' in index expression"
+        assert instantiate(spec, 2).arrows == ()
+
+    @pytest.mark.parametrize("fault, line", [
+        ("vertex c[k], k=1..M", 3),
+        ("arrow z[k]: a -> b[k], k=M..1", 4),
+        ("arrow z: a -> b[M]", 6),
+        ("arrow z: b[M] -> a", 7),
+        ("path p = x[1] . y[M]", 8),
+    ], ids=["vertex-range", "arrow-range", "target", "source", "path-segment"])
+    def test_each_expression_fails_at_its_own_line(self, fault, line):
+        lines = ["coalgebra faulty", "param N = 2", "vertex a", "vertex b[n], n=1..N",
+                 "arrow x[n]: a -> b[n], n=1..N", "arrow y[n]: b[n] -> a, n=1..N",
+                 "mode declared"]
+        lines.insert(line - 1, fault)
+        with pytest.raises(DslError) as err:
+            parse_spec("\n".join(lines) + "\n")
+        assert (str(err.value), err.value.line) == (
+            f"line {line}, col 1: unknown name 'M' in index expression", line)
 
 
 class TestEnumeration:
@@ -279,6 +345,35 @@ class TestEnumeration:
             assert len(basis) == 57
             assert counts["left"] == dict(Counter(p.target.label for p in basis.paths))
             assert counts["right"] == dict(Counter(p.source.label for p in basis.paths))
+
+    @pytest.mark.parametrize("budget", [12, 13, 56, 57])
+    def test_a_filled_table_leaves_the_budget_to_each_instance(self, budget, monkeypatch):
+        # The ladder at N=4 has 5 vertices and 8 arrows, past a budget of
+        # 12, and 57 paths, past one of 13 or 56.  Bounds 1 to 3 and 6 fill
+        # the spec's table with 7 vertices and 12 arrows first; each
+        # refusal at N=4, with its message and line, is still that of a
+        # fresh spec.
+        filled = parse_spec(LADDER_ALL)
+        for bound in (1, 2, 3, 6):
+            enumerate_paths(filled, bound)
+        assert len(filled.table.vertices) + len(filled.table.arrows) == 19
+        monkeypatch.setattr(paths, "SIZE_BUDGET", budget)
+
+        def outcome(spec):
+            try:
+                inst = instantiate(spec, 4)
+                return paths.path_counts(spec, inst), paths.enumerate_instance(spec, inst)
+            except DslError as err:
+                return (str(err), err.line)
+        got = outcome(filled)
+        assert got == outcome(parse_spec(LADDER_ALL))
+        if budget == 12:
+            assert got == ("line 4, col 1: more than 12 vertices, arrows and declared "
+                           "paths: past the size budget", 4)
+        elif budget < 57:
+            assert f"more than {budget} paths in all-paths mode" in got[0]
+        else:
+            assert len(got[1]) == 57
 
     def test_ex1_bound1_depth2(self):
         basis = enumerate_paths(parse_spec(EX1), 1, 2)
@@ -667,6 +762,37 @@ vertex a
 vertex b[n], n=1..N
 arrow x[i]: a -> b[N], i=1..N
 """
+
+
+class TestSpecTable:
+    """instantiate hands out one object per vertex and per arrow of a spec
+    at every bound (QuiverSpec.table), keyed by its endpoints too."""
+
+    def test_a_moving_arrow_ends_where_its_bound_puts_it(self):
+        spec = parse_spec(MOVING)
+        at3, at2 = instantiate(spec, 3), instantiate(spec, 2)
+        moved = {a.label: a for a in at2.arrows}["x[1]"]
+        assert moved.dst.label == "b[2]"
+        assert {a.label: a.dst.label for a in at3.arrows}["x[1]"] == "b[3]"
+        assert moved == Arrow("x", (1,), Vertex("a", ()), Vertex("b", (2,)))
+        assert paths.enumerate_instance(spec, at2).paths[3].target.label == "b[2]"
+        # The vertices are shared; x[1] at 3 and at 2 are two arrows.
+        assert at2.vertices == at3.vertices[:3]
+        assert all(v is w for v, w in zip(at2.vertices, at3.vertices))
+        assert moved not in at3.arrows
+
+    def test_a_vertex_or_an_arrow_is_one_object_at_every_bound(self):
+        spec = parse_spec(GROWING)
+        small, large = instantiate(spec, 2), instantiate(spec, 4)
+        shared = {a.label: a for a in large.arrows}
+        # x[n,i] for n, i <= 2 is the same arrow at both bounds; y[i]
+        # too, as it ends at a whatever the bound.
+        assert all(shared[a.label] is a for a in small.arrows)
+        assert all(a.path is a.path and a.path.arrows == (a,) for a in small.arrows)
+        assert len(spec.table.arrows) == len(large.arrows)
+        # A fresh spec builds its own objects, equal to these.
+        again = instantiate(parse_spec(GROWING), 2)
+        assert again == small and again.arrows[0] is not small.arrows[0]
 
 
 def _pair_tables_built(monkeypatch) -> list:
