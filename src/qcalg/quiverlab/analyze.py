@@ -57,8 +57,8 @@ from ..coalg import (
 from ..comod import loewy_series, regular_comodule
 from ..exactlin import Subspace, kernel_on
 from .dsl import QuiverSpec
-from .paths import (PathBasis, QuiverInstance, compile_truncation, cycle_vertices,
-                    enumerate_instance, instantiate, path_counts)
+from .paths import (BY_NAME, PathBasis, QuiverInstance, compile_truncation,
+                    cycle_vertices, enumerate_instance, instantiate, path_counts)
 
 
 class InternalCheckError(RuntimeError):
@@ -128,7 +128,7 @@ def degree_tables(n: int, probes: "list[QuiverInstance]") -> dict:
     def at_probes(key) -> "tuple[int, ...]":
         return tuple(c[key] for c in counts)
 
-    ordered = sorted(probes[0].vertices, key=lambda v: (v.name, v.indices))
+    ordered = sorted(probes[0].vertices, key=BY_NAME)
     table: dict[str, dict] = {}
     for v in ordered:
         ins, outs = at_probes(("in", v)), at_probes(("out", v))
@@ -275,7 +275,7 @@ def semiperfect_verdict(spec: QuiverSpec, n: int, probes: "list[QuiverInstance]"
             return known
         return enumerate_instance(spec, probes[k])
 
-    ordered = sorted(probes[0].vertices, key=lambda v: (v.name, v.indices))
+    ordered = sorted(probes[0].vertices, key=BY_NAME)
     verdicts: dict[str, VerdictEntry] = {}
     for side, cycle in cycles.items():
         criterion = f"{side}_semiperfect"

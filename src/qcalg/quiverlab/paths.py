@@ -3,12 +3,16 @@
 A truncation is selected by a family bound (every parameter set to N) and
 an optional maximum path length.  The enumerated basis is closed under
 contiguous subpaths, which is exactly what makes its span a subcoalgebra
-of the full path coalgebra.  All-mode walks grow from enumerated walks.  A
-declared list is closed when each path's prefix and tail are listed, so
-closure is checked through the links the compile reads (declared_paths),
-and a missing subpath is looked for only to name it.  The probes' path
-counts (path_counts) read the same check and cycle test, so they refuse
-an instance where enumeration does.
+of the full path coalgebra.  Both modes start from the vertices and the
+arrows sorted once by name and indices (BY_NAME).  All-mode walks then
+grow from them one length at a time, each walk in order extended by the
+sorted arrows out of its target, so every length comes out in canonical
+order and the size budget refuses at the walk that passes it in that
+order.  A declared list is closed when each path's prefix and tail are
+listed, so closure is checked through the links the compile reads
+(declared_paths), and a missing subpath is looked for only to name it.
+The probes' path counts (path_counts) read the same check and cycle
+test, so they refuse an instance where enumeration does.
 
 A spec keeps one table (QuiverSpec.table, a SpecTable) of the vertices
 and arrows instantiate hands out, so every bound of one spec shares one
@@ -18,7 +22,7 @@ b[N], elsewhere at each bound).  Each object builds its label and its
 one-element path once.  Each instance still builds its own dicts, so the
 duplicate, endpoint and size budget checks read that instance alone;
 index expressions are compiled once per source text (dsl._expr_plan).
-Declared-mode enumeration links an arrow to its endpoints by label and
+Enumeration links an arrow to its endpoints by label, declared mode
 builds key tuples only for declared paths, and PathBasis.place_in
 compares shared objects, which a comparison settles by identity.
 
@@ -84,8 +88,9 @@ class Arrow:
         return Path(self.label, self.src, self.dst, (self,))
 
 
-# The order of vertices, and of arrows, among the paths of one length.
-_BY_NAME = attrgetter("name", "indices")
+# The canonical order of vertices, and of arrows, among the paths of one
+# length; analyze lists its vertex tables in it too.
+BY_NAME = attrgetter("name", "indices")
 
 
 @dataclass(frozen=True)
@@ -416,38 +421,39 @@ def enumerate_instance(spec: QuiverSpec, inst: QuiverInstance,
                        depth: "int | None" = None) -> PathBasis:
     """All admissible paths of an instance of spec, up to an optional length.
 
-    Declared mode takes the sorted vertices and arrows and the declared
-    list that declared_paths checks: a vertex is its own prefix and tail,
-    an arrow's are its endpoints, found by label, and a declared path's
-    are found by key.  All mode walks the instantiated graph and therefore
-    refuses cyclic instances unless a depth bound is given.
+    Both modes start from the sorted vertices and arrows: a vertex is its
+    own prefix and tail, an arrow's are its endpoints, found by label.
+    Declared mode then appends the list that declared_paths checks, each
+    path's prefix and tail found by key.  All mode extends the walks in
+    place (_extend_walks), and refuses a cyclic instance unless a depth
+    bound is given.
     """
-    with_arrows = depth is None or depth >= 1
-    if spec.path_mode == "declared":
-        vertices = sorted(inst.vertices, key=_BY_NAME)
-        arrows = sorted(inst.arrows, key=_BY_NAME) if with_arrows else []
-        declared = declared_paths(inst, depth)
-        ordered = [v.path for v in vertices] + [a.path for a in arrows] + declared
-        at = {v.label: i for i, v in enumerate(vertices)}
-        prefix = list(range(len(vertices)))
-        tail = list(prefix)
-        prefix += [at[a.src.label] for a in arrows]
-        tail += [at[a.dst.label] for a in arrows]
-        if declared:
-            # Each path of one arrow or more by its key, for its prefix and tail.
-            at = {(a.label,): i for i, a in enumerate(arrows, len(vertices))}
-            keys = [p.key() for p in declared]
-            at.update((key, i) for i, key in enumerate(keys, len(vertices) + len(arrows)))
-            prefix += [at[key[:-1]] for key in keys]
-            tail += [at[key[1:]] for key in keys]
+    declared_mode = spec.path_mode == "declared"
+    if not declared_mode and depth is None:
+        _refuse_cycle(inst)
+    vertices = sorted(inst.vertices, key=BY_NAME)
+    arrows = sorted(inst.arrows, key=BY_NAME) if depth is None or depth >= 1 else []
+    paths = [v.path for v in vertices] + [a.path for a in arrows]
+    at = {v.label: i for i, v in enumerate(vertices)}
+    prefix = list(range(len(vertices)))
+    tail = list(prefix)
+    prefix += [at[a.src.label] for a in arrows]
+    tail += [at[a.dst.label] for a in arrows]
+    if not declared_mode:
+        _extend_walks(paths, prefix, tail, arrows, depth)
     else:
-        vertices = [v.path for v in inst.vertices]
-        arrows = [a.path for a in inst.arrows] if with_arrows else []
-        ordered, prefix, tail = _walks(inst, vertices, arrows, depth)
-    labels = [p.label for p in ordered]
+        declared = declared_paths(inst, depth)
+        # Each path of one arrow or more by its key, for its prefix and tail.
+        at = {(a.label,): i for i, a in enumerate(arrows, len(vertices))}
+        keys = [p.key() for p in declared]
+        at.update((key, i) for i, key in enumerate(keys, len(paths)))
+        paths += declared
+        prefix += [at[key[:-1]] for key in keys]
+        tail += [at[key[1:]] for key in keys]
+    labels = [p.label for p in paths]
     if len(set(labels)) != len(labels):
         raise DslError("duplicate path labels after instantiation", 1)
-    return PathBasis(tuple(ordered), tuple(prefix), tuple(tail), inst, depth)
+    return PathBasis(tuple(paths), tuple(prefix), tuple(tail), inst, depth)
 
 
 def declared_paths(inst: QuiverInstance, depth: "int | None" = None) -> "list[Path]":
@@ -515,81 +521,51 @@ def path_counts(spec: QuiverSpec, inst: QuiverInstance) -> "dict[str, dict[str, 
             "right": dict(Counter(q.source.label for q in basis.paths))}
 
 
-def _walks(inst: QuiverInstance, vertices: "list[Path]", arrows: "list[Path]",
-           depth: "int | None") -> "tuple[list[Path], list[int], list[int]]":
-    """Every walk of inst up to depth in canonical order, with the prefix
-    and tail index of each.
+def _refuse_cycle(inst: QuiverInstance) -> None:
+    """Refuse all-mode enumeration of a cyclic instance with no depth
+    bound, at the first declared arrow out of the first vertex on a cycle
+    whose target leads back to it."""
+    reach = inst.reachability
+    cyclic = cycle_vertices(reach)
+    if cyclic:
+        v = cyclic[0]
+        on_cycle = next(a for a in inst.arrows if a.src.label == v
+                        and (a.dst.label == v or v in reach[a.dst.label]))
+        raise DslError("all-paths mode on a cyclic quiver needs a depth "
+                       f"bound (cycle through {v})", on_cycle.line)
 
-    Walks grow one length at a time, each walk by the arrows out of its
-    target in declared order, so the size budget refuses at the arrow that
+
+def _extend_walks(paths: "list[Path]", prefix: "list[int]", tail: "list[int]",
+                  arrows: "list[Arrow]", depth: "int | None") -> None:
+    """Extend the vertices and sorted arrows in paths, linked in prefix and
+    tail, by every longer walk up to depth, in place and in canonical order.
+
+    Each walk of the last length, in order, is extended by the arrows out
+    of its target, in order, so each length comes out ordered by its
+    prefix's position and then its last arrow, which is the canonical
+    order, and the size budget refuses at the last arrow of the walk that
     passes it.  A walk's tail is its prefix's tail extended by the same
-    arrow.  Each length is then ordered by its prefix's position and its
-    last arrow, which is the canonical order.
+    arrow, placed already.
     """
-    if depth is None:
-        reach = inst.reachability
-        cyclic = cycle_vertices(reach)
-        if cyclic:
-            v = cyclic[0]
-            # The first declared arrow out of v whose target leads back to v.
-            on_cycle = next(a for a in inst.arrows if a.src.label == v
-                            and (a.dst.label == v or v in reach[a.dst.label]))
-            raise DslError("all-paths mode on a cyclic quiver needs a depth "
-                           f"bound (cycle through {v})", on_cycle.line)
-    rank = {a.label: r for r, a in enumerate(sorted(inst.arrows,
-                                                    key=lambda a: (a.name, a.indices)))}
-    paths = vertices + arrows
-    vertex_at = {p.source.label: i for i, p in enumerate(vertices)}
-    prefix = list(range(len(vertices)))
-    tail = list(prefix)
-    target = list(vertex_at)  # each walk's target label
-    last = [-1] * len(vertices)  # each walk's last arrow, by rank
+    out: dict[str, list[tuple]] = {}  # source label -> (arrow, label)
     step: dict[tuple, int] = {}  # (walk, arrow label) -> that walk extended
-    out: dict[str, list[tuple]] = {}  # source label -> (arrow, label, target label)
-    for i, p in enumerate(arrows, len(vertices)):
-        a = p.arrows[0]
-        label, src, dst = p.label, a.src.label, a.dst.label
-        prefix.append(vertex_at[src])
-        tail.append(vertex_at[dst])
-        target.append(dst)
-        last.append(rank[label])
-        step[(prefix[i], label)] = i
-        out.setdefault(src, []).append((a, label, dst))
-    levels = [list(range(len(vertices))), list(range(len(vertices), len(paths)))]
-    while levels[-1] and (depth is None or len(levels) <= depth):
-        longer: list[int] = []
-        for w in levels[-1]:
+    start = len(paths) - len(arrows)
+    for i, a in enumerate(arrows, start):
+        out.setdefault(a.src.label, []).append((a, a.label))
+        step[(prefix[i], a.label)] = i
+    while start < len(paths) and (depth is None or paths[start].length < depth):
+        end = len(paths)
+        for w in range(start, end):
             p = paths[w]
-            for a, label, dst in out.get(target[w], ()):
+            for a, label in out.get(p.target.label, ()):
                 if len(paths) >= SIZE_BUDGET:
                     raise DslError(f"more than {SIZE_BUDGET} paths in all-paths "
                                    "mode: past the size budget", a.line)
-                i = len(paths)
-                paths.append(Path(f"{p.label}.{label}", p.source, a.dst, p.arrows + (a,)))
+                step[(w, label)] = len(paths)
                 prefix.append(w)
                 tail.append(step[(tail[w], label)])
-                target.append(dst)
-                last.append(rank[label])
-                step[(w, label)] = i
-                longer.append(i)
-        levels.append(longer)
-
-    position = [0] * len(paths)
-
-    def canonical(i: int) -> tuple:
-        p = paths[i]
-        if not p.arrows:
-            return (p.source.name, p.source.indices)
-        # A longer walk's arrows but the last are its prefix's, placed already.
-        return (position[prefix[i]] if len(p.arrows) > 1 else -1, last[i])
-
-    order: list[int] = []
-    for level in levels:
-        for i in sorted(level, key=canonical):
-            position[i] = len(order)
-            order.append(i)
-    return ([paths[i] for i in order], [position[prefix[i]] for i in order],
-            [position[tail[i]] for i in order])
+                paths.append(Path(f"{p.label}.{label}", p.source, a.dst, p.arrows + (a,)))
+        start = end
 
 
 def dry_run_validate(spec: QuiverSpec) -> None:

@@ -52,7 +52,8 @@ from qcalg.comod import (
     weight_space,
 )
 from qcalg.exactlin import GF, QQ, Matrix, Subspace, kernel, kernel_on
-from qcalg.quiverlab import DslError, analyze, compile_truncation, enumerate_paths, parse_spec
+from qcalg.quiverlab import (DslError, analyze, compile_truncation, enumerate_paths, parse_spec,
+                             paths)
 from qcalg.quiverlab.analyze import fnoetherian_sweep
 from qcalg.quiverlab.paths import (Path, PathBasis, enumerate_instance, instantiate,
                                    path_counts)
@@ -184,6 +185,23 @@ def test_a_declared_list_is_checked_and_linked_as_by_every_subpath(drawn, depth)
 def test_counts_refuse_a_cyclic_all_mode_instance_as_enumeration_does(drawn):
     spec, inst = drawn
     assert counted_paths_match_the_enumeration(spec, inst)
+
+
+def test_the_path_budget_refuses_at_the_walk_that_passes_it(monkeypatch):
+    # All-mode walks grow in canonical order, so every budget from the
+    # vertex and arrow count up to the path count is first passed by path
+    # [budget] of the enumeration, and refused at its last arrow's line.
+    for seed in range(300):
+        spec = parse_spec(random_dag_spec(random.Random(seed)))
+        basis = enumerate_paths(spec)
+        inst = basis.instance
+        for budget in range(len(inst.vertices) + len(inst.arrows), len(basis)):
+            line = basis.paths[budget].arrows[-1].line
+            monkeypatch.setattr(paths, "SIZE_BUDGET", budget)
+            assert outcome(enumerate_paths, spec) == (
+                DslError, f"line {line}, col 1: more than {budget} paths in all-paths "
+                "mode: past the size budget", line)
+        monkeypatch.undo()
 
 
 class TestTrieCompileMatchesTheKeyTupleCompile:

@@ -108,6 +108,17 @@ arrow f5: z -> z
 mode all
 """
 
+# The ladder with its two arrows per rung declared y before x, so the
+# walks out of each vertex grow in another order than they are declared.
+TWO_DECL_LADDER = """\
+coalgebra order
+param N = 3
+vertex v[k], k=0..N
+arrow y[k]: v[k-1] -> v[k], k=1..N
+arrow x[k]: v[k-1] -> v[k], k=1..N
+mode all
+"""
+
 
 class TestParsing:
     def test_builtin_ex1_shape(self):
@@ -324,12 +335,16 @@ class TestEnumeration:
             assert counts["left"]["a"] == counts["right"]["a"] == 1 + 2 * k
 
     @pytest.mark.parametrize("budget", [56, 57])
-    def test_counts_and_enumeration_read_one_budget(self, budget, monkeypatch):
+    @pytest.mark.parametrize("text", [LADDER_ALL, TWO_DECL_LADDER],
+                             ids=["ladder", "two-declarations"])
+    def test_counts_and_enumeration_read_one_budget(self, text, budget, monkeypatch):
         # The all-mode ladder at N=4 has 57 paths: past a budget of 56, and
         # within one of 57.  Both routes refuse it, with one message and
-        # line, or both accept it with the same counts.
-        spec = parse_spec(LADDER_ALL)
+        # line, that of the last arrow of path 56 in canonical order, or
+        # both accept it with the same counts.
+        spec = parse_spec(text)
         inst = instantiate(spec, 4)
+        last_arrow_line = enumerate_paths(spec, 4).paths[56].arrows[-1].line
         monkeypatch.setattr(paths, "SIZE_BUDGET", budget)
 
         def outcome(route):
@@ -341,6 +356,7 @@ class TestEnumeration:
         if budget == 56:
             assert counts == basis
             assert "more than 56 paths in all-paths mode" in basis[0]
+            assert basis[1] == last_arrow_line
         else:
             assert len(basis) == 57
             assert counts["left"] == dict(Counter(p.target.label for p in basis.paths))
