@@ -15,6 +15,7 @@ import os
 import re
 import sys
 import traceback
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -259,7 +260,9 @@ def _resolve_subspaces(coalgebra: Coalgebra, texts: "list[str]",
 
 # -- commands -----------------------------------------------------------------------
 
-def _emit(args, doc: ReportDocument, human_lines: "list[str]") -> None:
+def _emit(args, doc: ReportDocument, human_lines: Iterable[str]) -> None:
+    """The report as JSON under --json, else its human lines; a generator
+    of lines is run only in the second case."""
     if args.json:
         sys.stdout.write(doc.to_json())
     else:
@@ -353,31 +356,33 @@ def cmd_analyze(args) -> int:
                                              sweep=results["sweep"]),
                                results)
 
-    lines = [f"analyze {bundle.name} "
-             f"(dim {results['dim']}, N={n}, field {field_display(bundle.field)})"]
-    filt = results["filtration"]
-    lines.append(f"coradical filtration dims: "
-                 f"{' '.join(str(d) for d in filt['dims'])} "
-                 f"(stabilized at {filt['stabilized_at']})")
-    for entry in results["verdicts"]:
-        reason = entry["rule_chain"][0] if entry["rule_chain"] else ""
-        if entry["verdict"] == "fails" and entry["witness"]:
-            reason = f"witness: {json.dumps(entry['witness'], sort_keys=True)}"
-        lines.append(f"  {entry['criterion']:<20} {_verdict_word(entry['verdict']):<10} {reason}")
-
-    exit_code = EXIT_OK
+    mismatches = {}
     if expected is not None:
         got = {e["criterion"]: e["verdict"] for e in results["verdicts"]}
         mismatches = {
             crit: (want, got.get(crit)) for crit, want in sorted(expected.items())
             if got.get(crit) != want
         }
-        if mismatches:
-            exit_code = EXIT_VERDICT
-            for crit, (want, actual) in mismatches.items():
-                lines.append(f"expect mismatch: {crit}: wanted {want}, got {actual}")
-    _emit(args, doc, lines)
-    return exit_code
+    _emit(args, doc, _analyze_lines(bundle, n, results, mismatches))
+    return EXIT_VERDICT if mismatches else EXIT_OK
+
+
+def _analyze_lines(bundle: InputBundle, n, results: dict,
+                   mismatches: dict) -> Iterator[str]:
+    """The human lines of an analyze report, built as _emit prints them."""
+    yield (f"analyze {bundle.name} "
+           f"(dim {results['dim']}, N={n}, field {field_display(bundle.field)})")
+    filt = results["filtration"]
+    yield (f"coradical filtration dims: "
+           f"{' '.join(str(d) for d in filt['dims'])} "
+           f"(stabilized at {filt['stabilized_at']})")
+    for entry in results["verdicts"]:
+        reason = entry["rule_chain"][0] if entry["rule_chain"] else ""
+        if entry["verdict"] == "fails" and entry["witness"]:
+            reason = f"witness: {json.dumps(entry['witness'], sort_keys=True)}"
+        yield f"  {entry['criterion']:<20} {_verdict_word(entry['verdict']):<10} {reason}"
+    for crit, (want, actual) in mismatches.items():
+        yield f"expect mismatch: {crit}: wanted {want}, got {actual}"
 
 
 def _comodule_for(args, coalgebra: Coalgebra, basis) -> Comodule:

@@ -120,31 +120,37 @@ def _grows(values: "tuple[int, ...] | list[int]") -> bool:
 
 
 def degree_tables(n: int, probes: "list[QuiverInstance]") -> dict:
-    """Arrow in/out counts per vertex of the probes at N, N+1, N+2 plus growth flags."""
-    counts = [Counter(key for a in inst.arrows
-                      for key in (("in", a.dst), ("out", a.src), (a.src, a.dst)))
-              for inst in probes]
+    """Arrow in/out counts per vertex of the probes at N, N+1, N+2 plus growth flags.
 
-    def at_probes(key) -> "tuple[int, ...]":
-        return tuple(c[key] for c in counts)
+    Counted by label, in one table each for arrows in, arrows out and
+    arrows of a (source, target) pair: a label names exactly one vertex,
+    by name and indices, and a string caches its hash where a Vertex
+    hashes its fields in Python on every lookup.
+    """
+    ins = [Counter(a.dst.label for a in inst.arrows) for inst in probes]
+    outs = [Counter(a.src.label for a in inst.arrows) for inst in probes]
+    ends = [Counter((a.src.label, a.dst.label) for a in inst.arrows) for inst in probes]
 
-    ordered = sorted(probes[0].vertices, key=BY_NAME)
+    def at_probes(counts: "list[Counter]", key) -> "tuple[int, ...]":
+        return tuple([c.get(key, 0) for c in counts])
+
+    ordered = [v.label for v in sorted(probes[0].vertices, key=BY_NAME)]
     table: dict[str, dict] = {}
     for v in ordered:
-        ins, outs = at_probes(("in", v)), at_probes(("out", v))
-        table[v.label] = {
-            "arrows_in": ins[0],
-            "arrows_out": outs[0],
-            "in_growing": _grows(ins),
-            "out_growing": _grows(outs),
+        arrows_in, arrows_out = at_probes(ins, v), at_probes(outs, v)
+        table[v] = {
+            "arrows_in": arrows_in[0],
+            "arrows_out": arrows_out[0],
+            "in_growing": _grows(arrows_in),
+            "out_growing": _grows(arrows_out),
         }
     pairs: list[dict] = []
     for u in ordered:
         for w in ordered:
-            pair = at_probes((u, w))
-            if pair != (0, 0, 0):
+            pair = at_probes(ends, (u, w))
+            if any(pair):
                 pairs.append({
-                    "src": u.label, "dst": w.label,
+                    "src": u, "dst": w,
                     "count": pair[0], "probe_counts": list(pair),
                     "growing": _grows(pair),
                 })

@@ -9,13 +9,15 @@ predicates; subspace containment and coordinates; stacking and composing
 sparse matrices; echelon form by back-elimination through every pivot
 row; the compile of a quiver truncation by key tuples; the declared-mode
 basis checked for closure by the key tuple of every subpath and linked by
-walking each path's arrows; and the check that one compiled coalgebra
-embeds in another, label for label.  The package
+walking each path's arrows; the degree tables counted by Vertex object;
+and the check that one compiled coalgebra embeds in another, label for
+label.  The package
 itself never imports this module.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable, Iterable
 
 from qcalg.coalg import Coalgebra, DualAlgebra, flatten_index
@@ -28,8 +30,9 @@ from qcalg.exactlin import (
     exact_quotient,
     row_add,
 )
+from qcalg.quiverlab.analyze import _grows, _probe_bounds
 from qcalg.quiverlab.dsl import ClosureError, DslError, QuiverSpec
-from qcalg.quiverlab.paths import Path, PathBasis, QuiverInstance, instantiate
+from qcalg.quiverlab.paths import BY_NAME, Path, PathBasis, QuiverInstance, instantiate
 
 
 # -- sparse matrices and subspaces -------------------------------------------
@@ -313,6 +316,40 @@ def reference_compile(spec: QuiverSpec, n_bound: "int | None" = None,
         epsilon.append(field.zero)
     return Coalgebra(field=field, dim=len(paths), labels=tuple(p.label for p in paths),
                      delta=tuple(delta), epsilon=tuple(epsilon))
+
+
+def reference_degree_tables(n: int, probes: "list[QuiverInstance]") -> dict:
+    """analyze.degree_tables as it counted before it counted by label: one
+    Counter per probe keyed by ("in", Vertex), ("out", Vertex) and
+    (Vertex, Vertex), read with Counter's default of 0."""
+    counts = [Counter(key for a in inst.arrows
+                      for key in (("in", a.dst), ("out", a.src), (a.src, a.dst)))
+              for inst in probes]
+
+    def at_probes(key) -> "tuple[int, ...]":
+        return tuple(c[key] for c in counts)
+
+    ordered = sorted(probes[0].vertices, key=BY_NAME)
+    table: dict[str, dict] = {}
+    for v in ordered:
+        ins, outs = at_probes(("in", v)), at_probes(("out", v))
+        table[v.label] = {
+            "arrows_in": ins[0],
+            "arrows_out": outs[0],
+            "in_growing": _grows(ins),
+            "out_growing": _grows(outs),
+        }
+    pairs: list[dict] = []
+    for u in ordered:
+        for w in ordered:
+            pair = at_probes((u, w))
+            if pair != (0, 0, 0):
+                pairs.append({
+                    "src": u.label, "dst": w.label,
+                    "count": pair[0], "probe_counts": list(pair),
+                    "growing": _grows(pair),
+                })
+    return {"N": n, "probes": list(_probe_bounds(n)), "vertices": table, "pairs": pairs}
 
 
 def _closure_check(paths: "list[Path]") -> None:

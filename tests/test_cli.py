@@ -112,6 +112,22 @@ class TestAnalyze:
         assert code == 1
         assert "expect mismatch" in out
 
+    def test_json_expect_mismatch_exits_1_with_the_report_unchanged(
+            self, tmp_path, capsys, monkeypatch):
+        # Under --json the human lines are never built (a verdict word
+        # raises here), and the exit code of --expect does not hang on them.
+        _, report, _ = run(capsys, "analyze", "ex2", "--N", "2", "--json")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"left_semiperfect": "holds"}))
+
+        def no_lines(verdict):
+            raise AssertionError("a human line was built under --json")
+
+        monkeypatch.setattr("qcalg.cli._verdict_word", no_lines)
+        code, out, err = run(capsys, "analyze", "ex2", "--N", "2", "--json",
+                             "--expect", str(bad))
+        assert (code, out, err) == (1, report, "")
+
     def test_bad_sweep_syntax(self, capsys):
         code, _, err = run(capsys, "analyze", "ex2", "--sweep", "five")
         assert code == 2

@@ -10,6 +10,7 @@ ex1, ex2 and the ladder, whose structure constants are no longer 0/1.
 from __future__ import annotations
 
 import copy
+import json
 import random
 import sys
 from collections import Counter
@@ -24,10 +25,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import (basis_embedding, dual_action, image_rows, is_subcoalgebra,
                        left_mult_matrix, reference_compile, reference_declared_basis,
-                       row_dicts, vstack)
+                       reference_degree_tables, row_dicts, vstack)
 from test_coalg import LADDER_ALL, STAR_ALL, change_basis
 from test_comod import loewy_by_preimages
 from test_quiverlab import GROWING, MOVING, _record_calls
+from test_report_hashes import FLIPPED_FAN
 
 from qcalg import coalg, comod, exactlin
 from qcalg.coalg import (
@@ -55,9 +57,10 @@ from qcalg.exactlin import GF, QQ, Matrix, Subspace, kernel, kernel_on
 from qcalg.quiverlab import (DslError, analyze, compile_truncation, enumerate_paths, parse_spec,
                              paths)
 from qcalg.quiverlab.analyze import fnoetherian_sweep
-from qcalg.quiverlab.paths import (Path, PathBasis, enumerate_instance, instantiate,
+from qcalg.quiverlab.paths import (Path, PathBasis, Vertex, enumerate_instance, instantiate,
                                    path_counts)
 from qcalg.quiverlab.registry import EX1, EX2
+from qcalg.report import json_text
 from qcalg.textfmt import dumps_coalgebra, loads
 
 
@@ -342,6 +345,77 @@ def test_a_placed_sweep_bound_reads_what_its_compile_gives(family, seed, field, 
         assert basis.place_in(reference_basis) == basis_embedding(sub, reference)
     got = fnoetherian_sweep(spec, sweep, depth, n, compile_truncation(spec, n, depth))
     assert {side: got[side]["tables"] for side in got} == own_table_columns(spec, sweep, depth)
+
+
+# Vertices named "in" and "out": a table keyed by ("in", label) and by
+# (source label, target label) in one Counter would mix them up.
+IN_AND_OUT = """\
+coalgebra inout
+param N = 2
+vertex in
+vertex out
+arrow e[i]: in -> out, i=1..N
+arrow f: out -> in
+arrow g[i]: out -> out, i=1..N
+"""
+
+DEGREE_TEXTS = {"ex1": EX1, "ex2": EX2, "growing": GROWING, "fan": FLIPPED_FAN,
+                "in-out": IN_AND_OUT}
+
+
+def no_vertex_hash(vertex):
+    raise AssertionError(f"degree_tables hashed the vertex {vertex.label}")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(DEGREE_TEXTS) + ["dag"]),
+       st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=5))
+def test_degree_tables_count_by_label_as_by_vertex(family, seed, n):
+    # The tables counted by label equal those counted by Vertex object, and
+    # no Vertex is hashed while they are built.
+    text = random_dag_spec(random.Random(seed)) if family == "dag" else DEGREE_TEXTS[family]
+    probes = [instantiate(parse_spec(text), bound) for bound in (n, n + 1, n + 2)]
+    want = reference_degree_tables(n, probes)
+    with mock.patch.object(Vertex, "__hash__", no_vertex_hash):
+        got = analyze.degree_tables(n, probes)
+        with pytest.raises(AssertionError, match="hashed the vertex"):
+            reference_degree_tables(n, probes)
+    assert got == want
+
+
+# What a report can hold: strings with quotes, backslashes, control
+# characters, U+2028, non-ASCII and lone surrogates; ints past 64 bits;
+# bools and None; nested in lists, tuples and dicts, empty ones included,
+# whose keys are strings, ints and bools, or None.
+report_strings = st.text(st.characters() | st.sampled_from(
+    ['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\u2029", "\xe9", "\U0001f600",
+     "\ud800", "\udfff"]))
+report_scalars = (st.none() | st.booleans() | st.integers()
+                  | st.integers(min_value=-2**80, max_value=2**80) | report_strings)
+report_values = st.recursive(
+    report_scalars,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(report_strings, inner, max_size=4)
+                   | st.dictionaries(st.integers() | st.booleans(), inner, max_size=4)
+                   | st.dictionaries(st.none(), inner, max_size=1)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(report_values)
+def test_the_report_writer_writes_what_json_dumps_writes(value):
+    assert json_text(value) == json.dumps(value, sort_keys=True, indent=2,
+                                          ensure_ascii=False)
+
+
+@pytest.mark.parametrize("bad", [1.5, {1, 2}, object()], ids=["float", "set", "object"])
+def test_the_report_writer_refuses_what_a_report_never_holds(bad):
+    for value in (bad, [bad], ("x", [bad]), {"k": {"j": bad}}):
+        with pytest.raises(TypeError):
+            json_text(value)
+    if not isinstance(bad, set):
+        with pytest.raises(TypeError):
+            json_text({bad: 1})
 
 
 def test_random_dags_satisfy_the_package_invariants():
